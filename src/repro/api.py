@@ -7,6 +7,11 @@ This is what the examples and benchmarks use::
     print(result.plan.explain())
     for row in result.rows:
         ...
+
+Statements run on the block engine (``vector``) unless ``mode=`` or the
+REPRO_EXEC env var says otherwise. :func:`execute` is also where host
+variables are bound: it checks every name the plan references before
+the first row, after which a binding is a constant of that execution.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import List, Optional, Tuple
 from repro.cost.model import CostModel
 from repro.executor.build import build_executor
 from repro.executor.context import CancelToken, ExecutionContext
-from repro.expr.bindings import parameter_scope
+from repro.expr.bindings import parameter_scope, require_bound
 from repro.optimizer import Optimizer, OptimizerConfig, Plan
 from repro.storage import Database
 from repro.storage.buffer import IoStats
@@ -77,8 +82,9 @@ def run_query(
 
     ``parameters`` binds host variables (``:name`` in the SQL text); the
     plan is reusable across bindings — re-run with :func:`execute`.
-    ``mode`` selects the executor engine (``compiled``/``interpreted``),
-    defaulting to the REPRO_EXEC env var.
+    ``mode`` selects the executor engine (``vector``, ``compiled`` or
+    ``interpreted``), defaulting to the REPRO_EXEC env var and, with
+    that unset, to the block engine (``vector``).
 
     ``cache`` routes planning through a plan cache (anything with the
     :meth:`repro.service.PlanCache.plan_for` protocol). The result's
@@ -140,6 +146,15 @@ def execute(
 ) -> QueryResult:
     """Execute an existing plan, measuring real and simulated time.
 
+    Every host variable the plan references must be bound by
+    ``parameters``: this is checked here, once, before the first row
+    and whatever the engine, so an unbound name raises the same
+    :class:`~repro.errors.ExpressionError` (the first missing name in
+    sorted order) even when no row would ever reach the predicate that
+    uses it. Past that check a host variable is a per-execution
+    constant, which is what lets the block kernels treat ``col = :v``
+    like ``col = constant``.
+
     Pass ``context`` to control batch size / engine mode directly, or
     just ``mode`` for an engine switch with default settings. The
     per-operator runtime counters are rendered into ``analyzed``
@@ -153,6 +168,7 @@ def execute(
     cardinality against the rows its operator actually produced and
     returns the per-node list in ``QueryResult.observations``.
     """
+    require_bound(plan.parameter_names, parameters)
     if reset_io:
         database.reset_io(cold=cold_cache)
     if context is None:

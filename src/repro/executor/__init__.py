@@ -6,11 +6,11 @@ so a query's simulated I/O pattern falls out of actually running it.
 Sorting, merging, hashing, and aggregation are all real — benchmark
 elapsed times measure genuine work.
 
-Three expression engines share the operator tree: ``compiled`` (closure
-kernels from :mod:`repro.expr.compile`, the default), ``vector``
-(columnar :class:`~repro.expr.vector.VectorBatch` blocks with selection
-vectors, late materialization, and cost-ordered predicates), and
-``interpreted`` (the tree-walking reference; ``REPRO_EXEC`` or
+Three expression engines share the operator tree: ``vector`` (columnar
+:class:`~repro.expr.vector.VectorBatch` blocks with selection vectors,
+late materialization, and cost-ordered predicates; the default),
+``compiled`` (row-batch closure kernels from :mod:`repro.expr.compile`),
+and ``interpreted`` (the tree-walking reference; ``REPRO_EXEC`` or
 ``ExecutionContext(mode=...)`` selects any of them). Results are
 byte-identical in all modes; per-operator rows/batches/time/selectivity
 land in ``ExecutionContext.metrics`` and render via

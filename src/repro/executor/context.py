@@ -10,15 +10,14 @@ from typing import Callable, Dict, Optional
 from repro.errors import ExecutionError, QueryCancelled, QueryTimeout
 from repro.storage import Database
 
-# Executor engine modes. ``compiled`` (the default) evaluates
-# expressions through closures from :mod:`repro.expr.compile`;
-# ``vector`` is the compiled engine's columnar path — operators
-# exchange :class:`repro.expr.vector.VectorBatch` blocks (per-column
-# lists + selection vectors) and materialize row tuples late, at
-# pipeline breakers; ``interpreted`` routes every expression through
-# the tree-walking interpreter (:mod:`repro.expr.evaluate`) and is
-# kept as the semantic reference — all modes must produce
-# byte-identical results.
+# Executor engine modes. ``vector`` (the default) is the block engine:
+# operators exchange :class:`repro.expr.vector.VectorBatch` blocks
+# (per-column lists + selection vectors) and materialize row tuples
+# late, at pipeline breakers; ``compiled`` evaluates expressions row by
+# row through closures from :mod:`repro.expr.compile`; ``interpreted``
+# routes every expression through the tree-walking interpreter
+# (:mod:`repro.expr.evaluate`) and is kept as the semantic reference —
+# all modes must produce byte-identical results.
 MODE_COMPILED = "compiled"
 MODE_INTERPRETED = "interpreted"
 MODE_VECTOR = "vector"
@@ -132,8 +131,8 @@ class CancelToken:
 
 
 def default_exec_mode() -> str:
-    """Engine mode from the REPRO_EXEC env var (default: compiled)."""
-    mode = os.environ.get("REPRO_EXEC", MODE_COMPILED).strip().lower()
+    """Engine mode from the REPRO_EXEC env var (default: vector)."""
+    mode = os.environ.get("REPRO_EXEC", MODE_VECTOR).strip().lower()
     if mode not in _MODES:
         raise ExecutionError(
             f"REPRO_EXEC={mode!r} is not a known executor mode; "
@@ -201,10 +200,10 @@ class ExecutionContext:
             1 (row-at-a-time, the pre-batching engine's behaviour) when
             interpreted; pass an explicit value to override either
             (see :func:`resolve_batch_size`).
-        mode: ``compiled`` (closure kernels), ``vector`` (columnar
-            selection-vector pipeline), or ``interpreted``
+        mode: ``vector`` (columnar selection-vector pipeline),
+            ``compiled`` (row closure kernels), or ``interpreted``
             (tree-walking reference); defaults to the REPRO_EXEC env
-            var, falling back to compiled.
+            var, falling back to vector.
         cancel_token: cooperative deadline/cancellation token polled at
             operator batch boundaries; None disables checkpointing.
         metrics: per-operator runtime counters keyed by operator object,

@@ -4,8 +4,12 @@ A cached plan keeps its :class:`~repro.expr.nodes.Parameter` nodes —
 rewriting them to literals per execution would change the expression
 identity and defeat the per-(expression, schema) compile memo in
 :mod:`repro.expr.compile`. Instead, executions install a binding scope
-on the current thread and both engines (the interpreter and compiled
-closures) look parameter values up here at evaluation time.
+on the current thread and every engine looks parameter values up here:
+the interpreter and the row closures per evaluation, the block kernels
+(:mod:`repro.expr.vector`) once per block. Within one execution a host
+variable is a constant, exactly as §4.1 has the planner treat it:
+:func:`require_bound` is the bind-time check ``api.execute`` runs before
+the first row, so kernels may assume every lookup succeeds.
 
 Scopes nest (a stack per thread) and are thread-local, so the query
 service's worker pool can run the same compiled kernels concurrently
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterator, Mapping, Optional
+from typing import Any, Iterable, Iterator, Mapping, Optional
 
 from repro.errors import ExpressionError
 
@@ -66,7 +70,21 @@ def active_value(name: str) -> Any:
         value = stack[-1].get(name, _MISSING)
         if value is not _MISSING:
             return value
-    raise ExpressionError(
+    raise _unbound(name)
+
+
+def _unbound(name: str) -> ExpressionError:
+    return ExpressionError(
         f"unbound host variable :{name}; pass "
         "parameters={...} when executing"
     )
+
+
+def require_bound(
+    names: Iterable[str], values: Optional[Mapping[str, Any]]
+) -> None:
+    """Raise the :func:`active_value` error for the first of ``names``
+    that ``values`` does not bind (``None`` binds nothing)."""
+    for name in names:
+        if not values or name not in values:
+            raise _unbound(name)

@@ -27,6 +27,8 @@ from __future__ import annotations
 import datetime
 import decimal
 import operator as _operator
+import threading
+from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExpressionError
@@ -57,7 +59,8 @@ from repro.sqltypes.values import NULL, sort_key
 Row = Tuple[Any, ...]
 RowFn = Callable[[Row], Any]
 
-# Compile-cache observability (read by benches/tests; reset with
+# The expr layer's counters: ``compile.*`` from this module, ``vector.*``
+# from :mod:`repro.expr.vector` (read by benches/tests; reset with
 # reset_stats). Kept local because instrument lives above this layer.
 STATS: Dict[str, int] = {}
 
@@ -74,7 +77,54 @@ def stats() -> Dict[str, int]:
     return dict(STATS)
 
 
-_MEMO: Dict[Tuple[Expression, RowSchema], RowFn] = {}
+# Entries each kernel memo keeps. A cached statement needs a handful of
+# kernels, so this is hundreds of hot statements; ad-hoc traffic with
+# fresh literals on every arrival recompiles instead of growing forever.
+KERNEL_MEMO_CAP = 1024
+
+
+class KernelMemo:
+    """Least-recently-used memo of kernels keyed by (expression, schema).
+
+    One lock serialises lookup-and-touch against insert-and-evict: the
+    query service's workers share the memos of this layer. Every lookup
+    counts as ``compile.calls`` (and ``compile.memo_hits``), whichever
+    kernel family the memo holds, so the hit ratio means the same under
+    every engine.
+    """
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[Tuple[Expression, RowSchema], Any]" = (
+            OrderedDict()
+        )
+        self._lock = threading.Lock()
+
+    def get(self, key: Tuple[Expression, RowSchema]) -> Optional[Any]:
+        _count("compile.calls")
+        with self._lock:
+            kernel = self._entries.get(key)
+            if kernel is not None:
+                self._entries.move_to_end(key)
+        if kernel is not None:
+            _count("compile.memo_hits")
+        return kernel
+
+    def put(self, key: Tuple[Expression, RowSchema], kernel: Any) -> None:
+        with self._lock:
+            self._entries[key] = kernel
+            self._entries.move_to_end(key)
+            if len(self._entries) > KERNEL_MEMO_CAP:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+_MEMO = KernelMemo()
 
 
 def clear_compile_cache() -> None:
@@ -88,14 +138,11 @@ def compile_expression(expression: Expression, schema: RowSchema) -> RowFn:
     Memoized per (expression, schema); both are hashable by value, so
     re-executions of the same plan shape reuse the compiled form.
     """
-    _count("compile.calls")
     key = (expression, schema)
-    cached = _MEMO.get(key)
-    if cached is not None:
-        _count("compile.memo_hits")
-        return cached
-    compiled = _compile(expression, schema)
-    _MEMO[key] = compiled
+    compiled = _MEMO.get(key)
+    if compiled is None:
+        compiled = _compile(expression, schema)
+        _MEMO.put(key, compiled)
     return compiled
 
 

@@ -1,6 +1,6 @@
 """Columnar vector batches and column-at-a-time predicate kernels.
 
-The compiled engine's third gear: instead of lists of row tuples,
+The block engine (the default): instead of lists of row tuples,
 operators exchange :class:`VectorBatch` objects — per-column value
 lists plus a *selection vector* (sorted physical indices of live
 rows). Filters narrow the selection without copying rows; projections
@@ -30,15 +30,19 @@ bypassing later disjuncts. Initial selectivities come from catalog
 stats (hints supplied by the executor's plan builder); per-batch
 observed selectivities adapt the order as data flows. Reordering is
 *gated on raise-safety*: any term that can raise (arithmetic, CASE,
-fold-deferred constants, parameter lookups) pins the whole conjunction
-or disjunction to source order and the strict evaluation path, so
-error behaviour matches the row engine exactly. Reordering never
-changes the result set — the True set of a conjunction/disjunction is
-an intersection/union, which is commutative.
+fold-deferred constants) pins the whole conjunction or disjunction to
+source order and the strict evaluation path, so error behaviour matches
+the row engine exactly. Reordering never changes the result set — the
+True set of a conjunction/disjunction is an intersection/union, which
+is commutative.
 
-Parameters resolve through :func:`repro.expr.bindings.active_value`
-once per batch — kernels are memoized per (expression, schema) like
-the row compiler and are never rebuilt per binding.
+A host variable is a per-execution constant: ``api.execute`` checks
+every name bound before the first row, so a parameter lookup cannot
+raise here and ``column <op> :param`` runs the constant-comparison
+loops — cost-ordered like any literal — with the value resolved through
+:func:`repro.expr.bindings.active_value` once per block. Kernels are
+memoized per (expression, schema) like the row compiler and are never
+rebuilt per binding.
 
 This module sits in the ``expr`` layer (a sibling of ``compile``) and
 must not import upward.
@@ -64,9 +68,13 @@ from repro.expr.bindings import active_value
 from repro.expr.compile import (
     _COMPARISON_CHECKS,
     _DIRECT_COMPARE,
+    KernelMemo,
     _compare,
+    _count,
     _is_constant,
     compile_expression,
+    reset_stats,
+    stats,
 )
 from repro.expr.evaluate import evaluate
 from repro.expr.nodes import (
@@ -93,20 +101,11 @@ from repro.sqltypes.values import NULL, sort_key
 Row = Tuple[Any, ...]
 Selection = List[int]
 
-# Vector-path observability (reset with reset_vector_stats).
-STATS: Dict[str, int] = {}
-
-
-def _count(name: str, amount: int = 1) -> None:
-    STATS[name] = STATS.get(name, 0) + amount
-
-
-def reset_vector_stats() -> None:
-    STATS.clear()
-
-
-def vector_stats() -> Dict[str, int]:
-    return dict(STATS)
+# Vector-path observability: the ``vector.*`` keys of the expr layer's
+# one counter dict (``compile.stats()`` reports both families), under
+# the names this module has always exported.
+reset_vector_stats = reset_stats
+vector_stats = stats
 
 
 # ----------------------------------------------------------------------
@@ -357,13 +356,12 @@ def _may_raise(expression: Expression) -> bool:
 
     Arithmetic raises on type errors / division by zero, CASE hides
     (and order-gates) raising arms, aggregates always raise per-row,
-    parameters raise when unbound, and date-part extraction raises on
-    non-date operands. Plain comparisons over typed columns only raise
-    on planning bugs, which both engines would hit.
+    and date-part extraction raises on non-date operands. Plain
+    comparisons over typed columns only raise on planning bugs, which
+    both engines would hit; host variables are bound before the first
+    row (``api.execute``) and compare like the literal they stand for.
     """
-    if isinstance(
-        expression, (Arithmetic, CaseWhen, Aggregate, Parameter, DatePart)
-    ):
+    if isinstance(expression, (Arithmetic, CaseWhen, Aggregate, DatePart)):
         return True
     return any(_may_raise(child) for child in expression.children())
 
@@ -632,16 +630,20 @@ class _CompareConstLeaf(_Term):
         self._rows_loop = _ROWS_LOOPS[op]
         self._check = _COMPARISON_CHECKS[op]
 
-    def true_of(self, batch, sel):
+    def _true_against(self, batch, sel, constant, kind):
+        """Rows of ``sel`` whose column compares True against a
+        direct-comparable ``constant`` of exact type ``kind``."""
         position = self.position
         if type(batch) is RowBlock and position not in batch._columns:
-            out = self._rows_loop(
-                batch.rows, position, sel, self.constant, self.kind, self._check
+            return self._rows_loop(
+                batch.rows, position, sel, constant, kind, self._check
             )
-        else:
-            out = self._loop(
-                batch.column(position), sel, self.constant, self.kind, self._check
-            )
+        return self._loop(
+            batch.column(position), sel, constant, kind, self._check
+        )
+
+    def true_of(self, batch, sel):
+        out = self._true_against(batch, sel, self.constant, self.kind)
         self._record(len(sel), len(out))
         return out
 
@@ -661,36 +663,25 @@ class _CompareConstLeaf(_Term):
         return test
 
 
-class _CompareParamLeaf(_Term):
-    """``column <op> :param`` — the parameter resolves once per batch
-    through the thread-local scope, never rebinding the kernel."""
+class _CompareParamLeaf(_CompareConstLeaf):
+    """``column <op> :param`` — the constant leaf with its constant
+    resolved once per block through the thread-local scope. The value
+    is never stored on the kernel, which concurrent executions with
+    different bindings share."""
 
-    __slots__ = ("position", "op", "name", "_check")
+    __slots__ = ("name",)
 
     def __init__(self, expression, position, op, name, hint):
-        # Parameters can raise (unbound), so this leaf never reorders.
-        super().__init__(expression, 1.2, hint, True, False)
-        self.position = position
-        self.op = op
+        super().__init__(expression, position, op, None, hint)
         self.name = name
-        self._check = _COMPARISON_CHECKS[op]
 
     def true_of(self, batch, sel):
         value = active_value(self.name)
-        if value is None or value is NULL:
-            self._record(len(sel), 0)
-            return []
         kind = type(value)
         if kind in _DIRECT_COMPARE:
-            position = self.position
-            if type(batch) is RowBlock and position not in batch._columns:
-                out = _ROWS_LOOPS[self.op](
-                    batch.rows, position, sel, value, kind, self._check
-                )
-            else:
-                out = _TRUE_LOOPS[self.op](
-                    batch.column(position), sel, value, kind, self._check
-                )
+            out = self._true_against(batch, sel, value, kind)
+        elif value is None or value is NULL:
+            out = []
         else:
             column = batch.column(self.position)
             check = self._check
@@ -899,6 +890,7 @@ class _FnLeaf(_Term):
     def true_of(self, batch, sel):
         fn = self._fn
         row = batch.row
+        _count("vector.fallback_terms")
         out = [i for i in sel if fn(row(i)) is True]
         self._record(len(sel), len(out))
         return out
@@ -1260,7 +1252,7 @@ class VectorFilter:
         return [root.expression]
 
 
-_FILTER_MEMO: Dict[Tuple[Expression, RowSchema], VectorFilter] = {}
+_FILTER_MEMO = KernelMemo()
 
 
 def compile_vector_filter(
@@ -1278,7 +1270,7 @@ def compile_vector_filter(
         _count("vector.filter_memo_hits")
         return cached
     kernel = VectorFilter(expression, schema, hints)
-    _FILTER_MEMO[key] = kernel
+    _FILTER_MEMO.put(key, kernel)
     return kernel
 
 
@@ -1288,7 +1280,7 @@ def compile_vector_filter(
 
 ValueKernel = Callable[[VectorBatch, Selection], List[Any]]
 
-_VALUE_MEMO: Dict[Tuple[Expression, RowSchema], ValueKernel] = {}
+_VALUE_MEMO = KernelMemo()
 
 _ARITHMETIC_FNS = {
     ArithmeticOp.ADD: lambda a, b: a + b,
@@ -1319,7 +1311,7 @@ def vector_value_kernel(
     if cached is not None:
         return cached
     kernel = _build_value_kernel(expression, schema)
-    _VALUE_MEMO[key] = kernel
+    _VALUE_MEMO.put(key, kernel)
     return kernel
 
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from functools import cached_property
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.cost.model import Cost
+from repro.expr.nodes import Expression, Parameter
 from repro.properties.stream import StreamProperties
 
 
@@ -206,6 +208,22 @@ class PlanNode:
         return len(self.find_all(OpKind.PARTIAL_SORT))
 
 
+def _collect_parameters(value: Any, names: Set[str]) -> None:
+    """Host-variable names under ``value``: a plan node (children and
+    args), an expression, or a list/tuple of either."""
+    if isinstance(value, Parameter):
+        names.add(value.name)
+    elif isinstance(value, Expression):
+        for child in value.children():
+            _collect_parameters(child, names)
+    elif isinstance(value, PlanNode):
+        _collect_parameters(value.children, names)
+        _collect_parameters(tuple(value.args.values()), names)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _collect_parameters(item, names)
+
+
 @dataclass
 class Plan:
     """A complete query execution plan."""
@@ -216,6 +234,15 @@ class Plan:
     @property
     def cost(self) -> Cost:
         return self.root.cost
+
+    @cached_property
+    def parameter_names(self) -> Tuple[str, ...]:
+        """Every host variable an execution must bind, sorted — filter
+        and join predicates, projections, aggregate arguments and index
+        bounds alike (computed once; cached plans are re-bound)."""
+        names: Set[str] = set()
+        _collect_parameters(self.root, names)
+        return tuple(sorted(names))
 
     def explain(self, show_order: bool = True, show_cost: bool = False) -> str:
         return self.root.explain(show_order=show_order, show_cost=show_cost)

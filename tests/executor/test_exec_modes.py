@@ -18,6 +18,7 @@ from repro.executor import (
     ExecutionContext,
     MODE_COMPILED,
     MODE_INTERPRETED,
+    MODE_VECTOR,
 )
 from repro.optimizer import OptimizerConfig
 from repro.verify.gen import QueryGenerator, generate_schema
@@ -140,6 +141,22 @@ class TestProbeEncoderCache:
 
 
 class TestModeSelection:
+    def test_default_engine_is_vector(self, monkeypatch, fuzz_setup):
+        """With REPRO_EXEC unset the block engine runs everywhere a
+        statement can enter. The row-closure engine is no longer the
+        default, so its coverage must stay explicit: the differentials
+        above and tests/service/test_replay.py, test_fault_replay.py
+        and test_resilience.py name ``compiled`` as a mode."""
+        from repro import run_query
+        from repro.service import QueryService
+
+        database, queries = fuzz_setup
+        monkeypatch.delenv("REPRO_EXEC", raising=False)
+        assert ExecutionContext(database).mode == MODE_VECTOR
+        assert run_query(database, queries[0]).exec_mode == MODE_VECTOR
+        with QueryService(database, workers=1) as service:
+            assert service.query(queries[0]).exec_mode == MODE_VECTOR
+
     def test_env_override(self, monkeypatch, fuzz_setup):
         database, queries = fuzz_setup
         monkeypatch.setenv("REPRO_EXEC", "interpreted")

@@ -232,3 +232,79 @@ class TestKernelsAndCaching:
         fn = compile_expression(expr, SCHEMA)
         assert fn((2, 0)) is True
         assert fn((3, 0)) is False
+
+
+class TestKernelMemoBound:
+    """The three kernel memos share one LRU with a fixed cap: ad-hoc
+    statements with fresh literals must not grow them without limit,
+    and eviction must fall on cold kernels, not the ones in use."""
+
+    def test_ten_times_the_cap_leaves_at_most_the_cap(self):
+        from repro.expr import compile as expr_compile
+        from repro.expr import vector
+
+        cap = expr_compile.KERNEL_MEMO_CAP
+        hot = Comparison(ComparisonOp.LT, X, lit(-1))
+        lookups = (
+            (expr_compile._MEMO, compile_expression),
+            (vector._FILTER_MEMO, vector.compile_vector_filter),
+            (vector._VALUE_MEMO, vector.vector_value_kernel),
+        )
+        clear_compile_cache()
+        vector.clear_vector_cache()
+        try:
+            for memo, lookup in lookups:
+                kernel = lookup(hot, SCHEMA)
+                for value in range(10 * cap):
+                    lookup(Comparison(ComparisonOp.LT, X, lit(value)), SCHEMA)
+                    if value % (cap // 2) == 0:
+                        assert lookup(hot, SCHEMA) is kernel
+                assert len(memo) == cap
+                assert lookup(hot, SCHEMA) is kernel
+                # A cold kernel was evicted: asking again compiles anew.
+                reset_stats()
+                lookup(Comparison(ComparisonOp.LT, X, lit(0)), SCHEMA)
+                assert stats().get("compile.memo_hits", 0) == 0
+        finally:
+            clear_compile_cache()
+            vector.clear_vector_cache()
+        assert [len(memo) for memo, _ in lookups] == [0, 0, 0]
+
+    def test_concurrent_lookups_keep_the_bound(self):
+        import sys
+        import threading
+
+        from repro.expr import compile as expr_compile
+
+        cap = expr_compile.KERNEL_MEMO_CAP
+        clear_compile_cache()
+        errors = []
+
+        def worker(offset):
+            try:
+                for value in range(2 * cap):
+                    shared = Comparison(ComparisonOp.GT, Y, lit(value % 7))
+                    own = Comparison(ComparisonOp.GT, X, lit(offset + value))
+                    assert compile_expression(shared, SCHEMA)((0, 9)) is True
+                    assert compile_expression(own, SCHEMA)((-1, 0)) is False
+            except Exception as exc:  # surfaced below, on the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(index * 10 * cap,))
+            for index in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            size = len(expr_compile._MEMO)
+            clear_compile_cache()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert size == cap
