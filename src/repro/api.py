@@ -40,7 +40,9 @@ class QueryResult:
     io_stats: IoStats
     simulated_io_ms: float
     spill_pages: int
-    exec_mode: str = "compiled"
+    # The engine that ran the statement; None when nothing was executed
+    # (EXPLAIN).
+    exec_mode: Optional[str] = None
     analyzed: Optional[str] = None
     # "hit" / "miss" when the statement went through a plan cache,
     # None when it was planned directly.
@@ -82,7 +84,7 @@ def run_query(
 
     ``parameters`` binds host variables (``:name`` in the SQL text); the
     plan is reusable across bindings — re-run with :func:`execute`.
-    ``mode`` selects the executor engine (``vector``, ``compiled`` or
+    ``mode`` selects the executor engine (``vector`` or
     ``interpreted``), defaulting to the REPRO_EXEC env var and, with
     that unset, to the block engine (``vector``).
 
@@ -163,7 +165,7 @@ def execute(
     path, where per-query global I/O numbers would be fiction anyway.
     ``cancel_token`` arms the operators' cooperative checkpoints — a
     tripped token raises :class:`~repro.errors.QueryTimeout` /
-    :class:`~repro.errors.QueryCancelled` out of the batch loops.
+    :class:`~repro.errors.QueryCancelled` out of the block loops.
     ``observe=True`` additionally joins each plan node's estimated
     cardinality against the rows its operator actually produced and
     returns the per-node list in ``QueryResult.observations``.

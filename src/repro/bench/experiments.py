@@ -937,135 +937,6 @@ def core_ops(
     return report
 
 
-# ----------------------------------------------------------------------
-# Execution-engine throughput (compiled kernels vs interpreter)
-# ----------------------------------------------------------------------
-
-
-@experiment(
-    "exec_ops",
-    "Executor profile: vector blocks vs compiled batch kernels vs the "
-    "tree-walking interpreter on TPC-D Q3/Q10",
-)
-def exec_ops(
-    scale_factor: float = DEFAULT_SCALE, runs: int = DEFAULT_RUNS, **_ignored
-) -> ExperimentReport:
-    """Execution-throughput baseline for the batched executor.
-
-    Each query is planned once (production config); the *same* operator
-    tree shape then runs to completion under all three executor engines
-    — ``interpreted`` re-walks every expression tree per row,
-    ``compiled`` uses the closure kernels from ``repro.expr.compile``,
-    ``vector`` streams columnar selection-vector blocks
-    (``repro.expr.vector``) with late materialization. Rows must be
-    identical; the wall-clock ratios are pure engine overhead. The
-    machine-readable payload lands in ``BENCH_exec_ops.json`` when run
-    through ``python -m repro.bench`` — ``row_vs_vector`` is the
-    compiled/vector ratio (how much the columnar path buys on top of
-    kernel compilation).
-    """
-    from repro.executor.context import (
-        MODE_COMPILED,
-        MODE_INTERPRETED,
-        MODE_VECTOR,
-        ExecutionContext,
-    )
-    from repro.tpcd import tpcd_query
-
-    report = ExperimentReport(
-        "exec_ops",
-        f"TPC-D execution wall-clock, vector vs compiled vs interpreted "
-        f"engine (SF {scale_factor}, best of {runs}, warm cache)",
-        headers=(
-            "query",
-            "rows",
-            "interpreted (ms)",
-            "compiled (ms)",
-            "vector (ms)",
-            "compiled speedup",
-            "vector speedup",
-        ),
-    )
-    database = tpcd_database(scale_factor)
-    # Default (full-repertoire) config: hash joins / hash aggregation
-    # shift the runtime from shared storage code (btree probes, sort
-    # comparisons — identical in both engines) into expression
-    # evaluation, which is exactly the dimension this experiment
-    # isolates. db2_faithful plans measure ~1.5x on the same build;
-    # the engines' row output is identical either way.
-    config = OptimizerConfig()
-    payload: Dict[str, object] = {
-        "experiment": "exec_ops",
-        "scale_factor": scale_factor,
-        "runs": runs,
-        "queries": {},
-    }
-    analyzed = None
-    # q1/q6 are engine-bound (aggregation, predicates over one scan);
-    # q3/q10 are probe-bound: index-nested-loop page fetches and
-    # buffer accounting — identical work in every engine — floor their
-    # runtime, so their ratios bound well below the engine-bound pair.
-    for name in ("q1", "q3", "q6", "q10"):
-        plan = plan_query(database, tpcd_query(name), config=config)
-        timings: Dict[str, float] = {}
-        rows_by_mode: Dict[str, List[tuple]] = {}
-        for mode in (MODE_INTERPRETED, MODE_COMPILED, MODE_VECTOR):
-            best = float("inf")
-            for _ in range(max(1, runs)):
-                context = ExecutionContext(database, mode=mode)
-                result = execute(database, plan, context=context)
-                best = min(best, result.elapsed_seconds)
-            timings[mode] = best
-            rows_by_mode[mode] = result.rows
-            if name == "q3" and mode == MODE_VECTOR:
-                analyzed = result.analyzed
-        for mode in (MODE_COMPILED, MODE_VECTOR):
-            if rows_by_mode[mode] != rows_by_mode[MODE_INTERPRETED]:
-                raise AssertionError(
-                    f"executor engines disagree on {name}: "
-                    f"{len(rows_by_mode[mode])} ({mode}) vs "
-                    f"{len(rows_by_mode[MODE_INTERPRETED])} rows"
-                )
-        speedup = timings[MODE_INTERPRETED] / timings[MODE_COMPILED]
-        vector_speedup = timings[MODE_INTERPRETED] / timings[MODE_VECTOR]
-        row_vs_vector = timings[MODE_COMPILED] / timings[MODE_VECTOR]
-        report.add_row(
-            f"tpcd-{name}",
-            len(rows_by_mode[MODE_COMPILED]),
-            f"{timings[MODE_INTERPRETED] * 1000:.1f}",
-            f"{timings[MODE_COMPILED] * 1000:.1f}",
-            f"{timings[MODE_VECTOR] * 1000:.1f}",
-            f"{speedup:.2f}x",
-            f"{vector_speedup:.2f}x",
-        )
-        payload["queries"][f"tpcd-{name}"] = {
-            "rows": len(rows_by_mode[MODE_COMPILED]),
-            "interpreted_seconds": timings[MODE_INTERPRETED],
-            "compiled_seconds": timings[MODE_COMPILED],
-            "vector_seconds": timings[MODE_VECTOR],
-            "speedup": speedup,
-            "vector_speedup": vector_speedup,
-            "row_vs_vector": row_vs_vector,
-        }
-    report.add_block("Q3 vector run (explain analyze)", analyzed)
-    report.add_note(
-        "same plans, same rows, same order in all engines; the "
-        "compiled delta is expression interpretation + per-row "
-        "iterator overhead, the vector delta adds late "
-        "materialization, selection-vector predicates, and run-folded "
-        "aggregation on top"
-    )
-    report.add_note(
-        "row_vs_vector on q3/q10 is capped by the storage simulation: "
-        "with buffer accounting stubbed out the two engines measure "
-        "near parity there, because index probes and page fetches "
-        "dominate those plans; q1/q6 show the columnar payoff where "
-        "expression work dominates"
-    )
-    report.data["json"] = payload
-    return report
-
-
 @experiment(
     "ablation_hash",
     "Extension: hash-based operators vs the 1996 sort-based repertoire",
@@ -1112,7 +983,7 @@ def verify_smoke(**_ignored) -> ExperimentReport:
         headers=("check", "scope", "result"),
     )
     report.add_row(
-        "config-matrix fuzz (+ compiled/interpreted executor diff)",
+        "config-matrix fuzz (+ vector/interpreted executor diff)",
         f"{fuzz_report.queries} queries x {fuzz_report.configs} configs",
         "ok" if fuzz_report.ok else f"{len(fuzz_report.failures)} FAILURES",
     )
@@ -1474,7 +1345,7 @@ def order_enforcement(
     """
     from repro.core import OrderSpec
     from repro.executor import ExecutionContext, PartialSortOp, SortOp
-    from repro.executor.operators import PhysicalOperator, chunked
+    from repro.executor.operators import PhysicalOperator, row_blocks
     from repro.expr import RowSchema, col
 
     import random
@@ -1490,8 +1361,8 @@ def order_enforcement(
             super().__init__(schema)
             self._rows = rows
 
-        def _batches(self, context):
-            yield from chunked(self._rows, context.batch_size)
+        def _blocks(self, context):
+            return row_blocks(self._rows, context.batch_size)
 
         def label(self):
             return "prefix-sorted rows"

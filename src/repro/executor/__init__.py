@@ -1,25 +1,24 @@
-"""Physical execution engine (batched iterator model).
+"""Physical execution engine (block-at-a-time iterator model).
 
-Operators pull batches of tuples from their children (``rows()`` is a
-thin adapter); scans charge page accesses to the database's buffer pool,
-so a query's simulated I/O pattern falls out of actually running it.
+Operators pull :class:`~repro.expr.vector.VectorBatch` blocks from
+their children through one protocol (``blocks()``; ``batches()`` /
+``rows()`` / ``execute()`` are adapters that collapse blocks into row
+tuples); scans charge page accesses to the database's buffer pool, so a
+query's simulated I/O pattern falls out of actually running it.
 Sorting, merging, hashing, and aggregation are all real — benchmark
 elapsed times measure genuine work.
 
-Three expression engines share the operator tree: ``vector`` (columnar
-:class:`~repro.expr.vector.VectorBatch` blocks with selection vectors,
-late materialization, and cost-ordered predicates; the default),
-``compiled`` (row-batch closure kernels from :mod:`repro.expr.compile`),
-and ``interpreted`` (the tree-walking reference; ``REPRO_EXEC`` or
-``ExecutionContext(mode=...)`` selects any of them). Results are
-byte-identical in all modes; per-operator rows/batches/time/selectivity
-land in ``ExecutionContext.metrics`` and render via
-``explain(analyze=...)``.
+Two engines share the operator tree: ``vector`` (columnar blocks with
+selection vectors, late materialization, and cost-ordered predicates;
+the default) and ``interpreted`` (row-at-a-time tree walking, the
+semantic reference); ``REPRO_EXEC`` or ``ExecutionContext(mode=...)``
+selects one. Results are byte-identical in both; per-operator
+rows/blocks/time/selectivity land in ``ExecutionContext.metrics`` and
+render via ``explain(analyze=...)``.
 """
 
 from repro.executor.context import (
     DEFAULT_BATCH_SIZE,
-    MODE_COMPILED,
     MODE_INTERPRETED,
     MODE_VECTOR,
     ExecutionContext,
@@ -55,7 +54,6 @@ from repro.executor.aggregate import (
 __all__ = [
     "ExecutionContext",
     "OperatorMetrics",
-    "MODE_COMPILED",
     "MODE_INTERPRETED",
     "MODE_VECTOR",
     "DEFAULT_BATCH_SIZE",

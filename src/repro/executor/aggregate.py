@@ -1,10 +1,12 @@
 """Aggregation and duplicate elimination operators.
 
-Batched like the rest of the executor: group markers (total-order
-``sort_key`` tuples) come from batch kernels in compiled mode and
-per-row closures in interpreted mode, and each aggregate's argument
-expression is prepared once per execution — a compiled closure or a
-counted interpreter thunk — instead of being re-walked per row.
+Group-by has two bodies behind one ``_blocks``: in ``vector`` mode
+group markers and aggregate arguments are gathered column-wise off the
+child's blocks and folded a run at a time; in ``interpreted`` mode the
+row-at-a-time reference body computes markers per row and feeds each
+aggregate through a counted interpreter thunk. Output rows are few, so
+both lift them into ``RowBlock``s. DISTINCT is row-native: markers come
+from a batch kernel (vector) or a per-row closure (interpreted).
 """
 
 from __future__ import annotations
@@ -26,14 +28,14 @@ from repro.executor.operators import (
     Batch,
     PhysicalOperator,
     Row,
-    chunked,
     count_interpreted,
+    row_blocks,
 )
-from repro.expr.compile import compile_expression, ordered_key_kernel
+from repro.expr.compile import ordered_key_kernel
 from repro.expr.evaluate import evaluate
 from repro.expr.nodes import Aggregate, AggregateKind, ColumnRef
 from repro.expr.schema import RowSchema
-from repro.expr.vector import vector_value_kernel
+from repro.expr.vector import RowBlock, VectorBatch, vector_value_kernel
 from repro.sqltypes import NULL, is_null, sort_key
 
 
@@ -139,7 +141,7 @@ def _marker_kernel(
     context: ExecutionContext, positions: Sequence[int]
 ) -> Callable[[Batch], List[Tuple[Any, ...]]]:
     """Total-order group markers (sort_key tuples) per batch."""
-    if context.compiled:
+    if context.vectorized:
         return ordered_key_kernel([(position, False) for position in positions])
     positions = tuple(positions)
     return lambda batch: [
@@ -175,25 +177,29 @@ class _GroupByBase(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
+        grouped = (
+            self._grouped_vector(context)
+            if context.vectorized
+            else self._grouped(context)
+        )
+        return row_blocks(grouped, context.batch_size)
+
     def _new_accumulators(self) -> List[_Accumulator]:
         return [
             _Accumulator(aggregate.kind, aggregate.distinct)
             for _name, aggregate in self.aggregates
         ]
 
-    def _argument_evaluators(
-        self, context: ExecutionContext
-    ) -> List[Callable[[Row], Any]]:
-        """One value-producing callable per aggregate (COUNT(*) yields
-        the sentinel), built once per execution."""
+    def _argument_evaluators(self) -> List[Callable[[Row], Any]]:
+        """One value-producing callable per aggregate for the row body
+        (COUNT(*) yields the sentinel), built once per execution."""
         child_schema = self.child.schema
         evaluators: List[Callable[[Row], Any]] = []
         for _name, aggregate in self.aggregates:
             argument = aggregate.argument
             if argument is None:
                 evaluators.append(lambda row: _COUNT_STAR)
-            elif context.compiled:
-                evaluators.append(compile_expression(argument, child_schema))
             else:
 
                 def interpreted(
@@ -231,7 +237,7 @@ class _GroupByBase(PhysicalOperator):
             for _name, aggregate in self.aggregates
         ]
         positions = self._group_positions
-        for block in self.child.vector_batches(context):
+        for block in self.child.blocks(context):
             sel = block.live()
             if type(sel) is range:
                 sel = list(sel)
@@ -258,14 +264,8 @@ class SortedGroupByOp(_GroupByBase):
     permutation of the grouping columns — Section 7's degrees of
     freedom)."""
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        yield from chunked(self._grouped(context), context.batch_size)
-
     def _grouped(self, context: ExecutionContext) -> Iterator[Row]:
-        if context.vectorized:
-            yield from self._grouped_vector(context)
-            return
-        evaluators = self._argument_evaluators(context)
+        evaluators = self._argument_evaluators()
         markers_of = _marker_kernel(context, self._group_positions)
         positions = tuple(self._group_positions)
         current_group: Optional[Tuple[Any, ...]] = None
@@ -326,14 +326,8 @@ class SortedGroupByOp(_GroupByBase):
 class HashGroupByOp(_GroupByBase):
     """Hash-based GROUP BY: no input order required, none produced."""
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        yield from chunked(self._grouped(context), context.batch_size)
-
     def _grouped(self, context: ExecutionContext) -> Iterator[Row]:
-        if context.vectorized:
-            yield from self._grouped_vector(context)
-            return
-        evaluators = self._argument_evaluators(context)
+        evaluators = self._argument_evaluators()
         markers_of = _marker_kernel(context, self._group_positions)
         positions = tuple(self._group_positions)
         groups: Dict[
@@ -442,7 +436,7 @@ class SortedDistinctOp(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
         markers_of = _marker_kernel(
             context, range(len(self.child.schema))
         )
@@ -455,7 +449,7 @@ class SortedDistinctOp(PhysicalOperator):
                     previous = marker
                     kept.append(row)
             if kept:
-                yield kept
+                yield RowBlock(kept)
 
     def label(self) -> str:
         return "distinct (sorted)"
@@ -471,7 +465,7 @@ class HashDistinctOp(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
         markers_of = _marker_kernel(
             context, range(len(self.child.schema))
         )
@@ -486,7 +480,7 @@ class HashDistinctOp(PhysicalOperator):
                 add(marker)
                 kept.append(row)
             if kept:
-                yield kept
+                yield RowBlock(kept)
         context.rows_hashed += len(seen)
 
     def label(self) -> str:

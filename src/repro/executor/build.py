@@ -3,8 +3,8 @@
 Host variables (``:name`` parameters) stay as ``Parameter`` nodes in
 the operator tree: planning treated them as opaque constants (§4.1),
 and execution resolves them through the thread-local binding scope
-(:mod:`repro.expr.bindings`) — per evaluation in the row engines, once
-per block in the block engine. Keeping the nodes in
+(:mod:`repro.expr.bindings`) — per evaluation in the row closures, once
+per block in the block kernels. Keeping the nodes in
 place means the compiled kernels — memoized per (expression, schema) —
 are reused verbatim across executions with different bindings, which is
 what makes the plan cache's re-binding free.

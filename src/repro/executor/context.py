@@ -10,32 +10,42 @@ from typing import Callable, Dict, Optional
 from repro.errors import ExecutionError, QueryCancelled, QueryTimeout
 from repro.storage import Database
 
-# Executor engine modes. ``vector`` (the default) is the block engine:
+# Executor engines. ``vector`` (the default) is the block engine:
 # operators exchange :class:`repro.expr.vector.VectorBatch` blocks
-# (per-column lists + selection vectors) and materialize row tuples
-# late, at pipeline breakers; ``compiled`` evaluates expressions row by
-# row through closures from :mod:`repro.expr.compile`; ``interpreted``
-# routes every expression through the tree-walking interpreter
-# (:mod:`repro.expr.evaluate`) and is kept as the semantic reference —
-# all modes must produce byte-identical results.
-MODE_COMPILED = "compiled"
+# (per-column lists + selection vectors), evaluate expressions through
+# the kernels of :mod:`repro.expr.vector` / :mod:`repro.expr.compile`,
+# and materialize row tuples late, at pipeline breakers.
+# ``interpreted`` routes every expression through the tree-walking
+# interpreter (:mod:`repro.expr.evaluate`), one row at a time, and is
+# kept as the semantic reference — both engines must produce
+# byte-identical results.
 MODE_INTERPRETED = "interpreted"
 MODE_VECTOR = "vector"
-_MODES = (MODE_COMPILED, MODE_INTERPRETED, MODE_VECTOR)
+_MODES = (MODE_INTERPRETED, MODE_VECTOR)
 
 DEFAULT_BATCH_SIZE = 1024
 
-# Sentinel: resolve per mode via resolve_batch_size (compiled/vector
-# get DEFAULT_BATCH_SIZE; interpreted gets 1 — the pre-batching
-# Volcano row-at-a-time configuration it exists to preserve).
+# Sentinel: resolve per engine via resolve_batch_size (vector gets
+# DEFAULT_BATCH_SIZE; interpreted gets 1 — the Volcano row-at-a-time
+# configuration it exists to preserve).
 BATCH_SIZE_AUTO = 0
+
+
+def validate_mode(mode: str) -> str:
+    """``mode`` if it names an engine; the one place engine names are
+    checked (``REPRO_EXEC``, ``ExecutionContext``, ``QueryService``)."""
+    if mode not in _MODES:
+        raise ExecutionError(
+            f"unknown executor engine {mode!r}; choose one of {_MODES}"
+        )
+    return mode
 
 
 def resolve_batch_size(mode: str, batch_size: int) -> int:
     """Resolve ``batch_size`` for ``mode``, validating exactly once.
 
     Only the ``BATCH_SIZE_AUTO`` sentinel selects a per-mode default;
-    any explicit positive value — including 1 with the compiled engine
+    any explicit positive value — including 1 with the block engine
     — is honoured as-is, and re-resolving an already-resolved value is
     the identity (nested contexts can copy a parent's ``batch_size``
     without re-triggering the sentinel logic). Booleans are rejected
@@ -77,8 +87,8 @@ class CancelToken:
     """Cooperative cancellation + deadline for one query execution.
 
     The token travels on the :class:`ExecutionContext`; operators poll
-    :meth:`check` at batch boundaries (the shared chokepoint is
-    ``PhysicalOperator.batches``), so a tripped token stops a runaway
+    :meth:`check` at block boundaries (the shared chokepoint is
+    ``PhysicalOperator.blocks``), so a tripped token stops a runaway
     scan/sort/join from *inside* its pull loop. Tripping is one-way:
     there is no reset, a token serves exactly one query.
 
@@ -132,13 +142,9 @@ class CancelToken:
 
 def default_exec_mode() -> str:
     """Engine mode from the REPRO_EXEC env var (default: vector)."""
-    mode = os.environ.get("REPRO_EXEC", MODE_VECTOR).strip().lower()
-    if mode not in _MODES:
-        raise ExecutionError(
-            f"REPRO_EXEC={mode!r} is not a known executor mode; "
-            f"choose one of {_MODES}"
-        )
-    return mode
+    return validate_mode(
+        os.environ.get("REPRO_EXEC", MODE_VECTOR).strip().lower()
+    )
 
 
 @dataclass
@@ -195,17 +201,15 @@ class ExecutionContext:
             simulated spill I/O.
         spill_pages: simulated pages written+read by spilling operators.
         rows_sorted / rows_hashed: work counters for introspection.
-        batch_size: rows per batch in the ``batches()`` protocol.
-            Defaults per mode: DEFAULT_BATCH_SIZE when compiled/vector,
-            1 (row-at-a-time, the pre-batching engine's behaviour) when
-            interpreted; pass an explicit value to override either
-            (see :func:`resolve_batch_size`).
-        mode: ``vector`` (columnar selection-vector pipeline),
-            ``compiled`` (row closure kernels), or ``interpreted``
-            (tree-walking reference); defaults to the REPRO_EXEC env
-            var, falling back to vector.
+        batch_size: rows per block in the ``blocks()`` protocol.
+            Defaults per mode: DEFAULT_BATCH_SIZE when vector, 1
+            (row-at-a-time) when interpreted; pass an explicit value to
+            override either (see :func:`resolve_batch_size`).
+        mode: ``vector`` (columnar selection-vector pipeline) or
+            ``interpreted`` (tree-walking reference); defaults to the
+            REPRO_EXEC env var, falling back to vector.
         cancel_token: cooperative deadline/cancellation token polled at
-            operator batch boundaries; None disables checkpointing.
+            operator block boundaries; None disables checkpointing.
         metrics: per-operator runtime counters keyed by operator object,
             rendered by ``PhysicalOperator.explain(analyze=context)``.
     """
@@ -222,20 +226,13 @@ class ExecutionContext:
     metrics: Dict[object, OperatorMetrics] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ExecutionError(
-                f"unknown executor mode {self.mode!r}; choose one of {_MODES}"
-            )
+        validate_mode(self.mode)
         self.batch_size = resolve_batch_size(self.mode, self.batch_size)
 
     @property
-    def compiled(self) -> bool:
-        """True for both compiled engines (row kernels and vector):
-        expression work runs through :mod:`repro.expr.compile`."""
-        return self.mode != MODE_INTERPRETED
-
-    @property
     def vectorized(self) -> bool:
+        """True on the block engine: operators run their block bodies
+        and expression work goes through compiled kernels."""
         return self.mode == MODE_VECTOR
 
     def metrics_for(self, operator: object) -> OperatorMetrics:

@@ -51,8 +51,10 @@ from repro.executor.operators import (
     PhysicalOperator,
     Row,
     _batch_keys,
+    sliced_blocks,
 )
 from repro.expr.schema import RowSchema
+from repro.expr.vector import RowBlock, VectorBatch
 
 # Batches buffered per partition before its producer blocks.
 _QUEUE_DEPTH = 8
@@ -84,7 +86,7 @@ class PartitionScanOp(PhysicalOperator):
         self.alias = alias
         self.partitions = tuple(partitions)
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
         heap = context.database.store(self.table_name).heap
         size = context.batch_size
         batch: Batch = []
@@ -92,10 +94,10 @@ class PartitionScanOp(PhysicalOperator):
             for page in heap.scan_pages_partition(partition):
                 batch.extend(page)
                 while len(batch) >= size:
-                    yield batch[:size]
+                    yield RowBlock(batch[:size])
                     batch = batch[size:]
         if batch:
-            yield batch
+            yield RowBlock(batch)
 
     def label(self) -> str:
         parts = ",".join(str(p) for p in self.partitions)
@@ -243,11 +245,11 @@ class GatherExchangeOp(_ExchangeBase):
     sequential engines' row order — while the work overlaps.
     """
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
         workers = self._start_workers(context)
         try:
             for worker in workers:
-                yield from self._drain(worker, context)
+                yield from map(RowBlock, self._drain(worker, context))
                 self._finish(worker, context)
         finally:
             self._shutdown(workers, context)
@@ -293,7 +295,7 @@ class MergeExchangeOp(_ExchangeBase):
                 sequence += 1
         self._finish(worker, context)
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
         workers = self._start_workers(context)
         try:
             keys_of = _batch_keys(context, self.schema, self.order)
@@ -307,11 +309,11 @@ class MergeExchangeOp(_ExchangeBase):
             for entry in heapq.merge(*streams):
                 append(entry[3])
                 if len(batch) >= size:
-                    yield batch
+                    yield RowBlock(batch)
                     batch = []
                     append = batch.append
             if batch:
-                yield batch
+                yield RowBlock(batch)
         finally:
             self._shutdown(workers, context)
 
@@ -377,11 +379,10 @@ class PartitionSplitOp(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.source.child,)
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        rows = self.source.bucket(context, self.index)
-        size = context.batch_size
-        for start in range(0, len(rows), size):
-            yield rows[start : start + size]
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
+        return sliced_blocks(
+            self.source.bucket(context, self.index), context.batch_size
+        )
 
     def label(self) -> str:
         return f"partition split #{self.index}/{self.source.count}"

@@ -7,9 +7,14 @@ as buffer hits / sequential misses rather than random misses — the
 executor does not special-case this, it simply falls out of the access
 pattern meeting the buffer pool.
 
-All joins run batch-at-a-time (see :mod:`repro.executor.operators`).
-Join keys are extracted by compiled kernels in ``compiled`` mode and by
-per-row closures in ``interpreted`` mode; residual predicates follow the
+All joins speak the block protocol (see :mod:`repro.executor.operators`).
+The hash and index nested-loop joins have a block body for ``vector``
+mode — probe keys gathered from the outer block's columns, matches
+emitted as deferred :class:`~repro.expr.vector.JoinBlock` pairs — and
+every join has a row-at-a-time ``_joined`` body, the ``interpreted``
+reference, whose rows are lifted into ``RowBlock``s. In the row bodies
+join keys come from compiled kernels in ``vector`` mode and per-row
+closures in ``interpreted`` mode; residual predicates follow the
 context's engine the same way. The index nested-loop join hoists its
 ``encode_index_key`` encoder out of the outer-row loop and caches the
 last encoded key, so an ordered outer stream with duplicate join values
@@ -28,8 +33,8 @@ from repro.executor.operators import (
     Batch,
     PhysicalOperator,
     Row,
-    chunked,
     count_interpreted,
+    row_blocks,
 )
 from repro.expr.compile import (
     compile_predicate,
@@ -39,7 +44,7 @@ from repro.expr.compile import (
 from repro.expr.evaluate import evaluate_predicate
 from repro.expr.nodes import ColumnRef, Expression
 from repro.expr.schema import RowSchema
-from repro.expr.vector import JoinBlock, RowBlock, VectorBatch, compile_vector_filter
+from repro.expr.vector import JoinBlock, VectorBatch, compile_vector_filter
 from repro.sqltypes import is_null, sort_key
 from repro.storage.database import encode_index_key
 
@@ -54,7 +59,7 @@ def residual_matcher(
     """Engine-switched residual predicate over joined rows (or None)."""
     if residual is None:
         return None
-    if context.compiled:
+    if context.vectorized:
         return compile_predicate(residual, schema)
 
     def interpreted(row: Row) -> bool:
@@ -99,7 +104,7 @@ def _null_free_keys(
     context: ExecutionContext, positions: Sequence[int]
 ) -> Callable[[Batch], KeyList]:
     """Raw-tuple keys per batch, None where a key column is NULL."""
-    if context.compiled:
+    if context.vectorized:
         return nullable_raw_key_kernel(positions)
     positions = tuple(positions)
 
@@ -119,7 +124,7 @@ def _ordered_keys(
     context: ExecutionContext, positions: Sequence[int]
 ) -> Callable[[Batch], KeyList]:
     """Sort-key tuples per batch, None where a key column is NULL."""
-    if context.compiled:
+    if context.vectorized:
         return join_key_kernel(positions)
     positions = tuple(positions)
 
@@ -171,8 +176,8 @@ class NestedLoopJoinOp(_BinaryJoin):
         super().__init__(outer, inner, residual)
         self.left_outer = left_outer
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        yield from chunked(self._joined(context), context.batch_size)
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
+        return row_blocks(self._joined(context), context.batch_size)
 
     def _joined(self, context: ExecutionContext) -> Iterator[Row]:
         matcher = residual_matcher(self.residual, self.schema, context)
@@ -238,8 +243,6 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.outer,)
 
-    vector_capable = True
-
     def _probe_setup(self, context: ExecutionContext):
         store = context.database.store(self.table_name)
         index, tree = store.indexes[self.index_name]
@@ -253,14 +256,14 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
         ]
         return tree.probe, store.heap.fetch, directions, positions
 
-    def _vector_batches(
-        self, context: ExecutionContext
-    ) -> Iterator[VectorBatch]:
-        if self.left_outer and self.residual is not None:
-            # Match bookkeeping interacts with the residual row by row;
-            # keep the row join and lift its batches.
-            for batch in chunked(self._joined(context), context.batch_size):
-                yield RowBlock(batch)
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
+        if not context.vectorized or (
+            self.left_outer and self.residual is not None
+        ):
+            # Left-outer match bookkeeping interacts with the residual
+            # row by row, so that shape runs the row join in both
+            # engines.
+            yield from row_blocks(self._joined(context), context.batch_size)
             return
         probe, fetch, directions, positions = self._probe_setup(context)
         encode = make_probe_encoder(directions)
@@ -274,7 +277,7 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
         outer_width = len(self.outer.schema)
         metrics = context.metrics_for(self)
         single = positions[0] if len(positions) == 1 else None
-        for block in self.outer.vector_batches(context):
+        for block in self.outer.blocks(context):
             metrics.rows_in += block.count
             out_index: List[int] = []
             inner_rows: List[Row] = []
@@ -316,28 +319,11 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
                 joined = joined.with_selection(selection)
             yield joined
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        if context.vectorized:
-            yield from self._materialized_batches(context)
-            return
-        yield from chunked(self._joined(context), context.batch_size)
-
     def _joined(self, context: ExecutionContext) -> Iterator[Row]:
-        store = context.database.store(self.table_name)
-        index, tree = store.indexes[self.index_name]
-        directions = [
-            column.direction
-            for column in index.key[: len(self.probe_columns)]
-        ]
-        positions = [
-            self.outer.schema.position(column)
-            for column in self.probe_columns
-        ]
+        probe, fetch, directions, positions = self._probe_setup(context)
         keys_of = _null_free_keys(context, positions)
         encode = make_probe_encoder(directions)
         matcher = residual_matcher(self.residual, self.schema, context)
-        probe = tree.probe
-        fetch = store.heap.fetch
         padding = (None,) * len(self.inner_schema)
         left_outer = self.left_outer
         for batch in self.outer.batches(context):
@@ -397,8 +383,8 @@ class MergeJoinOp(_BinaryJoin):
         self.outer_keys = list(outer_keys)
         self.inner_keys = list(inner_keys)
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        yield from chunked(self._joined(context), context.batch_size)
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
+        return row_blocks(self._joined(context), context.batch_size)
 
     def _joined(self, context: ExecutionContext) -> Iterator[Row]:
         outer_positions = [
@@ -466,8 +452,8 @@ class HashJoinOp(_BinaryJoin):
     come out as :class:`JoinBlock` pairs — the wide concatenated tuple
     is never built unless a parent materializes. A residual predicate
     runs as a vector filter over the join block (column leaves get the
-    fast paths); the left-outer + residual combination falls back to
-    row-at-a-time joining, where match bookkeeping lives.
+    fast paths); the left-outer + residual combination runs the
+    row-at-a-time join, where match bookkeeping lives.
     """
 
     def __init__(
@@ -486,10 +472,8 @@ class HashJoinOp(_BinaryJoin):
         self.inner_keys = list(inner_keys)
         self.left_outer = left_outer
 
-    vector_capable = True
-
     def _build_table(self, context: ExecutionContext) -> dict:
-        """Materialize the inner side into the hash table (both modes)."""
+        """Materialize the inner side into the hash table (both engines)."""
         inner_positions = [
             self.inner.schema.position(column) for column in self.inner_keys
         ]
@@ -513,12 +497,11 @@ class HashJoinOp(_BinaryJoin):
             context.charge_spill(build_count)
         return table
 
-    def _vector_batches(
-        self, context: ExecutionContext
-    ) -> Iterator[VectorBatch]:
-        if self.left_outer and self.residual is not None:
-            for batch in chunked(self._joined(context), context.batch_size):
-                yield RowBlock(batch)
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
+        if not context.vectorized or (
+            self.left_outer and self.residual is not None
+        ):
+            yield from row_blocks(self._joined(context), context.batch_size)
             return
         table = self._build_table(context)
         outer_positions = [
@@ -536,7 +519,7 @@ class HashJoinOp(_BinaryJoin):
             else None
         )
         single = outer_positions[0] if len(outer_positions) == 1 else None
-        for block in self.outer.vector_batches(context):
+        for block in self.outer.blocks(context):
             metrics.rows_in += block.count
             out_index: List[int] = []
             inner_rows: List[Row] = []
@@ -579,12 +562,6 @@ class HashJoinOp(_BinaryJoin):
                     continue
                 joined = joined.with_selection(selection)
             yield joined
-
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        if context.vectorized:
-            yield from self._materialized_batches(context)
-            return
-        yield from chunked(self._joined(context), context.batch_size)
 
     def _joined(self, context: ExecutionContext) -> Iterator[Row]:
         outer_positions = [

@@ -1,22 +1,24 @@
 """Leaf and unary physical operators: scans, filter, project, sort.
 
-Operators implement a batch-at-a-time protocol: ``_batches(context)``
-yields lists of row tuples (at most ``context.batch_size`` rows each);
-the public ``batches(context)`` wrapper adds per-operator runtime
-metrics (rows, batches, cumulative wall time) and ``rows(context)`` /
-``execute(context)`` are thin adapters over it.
+Operators implement one block-at-a-time protocol: ``_blocks(context)``
+yields :class:`repro.expr.vector.VectorBatch` blocks (columns +
+selection vector, at most ``context.batch_size`` rows each); the public
+``blocks(context)`` wrapper adds per-operator runtime metrics (rows,
+blocks, cumulative wall time) and the cancellation checkpoint.
+``batches(context)`` / ``rows(context)`` / ``execute(context)`` are
+adapters that collapse blocks into row tuples — what pipeline breakers
+(a sort buffering its input, a hash join building its table) and the
+root drain pull. Row-native operators yield zero-copy
+:class:`~repro.expr.vector.RowBlock` wrappers, so their consumers
+materialize for free.
 
-Expression work is engine-switched: in ``compiled`` mode predicates,
-projections, and sort keys run through closures and batch kernels from
-:mod:`repro.expr.compile`; in ``interpreted`` mode every record goes
-through the tree-walking interpreter (:mod:`repro.expr.evaluate`),
-which is kept as the semantic reference. In ``vector`` mode
-vector-capable operators exchange :class:`repro.expr.vector.VectorBatch`
-blocks (columns + selection vector) through ``vector_batches`` and only
-collapse back to row tuples at pipeline breakers or the root — any
-operator that pulls ``batches()`` from a vector-capable child gets
-materialized rows automatically. All engines must produce identical
-rows in identical order.
+Expression work is engine-switched inside ``_blocks``: in ``vector``
+mode predicates, projections, join probes and aggregate arguments run
+column-at-a-time over the blocks (kernels from :mod:`repro.expr.vector`
+and :mod:`repro.expr.compile`); in ``interpreted`` mode every record
+goes through the tree-walking interpreter (:mod:`repro.expr.evaluate`),
+which is kept as the semantic reference. Both engines must produce
+identical rows in identical order.
 """
 
 from __future__ import annotations
@@ -31,11 +33,7 @@ from repro.core.instrument import COUNTERS
 from repro.core.ordering import OrderSpec, SortDirection
 from repro.errors import ExecutionError
 from repro.executor.context import ExecutionContext
-from repro.expr.compile import (
-    ordered_key_kernel,
-    predicate_kernel,
-    projection_kernel,
-)
+from repro.expr.compile import ordered_key_kernel
 from repro.expr.bindings import active_value
 from repro.expr.evaluate import evaluate, evaluate_predicate
 from repro.expr.nodes import ColumnRef, Expression, Parameter
@@ -56,7 +54,7 @@ Batch = List[Row]
 def count_interpreted(rows: int = 1) -> None:
     """Tally tree-walking expression evaluations (one per record per
     expression). The execution counter-budget test pins this to zero in
-    compiled mode, so a kernel silently falling back to the interpreter
+    vector mode, so a kernel silently falling back to the interpreter
     fails loudly."""
     COUNTERS["exec.interpreted.evals"] = (
         COUNTERS.get("exec.interpreted.evals", 0) + rows
@@ -77,81 +75,41 @@ def chunked(rows: Iterable[Row], size: int) -> Iterator[Batch]:
         yield batch
 
 
-def rechunk(rows: Sequence[Row], size: int) -> Iterator[Batch]:
-    """Batches over an in-memory row list (cheap slicing).
+def row_blocks(rows: Iterable[Row], size: int) -> Iterator[RowBlock]:
+    """Lift a row stream into zero-copy blocks of at most ``size`` rows
+    (how the row-at-a-time bodies speak the block protocol)."""
+    return map(RowBlock, chunked(rows, size))
 
-    A slice of a list is already a fresh list, so each yielded batch is
+
+def sliced_blocks(rows: Sequence[Row], size: int) -> Iterator[RowBlock]:
+    """Blocks over an in-memory row list (cheap slicing).
+
+    A slice of a list is already a fresh list, so each block is
     independent of the source buffer — no second copy needed.
     """
     for start in range(0, len(rows), size):
-        yield rows[start : start + size]
+        yield RowBlock(rows[start : start + size])
 
 
 class PhysicalOperator:
-    """Base class: every operator exposes a schema and batch/row iterators."""
+    """Base class: every operator exposes a schema and a block stream."""
 
     def __init__(self, schema: RowSchema):
         self.schema = schema
 
-    def batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        """Instrumented batch stream — the primary pull interface.
+    def blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
+        """Instrumented block stream — the pull interface.
 
-        This wrapper is also the universal cancellation checkpoint: the
-        context's token (when present) is polled before every batch is
-        pulled, on every operator in the tree, in both engines. An
-        operator only needs its own explicit ``token.check()`` when a
-        single pull can do unbounded work without pulling a child batch
-        (per-row expansion loops — see the nested-loop join).
+        This wrapper is the one metrics layer and the universal
+        cancellation checkpoint: the context's token (when present) is
+        polled before every block is pulled, on every operator in the
+        tree, in both engines. An operator only needs its own explicit
+        ``token.check()`` when a single pull can do unbounded work
+        without pulling a child block (per-row expansion loops — see
+        the nested-loop join).
         """
         metrics = context.metrics_for(self)
-        produce = self._batches(context)
-        token = context.cancel_token
-        perf_counter = time.perf_counter
-        while True:
-            if token is not None:
-                token.check()
-            started = perf_counter()
-            try:
-                batch = next(produce)
-            except StopIteration:
-                metrics.seconds += perf_counter() - started
-                return
-            metrics.seconds += perf_counter() - started
-            metrics.batches += 1
-            metrics.rows += len(batch)
-            yield batch
-
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        raise NotImplementedError
-
-    # Vector protocol. Operators that can stream VectorBatch blocks
-    # natively set vector_capable and implement _vector_batches; in
-    # vector mode their row-protocol _batches delegates to
-    # _materialized_batches, so any parent that pulls batches() — a
-    # sort buffering its input, a hash join building its table, the
-    # root drain — becomes a late-materialization point without
-    # knowing about blocks at all.
-    vector_capable = False
-
-    def vector_batches(
-        self, context: ExecutionContext
-    ) -> Iterator[VectorBatch]:
-        """Instrumented vector-block stream (the ``vector`` engine's
-        pull interface).
-
-        Non-capable operators run their ordinary (already instrumented)
-        ``batches`` path and are lifted into zero-copy
-        :class:`RowBlock` wrappers; capable operators stream native
-        blocks with the same metrics and cancellation checkpoints as
-        ``batches``. Exactly one instrumentation wrapper runs per
-        operator per execution, whichever protocol pulls it.
-        """
-        if not self.vector_capable:
-            for batch in self.batches(context):
-                yield RowBlock(batch)
-            return
-        metrics = context.metrics_for(self)
-        produce = self._vector_batches(context)
+        produce = self._blocks(context)
         token = context.cancel_token
         perf_counter = time.perf_counter
         while True:
@@ -168,22 +126,19 @@ class PhysicalOperator:
             metrics.rows += block.count
             yield block
 
-    def _vector_batches(
-        self, context: ExecutionContext
-    ) -> Iterator[VectorBatch]:
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
         raise NotImplementedError
 
-    def _materialized_batches(
-        self, context: ExecutionContext
-    ) -> Iterator[Batch]:
-        """Row batches for a vector-capable operator pulled through the
-        row protocol: each block collapses to tuples here, counted as a
-        materialization. Pulls the raw ``_vector_batches`` stream — the
-        calling ``batches`` wrapper is the one instrumentation layer.
-        """
+    def batches(self, context: ExecutionContext) -> Iterator[Batch]:
+        """Row batches: each block collapsed to tuples. Any parent that
+        pulls this — a sort buffering its input, a hash join building
+        its table, the root drain — is a late-materialization point;
+        a selection-free :class:`RowBlock` already is its row list and
+        is not counted as one."""
         metrics = context.metrics_for(self)
-        for block in self._vector_batches(context):
-            metrics.materializations += 1
+        for block in self.blocks(context):
+            if block.selection is not None or type(block) is not RowBlock:
+                metrics.materializations += 1
             rows = block.materialize()
             if rows:
                 yield rows
@@ -233,17 +188,17 @@ class TableScanOp(PhysicalOperator):
         self.table_name = table_name
         self.alias = alias
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
         store = context.database.store(self.table_name)
         size = context.batch_size
         batch: Batch = []
         for page in store.heap.scan_pages():
             batch.extend(page)
             while len(batch) >= size:
-                yield batch[:size]
+                yield RowBlock(batch[:size])
                 batch = batch[size:]
         if batch:
-            yield batch
+            yield RowBlock(batch)
 
     def label(self) -> str:
         return f"table scan {self.table_name} as {self.alias}"
@@ -308,7 +263,7 @@ class IndexScanOp(PhysicalOperator):
         # pages.
         self.partition = partition
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
         low = _resolve_bound(self.low)
         high = _resolve_bound(self.high)
         if low is _NEVER_MATCHES or high is _NEVER_MATCHES:
@@ -345,11 +300,11 @@ class IndexScanOp(PhysicalOperator):
         ):
             append(fetch(rid))
             if len(batch) >= size:
-                yield batch
+                yield RowBlock(batch)
                 batch = []
                 append = batch.append
         if batch:
-            yield batch
+            yield RowBlock(batch)
 
     def label(self) -> str:
         direction = " (backward)" if self.descending else ""
@@ -371,8 +326,6 @@ class FilterOp(PhysicalOperator):
     seeds its term ordering with them and refines per batch.
     """
 
-    vector_capable = True
-
     def __init__(
         self,
         child: PhysicalOperator,
@@ -387,14 +340,25 @@ class FilterOp(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
-    def _vector_batches(
-        self, context: ExecutionContext
-    ) -> Iterator[VectorBatch]:
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
+        metrics = context.metrics_for(self)
+        if not context.vectorized:
+            predicate, schema = self.predicate, self.schema
+            for batch in self.child.batches(context):
+                metrics.rows_in += len(batch)
+                count_interpreted(len(batch))
+                kept = [
+                    row
+                    for row in batch
+                    if evaluate_predicate(predicate, schema, row)
+                ]
+                if kept:
+                    yield RowBlock(kept)
+            return
         vector_filter = compile_vector_filter(
             self.predicate, self.schema, self.selectivity_hints
         )
-        metrics = context.metrics_for(self)
-        for block in self.child.vector_batches(context):
+        for block in self.child.blocks(context):
             metrics.rows_in += block.count
             selection = vector_filter(block)
             if not selection:
@@ -409,39 +373,12 @@ class FilterOp(PhysicalOperator):
             else:
                 yield block.with_selection(selection)
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        if context.vectorized:
-            yield from self._materialized_batches(context)
-            return
-        metrics = context.metrics_for(self)
-        if context.compiled:
-            kernel = predicate_kernel(self.predicate, self.schema)
-            for batch in self.child.batches(context):
-                metrics.rows_in += len(batch)
-                kept = kernel(batch)
-                if kept:
-                    yield kept
-            return
-        predicate, schema = self.predicate, self.schema
-        for batch in self.child.batches(context):
-            metrics.rows_in += len(batch)
-            count_interpreted(len(batch))
-            kept = [
-                row
-                for row in batch
-                if evaluate_predicate(predicate, schema, row)
-            ]
-            if kept:
-                yield kept
-
     def label(self) -> str:
         return f"filter [{self.predicate}]"
 
 
 class ProjectOp(PhysicalOperator):
     """Computes output expressions (including plain column selection)."""
-
-    vector_capable = True
 
     def __init__(
         self,
@@ -471,21 +408,14 @@ class ProjectOp(PhysicalOperator):
                 return None
         return positions
 
-    def _vector_batches(
-        self, context: ExecutionContext
-    ) -> Iterator[VectorBatch]:
-        kernel = vector_projection_kernel(
-            self.expressions, self.child.schema
-        )
-        for block in self.child.vector_batches(context):
-            if block.count:
-                yield kernel(block)
-
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        if context.vectorized:
-            yield from self._materialized_batches(context)
-            return
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
         child_schema = self.child.schema
+        if context.vectorized:
+            kernel = vector_projection_kernel(self.expressions, child_schema)
+            for block in self.child.blocks(context):
+                if block.count:
+                    yield kernel(block)
+            return
         positions = self._simple_positions()
         if positions is not None:
             if len(positions) == 1:
@@ -494,23 +424,20 @@ class ProjectOp(PhysicalOperator):
             else:
                 getter = operator_module.itemgetter(*positions)
             for batch in self.child.batches(context):
-                yield [getter(row) for row in batch]
-            return
-        if context.compiled:
-            kernel = projection_kernel(self.expressions, child_schema)
-            for batch in self.child.batches(context):
-                yield kernel(batch)
+                yield RowBlock([getter(row) for row in batch])
             return
         expressions = self.expressions
         for batch in self.child.batches(context):
             count_interpreted(len(batch) * len(expressions))
-            yield [
-                tuple(
-                    evaluate(expression, child_schema, row)
-                    for expression in expressions
-                )
-                for row in batch
-            ]
+            yield RowBlock(
+                [
+                    tuple(
+                        evaluate(expression, child_schema, row)
+                        for expression in expressions
+                    )
+                    for row in batch
+                ]
+            )
 
     def label(self) -> str:
         inner = ", ".join(str(column) for column in self.schema.columns)
@@ -547,9 +474,9 @@ def _batch_keys(
     order: OrderSpec,
 ) -> Callable[[Batch], List[Tuple[Any, ...]]]:
     """Batch sort-key computation: one compiled kernel call per batch in
-    compiled mode, the per-row key function in interpreted mode."""
+    vector mode, the per-row key function in interpreted mode."""
     plan = sort_key_plan(schema, order)
-    if context.compiled:
+    if context.vectorized:
         return ordered_key_kernel(plan)
     key_of = make_sort_key_function(schema, order)
     return lambda batch: [key_of(row) for row in batch]
@@ -579,7 +506,7 @@ class SortOp(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
         metrics = context.metrics_for(self)
         keys_of = _batch_keys(context, self.schema, self.order)
         memory_rows = max(1, context.sort_memory_rows)
@@ -623,16 +550,16 @@ class SortOp(PhysicalOperator):
             # Slice the decorated buffer directly — no full-length
             # intermediate row list before chunking.
             for start in range(0, len(buffered), size):
-                yield [
-                    entry[2] for entry in buffered[start : start + size]
-                ]
+                yield RowBlock(
+                    [entry[2] for entry in buffered[start : start + size]]
+                )
             return
         if buffered:
             buffered.sort()
             runs.append(buffered)
             metrics.spill_pages += context.charge_spill(len(buffered))
         merged = heapq.merge(*runs)
-        yield from chunked((row for _key, _seq, row in merged), size)
+        yield from row_blocks((row for _key, _seq, row in merged), size)
 
     def label(self) -> str:
         return f"sort {self.order}"
@@ -651,22 +578,20 @@ class PartialSortOp(PhysicalOperator):
 
     The ``CancelToken`` is polled at every group boundary: a single pull
     may consume many input groups without yielding (tiny groups smaller
-    than a batch), so the universal ``batches()`` checkpoint alone is
+    than a batch), so the universal ``blocks()`` checkpoint alone is
     not enough. A group exceeding ``sort_memory_rows`` falls back to
     per-group spill runs merged with ``heapq.merge``.
 
     Byte-identity invariant: because groups arrive in prefix-sorted
     order and the per-group sort is stable on the suffix (decorated
     ``(suffix_key, sequence, row)`` entries), the output is identical to
-    a full stable sort of the whole input on ``order`` — across all
-    three engines and against ``SortOp`` itself.
+    a full stable sort of the whole input on ``order`` — in both
+    engines and against ``SortOp`` itself.
 
     With ``limit`` set (a FETCH FIRST above), each group only needs its
     ``limit`` smallest rows — later rows of the group can never be in
     the query result because whole earlier groups precede them.
     """
-
-    vector_capable = True
 
     def __init__(
         self,
@@ -695,43 +620,21 @@ class PartialSortOp(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        if context.vectorized:
-            yield from self._materialized_batches(context)
-            return
-        yield from chunked(
-            self._sorted_rows(context, self._row_entries(context)),
-            context.batch_size,
-        )
-
-    def _vector_batches(
-        self, context: ExecutionContext
-    ) -> Iterator[VectorBatch]:
-        for batch in chunked(
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
+        return row_blocks(
             self._sorted_rows(context, self._block_entries(context)),
             context.batch_size,
-        ):
-            yield RowBlock(batch)
-
-    def _row_entries(
-        self, context: ExecutionContext
-    ) -> Iterator[Tuple[Tuple[Any, ...], Tuple[Any, ...], Row]]:
-        """(prefix key, suffix key, row) per input row (row protocol)."""
-        prefix_keys_of = _batch_keys(context, self.schema, self.prefix)
-        suffix_keys_of = _batch_keys(context, self.schema, self.suffix)
-        for batch in self.child.batches(context):
-            yield from zip(
-                prefix_keys_of(batch), suffix_keys_of(batch), batch
-            )
+        )
 
     def _block_entries(
         self, context: ExecutionContext
     ) -> Iterator[Tuple[Tuple[Any, ...], Tuple[Any, ...], Row]]:
-        """Entries from vector blocks: keys gathered column-wise over the
-        live selection, rows materialized in the same selection order."""
+        """(prefix key, suffix key, row) per input row: keys gathered
+        column-wise over the live selection, rows materialized in the
+        same selection order."""
         prefix_plan = sort_key_plan(self.schema, self.prefix)
         suffix_plan = sort_key_plan(self.schema, self.suffix)
-        for block in self.child.vector_batches(context):
+        for block in self.child.blocks(context):
             if not block.count:
                 continue
             selection = block.live()
@@ -851,31 +754,14 @@ class LimitOp(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
-    vector_capable = True
-
-    def _vector_batches(
-        self, context: ExecutionContext
-    ) -> Iterator[VectorBatch]:
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
         remaining = self.count
-        for block in self.child.vector_batches(context):
-            if block.count < remaining:
-                remaining -= block.count
-                yield block
-            else:
-                yield block.take(remaining)
-                return
-
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        if context.vectorized:
-            yield from self._materialized_batches(context)
-            return
-        remaining = self.count
-        for batch in self.child.batches(context):
-            if len(batch) < remaining:
-                remaining -= len(batch)
-                yield batch
-            else:
-                yield batch[:remaining]
+        for block in self.child.blocks(context):
+            if block.count > remaining:
+                block = block.take(remaining)
+            remaining -= block.count
+            yield block
+            if not remaining:
                 return
 
     def label(self) -> str:
@@ -903,7 +789,7 @@ class TopNSortOp(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
         metrics = context.metrics_for(self)
         keys_of = _batch_keys(context, self.schema, self.order)
         count = self.count
@@ -927,7 +813,9 @@ class TopNSortOp(PhysicalOperator):
         )
         size = context.batch_size
         for start in range(0, len(buffer), size):
-            yield [entry[2] for entry in buffer[start : start + size]]
+            yield RowBlock(
+                [entry[2] for entry in buffer[start : start + size]]
+            )
 
     def label(self) -> str:
         return f"top-{self.count} sort {self.order}"
@@ -952,20 +840,9 @@ class ConcatOp(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return tuple(self._children)
 
-    vector_capable = True
-
-    def _vector_batches(
-        self, context: ExecutionContext
-    ) -> Iterator[VectorBatch]:
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
         for child in self._children:
-            yield from child.vector_batches(context)
-
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        if context.vectorized:
-            yield from self._materialized_batches(context)
-            return
-        for child in self._children:
-            yield from child.batches(context)
+            yield from child.blocks(context)
 
     def label(self) -> str:
         return f"concat ({len(self._children)} branches)"
@@ -982,10 +859,10 @@ class MaterializeOp(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
         if self._buffer is None:
             self._buffer = self.child.execute(context)
-        yield from rechunk(self._buffer, context.batch_size)
+        yield from sliced_blocks(self._buffer, context.batch_size)
 
     def label(self) -> str:
         return "materialize"

@@ -33,7 +33,6 @@ from repro.expr.compile import (
     compile_expression,
     compile_predicate,
     predicate_kernel,
-    projection_kernel,
 )
 from repro.expr.vector import (
     ColumnBlock,
@@ -84,7 +83,6 @@ __all__ = [
     "compile_expression",
     "compile_predicate",
     "predicate_kernel",
-    "projection_kernel",
     "VectorBatch",
     "RowBlock",
     "ColumnBlock",

@@ -14,8 +14,10 @@ returns a closure specialised for the tree's shape:
 
 Compiled closures must agree with :func:`repro.expr.evaluate.evaluate`
 on every input, including NULL propagation and error behaviour — the
-executor runs either engine (``REPRO_EXEC=interpreted`` selects the
-interpreter) and the differential tests assert identical output.
+block engine calls them as value kernels (and as the row fallback of
+:mod:`repro.expr.vector`), ``REPRO_EXEC=interpreted`` runs the
+interpreter instead, and the differential tests assert identical
+output.
 
 This module sits in the ``expr`` layer and must not import upward
 (``repro.core`` and above), so it keeps its own small stats dict
@@ -163,33 +165,13 @@ def predicate_kernel(
     expression: Expression, schema: RowSchema
 ) -> Callable[[Sequence[Row]], List[Row]]:
     """``kernel(rows) -> rows`` keeping records where the predicate is
-    True (three-valued: NULL drops the row)."""
+    True (three-valued: NULL drops the row).
+
+    No operator calls this; ``perf/layers.py`` times it for the
+    ``expr.filter_mrows_per_s`` layer metric (ROADMAP item G).
+    """
     fn = compile_expression(expression, schema)
     return lambda rows: [row for row in rows if fn(row) is True]
-
-
-def projection_kernel(
-    expressions: Sequence[Expression], schema: RowSchema
-) -> Callable[[Sequence[Row]], List[Row]]:
-    """``kernel(rows) -> rows`` computing the output tuple per record."""
-    fns = [compile_expression(expression, schema) for expression in expressions]
-    if len(fns) == 1:
-        only = fns[0]
-        return lambda rows: [(only(row),) for row in rows]
-    return lambda rows: [tuple(fn(row) for fn in fns) for row in rows]
-
-
-def raw_key_kernel(
-    positions: Sequence[int],
-) -> Callable[[Sequence[Row]], List[Tuple[Any, ...]]]:
-    """``kernel(rows) -> keys`` of raw values at ``positions``."""
-    positions = tuple(positions)
-    if len(positions) == 1:
-        only = positions[0]
-        return lambda rows: [(row[only],) for row in rows]
-    return lambda rows: [
-        tuple(row[position] for position in positions) for row in rows
-    ]
 
 
 def nullable_raw_key_kernel(

@@ -7,9 +7,9 @@ rows). Filters narrow the selection without copying rows; projections
 compute output columns; tuples are materialized late, only at pipeline
 breakers (sort, hash build, group-by) or at the plan root.
 
-Predicate kernels here must stay byte-identical to the row engine
+Predicate kernels here must stay byte-identical to the row closures
 (:mod:`repro.expr.compile`) and the interpreter, including SQL
-three-valued logic. The row engine's boolean semantics are identity
+three-valued logic. The row closures' boolean semantics are identity
 checks — ``value is False`` short-circuits AND, ``value is True``
 short-circuits OR, ``value is None`` marks unknown, and any *other*
 value (a bare column used as a predicate) flows through untouched —
@@ -32,7 +32,7 @@ observed selectivities adapt the order as data flows. Reordering is
 *gated on raise-safety*: any term that can raise (arithmetic, CASE,
 fold-deferred constants) pins the whole conjunction or disjunction to
 source order and the strict evaluation path, so error behaviour matches
-the row engine exactly. Reordering never changes the result set — the
+the row closures exactly. Reordering never changes the result set — the
 True set of a conjunction/disjunction is an intersection/union, which
 is commutative.
 
@@ -615,7 +615,7 @@ _ROWS_LOOPS = {
 
 class _CompareConstLeaf(_Term):
     """``column <op> constant`` with the constant's exact type guarding
-    a direct comparison — the vector form of the row engine's
+    a direct comparison — the vector form of the row compiler's
     ``column_against_constant`` fast path."""
 
     __slots__ = ("position", "op", "constant", "kind", "_loop", "_rows_loop", "_check")
@@ -773,7 +773,7 @@ class _InListLeaf(_Term):
     """``column IN (constants)`` with hoisted values.
 
     When every value shares one direct-comparable type, exact-type rows
-    use a C-level ``in`` scan; everything else mirrors the row engine's
+    use a C-level ``in`` scan; everything else mirrors the row compiler's
     per-value ``_compare`` walk (NULL-in-list semantics included).
     """
 
@@ -865,7 +865,7 @@ class _ConstLeaf(_Term):
 class _FnLeaf(_Term):
     """Fallback: evaluate the row closure per live row.
 
-    Trivially byte-identical (it *is* the row engine's closure) and
+    Trivially byte-identical (it *is* the row compiler's closure) and
     still selection-aware — later conjuncts see fewer rows.
     """
 
@@ -1017,7 +1017,7 @@ class _OrTerm(_Term):
     """Disjunction with accepted-row bypass.
 
     Each disjunct only sees rows no earlier disjunct accepted — exactly
-    the row engine's short-circuit, lifted to the selection vector.
+    the row compiler's short-circuit, lifted to the selection vector.
     Ordering (cheapest, most-accepting first) is gated on raise-safety
     like the conjunction.
     """
@@ -1302,7 +1302,7 @@ def vector_value_kernel(
 
     Column references gather (or alias the column outright when the
     selection is dense); raise-free arithmetic combines child columns
-    with the row engine's exact NULL/coercion rules; everything else —
+    with the row compiler's exact NULL/coercion rules; everything else —
     including division, whose error timing is row-ordered — falls back
     to the compiled row closure over ``batch.row``.
     """

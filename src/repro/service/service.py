@@ -11,7 +11,7 @@ The resilience layer (the contract every future resolves under):
 * **Deadlines** — ``submit(..., timeout=...)`` (or the service-wide
   ``default_timeout``) arms a :class:`~repro.executor.context.CancelToken`
   at admission. The deadline covers queue wait, planning, and
-  execution; executor operators poll the token at batch boundaries, so
+  execution; executor operators poll the token at block boundaries, so
   a runaway scan/sort/join raises
   :class:`~repro.errors.QueryTimeout` from inside its pull loop.
 * **Cancellation** — :meth:`QueryService.cancel` cancels an unstarted
@@ -66,7 +66,7 @@ from repro.errors import (
     ServiceClosed,
     ServiceError,
 )
-from repro.executor.context import CancelToken
+from repro.executor.context import CancelToken, validate_mode
 from repro.optimizer import OptimizerConfig
 from repro.service.cache import PlanCache, config_fingerprint
 from repro.storage import Database
@@ -178,6 +178,8 @@ class QueryService:
             raise ServiceError("need at least one worker")
         if default_timeout is not None and default_timeout <= 0:
             raise ServiceError("default_timeout must be positive")
+        if mode is not None:
+            validate_mode(mode)
         self.database = database
         self.config = config or OptimizerConfig()
         self.cost_model = cost_model or CostModel()

@@ -10,7 +10,7 @@ Commands:
   delta-debugged to a minimal repro and printed as pytest cases.
 * ``audit`` — the fixed plan-property audit battery alone.
 * ``fleet [--rounds N]`` — the workload-feedback differential: one
-  feedback round over the skewed fleet under all three executor
+  feedback round over the skewed fleet under both executor
   engines; rows must be byte-identical pre/post feedback and across
   engines, with no regression admitted by the gate.
 
@@ -72,7 +72,7 @@ def main(argv=None) -> int:
     commands.add_parser("audit", help="plan-property audit battery")
 
     fleet = commands.add_parser(
-        "fleet", help="three-engine workload-feedback differential"
+        "fleet", help="two-engine workload-feedback differential"
     )
     fleet.add_argument(
         "--rounds",
@@ -93,7 +93,7 @@ def main(argv=None) -> int:
 
 def _smoke() -> int:
     # compare_exec_modes re-runs every chosen plan under both executor
-    # engines (compiled kernels and the tree-walking interpreter) and
+    # engines (the block engine and the tree-walking interpreter) and
     # requires identical rows in identical order.
     report = run_fuzz(
         seed=2026,

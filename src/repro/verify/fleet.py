@@ -9,8 +9,8 @@ checks two invariants:
 * **within-engine**: every statement's rows are identical across the
   baseline, re-optimized, and gated-final replays
   (``FeedbackReport.mismatches``);
-* **across engines**: the three engines' final rows agree statement by
-  statement — the trio contract (compiled / vector / interpreted byte
+* **across engines**: the two engines' final rows agree statement by
+  statement — the engine contract (vector / interpreted byte
   identical) holds with feedback in the loop.
 
 Each engine gets a freshly built database (its own catalog identity),
@@ -23,18 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.executor.context import MODE_INTERPRETED, MODE_VECTOR
 from repro.workload import (
     FleetRunner,
     build_skewed_database,
     build_skewed_fleet,
 )
 
-ENGINES = ("compiled", "vector", "interpreted")
+ENGINES = (MODE_VECTOR, MODE_INTERPRETED)
 
 
 @dataclass
 class FleetDifferentialReport:
-    """Outcome of the three-engine fleet differential."""
+    """Outcome of the two-engine fleet differential."""
 
     statements: int = 0
     engines: Tuple[str, ...] = ENGINES

@@ -33,7 +33,6 @@ from repro.api import execute, plan_query, run_query
 from repro.core.ordering import SortDirection
 from repro.executor.build import build_operator
 from repro.executor.context import (
-    MODE_COMPILED,
     MODE_INTERPRETED,
     MODE_VECTOR,
     ExecutionContext,
@@ -210,9 +209,9 @@ def check_query(
     batch-check the same query reuse it). ``audit_configs`` names matrix
     entries whose chosen plan additionally gets a full per-node property
     audit. ``compare_exec_modes`` re-executes each chosen plan under
-    all three executor engines (compiled, interpreted, and vector,
-    explicitly — so a global ``REPRO_EXEC`` override cannot make the
-    check vacuous) and requires byte-identical rows in identical order.
+    both executor engines (vector and interpreted, explicitly — so a
+    global ``REPRO_EXEC`` override cannot make the check vacuous) and
+    requires byte-identical rows in identical order.
     """
     if configs is None:
         configs = full_matrix()
@@ -298,38 +297,34 @@ def check_query(
 
 
 def _exec_mode_divergence(database: Database, plan: Plan) -> Optional[str]:
-    """Run ``plan`` under every executor engine; describe any difference.
+    """Run ``plan`` under both executor engines; describe any difference.
 
-    The interpreter is the semantic reference; compiled and vector are
-    each diffed against it pairwise. The comparison is exact (list
-    equality), not multiset: the engines must agree on row order too.
+    The interpreter is the semantic reference the block engine is
+    diffed against. The comparison is exact (list equality), not
+    multiset: the engines must agree on row order too.
     """
     interpreted = execute(
         database,
         plan,
         context=ExecutionContext(database, mode=MODE_INTERPRETED),
-    )
-    for mode in (MODE_COMPILED, MODE_VECTOR):
-        challenger = execute(
-            database, plan, context=ExecutionContext(database, mode=mode)
+    ).rows
+    vector = execute(
+        database, plan, context=ExecutionContext(database, mode=MODE_VECTOR)
+    ).rows
+    if vector == interpreted:
+        return None
+    if len(vector) != len(interpreted):
+        return (
+            f"vector produced {len(vector)} rows, interpreted "
+            f"{len(interpreted)}\n{plan.explain()}"
         )
-        if challenger.rows == interpreted.rows:
-            continue
-        if len(challenger.rows) != len(interpreted.rows):
+    for index, (left, right) in enumerate(zip(vector, interpreted)):
+        if left != right:
             return (
-                f"{mode} produced {len(challenger.rows)} rows, interpreted "
-                f"{len(interpreted.rows)}\n{plan.explain()}"
+                f"row {index} differs: vector {left!r} vs interpreted "
+                f"{right!r}\n{plan.explain()}"
             )
-        for index, (left, right) in enumerate(
-            zip(challenger.rows, interpreted.rows)
-        ):
-            if left != right:
-                return (
-                    f"row {index} differs: {mode} {left!r} vs interpreted "
-                    f"{right!r}\n{plan.explain()}"
-                )
-        return f"{mode} rows differ\n{plan.explain()}"  # pragma: no cover
-    return None
+    return f"vector rows differ\n{plan.explain()}"  # pragma: no cover
 
 
 # ----------------------------------------------------------------------

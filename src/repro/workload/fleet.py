@@ -19,7 +19,7 @@
 
 Correctness invariant: feedback changes *estimates*, never results —
 every round's rows must be byte-identical (``FeedbackReport.mismatches``
-checks; the verify layer runs it under all three engines).
+checks; the verify layer runs it under both engines).
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Covers the executor half of the partitioning subsystem:
 
-* MergeExchange must be byte-identical across all three engines and to
+* MergeExchange must be byte-identical across both engines and to
   the single-stream (no-partitioning) plan for the same query;
 * the k-way merge is stable — equal keys resolve to
   partition-then-arrival order, never by comparing row payloads;
@@ -21,7 +21,6 @@ from repro.core.ordering import OrderSpec, asc
 from repro.errors import QueryCancelled, QueryTimeout
 from repro.executor import (
     ExecutionContext,
-    MODE_COMPILED,
     MODE_INTERPRETED,
     MODE_VECTOR,
 )
@@ -31,6 +30,7 @@ from repro.executor.exchange import MergeExchangeOp
 from repro.executor.operators import PhysicalOperator
 from repro.expr.nodes import ColumnRef
 from repro.expr.schema import RowSchema
+from repro.expr.vector import RowBlock
 from repro.optimizer import OptimizerConfig
 from repro.optimizer.plan import OpKind
 from repro.storage import Database
@@ -46,16 +46,13 @@ def _merge_plan(db):
 
 
 class TestCrossEngineIdentity:
-    def test_merge_exchange_identical_in_all_three_engines(
-        self, partitioned_db
-    ):
+    def test_merge_exchange_identical_in_both_engines(self, partitioned_db):
         plan = _merge_plan(partitioned_db)
         rows_by_mode = {
             mode: execute(partitioned_db, plan, mode=mode).rows
-            for mode in (MODE_COMPILED, MODE_VECTOR, MODE_INTERPRETED)
+            for mode in (MODE_VECTOR, MODE_INTERPRETED)
         }
-        assert rows_by_mode[MODE_COMPILED] == rows_by_mode[MODE_INTERPRETED]
-        assert rows_by_mode[MODE_COMPILED] == rows_by_mode[MODE_VECTOR]
+        assert rows_by_mode[MODE_VECTOR] == rows_by_mode[MODE_INTERPRETED]
 
     def test_merge_matches_single_stream_sort_byte_for_byte(
         self, partitioned_db
@@ -86,10 +83,10 @@ class _StaticOp(PhysicalOperator):
         super().__init__(schema)
         self.rows = list(rows)
 
-    def _batches(self, context):
+    def _blocks(self, context):
         size = context.batch_size
         for start in range(0, len(self.rows), size):
-            yield self.rows[start : start + size]
+            yield RowBlock(self.rows[start : start + size])
 
     def label(self):
         return "static"

@@ -1,23 +1,26 @@
-"""Interpreter-call budget: compiled plans must not fall back per-row.
+"""Interpreter-call budget: block-engine plans must not fall back per-row.
 
-A silent regression mode for the compiled engine is an operator quietly
+A silent regression mode for the block engine is an operator quietly
 routing expressions through ``repro.expr.evaluate`` again — results
 stay correct, throughput regresses. ``exec.interpreted.evals`` counts
 every per-row interpreter call inside the executor; this test pins it
-to zero for a compiled TPC-D Q3 run, with vacuity guards proving the
-counter does move under the interpreted engine and that compilation
-actually happened.
+to zero for ``vector`` runs of TPC-D Q1/Q3/Q6/Q10, with vacuity guards
+proving the counter does move under the interpreted engine and that
+compilation actually happened. The same runs hold the engine contract
+on TPC-D: rows byte-identical between ``vector`` and ``interpreted``.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.api import execute, plan_query
 from repro.core.instrument import COUNTERS
 from repro.expr import compile as expr_compile
 from repro.executor import (
     ExecutionContext,
-    MODE_COMPILED,
     MODE_INTERPRETED,
+    MODE_VECTOR,
 )
 from repro.optimizer import OptimizerConfig
 from repro.tpcd import tpcd_query
@@ -25,8 +28,8 @@ from repro.tpcd import tpcd_query
 EVALS = "exec.interpreted.evals"
 
 
-def run_q3(database, mode):
-    plan = plan_query(database, tpcd_query("q3"), config=OptimizerConfig())
+def run_query_counted(database, name, mode):
+    plan = plan_query(database, tpcd_query(name), config=OptimizerConfig())
     COUNTERS[EVALS] = 0
     result = execute(
         database, plan, context=ExecutionContext(database, mode=mode)
@@ -34,19 +37,22 @@ def run_q3(database, mode):
     return result, COUNTERS[EVALS]
 
 
-def test_compiled_q3_makes_zero_interpreter_calls(tpcd_db):
+@pytest.mark.parametrize("name", ["q1", "q3", "q6", "q10"])
+def test_vector_tpcd_makes_zero_interpreter_calls(tpcd_db, name):
     expr_compile.reset_stats()
-    compiled_result, compiled_evals = run_q3(tpcd_db, MODE_COMPILED)
-    interpreted_result, interpreted_evals = run_q3(tpcd_db, MODE_INTERPRETED)
+    vector_result, vector_evals = run_query_counted(tpcd_db, name, MODE_VECTOR)
+    interpreted_result, interpreted_evals = run_query_counted(
+        tpcd_db, name, MODE_INTERPRETED
+    )
 
     # Vacuity guards: the run did real work and the counter is live.
-    assert compiled_result.rows == interpreted_result.rows
-    assert compiled_result.rows, "Q3 must return rows at test scale"
+    assert vector_result.rows == interpreted_result.rows
+    assert vector_result.rows, f"{name} must return rows at test scale"
     assert interpreted_evals > 0, "interpreted engine must hit the counter"
     assert expr_compile.stats().get("compile.calls", 0) > 0
 
-    # The budget: a compiled plan runs entirely on closures.
-    assert compiled_evals == 0, (
-        f"compiled Q3 made {compiled_evals} per-row interpreter calls; "
+    # The budget: a block-engine plan runs entirely on kernels.
+    assert vector_evals == 0, (
+        f"vector {name} made {vector_evals} per-row interpreter calls; "
         "an operator is falling back to repro.expr.evaluate"
     )

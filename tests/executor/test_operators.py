@@ -7,7 +7,6 @@ from repro.core import OrderSpec
 from repro.core.ordering import desc
 from repro.errors import ExecutionError, QueryCancelled
 from repro.executor import (
-    MODE_COMPILED,
     MODE_INTERPRETED,
     MODE_VECTOR,
     ExecutionContext,
@@ -27,7 +26,7 @@ from repro.sqltypes import INTEGER
 TA, TB = col("t", "a"), col("t", "b")
 SCHEMA = RowSchema([TA, TB])
 
-ALL_MODES = (MODE_COMPILED, MODE_INTERPRETED, MODE_VECTOR)
+ALL_MODES = (MODE_INTERPRETED, MODE_VECTOR)
 
 
 @pytest.fixture
@@ -47,6 +46,37 @@ def db():
 
 def run(op, db):
     return op.execute(ExecutionContext(db))
+
+
+def test_one_pull_protocol():
+    """Every operator speaks ``_blocks`` and nothing else: no second
+    protocol's hooks or per-operator capability flags exist to fall out
+    of step, and the instrumented wrapper and its row adapters are
+    defined once, on the base class."""
+    import repro.executor.aggregate  # noqa: F401 - registers subclasses
+    import repro.executor.exchange  # noqa: F401
+    import repro.executor.joins  # noqa: F401
+    from repro.executor import PhysicalOperator
+
+    classes, stack = [], [PhysicalOperator]
+    while stack:
+        cls = stack.pop()
+        classes.append(cls)
+        stack.extend(cls.__subclasses__())
+    product = [c for c in classes if c.__module__.startswith("repro.executor")]
+    assert len(product) > 20
+    base = {"blocks", "_blocks", "batches", "rows", "execute"}
+    for cls in product:
+        pull_names = {
+            name
+            for name in vars(cls)
+            if name in base
+            or name.endswith(("batches", "blocks", "capable"))
+        }
+        allowed = base if cls is PhysicalOperator else {"_blocks"}
+        assert pull_names <= allowed, (cls.__name__, pull_names)
+        if not cls.__subclasses__():
+            assert cls._blocks is not PhysicalOperator._blocks, cls.__name__
 
 
 class TestTableScan:
@@ -195,8 +225,7 @@ class TestSortMergeBoundaries:
             mode: self.sort_rows(db, mode, memory_rows=30, batch_size=7)[0]
             for mode in ALL_MODES
         }
-        assert outputs[MODE_COMPILED] == outputs[MODE_INTERPRETED]
-        assert outputs[MODE_COMPILED] == outputs[MODE_VECTOR]
+        assert outputs[MODE_VECTOR] == outputs[MODE_INTERPRETED]
 
 
 @pytest.fixture

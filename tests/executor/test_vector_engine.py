@@ -1,12 +1,13 @@
-"""The vector engine is the compiled engine's third gear — prove it.
+"""The vector engine against its reference — prove they are one engine.
 
-Every test here runs the same plan through ``vector`` and at least one
-reference engine (``compiled`` row kernels and/or ``interpreted``) and
-asserts byte-identical rows: the seed-7 fuzz corpus, NULL-heavy
+Every test here runs the same plan through ``vector`` and the
+``interpreted`` reference and asserts byte-identical rows: NULL-heavy
 three-valued predicates, parameterized plans re-executed under fresh
-bindings, and cancellation tripping *inside* a vector batch loop. The
-metrics tests pin the vector-specific observability (``sel=`` and
-``mat=`` in explain(analyze)).
+bindings, and cancellation tripping *inside* a block loop, through
+every pull adapter (the seed-7 corpus differential and its batch-size
+sweeps are in ``test_exec_modes.py``). The metrics tests pin the
+vector-specific observability (``sel=`` and ``mat=`` in
+explain(analyze)).
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from repro.api import execute, plan_query
 from repro.errors import ExecutionError, QueryCancelled, QueryTimeout
 from repro.executor import (
     ExecutionContext,
-    MODE_COMPILED,
     MODE_INTERPRETED,
     MODE_VECTOR,
     resolve_batch_size,
 )
+from repro.executor.build import build_executor
 from repro.optimizer import OptimizerConfig
 from repro.sqltypes import INTEGER, varchar
 from repro.verify.faults import inject_token_faults
@@ -31,7 +32,7 @@ from repro.verify.gen import QueryGenerator, generate_schema
 SEED = 7
 N_QUERIES = 30
 
-ALL_MODES = (MODE_COMPILED, MODE_INTERPRETED, MODE_VECTOR)
+ALL_MODES = (MODE_INTERPRETED, MODE_VECTOR)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,7 @@ def run_mode(database, plan, mode, **kwargs):
     return execute(database, plan, context=context), context
 
 
-def assert_three_way(database, sql, config=None, parameters=None):
+def assert_engines_agree(database, sql, config=None, parameters=None):
     plan = plan_query(database, sql, config=config or OptimizerConfig())
     results = {}
     for mode in ALL_MODES:
@@ -84,29 +85,8 @@ def assert_three_way(database, sql, config=None, parameters=None):
         results[mode] = execute(
             database, plan, context=context, parameters=parameters
         ).rows
-    assert results[MODE_VECTOR] == results[MODE_COMPILED], sql
     assert results[MODE_VECTOR] == results[MODE_INTERPRETED], sql
     return results[MODE_VECTOR]
-
-
-class TestThreeWayDifferential:
-    def test_seed7_corpus_three_way(self, fuzz_setup):
-        database, queries = fuzz_setup
-        configs = (OptimizerConfig(), OptimizerConfig.disabled())
-        for sql in queries:
-            for config in configs:
-                assert_three_way(database, sql, config=config)
-
-    def test_vector_batch_size_does_not_change_results(self, fuzz_setup):
-        database, queries = fuzz_setup
-        for sql in queries[:10]:
-            plan = plan_query(database, sql, config=OptimizerConfig())
-            baseline, _ = run_mode(database, plan, MODE_COMPILED)
-            for batch_size in (1, 3, 7, 4096):
-                result, _ = run_mode(
-                    database, plan, MODE_VECTOR, batch_size=batch_size
-                )
-                assert result.rows == baseline.rows, (sql, batch_size)
 
 
 class TestNullHeavyPredicates:
@@ -132,9 +112,9 @@ class TestNullHeavyPredicates:
         "SELECT s, COUNT(*), SUM(a) FROM t GROUP BY s ORDER BY s",
     )
 
-    def test_null_heavy_three_way(self, nullable_db):
+    def test_null_heavy_engines_agree(self, nullable_db):
         for sql in self.QUERIES:
-            rows = assert_three_way(nullable_db, sql)
+            rows = assert_engines_agree(nullable_db, sql)
             # Sanity: the fixture must actually exercise the predicate
             # (all-empty results would vacuously pass).
             if "COUNT" not in sql:
@@ -142,15 +122,15 @@ class TestNullHeavyPredicates:
 
     def test_disabled_config_agrees_too(self, nullable_db):
         for sql in self.QUERIES[:6]:
-            assert_three_way(
+            assert_engines_agree(
                 nullable_db, sql, config=OptimizerConfig.disabled()
             )
 
 
 class TestParameterBindings:
-    def test_parameterized_plan_three_way(self, nullable_db):
+    def test_parameterized_plan_engines_agree(self, nullable_db):
         sql = "SELECT k FROM t WHERE a > :lo AND b < :hi ORDER BY k"
-        assert_three_way(
+        assert_engines_agree(
             nullable_db, sql, parameters={"lo": 2, "hi": 8}
         )
 
@@ -181,7 +161,7 @@ class TestParameterBindings:
             reference = execute(
                 nullable_db,
                 plan,
-                context=ExecutionContext(nullable_db, mode=MODE_COMPILED),
+                context=ExecutionContext(nullable_db, mode=MODE_INTERPRETED),
                 parameters={"lo": lo},
             ).rows
             assert rows == reference
@@ -199,9 +179,9 @@ class TestCancellation:
     def test_fault_mid_vector_batch(self, fuzz_setup):
         database, queries = fuzz_setup
         plan = plan_query(database, queries[0], config=OptimizerConfig())
-        # Token checkpoints fire at every batches() pull; with a small
+        # Token checkpoints fire at every blocks() pull; with a small
         # batch size the second checkpoint lands mid-stream, so the
-        # fault surfaces from inside the vector batch loop.
+        # fault surfaces from inside the block loop.
         with inject_token_faults(2, kind="timeout"):
             from repro.executor.context import CancelToken
 
@@ -214,20 +194,27 @@ class TestCancellation:
             with pytest.raises(QueryTimeout):
                 execute(database, plan, context=context)
 
-    def test_explicit_cancel_mid_vector_batch(self, fuzz_setup):
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("pull", ["batches", "rows", "execute"])
+    def test_explicit_cancel_mid_plan_stops_every_adapter(
+        self, fuzz_setup, pull, mode
+    ):
+        """``batches()``, ``rows()`` and ``execute()`` all drain
+        ``blocks()``, so none of them can bypass its checkpoint."""
         database, queries = fuzz_setup
         plan = plan_query(database, queries[0], config=OptimizerConfig())
+        root = build_executor(plan, database)
         with inject_token_faults(2, kind="cancel"):
             from repro.executor.context import CancelToken
 
             context = ExecutionContext(
                 database,
-                mode=MODE_VECTOR,
+                mode=mode,
                 batch_size=2,
                 cancel_token=CancelToken(),
             )
             with pytest.raises(QueryCancelled):
-                execute(database, plan, context=context)
+                list(getattr(root, pull)(context))
 
     def test_untripped_token_is_harmless(self, nullable_db):
         from repro.executor.context import CancelToken
@@ -238,7 +225,7 @@ class TestCancellation:
             nullable_db, mode=MODE_VECTOR, cancel_token=CancelToken()
         )
         result = execute(nullable_db, plan, context=context)
-        reference, _ = run_mode(nullable_db, plan, MODE_COMPILED)
+        reference, _ = run_mode(nullable_db, plan, MODE_INTERPRETED)
         assert result.rows == reference.rows
 
 
@@ -261,10 +248,10 @@ class TestVectorMetrics:
         assert "sel=" in result.analyzed
         assert "mat=" in result.analyzed
 
-    def test_row_engine_reports_no_materializations(self, nullable_db):
+    def test_reference_engine_reports_no_materializations(self, nullable_db):
         sql = "SELECT k FROM t WHERE a > 3 ORDER BY k"
         plan = plan_query(nullable_db, sql, config=OptimizerConfig())
-        result, context = run_mode(nullable_db, plan, MODE_COMPILED)
+        result, context = run_mode(nullable_db, plan, MODE_INTERPRETED)
         assert all(
             e.materializations == 0 for e in context.metrics.values()
         )
@@ -297,4 +284,3 @@ class TestBatchSizeResolution:
         context = ExecutionContext(nullable_db)
         assert context.mode == MODE_VECTOR
         assert context.vectorized
-        assert context.compiled

@@ -32,8 +32,6 @@ from repro.expr.compile import (
     compile_predicate,
     ordered_key_kernel,
     predicate_kernel,
-    projection_kernel,
-    raw_key_kernel,
     reset_stats,
     stats,
 )
@@ -187,21 +185,6 @@ class TestKernelsAndCaching:
             Comparison(ComparisonOp.EQ, Y, lit(0)), SCHEMA
         )
         assert kernel(rows) == [row for row in rows if row[1] == 0]
-
-    def test_projection_kernel(self):
-        rows = [(1, 2), (3, 4)]
-        kernel = projection_kernel(
-            [Arithmetic(ArithmeticOp.ADD, X, Y), X], SCHEMA
-        )
-        assert kernel(rows) == [(3, 1), (7, 3)]
-
-    def test_single_expression_projection(self):
-        kernel = projection_kernel([Y], SCHEMA)
-        assert kernel([(1, 2), (3, 4)]) == [(2,), (4,)]
-
-    def test_raw_key_kernel(self):
-        kernel = raw_key_kernel((1, 0))
-        assert kernel([(1, 2), (3, 4)]) == [(2, 1), (4, 3)]
 
     def test_ordered_key_kernel_sorts_like_sort_key(self):
         from repro.sqltypes import sort_key as key_of

@@ -45,7 +45,7 @@ from repro.sqltypes import INTEGER, varchar
 from repro.verify.gen import QueryGenerator, generate_schema
 from repro.verify.oracle import normalized
 
-MODES = ("vector", "compiled", "interpreted")
+MODES = ("vector", "interpreted")
 
 Q6 = """select sum(l_extendedprice * l_discount) as revenue
 from lineitem

@@ -58,7 +58,7 @@ def checkpoint_counts(service, queries):
     return counts
 
 
-@pytest.mark.parametrize("mode", ["vector", "compiled", "interpreted"])
+@pytest.mark.parametrize("mode", ["vector", "interpreted"])
 def test_corpus_survives_deadline_faults(harness, mode):
     db, queries = harness
     with QueryService(db, workers=1, mode=mode) as service:

@@ -6,8 +6,7 @@ text, through the plan cache (first arrival, a miss that plans the
 parameterized text), and through the cache again (a hit that reuses the
 cached plan with freshly extracted bindings). All three must produce
 the same multiset of rows and honor the query's visible ORDER BY, under
-all three executor engines (`compiled` named explicitly: it is no
-longer the default, so nothing else would run it here).
+both executor engines.
 
 This is the end-to-end check of the §4.1 claim the cache is built on:
 the plan the optimizer picks for ``seg = :p`` is interchangeable with
@@ -38,7 +37,7 @@ def harness():
     return schema.build(), queries
 
 
-@pytest.mark.parametrize("mode", ["vector", "compiled", "interpreted"])
+@pytest.mark.parametrize("mode", ["vector", "interpreted"])
 def test_cached_replay_matches_fresh_literal_plans(harness, mode):
     db, queries = harness
     cache = PlanCache(capacity=CORPUS_SIZE)

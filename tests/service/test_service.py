@@ -108,7 +108,7 @@ def test_closed_service_refuses_work(db):
 
 def test_interpreted_mode_service_agrees(db):
     with QueryService(db, workers=2, mode="interpreted") as interp, \
-            QueryService(db, workers=2, mode="compiled") as comp:
+            QueryService(db, workers=2, mode="vector") as vector:
         sql = "select k, v from t where v > 1800 order by k"
-        assert interp.query(sql).rows == comp.query(sql).rows
+        assert interp.query(sql).rows == vector.query(sql).rows
         assert interp.query(sql).exec_mode == "interpreted"

@@ -1,8 +1,8 @@
-"""Three-engine fleet-replay differential (the verify-layer harness).
+"""Two-engine fleet-replay differential (the verify-layer harness).
 
 Feedback rewrites estimates and re-pins plans; it may never change a
 result byte. The harness replays a full feedback round under the
-compiled, vector, and interpreted engines and requires byte-identical
+vector and interpreted engines and requires byte-identical
 rows within each engine (across the baseline / re-optimized / final
 replays) and across engines (final rows, statement by statement), with
 no regression admitted by the gate anywhere.
@@ -14,12 +14,12 @@ from repro.verify.fleet import ENGINES, run_fleet_differential
 
 
 @pytest.mark.slow
-def test_three_engine_differential_deep():
+def test_engine_differential_deep():
     report = run_fleet_differential(rounds=4)
     assert report.ok(), report.failures
 
 
-def test_three_engine_differential():
+def test_engine_differential():
     report = run_fleet_differential(rounds=2)
     assert report.ok(), report.failures
     assert report.statements == 16
