@@ -864,8 +864,9 @@ def core_ops(
 
     "Before" plans with the four operations' memo tables bypassed (the
     same indexed closure underneath); "after" is the production path.
-    The machine-readable payload lands in ``BENCH_core_ops.json`` when
-    run through ``python -m repro.bench``.
+    Run through ``python -m repro.bench`` the machine-readable payload
+    is written to ``BENCH_core_ops.json`` under ``--json-dir`` — an
+    output of the run; no snapshot of it is committed.
     """
     from repro.core import instrument
 

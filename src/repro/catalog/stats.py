@@ -176,6 +176,11 @@ class TableStats:
     # which per-column NDVs cannot provide when columns correlate.
     sample_columns: Sequence[str] = ()
     sample_rows: Sequence[Sequence[Any]] = ()
+    # column tuple -> sample-distinct estimate, before the NDV-product
+    # and row-count caps (those read fields that may be updated).
+    _sample_distinct: Dict[tuple, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     SAMPLE_SIZE = 2000
     HISTOGRAM_BUCKETS = 32
@@ -248,12 +253,22 @@ class TableStats:
         """
         if not self.sample_rows or not column_names:
             return None
-        positions = []
-        for name in column_names:
+        columns = tuple(column_names)
+        estimate = self._sample_distinct.get(columns)
+        if estimate is None:
             try:
-                positions.append(self.sample_columns.index(name))
+                positions = [self.sample_columns.index(name) for name in columns]
             except ValueError:
                 return None
+            estimate = self._count_sample_distinct(positions)
+            self._sample_distinct[columns] = estimate
+        cap = 1.0
+        for name in column_names:
+            cap *= float(max(1, self.column(name).ndv))
+        return max(1.0, min(estimate, cap, float(max(1, self.row_count))))
+
+    def _count_sample_distinct(self, positions: Sequence[int]) -> float:
+        """Distinct ``positions``-tuples in the row sample, scaled up."""
         from collections import Counter
 
         frequency = Counter(
@@ -261,23 +276,15 @@ class TableStats:
             for row in self.sample_rows
         )
         distinct = len(frequency)
-        size = len(self.sample_rows)
-        if size >= self.row_count:
-            estimate = float(distinct)
-        else:
-            # Chao's estimator: singletons signal unseen combinations,
-            # repeated combinations signal a saturated domain. Linear
-            # scale-up would turn 100 values seen 20x each into "there
-            # must be more"; this does not.
-            singletons = sum(1 for count in frequency.values() if count == 1)
-            doubletons = sum(1 for count in frequency.values() if count == 2)
-            estimate = distinct + (singletons * singletons) / (
-                2.0 * max(1, doubletons)
-            )
-        cap = 1.0
-        for name in column_names:
-            cap *= float(max(1, self.column(name).ndv))
-        return max(1.0, min(estimate, cap, float(max(1, self.row_count))))
+        if len(self.sample_rows) >= self.row_count:
+            return float(distinct)
+        # Chao's estimator: singletons signal unseen combinations,
+        # repeated combinations signal a saturated domain. Linear
+        # scale-up would turn 100 values seen 20x each into "there
+        # must be more"; this does not.
+        singletons = sum(1 for count in frequency.values() if count == 1)
+        doubletons = sum(1 for count in frequency.values() if count == 2)
+        return distinct + (singletons * singletons) / (2.0 * max(1, doubletons))
 
     def column(self, name: str) -> ColumnStats:
         return self.columns.get(name, ColumnStats(ndv=max(1, self.row_count)))

@@ -35,7 +35,7 @@ from repro.core.fd import (
     fd,
     key_fd,
 )
-from repro.core.instrument import COUNTERS
+from repro.core.instrument import count
 from repro.core.memo import ContextMemo, memo_for
 from repro.core.od import EMPTY_ODS, ODSet
 from repro.expr.analysis import PredicateFacts, analyze_predicates
@@ -75,7 +75,7 @@ class OrderContext:
         self._fingerprint = None
         self._memo: Optional[ContextMemo] = None
         self._constant_closure: Optional[_Closure] = None
-        COUNTERS["context.builds"] = COUNTERS.get("context.builds", 0) + 1
+        count("context.builds")
 
     @classmethod
     def empty(cls) -> "OrderContext":

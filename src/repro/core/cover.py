@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.core import memo as memo_module
 from repro.core.context import OrderContext
-from repro.core.instrument import COUNTERS
+from repro.core.instrument import count
 from repro.core.ordering import OrderSpec
 from repro.core.reduce import reduce_order
 
@@ -30,14 +30,14 @@ def cover_order(
     context: OrderContext,
 ) -> Optional[OrderSpec]:
     """The cover of ``first`` and ``second``, or ``None`` if impossible."""
-    COUNTERS["cover.calls"] = COUNTERS.get("cover.calls", 0) + 1
+    count("cover.calls")
     if not memo_module.ENABLED:
         return _cover_order_impl(first, second, context)
     memo = context.memo().cover
     key = (first, second)
     cached = memo.get(key, _MISS)
     if cached is not _MISS:
-        COUNTERS["cover.memo_hits"] = COUNTERS.get("cover.memo_hits", 0) + 1
+        count("cover.memo_hits")
         return cached
     result = _cover_order_impl(first, second, context)
     memo[key] = result

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.core.instrument import COUNTERS
+from repro.core.instrument import count
 from repro.errors import OrderError
 from repro.expr.nodes import ColumnRef
 
@@ -260,7 +260,7 @@ class _Closure:
         # head columns arrive, firing the dependency at zero.
         self._missing: List[int] = list(head_sizes)
         self.determines_everything = False
-        COUNTERS["closure.builds"] = COUNTERS.get("closure.builds", 0) + 1
+        count("closure.builds")
         for position in empty_headed:
             dependency = self._fds[position]
             if dependency.tail is ALL_COLUMNS:
@@ -311,16 +311,12 @@ class _Closure:
                     dependency = fds[position]
                     if dependency.tail is ALL_COLUMNS:
                         self.determines_everything = True
-                        COUNTERS["closure.iterations"] = (
-                            COUNTERS.get("closure.iterations", 0) + iterations
-                        )
+                        count("closure.iterations", iterations)
                         return
                     for target in dependency.tail:
                         if target not in known:
                             queue.append(target)
-        COUNTERS["closure.iterations"] = (
-            COUNTERS.get("closure.iterations", 0) + iterations
-        )
+        count("closure.iterations", iterations)
 
     def __contains__(self, column: ColumnRef) -> bool:
         return self.determines_everything or column in self._known

@@ -22,7 +22,7 @@ from typing import Iterable, List, Optional, Set
 
 from repro.core import memo as memo_module
 from repro.core.context import OrderContext
-from repro.core.instrument import COUNTERS
+from repro.core.instrument import count
 from repro.core.memo import intern_spec
 from repro.core.ordering import OrderKey, OrderSpec
 from repro.core.reduce import reduce_order
@@ -82,7 +82,7 @@ def homogenize_order(
     redundant by FDs do not block homogenization — the paper's example
     where ``{a.x} -> {b.y}`` lets ``(a.x, b.y)`` push down to table ``a``.
     """
-    COUNTERS["homogenize.calls"] = COUNTERS.get("homogenize.calls", 0) + 1
+    count("homogenize.calls")
     targets = (
         target_columns
         if isinstance(target_columns, frozenset)
@@ -94,9 +94,7 @@ def homogenize_order(
     key = (specification, targets)
     cached = memo.get(key, _MISS)
     if cached is not _MISS:
-        COUNTERS["homogenize.memo_hits"] = (
-            COUNTERS.get("homogenize.memo_hits", 0) + 1
-        )
+        count("homogenize.memo_hits")
         return cached
     result = _homogenize_order_impl(specification, targets, context)
     if result is not None:
@@ -137,7 +135,7 @@ def homogenize_prefix(
     the hope that an FD discovered during planning makes the suffix
     redundant. The result may be empty.
     """
-    COUNTERS["homogenize.calls"] = COUNTERS.get("homogenize.calls", 0) + 1
+    count("homogenize.calls")
     targets = (
         target_columns
         if isinstance(target_columns, frozenset)
@@ -149,9 +147,7 @@ def homogenize_prefix(
     key = (specification, targets)
     cached = memo.get(key)
     if cached is not None:
-        COUNTERS["homogenize.memo_hits"] = (
-            COUNTERS.get("homogenize.memo_hits", 0) + 1
-        )
+        count("homogenize.memo_hits")
         return cached
     result = intern_spec(_homogenize_prefix_impl(specification, targets, context))
     memo[key] = result

@@ -2,31 +2,33 @@
 
 The order algebra runs inside the optimizer's innermost loops, so its
 cost is measured, not asserted: every closure fixpoint step, algebra
-call, and memo hit increments a counter here. ``repro.bench`` snapshots
-the registry around a planning run and reports call counts and cache
-hit rates (and writes them to ``BENCH_core_ops.json``); the
-counter-budget regression test pins TPC-D Q3's planning work to a fixed
-budget so the quadratic behaviour this layer removed cannot silently
-return.
+call, and memo hit increments a counter here. ``repro.bench`` and
+``perf/`` snapshot the registry around a planning run and report call
+counts and cache hit rates; the counter-budget regression test pins the
+planning work of TPC-D Q3 and of a five-table chain to fixed budgets so
+quadratic behaviour cannot silently return.
+
+Counting goes through :func:`count` — one thread-local attribute read
+and one dict update. A counted event must stay cheaper than the event
+it counts: the algebra's memo hits are about a microsecond, and a
+bookkeeping pattern that cost four Python calls per increment was once
+~12% of planning.
 
 Concurrency: the query service runs optimizer and executor code on a
 worker pool, so the registry must not lose increments under threads —
-but the hot paths are plain inline dict updates and must stay that way.
-The resolution is striping: each thread increments a private dict
-(``threading.local``), registered once in a locked global list, and
-:func:`snapshot` merges every thread's slice. ``COUNTERS``/``TIMERS``
-are dict-like proxies over *the calling thread's* slice, so the inline
-``COUNTERS[name] = COUNTERS.get(name, 0) + 1`` pattern at existing call
-sites is unchanged, lock-free, and race-free (read-modify-write never
-leaves the thread). Reading a total therefore goes through
-:func:`snapshot` — a bare ``COUNTERS.get`` only sees work done by the
-current thread. Slices of finished threads stay registered until
+and must not take a lock per increment. The resolution is striping:
+each thread increments a private dict (``threading.local``), registered
+once in a locked global list, and :func:`snapshot` merges every
+thread's slice; read-modify-write never leaves the thread, so it is
+race-free. ``COUNTERS``/``TIMERS`` are dict-like proxies over *the
+calling thread's* slice, for readers and tests. Reading a total goes
+through :func:`snapshot` — a bare ``COUNTERS.get`` only sees work done
+by the current thread. Slices of finished threads stay registered until
 :func:`reset`; with the service's fixed-size pools that is a bounded,
 harmless leak.
 
-Counters stay enabled permanently: one dict update per counted event is
-far below measurement noise, and permanently-on counters cannot drift
-out of sync with the code they observe.
+Counters stay enabled permanently, so they cannot drift out of sync
+with the code they observe.
 
 Naming convention: ``<subsystem>.<event>``, e.g. ``reduce.calls``,
 ``reduce.memo_hits``, ``closure.iterations``, ``service.cache.hits``.
@@ -59,10 +61,9 @@ _LOCAL = _ThreadSlices()
 
 
 class _Registry:
-    """Dict-like proxy over the calling thread's slice.
-
-    Supports exactly the shapes the inline call sites use: item get/set
-    and ``get``. Cross-thread totals come from :func:`snapshot`.
+    """Dict-like proxy over the calling thread's slice, for readers
+    and tests: item get/set, ``in``, ``get`` and ``items``. Increments
+    use :func:`count`; cross-thread totals come from :func:`snapshot`.
     """
 
     __slots__ = ("_index",)

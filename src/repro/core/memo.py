@@ -37,7 +37,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator
 
-from repro.core.instrument import COUNTERS
+from repro.core.instrument import count
 
 # Flipped by ``memoization_disabled()`` only; reads are plain module
 # attribute lookups on the hot path.
@@ -74,13 +74,9 @@ def memo_for(fingerprint: object) -> ContextMemo:
             _REGISTRY.clear()
         memo = ContextMemo()
         _REGISTRY[fingerprint] = memo
-        COUNTERS["memo.tables_created"] = (
-            COUNTERS.get("memo.tables_created", 0) + 1
-        )
+        count("memo.tables_created")
     else:
-        COUNTERS["memo.tables_shared"] = (
-            COUNTERS.get("memo.tables_shared", 0) + 1
-        )
+        count("memo.tables_shared")
     return memo
 
 

@@ -117,11 +117,7 @@ class OrderSpec:
 
     def is_prefix_of(self, other: "OrderSpec") -> bool:
         """Whether this spec's keys are exactly the first keys of ``other``."""
-        if len(self._keys) > len(other._keys):
-            return False
-        return all(
-            mine == theirs for mine, theirs in zip(self._keys, other._keys)
-        )
+        return self._keys == other._keys[: len(self._keys)]
 
     def reversed(self) -> "OrderSpec":
         """The spec with every direction flipped.

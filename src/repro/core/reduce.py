@@ -33,7 +33,7 @@ from typing import List
 
 from repro.core import memo as memo_module
 from repro.core.context import OrderContext
-from repro.core.instrument import COUNTERS
+from repro.core.instrument import count
 from repro.core.memo import intern_spec
 from repro.core.ordering import OrderKey, OrderSpec
 
@@ -46,13 +46,13 @@ def reduce_order(specification: OrderSpec, context: OrderContext) -> OrderSpec:
     sketch in Section 4.1 and the property tests in
     ``tests/core/test_reduce_properties.py``.
     """
-    COUNTERS["reduce.calls"] = COUNTERS.get("reduce.calls", 0) + 1
+    count("reduce.calls")
     if not memo_module.ENABLED:
         return _reduce_order_impl(specification, context)
     memo = context.memo().reduce
     cached = memo.get(specification)
     if cached is not None:
-        COUNTERS["reduce.memo_hits"] = COUNTERS.get("reduce.memo_hits", 0) + 1
+        count("reduce.memo_hits")
         return cached
     result = intern_spec(_reduce_order_impl(specification, context))
     memo[specification] = result

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.core import memo as memo_module
 from repro.core.context import OrderContext
-from repro.core.instrument import COUNTERS
+from repro.core.instrument import count
 from repro.core.ordering import OrderSpec
 from repro.core.reduce import reduce_order
 
@@ -25,14 +25,14 @@ def test_order(
     context: OrderContext,
 ) -> bool:
     """Whether ``order_property`` satisfies ``interesting`` under ``context``."""
-    COUNTERS["test.calls"] = COUNTERS.get("test.calls", 0) + 1
+    count("test.calls")
     if not memo_module.ENABLED:
         return _test_order_impl(interesting, order_property, context)
     memo = context.memo().test
     key = (interesting, order_property)
     cached = memo.get(key)
     if cached is not None:
-        COUNTERS["test.memo_hits"] = COUNTERS.get("test.memo_hits", 0) + 1
+        count("test.memo_hits")
         return cached
     result = _test_order_impl(interesting, order_property, context)
     memo[key] = result

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.instrument import COUNTERS
+from repro.core.instrument import count
 from repro.errors import ExecutionError
 from repro.executor.context import ExecutionContext
 from repro.executor.operators import (
@@ -85,14 +85,10 @@ def make_probe_encoder(
 
     def encode(values: Tuple[Any, ...]) -> Any:
         nonlocal last_values, last_key
-        COUNTERS["exec.index_probe.probes"] = (
-            COUNTERS.get("exec.index_probe.probes", 0) + 1
-        )
+        count("exec.index_probe.probes")
         if values == last_values:
             return last_key
-        COUNTERS["exec.index_probe.encodes"] = (
-            COUNTERS.get("exec.index_probe.encodes", 0) + 1
-        )
+        count("exec.index_probe.encodes")
         last_values = values
         last_key = encode_index_key(values, directions)
         return last_key

@@ -29,7 +29,7 @@ import operator as operator_module
 import time
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.instrument import COUNTERS
+from repro.core import instrument
 from repro.core.ordering import OrderSpec, SortDirection
 from repro.errors import ExecutionError
 from repro.executor.context import ExecutionContext
@@ -56,9 +56,7 @@ def count_interpreted(rows: int = 1) -> None:
     expression). The execution counter-budget test pins this to zero in
     vector mode, so a kernel silently falling back to the interpreter
     fails loudly."""
-    COUNTERS["exec.interpreted.evals"] = (
-        COUNTERS.get("exec.interpreted.evals", 0) + rows
-    )
+    instrument.count("exec.interpreted.evals", rows)
 
 
 def chunked(rows: Iterable[Row], size: int) -> Iterator[Batch]:
@@ -541,10 +539,8 @@ class SortOp(PhysicalOperator):
                     buffered = []
         context.rows_sorted += sequence
         metrics.sorted_rows += sequence
-        COUNTERS["exec.sorts"] = COUNTERS.get("exec.sorts", 0) + 1
-        COUNTERS["exec.rows_sorted"] = (
-            COUNTERS.get("exec.rows_sorted", 0) + sequence
-        )
+        instrument.count("exec.sorts")
+        instrument.count("exec.rows_sorted", sequence)
         if not runs:
             buffered.sort()
             # Slice the decorated buffer directly — no full-length
@@ -691,12 +687,8 @@ class PartialSortOp(PhysicalOperator):
             yield from self._flush(context, metrics, group, runs)
         context.rows_partial_sorted += sequence
         metrics.sorted_rows += sequence
-        COUNTERS["exec.partial_sorts"] = (
-            COUNTERS.get("exec.partial_sorts", 0) + 1
-        )
-        COUNTERS["exec.rows_partial_sorted"] = (
-            COUNTERS.get("exec.rows_partial_sorted", 0) + sequence
-        )
+        instrument.count("exec.partial_sorts")
+        instrument.count("exec.rows_partial_sorted", sequence)
 
     def _flush(
         self,
@@ -807,10 +799,8 @@ class TopNSortOp(PhysicalOperator):
                     buffer.pop()
         context.rows_sorted += tie
         metrics.sorted_rows += tie
-        COUNTERS["exec.sorts"] = COUNTERS.get("exec.sorts", 0) + 1
-        COUNTERS["exec.rows_sorted"] = (
-            COUNTERS.get("exec.rows_sorted", 0) + tie
-        )
+        instrument.count("exec.sorts")
+        instrument.count("exec.rows_sorted", tie)
         size = context.batch_size
         for start in range(0, len(buffer), size):
             yield RowBlock(

@@ -69,13 +69,17 @@ class OptimizerConfig:
 class PlannerStats:
     """Counters for the enumeration-complexity experiment (Section 5.2)."""
 
+    # Candidates priced, and how many of them got a PlanNode (join
+    # candidates pruned on cost and order alone are never built).
     plans_generated: int = 0
+    plans_built: int = 0
     plans_pruned: int = 0
     subsets_expanded: int = 0
     sort_ahead_plans: int = 0
 
     def reset(self) -> None:
         self.plans_generated = 0
+        self.plans_built = 0
         self.plans_pruned = 0
         self.subsets_expanded = 0
         self.sort_ahead_plans = 0

@@ -8,17 +8,27 @@ so a sort for an ORDER BY / GROUP BY can land arbitrarily deep. Two
 subplans over the same tables but with different (useful) orders are not
 pruned against each other, which is the O(n^2) complexity factor the
 paper concedes.
+
+Candidates are priced before they are built. A join method's cost is
+arithmetic over its inputs' costs and cardinalities and its order is
+its outer input's order, so each method returns a :class:`Candidate`
+carrying only those two; :func:`_prune` drops a candidate whose order
+is a literal prefix of a cheaper survivor's without ever running
+``propagate_join`` or making a ``PlanNode`` for it, and builds the rest
+to ask Test Order under their own context.
 """
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.ordering import OrderSpec
 from repro.core.reduce import reduce_order
+from repro.cost.model import Cost
 from repro.errors import OptimizerError
-from repro.expr.analysis import columns_of, is_column_equality
+from repro.expr.analysis import columns_of, conjuncts_of, is_column_equality
 from repro.expr.nodes import BooleanExpr, BooleanOp, ColumnRef, Expression
 from repro.optimizer.helpers import (
     order_satisfies,
@@ -26,8 +36,19 @@ from repro.optimizer.helpers import (
     sort_columns_for,
 )
 from repro.optimizer.plan import OpKind, PlanNode
-from repro.optimizer.planner import PlannerContext, access_paths
-from repro.properties.propagate import propagate_join, propagate_sort
+from repro.optimizer.planner import (
+    PlannerContext,
+    _apply_filters,
+    _table_scan_plan,
+    access_paths,
+)
+from repro.properties.propagate import (
+    base_table_properties,
+    propagate_join,
+    propagate_left_outer_join,
+    propagate_sort,
+)
+from repro.properties.stream import StreamProperties
 
 AliasSet = FrozenSet[str]
 
@@ -43,6 +64,77 @@ def _and_all(conjuncts: Sequence[Expression]) -> Optional[Expression]:
     return BooleanExpr(BooleanOp.AND, tuple(conjuncts))
 
 
+class Candidate:
+    """One alternative for a DP subset: its cost and order now, its
+    ``PlanNode`` (and the property propagation behind it) on first use."""
+
+    __slots__ = ("cost", "order", "_build", "_node")
+
+    def __init__(self, cost, order, build=None, node=None):
+        self.cost: Cost = cost
+        self.order: OrderSpec = order
+        self._build: Optional[Callable[[], PlanNode]] = build
+        self._node: Optional[PlanNode] = node
+
+    def node(self) -> PlanNode:
+        if self._node is None:
+            self._node = self._build()
+        return self._node
+
+
+def _built(nodes: Sequence[PlanNode]) -> List[Candidate]:
+    """Candidates for plans that exist already (access paths, sorts)."""
+    return [Candidate(node.cost, node.order, node=node) for node in nodes]
+
+
+def _once_per_plan(function):
+    """Memoize ``function(planner, plan, order, reason)`` on the planner.
+
+    Merge join asks for the same sorted input once per join partner;
+    the answer depends on the input plan alone. Keyed by plan identity;
+    the entry holds ``plan`` so its id() cannot be reused meanwhile.
+    """
+
+    @wraps(function)
+    def memoized(planner, plan, order, reason):
+        key = (function, id(plan), order, reason)
+        entry = planner.per_plan_memo.get(key)
+        if entry is None:
+            entry = (plan, function(planner, plan, order, reason))
+            planner.per_plan_memo[key] = entry
+        return entry[1]
+
+    return memoized
+
+
+def _join_candidate(
+    kind: OpKind,
+    children: Tuple[PlanNode, ...],
+    inner: StreamProperties,
+    predicates: Sequence[Expression],
+    output_rows: float,
+    cost: Cost,
+    args: dict,
+) -> Candidate:
+    """A join of ``children[0]`` (whose order every method here keeps)
+    with a stream of ``inner`` properties; ``args["left_outer"]``
+    selects the outer-join propagation rule."""
+    outer = children[0]
+
+    def build() -> PlanNode:
+        if args.get("left_outer"):
+            properties = propagate_left_outer_join(
+                outer.properties, inner, predicates, output_rows
+            )
+        else:
+            properties = propagate_join(
+                outer.properties, inner, predicates, output_rows, True
+            )
+        return PlanNode(kind, children, properties, cost, args)
+
+    return Candidate(cost, outer.order, build)
+
+
 def enumerate_joins(planner: PlannerContext) -> List[PlanNode]:
     """Plan the join of every quantifier in the block; returns the
     surviving plans for the full alias set.
@@ -56,16 +148,16 @@ def enumerate_joins(planner: PlannerContext) -> List[PlanNode]:
     aliases = sorted(planner.block.tables)
     best: Dict[AliasSet, List[PlanNode]] = {}
     for alias in aliases:
-        plans = access_paths(planner, alias)
-        plans.extend(_sort_ahead_variants(planner, plans))
-        best[frozenset((alias,))] = _prune(planner, plans)
+        candidates = _built(access_paths(planner, alias))
+        candidates.extend(_sort_ahead_variants(planner, candidates))
+        best[frozenset((alias,))] = _prune(planner, candidates)
 
     universe = frozenset(aliases)
     for size in range(2, len(aliases) + 1):
         for subset_tuple in combinations(aliases, size):
             subset = frozenset(subset_tuple)
             planner.stats.subsets_expanded += 1
-            candidates: List[PlanNode] = []
+            candidates: List[Candidate] = []
             for inner_alias in subset:
                 outer_set = subset - {inner_alias}
                 outer_plans = best.get(outer_set, ())
@@ -96,11 +188,11 @@ def _enumerate_sequential(planner: PlannerContext) -> List[PlanNode]:
     """Left-deep planning in FROM order (used when outer joins exist)."""
     aliases = list(planner.block.tables)
     outer_joins = planner.block.outer_joins
-    plans = access_paths(planner, aliases[0])
-    plans.extend(_sort_ahead_variants(planner, plans))
-    plans = _prune(planner, plans)
+    candidates = _built(access_paths(planner, aliases[0]))
+    candidates.extend(_sort_ahead_variants(planner, candidates))
+    plans = _prune(planner, candidates)
     for alias in aliases[1:]:
-        candidates: List[PlanNode] = []
+        candidates = []
         if alias in outer_joins:
             for plan in plans:
                 candidates.extend(
@@ -109,7 +201,7 @@ def _enumerate_sequential(planner: PlannerContext) -> List[PlanNode]:
                     )
                 )
         else:
-            inner_plans = _prune(planner, access_paths(planner, alias))
+            inner_plans = _prune(planner, _built(access_paths(planner, alias)))
             for plan in plans:
                 candidates.extend(
                     _join_methods(planner, plan, alias, inner_plans)
@@ -127,26 +219,18 @@ def _left_outer_join_methods(
     outer_plan: PlanNode,
     inner_alias: str,
     on_predicate: Expression,
-) -> List[PlanNode]:
+) -> List[Candidate]:
     """LEFT OUTER JOIN methods: nested-loop, hash, and index probes.
 
     ON conjuncts touching only the inner table filter the inner input
     before matching (ON semantics); cross-side conjuncts decide matches
     and padding.
     """
-    from repro.expr.analysis import conjuncts_of
-    from repro.optimizer.planner import _apply_filters, _table_scan_plan
-    from repro.properties.propagate import (
-        base_table_properties,
-        propagate_left_outer_join,
-    )
-
     derived = planner.is_derived(inner_alias)
     table = None if derived else planner.table_for(inner_alias)
-    on_conjuncts = conjuncts_of(on_predicate)
     inner_only: List[Expression] = []
     cross: List[Expression] = []
-    for conjunct in on_conjuncts:
+    for conjunct in conjuncts_of(on_predicate):
         touched = {c.qualifier for c in columns_of(conjunct)} - {""}
         if touched <= {inner_alias}:
             inner_only.append(conjunct)
@@ -179,12 +263,8 @@ def _left_outer_join_methods(
     pairs = _dedupe_pairs(
         _equi_pairs(cross, outer_columns, inner_columns_all)
     )
-    residual = [
-        conjunct
-        for conjunct in cross
-        if conjunct not in {p for _o, _i, p in pairs}
-    ]
-    results: List[PlanNode] = []
+    covered = {p for _o, _i, p in pairs}
+    residual = [conjunct for conjunct in cross if conjunct not in covered]
 
     # --- nested loops over a filtered inner ---
     if derived:
@@ -198,9 +278,7 @@ def _left_outer_join_methods(
         inner_scan = _table_scan_plan(
             planner, inner_alias, table, inner_only, inner_rows
         )
-    properties = propagate_left_outer_join(
-        outer_plan.properties, inner_scan.properties, cross, output_rows
-    )
+    children = (outer_plan, inner_scan)
     per_iteration = planner.cost_model.filter_rows(inner_rows)
     cost = (
         outer_plan.cost
@@ -209,21 +287,20 @@ def _left_outer_join_methods(
             outer_rows, per_iteration, output_rows
         )
     )
-    results.append(
-        PlanNode(
+    results = [
+        _join_candidate(
             OpKind.NLJ,
-            (outer_plan, inner_scan),
-            properties,
+            children,
+            inner_scan.properties,
+            cross,
+            output_rows,
             cost,
             {"predicate": _and_all(cross), "left_outer": True},
         )
-    )
+    ]
 
     # --- hash left outer join ---
     if pairs and planner.config.enable_hash_join:
-        properties = propagate_left_outer_join(
-            outer_plan.properties, inner_scan.properties, cross, output_rows
-        )
         cost = (
             outer_plan.cost
             + inner_scan.cost
@@ -235,10 +312,12 @@ def _left_outer_join_methods(
             )
         )
         results.append(
-            PlanNode(
+            _join_candidate(
                 OpKind.HASH_JOIN,
-                (outer_plan, inner_scan),
-                properties,
+                children,
+                inner_scan.properties,
+                cross,
+                output_rows,
                 cost,
                 {
                     "outer_keys": [o for o, _i, _p in pairs],
@@ -251,69 +330,18 @@ def _left_outer_join_methods(
 
     # --- index-probe left outer join ---
     if pairs and planner.config.enable_index_nlj and not derived:
-        store = planner.database.store(table.name)
-        for index in planner.database.catalog.indexes_on(table.name):
-            if index.name not in store.indexes:
-                continue
-            probe_pairs = []
-            for key_column in index.key:
-                target = ColumnRef(inner_alias, key_column.name)
-                match = next(
-                    (pair for pair in pairs if pair[1] == target), None
-                )
-                if match is None:
-                    break
-                probe_pairs.append(match)
-            if not probe_pairs:
-                continue
-            probe_outer = [o for o, _i, _p in probe_pairs]
-            covered = {p for _o, _i, p in probe_pairs}
-            probe_residual = [
-                conjunct for conjunct in cross if conjunct not in covered
-            ] + inner_only
-            context = outer_plan.properties.context()
-            ordered = planner.config.order_optimization and order_satisfies(
-                planner.config,
-                OrderSpec.of(*probe_outer),
-                outer_plan.order,
-                context,
+        results.extend(
+            _index_probe_joins(
+                planner,
+                outer_plan,
+                inner_alias,
+                pairs,
+                cross,
+                inner_only,
+                output_rows,
+                left_outer=True,
             )
-            inner_properties = base_table_properties(inner_alias, table)
-            properties = propagate_left_outer_join(
-                outer_plan.properties, inner_properties, cross, output_rows
-            )
-            matches = max(
-                0.1,
-                table.stats.row_count
-                * planner.estimator.selectivity(probe_pairs[0][2]),
-            )
-            cost = outer_plan.cost + planner.cost_model.index_nlj(
-                outer_rows=outer_rows,
-                matches_per_probe=matches,
-                table_pages=table.stats.pages,
-                table_rows=table.stats.row_count,
-                tree_height=store.indexes[index.name][1].height,
-                ordered=ordered,
-                clustered=index.clustered,
-                output_rows=output_rows,
-            )
-            results.append(
-                PlanNode(
-                    OpKind.NLJ_INDEX,
-                    (outer_plan,),
-                    properties,
-                    cost,
-                    {
-                        "table": table.name,
-                        "index": index.name,
-                        "alias": inner_alias,
-                        "probe_columns": probe_outer,
-                        "residual": _and_all(probe_residual),
-                        "ordered": ordered,
-                        "left_outer": True,
-                    },
-                )
-            )
+        )
     planner.stats.plans_generated += len(results)
     return results
 
@@ -399,7 +427,7 @@ def _join_methods(
     outer_plan: PlanNode,
     inner_alias: str,
     inner_plans: Sequence[PlanNode],
-) -> List[PlanNode]:
+) -> List[Candidate]:
     """Every join method combining ``outer_plan`` with ``inner_alias``."""
     config = planner.config
     outer_set = outer_plan.aliases()
@@ -407,152 +435,113 @@ def _join_methods(
     predicates = _applicable_join_predicates(planner, outer_set, inner_alias)
     output_rows = planner.subset_cardinality(subset)
     outer_columns = frozenset(outer_plan.properties.schema.columns)
-    results: List[PlanNode] = []
+    results: List[Candidate] = []
 
     inner_columns_by_plan = {
         id(plan): frozenset(plan.properties.schema.columns)
         for plan in inner_plans
     }
 
+    cost_model = planner.cost_model
+    outer_rows = outer_plan.properties.cardinality
     for inner_plan in inner_plans:
-        inner_columns = inner_columns_by_plan[id(inner_plan)]
+        inner = inner_plan.properties
         pairs = _dedupe_pairs(
-            _equi_pairs(predicates, outer_columns, inner_columns)
-        )
-        residual = [
-            predicate
-            for predicate in predicates
-            if predicate not in {p for _o, _i, p in pairs}
-        ]
-        # --- naive nested loops (always legal; also covers Cartesian) ---
-        results.append(
-            _nested_loop(
-                planner, outer_plan, inner_plan, predicates, output_rows
+            _equi_pairs(
+                predicates, outer_columns, inner_columns_by_plan[id(inner_plan)]
             )
         )
-        if pairs:
-            if config.enable_hash_join:
-                results.append(
-                    _hash_join(
-                        planner,
-                        outer_plan,
-                        inner_plan,
-                        pairs,
-                        residual,
-                        output_rows,
-                    )
+        covered = {p for _o, _i, p in pairs}
+        residual = [p for p in predicates if p not in covered]
+        children = (outer_plan, inner_plan)
+        inputs_cost = outer_plan.cost + inner_plan.cost
+        # --- naive nested loops (always legal; also covers Cartesian):
+        # the inner is materialized once, each outer row pays CPU over it
+        method = cost_model.nested_loop_join(
+            outer_rows, cost_model.filter_rows(inner.cardinality), output_rows
+        )
+        results.append(
+            _join_candidate(
+                OpKind.NLJ,
+                children,
+                inner,
+                predicates,
+                output_rows,
+                inputs_cost + method,
+                {"predicate": _and_all(predicates)},
+            )
+        )
+        if not pairs:
+            continue
+        if config.enable_hash_join:
+            # --- hash join: the probe side streams in its own order ---
+            method = cost_model.hash_join(
+                inner.cardinality,
+                outer_rows,
+                output_rows,
+                planner.pages_for(inner.cardinality),
+            )
+            results.append(
+                _join_candidate(
+                    OpKind.HASH_JOIN,
+                    children,
+                    inner,
+                    [p for _o, _i, p in pairs] + residual,
+                    output_rows,
+                    inputs_cost + method,
+                    {
+                        "outer_keys": [o for o, _i, _p in pairs],
+                        "inner_keys": [i for _o, i, _p in pairs],
+                        "residual": _and_all(residual),
+                    },
                 )
-            if config.enable_merge_join:
-                results.extend(
-                    _merge_joins(
-                        planner,
-                        outer_plan,
-                        inner_plan,
-                        pairs,
-                        residual,
-                        output_rows,
-                    )
+            )
+        if config.enable_merge_join:
+            results.extend(
+                _merge_joins(
+                    planner, outer_plan, inner_plan, pairs, residual, output_rows
                 )
-    if config.enable_index_nlj:
+            )
+    if config.enable_index_nlj and not planner.is_derived(inner_alias):
+        # Derived tables have no indexes to probe.
+        inner_base = frozenset(
+            ColumnRef(inner_alias, column.name)
+            for column in planner.table_for(inner_alias).columns
+        )
         results.extend(
-            _index_nlj_joins(
-                planner, outer_plan, inner_alias, predicates, output_rows
+            _index_probe_joins(
+                planner,
+                outer_plan,
+                inner_alias,
+                _equi_pairs(predicates, outer_columns, inner_base),
+                predicates,
+                planner.local_predicates.get(inner_alias, []),
+                output_rows,
             )
         )
     if config.effective("enable_partitioning"):
         from repro.optimizer.parallel import partition_wise_joins
 
         results.extend(
-            partition_wise_joins(
-                planner,
-                outer_plan,
-                inner_plans,
-                predicates,
-                lambda plan: _dedupe_pairs(
-                    _equi_pairs(
-                        predicates,
-                        outer_columns,
-                        inner_columns_by_plan[id(plan)],
-                    )
-                ),
-                output_rows,
+            _built(
+                partition_wise_joins(
+                    planner,
+                    outer_plan,
+                    inner_plans,
+                    predicates,
+                    lambda plan: _dedupe_pairs(
+                        _equi_pairs(
+                            predicates,
+                            outer_columns,
+                            inner_columns_by_plan[id(plan)],
+                        )
+                    ),
+                    output_rows,
+                )
             )
         )
     planner.stats.plans_generated += len(results)
     return results
-
-
-def _nested_loop(
-    planner: PlannerContext,
-    outer_plan: PlanNode,
-    inner_plan: PlanNode,
-    predicates: Sequence[Expression],
-    output_rows: float,
-) -> PlanNode:
-    properties = propagate_join(
-        outer_plan.properties,
-        inner_plan.properties,
-        predicates,
-        output_rows,
-        preserves_outer_order=True,
-    )
-    inner_rows = inner_plan.properties.cardinality
-    # Inner is materialized once; per outer row we pay CPU over it.
-    per_iteration = planner.cost_model.filter_rows(inner_rows)
-    cost = (
-        outer_plan.cost
-        + inner_plan.cost
-        + planner.cost_model.nested_loop_join(
-            outer_plan.properties.cardinality, per_iteration, output_rows
-        )
-    )
-    return PlanNode(
-        OpKind.NLJ,
-        (outer_plan, inner_plan),
-        properties,
-        cost,
-        {"predicate": _and_all(list(predicates))},
-    )
-
-
-def _hash_join(
-    planner: PlannerContext,
-    outer_plan: PlanNode,
-    inner_plan: PlanNode,
-    pairs: Sequence[Tuple[ColumnRef, ColumnRef, Expression]],
-    residual: Sequence[Expression],
-    output_rows: float,
-) -> PlanNode:
-    predicates = [predicate for _o, _i, predicate in pairs] + list(residual)
-    properties = propagate_join(
-        outer_plan.properties,
-        inner_plan.properties,
-        predicates,
-        output_rows,
-        preserves_outer_order=True,  # probe side streams in order
-    )
-    build_rows = inner_plan.properties.cardinality
-    cost = (
-        outer_plan.cost
-        + inner_plan.cost
-        + planner.cost_model.hash_join(
-            build_rows,
-            outer_plan.properties.cardinality,
-            output_rows,
-            planner.pages_for(build_rows),
-        )
-    )
-    return PlanNode(
-        OpKind.HASH_JOIN,
-        (outer_plan, inner_plan),
-        properties,
-        cost,
-        {
-            "outer_keys": [o for o, _i, _p in pairs],
-            "inner_keys": [i for _o, i, _p in pairs],
-            "residual": _and_all(list(residual)),
-        },
-    )
 
 
 def _merge_joins(
@@ -562,7 +551,7 @@ def _merge_joins(
     pairs: Sequence[Tuple[ColumnRef, ColumnRef, Expression]],
     residual: Sequence[Expression],
     output_rows: float,
-) -> List[PlanNode]:
+) -> List[Candidate]:
     """Merge join, inserting sorts on either side when needed.
 
     §5.2: when an interesting order is pushed to the outer of a merge
@@ -584,7 +573,7 @@ def _merge_joins(
         if aligned is not None:
             sequences.append(aligned)
 
-    results: List[PlanNode] = []
+    results: List[Candidate] = []
     for sequence in sequences:
         outer_keys = [o for o, _i, _p in sequence]
         inner_keys = [i for _o, i, _p in sequence]
@@ -612,13 +601,6 @@ def _merge_joins(
             )
 
         for sorted_outer in outer_variants:
-            properties = propagate_join(
-                sorted_outer.properties,
-                sorted_inner.properties,
-                predicates,
-                output_rows,
-                preserves_outer_order=True,
-            )
             cost = (
                 sorted_outer.cost
                 + sorted_inner.cost
@@ -629,10 +611,12 @@ def _merge_joins(
                 )
             )
             results.append(
-                PlanNode(
+                _join_candidate(
                     OpKind.MERGE_JOIN,
                     (sorted_outer, sorted_inner),
-                    properties,
+                    sorted_inner.properties,
+                    predicates,
+                    output_rows,
                     cost,
                     {
                         "outer_keys": outer_keys,
@@ -702,6 +686,7 @@ def _covered_merge_sorts(
     return variants
 
 
+@_once_per_plan
 def _ensure_order(
     planner: PlannerContext,
     plan: PlanNode,
@@ -722,6 +707,7 @@ def _ensure_order(
     return make_sort(planner, plan, target, reason)
 
 
+@_once_per_plan
 def make_sort(
     planner: PlannerContext,
     plan: PlanNode,
@@ -797,26 +783,29 @@ def _distinct_prefix_groups(
     return max(1.0, min(groups, max(1.0, rows)))
 
 
-def _index_nlj_joins(
+def _index_probe_joins(
     planner: PlannerContext,
     outer_plan: PlanNode,
     inner_alias: str,
+    pairs: Sequence[Tuple[ColumnRef, ColumnRef, Expression]],
     predicates: Sequence[Expression],
+    inner_filters: Sequence[Expression],
     output_rows: float,
-) -> List[PlanNode]:
-    """Nested-loop joins probing an index of the inner table."""
-    if planner.is_derived(inner_alias):
-        return []  # derived tables have no indexes to probe
-    table = planner.table_for(inner_alias)
-    outer_columns = frozenset(outer_plan.properties.schema.columns)
-    inner_base = frozenset(
-        ColumnRef(inner_alias, column.name) for column in table.columns
-    )
-    pairs = _equi_pairs(predicates, outer_columns, inner_base)
+    left_outer: bool = False,
+) -> List[Candidate]:
+    """Nested-loop joins probing an index of the inner base table.
+
+    ``pairs`` are the equi-pairs a probe may use, ``predicates`` the
+    join (or ON) conjuncts, ``inner_filters`` the inner-only conjuncts
+    evaluated on each fetched row.
+    """
     if not pairs:
         return []
+    table = planner.table_for(inner_alias)
     store = planner.database.store(table.name)
-    results: List[PlanNode] = []
+    inner_properties = base_table_properties(inner_alias, table)
+    outer_rows = outer_plan.properties.cardinality
+    results: List[Candidate] = []
     for index in planner.database.catalog.indexes_on(table.name):
         if index.name not in store.indexes:
             continue
@@ -833,86 +822,81 @@ def _index_nlj_joins(
             continue
         probe_outer = [o for o, _i, _p in probe_pairs]
         covered = {p for _o, _i, p in probe_pairs}
-        residual = [
-            predicate for predicate in predicates if predicate not in covered
-        ]
-        local = planner.local_predicates.get(inner_alias, [])
-        residual_all = residual + list(local)
+        residual = [p for p in predicates if p not in covered] + list(
+            inner_filters
+        )
 
         # Detecting that the probe stream arrives in index order IS order
         # optimization (Section 8.1: the disabled optimizer "was unable
         # to determine that the same sort could be used to generate an
         # ordered nested-loop join"), so the disabled build never plans
         # ordered probes and prices every probe as random I/O.
-        context = outer_plan.properties.context()
         ordered = planner.config.order_optimization and order_satisfies(
             planner.config,
             OrderSpec.of(*probe_outer),
             outer_plan.order,
-            context,
+            outer_plan.properties.context(),
         )
-        from repro.properties.propagate import base_table_properties
-
-        inner_properties = base_table_properties(inner_alias, table)
-        join_predicates = [p for _o, _i, p in probe_pairs] + residual_all
-        properties = propagate_join(
-            outer_plan.properties,
-            inner_properties,
-            join_predicates,
-            output_rows,
-            preserves_outer_order=True,
-        )
-        outer_rows = outer_plan.properties.cardinality
         matches = max(
             0.1,
             table.stats.row_count
             * planner.estimator.selectivity(probe_pairs[0][2]),
         )
-        tree_height = store.indexes[index.name][1].height
         cost = outer_plan.cost + planner.cost_model.index_nlj(
             outer_rows=outer_rows,
             matches_per_probe=matches,
             table_pages=table.stats.pages,
             table_rows=table.stats.row_count,
-            tree_height=tree_height,
+            tree_height=store.indexes[index.name][1].height,
             ordered=ordered,
             clustered=index.clustered,
             output_rows=output_rows,
         )
+        args = {
+            "table": table.name,
+            "index": index.name,
+            "alias": inner_alias,
+            "probe_columns": probe_outer,
+            "residual": _and_all(residual),
+            "ordered": ordered,
+        }
+        if left_outer:
+            # Padded rows break the probe equalities: only the ON
+            # conjuncts describe the output (see the propagation rule).
+            args["left_outer"] = True
+            described = predicates
+        else:
+            described = [p for _o, _i, p in probe_pairs] + residual
         results.append(
-            PlanNode(
+            _join_candidate(
                 OpKind.NLJ_INDEX,
                 (outer_plan,),
-                properties,
+                inner_properties,
+                described,
+                output_rows,
                 cost,
-                {
-                    "table": table.name,
-                    "index": index.name,
-                    "alias": inner_alias,
-                    "probe_columns": probe_outer,
-                    "residual": _and_all(residual_all),
-                    "ordered": ordered,
-                },
+                args,
             )
         )
     return results
 
 
 def _sort_ahead_variants(
-    planner: PlannerContext, plans: Sequence[PlanNode]
-) -> List[PlanNode]:
-    """Sorted variants of the cheapest plans for each interesting order.
+    planner: PlannerContext, candidates: Sequence[Candidate]
+) -> List[Candidate]:
+    """Sorted variants of the cheapest plan for each interesting order.
 
     This is sort-ahead (Section 5.1/5.2): each interesting order hung off
     the block is homogenized to the columns available at this level; a
-    sort enforcing it is tried on the cheapest subplan.
+    sort enforcing it is tried on the cheapest subplan (which pruning
+    always keeps, so building it here costs nothing extra).
     """
     config = planner.config
     if not config.effective("enable_sort_ahead"):
         return []
-    if not plans:
+    if not candidates:
         return []
-    cheapest = min(plans, key=lambda plan: plan.cost.total_ms)
+    cheapest = min(candidates, key=lambda c: c.cost.total_ms).node()
     variants: List[PlanNode] = []
     available = frozenset(cheapest.properties.schema.columns)
     context = cheapest.properties.context()
@@ -927,28 +911,40 @@ def _sort_ahead_variants(
             continue
         variants.append(make_sort(planner, cheapest, target, "sort-ahead"))
     planner.stats.sort_ahead_plans += len(variants)
-    return variants
+    return _built(variants)
 
 
-def _prune(planner: PlannerContext, plans: List[PlanNode]) -> List[PlanNode]:
-    """Dominance pruning: drop a plan if a cheaper (or equal) plan's order
-    property satisfies its order property. Keep at most a bounded number
-    of survivors, cheapest first."""
+def _prune(
+    planner: PlannerContext, candidates: Sequence[Candidate]
+) -> List[PlanNode]:
+    """Dominance pruning: drop a candidate if a cheaper (or equal)
+    survivor's order satisfies its order; keep at most a bounded number
+    of survivors, cheapest first (the sort is stable, so equal costs
+    keep their list position).
+
+    A candidate whose order is a literal prefix of a survivor's is
+    dominated in every context — Reduce Order rewrites a key using only
+    the keys before it, so the reduced prefix stays a prefix — and is
+    dropped unbuilt. Only the others are built and asked Test Order
+    under their own properties.
+    """
     config = planner.config
     survivors: List[PlanNode] = []
-    for plan in sorted(plans, key=lambda p: p.cost.total_ms):
-        context = plan.properties.context()
-        dominated = False
-        for kept in survivors:
-            if kept.cost.total_ms <= plan.cost.total_ms and order_satisfies(
-                config, plan.order, kept.order, context
-            ):
-                dominated = True
-                break
+    for candidate in sorted(candidates, key=lambda c: c.cost.total_ms):
+        order = candidate.order
+        dominated = any(order.is_prefix_of(kept.order) for kept in survivors)
+        if not dominated:
+            plan = candidate.node()
+            context = plan.properties.context()
+            dominated = any(
+                order_satisfies(config, order, kept.order, context)
+                for kept in survivors
+            )
         if dominated:
             planner.stats.plans_pruned += 1
             continue
         survivors.append(plan)
         if len(survivors) >= _MAX_PLANS_PER_SUBSET:
             break
+    planner.stats.plans_built += sum(c._node is not None for c in candidates)
     return survivors

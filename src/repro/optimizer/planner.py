@@ -8,7 +8,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tup
 from repro.catalog import Index, TableSchema
 from repro.core.context import OrderContext
 from repro.core.homogenize import homogenize_order
-from repro.core.instrument import COUNTERS
+from repro.core.instrument import count
 from repro.core.od import EMPTY_ODS, ODSet
 from repro.core.ordering import OrderSpec
 from repro.cost.estimate import SelectivityEstimator, StatsView
@@ -75,6 +75,10 @@ class PlannerContext:
     _homogenized_cache: Dict[FrozenSet[ColumnRef], Tuple[Optional[OrderSpec], ...]] = field(
         default_factory=dict
     )
+    # Order-enforcement answers per input plan node (see
+    # ``enumerate._once_per_plan``), and join cardinality per alias set.
+    per_plan_memo: Dict[tuple, tuple] = field(default_factory=dict)
+    _subset_rows: Dict[frozenset, float] = field(default_factory=dict)
 
     def homogenized_interesting(
         self, available: Iterable[ColumnRef]
@@ -91,9 +95,7 @@ class PlannerContext:
             if isinstance(available, frozenset)
             else frozenset(available)
         )
-        COUNTERS["planner.homogenized_calls"] = (
-            COUNTERS.get("planner.homogenized_calls", 0) + 1
-        )
+        count("planner.homogenized_calls")
         cached = self._homogenized_cache.get(key)
         if cached is None:
             cached = tuple(
@@ -102,9 +104,7 @@ class PlannerContext:
             )
             self._homogenized_cache[key] = cached
         else:
-            COUNTERS["planner.homogenized_memo_hits"] = (
-                COUNTERS.get("planner.homogenized_memo_hits", 0) + 1
-            )
+            count("planner.homogenized_memo_hits")
         return cached
 
     @classmethod
@@ -251,8 +251,12 @@ class PlannerContext:
     def subset_cardinality(self, aliases: frozenset) -> float:
         """Estimated rows for the join of ``aliases``.
 
-        Deliberately order-independent so DP subplans agree.
+        Deliberately order-independent so DP subplans agree — and so
+        computed once per alias set.
         """
+        cached = self._subset_rows.get(aliases)
+        if cached is not None:
+            return cached
         rows = 1.0
         for alias in aliases:
             rows *= self.base_cardinality(alias)
@@ -260,7 +264,8 @@ class PlannerContext:
             touched = {c.qualifier for c in columns_of(predicate)} - {""}
             if touched and touched <= set(aliases):
                 rows *= self.estimator.selectivity(predicate)
-        return max(1.0, rows)
+        self._subset_rows[aliases] = rows = max(1.0, rows)
+        return rows
 
     def pages_for(self, rows: float, alias_count: int = 1) -> float:
         """Crude page estimate for intermediate results."""

@@ -14,7 +14,7 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Set
 from repro.catalog import TableSchema
 from repro.core.equivalence import EquivalenceClasses
 from repro.core.fd import FDSet, fd
-from repro.core.instrument import COUNTERS
+from repro.core.instrument import count
 from repro.core.ordering import OrderKey, OrderSpec
 from repro.expr.analysis import analyze_predicates, columns_of
 from repro.expr.nodes import ColumnRef, Expression
@@ -181,9 +181,7 @@ def propagate_join(
     True — the join operator itself decides.
     """
     join_predicates = list(join_predicates)
-    COUNTERS["propagate.join_calls"] = (
-        COUNTERS.get("propagate.join_calls", 0) + 1
-    )
+    count("propagate.join_calls")
     memo_key = (
         outer.content_key(),
         inner.content_key(),
@@ -193,9 +191,7 @@ def propagate_join(
     )
     cached = _JOIN_MEMO.get(memo_key)
     if cached is not None:
-        COUNTERS["propagate.join_memo_hits"] = (
-            COUNTERS.get("propagate.join_memo_hits", 0) + 1
-        )
+        count("propagate.join_memo_hits")
         return cached
     result = _propagate_join_impl(
         outer, inner, join_predicates, cardinality, preserves_outer_order

@@ -20,7 +20,7 @@ from typing import FrozenSet, Iterable, List, Set, Tuple
 from repro.core.context import OrderContext
 from repro.core.equivalence import EquivalenceClasses
 from repro.core.fd import FDSet, key_fd
-from repro.core.instrument import COUNTERS
+from repro.core.instrument import count
 from repro.core.od import EMPTY_ODS, ODSet
 from repro.core.ordering import OrderSpec
 from repro.expr.nodes import ColumnRef, Expression
@@ -172,14 +172,10 @@ class StreamProperties:
         Contexts treat their equivalences as immutable (derivations
         copy-on-write), so no defensive copy is needed here.
         """
-        COUNTERS["stream.context_calls"] = (
-            COUNTERS.get("stream.context_calls", 0) + 1
-        )
+        count("stream.context_calls")
         cached = self.__dict__.get("_cached_context")
         if cached is not None:
-            COUNTERS["stream.context_memo_hits"] = (
-                COUNTERS.get("stream.context_memo_hits", 0) + 1
-            )
+            count("stream.context_memo_hits")
             return cached
         fds = self.fds
         if self.key_property.one_record:

@@ -48,6 +48,84 @@ class TestTableStatsJointNdv:
         assert TableStats().joint_ndv(["x"]) is None
 
 
+def _recount(stats, names):
+    """``joint_ndv`` with the per-column-tuple memo emptied first."""
+    stats._sample_distinct.clear()
+    return stats.joint_ndv(names)
+
+
+class TestSampleDistinctMemo:
+    CASES = (
+        [(i % 50, (i % 50) // 10, i) for i in range(1000)],
+        [(i % 10, (i // 10) % 10, i) for i in range(1000)],
+        [(i, i * 3, i) for i in range(40)],
+        # Larger than the sample: the scaled-up estimate is memoized too.
+        [(i % 300, i % 7, i) for i in range(3 * TableStats.SAMPLE_SIZE)],
+    )
+
+    def test_memoized_answers_equal_a_recount(self):
+        for rows in self.CASES:
+            stats = _stats(rows)
+            for names in (["x", "y"], ["y", "x"], ["x"], ["x", "y", "z"]):
+                first = stats.joint_ndv(names)
+                assert tuple(names) in stats._sample_distinct
+                assert stats.joint_ndv(names) == first
+                assert _recount(stats, names) == first
+
+    def test_caps_are_applied_after_the_memo(self):
+        # The NDV product and the row count are read on every call, so
+        # a statistic corrected in place is honoured at once.
+        stats = _stats([(i % 50, i % 50, i) for i in range(1000)])
+        assert stats.joint_ndv(["x", "y"]) == 50.0
+        stats.columns["x"].ndv = 5
+        stats.columns["y"].ndv = 4
+        assert stats.joint_ndv(["x", "y"]) == 20.0
+
+    def test_a_fresh_analyze_is_not_served_stale_values(self):
+        from repro import Database
+
+        db = Database()
+        schema = TableSchema(
+            "t",
+            [Column("x", INTEGER, nullable=False), Column("y", INTEGER)],
+        )
+        db.create_table(schema, rows=[(i % 4, i % 2) for i in range(100)])
+        view = StatsView({"t": db.catalog.table("t")})
+        columns = [ColumnRef("t", "x"), ColumnRef("t", "y")]
+        assert view.joint_ndv(columns) == 4.0
+        for i in range(100):
+            db.store("t").insert((i % 20, i % 10))
+        db.analyze_table("t")
+        assert StatsView({"t": db.catalog.table("t")}).joint_ndv(columns) == 22.0
+
+    def test_feedback_overrides_still_win(self):
+        from repro import Database
+        from repro.catalog.overrides import StatsCorrections
+
+        db = Database()
+        schema = TableSchema(
+            "t",
+            [Column("x", INTEGER, nullable=False), Column("y", INTEGER)],
+        )
+        db.create_table(schema, rows=[(i % 4, i % 2) for i in range(100)])
+        columns = [ColumnRef("t", "x"), ColumnRef("t", "y")]
+
+        def joint():
+            view = StatsView(
+                {"t": db.catalog.table("t")},
+                overrides=db.catalog.stats_overrides,
+            )
+            return view.joint_ndv(columns)
+
+        assert joint() == 4.0  # and now memoized on the stats object
+        corrections = StatsCorrections()
+        corrections.add_joint_ndv("t", ["x", "y"], 17)
+        db.catalog.apply_feedback(corrections)
+        assert joint() == 17.0
+        db.catalog.clear_feedback()
+        assert joint() == 4.0
+
+
 class TestStatsViewJointNdv:
     def test_single_table_answers_and_cross_table_declines(self):
         rows = [(i % 20, i % 20, i) for i in range(400)]

@@ -9,6 +9,8 @@ from repro.core.ordering import desc
 from repro.cost.model import Cost, CostModel
 from repro.expr import Comparison, ComparisonOp, RowSchema, col, lit
 from repro.optimizer.enumerate import (
+    Candidate,
+    _built,
     _dedupe_pairs,
     _equi_pairs,
     _prune,
@@ -22,7 +24,7 @@ from repro.optimizer.helpers import (
 )
 from repro.optimizer.plan import OpKind, PlanNode
 from repro.optimizer.planner import PlannerContext
-from repro.properties.stream import StreamProperties
+from repro.properties.stream import KeyProperty, StreamProperties
 from repro.qgm.block import QueryBlock
 from repro.qgm.boxes import SelectItem
 from repro.sqltypes import INTEGER
@@ -61,9 +63,12 @@ class TestEquiPairs:
         assert unique == [pairs[0]]
 
 
-def _fake_plan(cost_ms, order=OrderSpec()):
+def _fake_plan(cost_ms, order=OrderSpec(), keys=()):
     properties = StreamProperties(
-        schema=RowSchema([AX, AY]), order=order, cardinality=10.0
+        schema=RowSchema([AX, AY]),
+        order=order,
+        key_property=KeyProperty(keys),
+        cardinality=10.0,
     )
     return PlanNode(
         OpKind.TABLE_SCAN,
@@ -93,26 +98,37 @@ def _planner(db=None):
     return PlannerContext.build(database, OptimizerConfig(), block)
 
 
+def _lazy(cost_ms, order, built, keys=()):
+    """A priced candidate whose build is recorded in ``built``."""
+    plan = _fake_plan(cost_ms, order, keys)
+
+    def build():
+        built.append(plan)
+        return plan
+
+    return Candidate(plan.cost, order, build)
+
+
 class TestPrune:
     def test_cheaper_unordered_dominates_unordered(self):
         planner = _planner()
         cheap = _fake_plan(1.0)
         pricey = _fake_plan(5.0)
-        survivors = _prune(planner, [pricey, cheap])
+        survivors = _prune(planner, _built([pricey, cheap]))
         assert survivors == [cheap]
 
     def test_ordered_plan_survives_cheaper_unordered(self):
         planner = _planner()
         cheap = _fake_plan(1.0)
         ordered = _fake_plan(5.0, OrderSpec.of(AX))
-        survivors = _prune(planner, [ordered, cheap])
+        survivors = _prune(planner, _built([ordered, cheap]))
         assert set(map(id, survivors)) == {id(cheap), id(ordered)}
 
     def test_ordered_dominates_weaker_order(self):
         planner = _planner()
         strong = _fake_plan(1.0, OrderSpec.of(AX, AY))
         weak = _fake_plan(2.0, OrderSpec.of(AX))
-        survivors = _prune(planner, [weak, strong])
+        survivors = _prune(planner, _built([weak, strong]))
         assert survivors == [strong]
 
     def test_result_sorted_by_cost(self):
@@ -122,9 +138,59 @@ class TestPrune:
             _fake_plan(1.0),
             _fake_plan(2.0, OrderSpec.of(AX)),
         ]
-        survivors = _prune(planner, plans)
+        survivors = _prune(planner, _built(plans))
         costs = [plan.cost.total_ms for plan in survivors]
         assert costs == sorted(costs)
+
+    def test_literal_prefix_of_a_cheaper_survivor_is_never_built(self):
+        planner = _planner()
+        built = []
+        candidates = [
+            _lazy(3.0, OrderSpec.of(AX), built),  # prefix of the survivor
+            _lazy(2.0, OrderSpec(), built),  # the empty order too
+            _lazy(1.0, OrderSpec.of(AX, AY), built),
+        ]
+        survivors = _prune(planner, candidates)
+        assert [plan.order for plan in built] == [OrderSpec.of(AX, AY)]
+        assert survivors == built
+        assert planner.stats.plans_pruned == 2
+        assert planner.stats.plans_built == 1
+
+    def test_other_orders_are_built_and_asked_test_order(self):
+        # Neither (y) nor (x, y) is a literal prefix of (x), so both are
+        # built. a.x is a key: under it (x, y) reduces to (x) and is
+        # dominated; nothing makes (y) redundant, so it survives.
+        planner = _planner()
+        built = []
+        candidates = [
+            _lazy(1.0, OrderSpec.of(AX), built, keys=[[AX]]),
+            _lazy(2.0, OrderSpec.of(AY), built, keys=[[AX]]),
+            _lazy(3.0, OrderSpec.of(AX, AY), built, keys=[[AX]]),
+        ]
+        survivors = _prune(planner, candidates)
+        assert len(built) == 3
+        assert [plan.order for plan in survivors] == [
+            OrderSpec.of(AX), OrderSpec.of(AY)
+        ]
+        assert planner.stats.plans_pruned == 1
+
+    def test_equal_costs_keep_their_list_position(self):
+        planner = _planner()
+        first, second = _fake_plan(1.0), _fake_plan(1.0)
+        assert _prune(planner, _built([first, second])) == [first]
+        assert _prune(planner, _built([second, first]))[0] is second
+
+    def test_candidates_past_the_survivor_cap_are_never_built(self):
+        planner = _planner()
+        built = []
+        columns = [col("a", f"c{i}") for i in range(14)]
+        candidates = [
+            _lazy(float(i), OrderSpec.of(column), built)
+            for i, column in enumerate(columns)
+        ]
+        survivors = _prune(planner, candidates)
+        assert len(survivors) == len(built) == 12
+        assert planner.stats.plans_pruned == 0
 
 
 class TestCartesianFallback:
