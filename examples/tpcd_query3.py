@@ -11,8 +11,8 @@ Run:  python examples/tpcd_query3.py [scale_factor]
 import sys
 import time
 
+from repro import OptimizerConfig
 from repro.api import execute, plan_query
-from repro.bench.experiments import db2_faithful_config
 from repro.tpcd import QUERY_3, build_tpcd_database
 
 
@@ -36,7 +36,7 @@ def main() -> None:
         ("production (order optimization ON)", True),
         ("disabled  (order optimization OFF)", False),
     ):
-        config = db2_faithful_config(order_optimization)
+        config = OptimizerConfig.db2_faithful(order_optimization)
         plan = plan_query(database, QUERY_3, config=config)
         print()
         print("=" * 72)

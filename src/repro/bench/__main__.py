@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from repro.bench.harness import available_experiments, run_experiment
 
@@ -32,13 +30,6 @@ def main(argv=None) -> int:
         default=5,
         help="repetitions for timed experiments (default 5)",
     )
-    parser.add_argument(
-        "--json-dir",
-        type=Path,
-        default=Path("."),
-        help="directory for machine-readable BENCH_<id>.json payloads "
-        "(experiments that produce one; default: current directory)",
-    )
     arguments = parser.parse_args(argv)
 
     if arguments.experiments == ["list"]:
@@ -57,13 +48,6 @@ def main(argv=None) -> int:
             runs=arguments.runs,
         )
         print(report.render())
-        payload = report.data.get("json")
-        if payload is not None:
-            arguments.json_dir.mkdir(parents=True, exist_ok=True)
-            json_name = report.data.get("json_name", experiment_id)
-            target = arguments.json_dir / f"BENCH_{json_name}.json"
-            target.write_text(json.dumps(payload, indent=2, sort_keys=True))
-            print(f"wrote {target}")
         print()
     return 0
 

@@ -2,11 +2,11 @@
 
 The order algebra runs inside the optimizer's innermost loops, so its
 cost is measured, not asserted: every closure fixpoint step, algebra
-call, and memo hit increments a counter here. ``repro.bench`` and
-``perf/`` snapshot the registry around a planning run and report call
-counts and cache hit rates; the counter-budget regression test pins the
-planning work of TPC-D Q3 and of a five-table chain to fixed budgets so
-quadratic behaviour cannot silently return.
+call, and memo hit increments a counter here. ``perf/`` snapshots the
+registry around a traced run and reports call counts and cache hit
+rates; the counter-budget regression test pins the planning work of
+TPC-D Q3 and of a five-table chain to fixed budgets so quadratic
+behaviour cannot silently return.
 
 Counting goes through :func:`count` — one thread-local attribute read
 and one dict update. A counted event must stay cheaper than the event
@@ -141,18 +141,9 @@ def reset() -> None:
     """Zero every counter and timer on every thread.
 
     Racy against threads actively counting (their in-flight increment
-    may survive); call it only around quiescent measurement windows,
-    like the benches do.
+    may survive); call it only around quiescent measurement windows.
     """
     with _REGISTRY_LOCK:
         for counters, timers in _SLICES:
             counters.clear()
             timers.clear()
-
-
-def hit_rate(stats: Dict[str, float], subsystem: str) -> float:
-    """``<subsystem>.memo_hits / <subsystem>.calls`` from a snapshot."""
-    calls = stats.get(f"{subsystem}.calls", 0)
-    if not calls:
-        return 0.0
-    return stats.get(f"{subsystem}.memo_hits", 0) / calls

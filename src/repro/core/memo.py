@@ -105,8 +105,8 @@ def clear_memos() -> None:
 def memoization_disabled() -> Iterator[None]:
     """Run the algebra with every memo bypassed (still the fast closure).
 
-    Used by ``repro.bench`` to report before/after call counts and by
-    the metamorphic tests; not used by any planning path.
+    Used by the metamorphic tests to compare memoized answers with
+    recomputed ones; not used by any planning path.
     """
     global ENABLED
     previous = ENABLED

@@ -41,7 +41,7 @@ class OptimizerConfig:
     # pruned scans, partition-parallel joins/group-bys, and order-
     # preserving merge exchanges over range partitions. Off under
     # ``disabled()`` via the master switch and off in
-    # ``db2_faithful_config()`` (1996 DB2 had no parallel repertoire
+    # ``db2_faithful()`` (1996 DB2 had no parallel repertoire
     # here). With the switch off, partitioned tables still execute —
     # the planner just scans them as one sequential stream.
     enable_partitioning: bool = True
@@ -63,6 +63,28 @@ class OptimizerConfig:
     def disabled(cls) -> "OptimizerConfig":
         """The paper's order-optimization-disabled build."""
         return cls(order_optimization=False)
+
+    @classmethod
+    def db2_faithful(
+        cls, order_optimization: bool = True
+    ) -> "OptimizerConfig":
+        """DB2/CS-1996 operator repertoire, either build of Section 8.
+
+        The paper's plans (Figures 7 and 8) contain only sort/merge/NLJ
+        operators: DB2/CS had no hash join or hash aggregation at the
+        time, no segmented-sort operator (keeping it off also keeps the
+        figure/table plan shapes — full sorts — stable) and no
+        parallel/partitioned repertoire, so the faithful comparison
+        disables ours. ``python -m repro.bench ablation_hash``
+        quantifies what hash operators change.
+        """
+        return cls(
+            order_optimization=order_optimization,
+            enable_hash_join=False,
+            enable_hash_group_by=False,
+            enable_partial_sort=False,
+            enable_partitioning=False,
+        )
 
 
 @dataclass

@@ -19,8 +19,9 @@ stats refresh the old entries simply cannot be looked up again. The
 explicit :meth:`PlanCache.invalidate_stale` hook additionally *removes*
 them (and counts them as invalidations) so the LRU is not clogged by
 unreachable plans; the service calls it whenever it observes a version
-or config change. The sweep is scoped to one catalog identity, so a
-cache shared across databases never drops another database's plans.
+change. The sweep is scoped to one catalog identity, so a cache shared
+across databases never drops another database's plans. Entries planned
+under another config fingerprint are not swept; they age out of the LRU.
 
 Planning is **single-flight**: concurrent misses on one key elect a
 single builder; the others park on a per-key barrier and reuse the
@@ -173,20 +174,6 @@ class PlanCache:
                     entry.catalog_version != catalog_version
                     or entry.stats_version != stats_version
                 )
-            ]
-            for key in stale:
-                del self._entries[key]
-            self.invalidations += len(stale)
-            count("service.cache.invalidations", len(stale))
-            return len(stale)
-
-    def invalidate_config(self, config_key: Tuple[Any, ...]) -> int:
-        """Drop entries planned under a different optimizer config."""
-        with self._lock:
-            stale = [
-                key
-                for key, entry in self._entries.items()
-                if entry.config_key != config_key
             ]
             for key in stale:
                 del self._entries[key]

@@ -68,7 +68,7 @@ from repro.errors import (
 )
 from repro.executor.context import CancelToken, validate_mode
 from repro.optimizer import OptimizerConfig
-from repro.service.cache import PlanCache, config_fingerprint
+from repro.service.cache import PlanCache
 from repro.storage import Database
 
 _SHUTDOWN = object()
@@ -429,16 +429,6 @@ class QueryService:
     def _forget(self, future: "Future[QueryResult]") -> None:
         with self._lock:
             self._tokens.pop(future, None)
-
-    # ------------------------------------------------------------------
-    # Lifecycle / introspection
-    # ------------------------------------------------------------------
-
-    def reconfigure(self, config: OptimizerConfig) -> int:
-        """Change the default optimizer config; drops now-mismatched
-        cache entries. Returns how many entries were invalidated."""
-        self.config = config
-        return self.cache.invalidate_config(config_fingerprint(config))
 
     # ------------------------------------------------------------------
     # Workload feedback

@@ -166,11 +166,11 @@ class TestProbeEncoderCache:
     def test_index_probe_counters_move_during_execution(self, simple_db):
         # End to end: an index nested-loop plan routes its probes
         # through the shared encoder (both engines use it).
-        from repro.bench.experiments import db2_faithful_config
-
         sql = "SELECT a.x, b.z FROM a, b WHERE a.x = b.x ORDER BY a.x"
         plan = plan_query(
-            database=simple_db, sql=sql, config=db2_faithful_config(True)
+            database=simple_db,
+            sql=sql,
+            config=OptimizerConfig.db2_faithful(True),
         )
         if "index" not in plan.explain():
             pytest.skip("optimizer chose a plan without an index probe")

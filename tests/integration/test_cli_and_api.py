@@ -26,6 +26,13 @@ class TestBenchCli:
         with pytest.raises(BenchmarkError):
             bench_main(["nope"])
 
+    def test_json_dir_is_rejected(self, tmp_path):
+        # No experiment writes a payload; perf/ owns machine-readable
+        # output.
+        with pytest.raises(SystemExit):
+            bench_main(["fig6", "--json-dir", str(tmp_path)])
+        assert not list(tmp_path.iterdir())
+
 
 class TestQueryResultSurface:
     @pytest.fixture(scope="class")

@@ -18,7 +18,6 @@ stable across small scale factors.
 
 import pytest
 
-from repro.bench.experiments import db2_faithful_config
 from repro.core import clear_memos, instrument
 from repro.optimizer import Optimizer, OptimizerConfig
 from repro.properties.propagate import clear_propagation_memo
@@ -73,7 +72,7 @@ def _over(counters, budgets):
 
 @pytest.fixture()
 def q3_counters(tpcd_db):
-    return _planned(tpcd_db, QUERY_3, db2_faithful_config(True))[0]
+    return _planned(tpcd_db, QUERY_3, OptimizerConfig.db2_faithful(True))[0]
 
 
 def test_q3_planning_stays_within_counter_budgets(q3_counters):

@@ -9,7 +9,6 @@ query — and both return byte-identical rows.
 import pytest
 
 from repro.api import execute, plan_query, run_query
-from repro.bench.experiments import db2_faithful_config
 from repro.expr.nodes import ColumnRef
 from repro.optimizer import OptimizerConfig
 from repro.optimizer.plan import OpKind
@@ -93,6 +92,18 @@ class TestPartitionPruning:
         scans = plan.find_all(OpKind.PARTITION_SCAN)
         assert scans, plan.explain()
         assert scans[0].args["partitions"] == (2,)
+
+    def test_pruned_scan_reads_less_than_the_unpruned_scan(
+        self, partitioned_db
+    ):
+        sql = "select okey from orders where odate >= 500 and odate < 700"
+        on = run_query(partitioned_db, sql, cold_cache=True)
+        off = run_query(
+            partitioned_db, sql, config=_no_partitioning(), cold_cache=True
+        )
+        assert on.plan.find_all(OpKind.PARTITION_SCAN), on.plan.explain()
+        assert sorted(on.rows) == sorted(off.rows)
+        assert on.simulated_io_ms < off.simulated_io_ms
 
     def test_range_band_prunes_the_merge_exchange_too(self, partitioned_db):
         # A band over two partitions keeps the merge exchange but only
@@ -220,7 +231,11 @@ class TestPartitionWiseOperators:
 class TestBaselines:
     @pytest.mark.parametrize(
         "config",
-        [OptimizerConfig.disabled(), db2_faithful_config(), _no_partitioning()],
+        [
+            OptimizerConfig.disabled(),
+            OptimizerConfig.db2_faithful(),
+            _no_partitioning(),
+        ],
         ids=["disabled", "db2-faithful", "no-partitioning"],
     )
     def test_baseline_builds_emit_no_parallel_operators(
@@ -250,3 +265,6 @@ class TestBaselines:
                 assert on.rows == off.rows, sql
             else:
                 assert sorted(on.rows) == sorted(off.rows), sql
+            # The single-stream space is a subset of the partitioned
+            # search space, so the chosen plan can never cost more.
+            assert on.plan.cost.total_ms <= off.plan.cost.total_ms, sql

@@ -35,10 +35,10 @@ import pytest
 
 from repro.api import plan_query
 from repro.bench.experiments import (
+    FIGURE1_SQL,
     FIGURE6_SQL,
-    _figure1_database,
-    _figure6_database,
-    db2_faithful_config,
+    figure1_database,
+    figure6_database,
 )
 from repro.optimizer import OptimizerConfig
 from repro.tpcd import QUERY_3
@@ -49,7 +49,6 @@ from tests.optimizer.perf_statements import seed1_statements
 
 PINNED = Path(__file__).with_name("plan_identity.json")
 REPO_ROOT = Path(__file__).resolve().parents[2]
-FIGURE1_SQL = "select a.y, sum(b.y) as total from a, b where a.x = b.x group by a.y"
 
 CONFIGS = {
     "default": OptimizerConfig,
@@ -57,8 +56,8 @@ CONFIGS = {
 }
 FIGURE_CONFIGS = {
     **CONFIGS,
-    "faithful-on": lambda: db2_faithful_config(True),
-    "faithful-off": lambda: db2_faithful_config(False),
+    "faithful-on": lambda: OptimizerConfig.db2_faithful(True),
+    "faithful-off": lambda: OptimizerConfig.db2_faithful(False),
 }
 
 
@@ -90,10 +89,10 @@ def tpcd_digests(database):
 
 def figure_digests():
     found = _digests(
-        _figure1_database(), [("paper/fig1", FIGURE1_SQL)], FIGURE_CONFIGS
+        figure1_database(), [("paper/fig1", FIGURE1_SQL)], FIGURE_CONFIGS
     )
     found.update(
-        _digests(_figure6_database(), [("paper/fig6", FIGURE6_SQL)], FIGURE_CONFIGS)
+        _digests(figure6_database(), [("paper/fig6", FIGURE6_SQL)], FIGURE_CONFIGS)
     )
     return found
 

@@ -7,7 +7,14 @@ its report correctly — at SF small enough for the unit-test budget.
 
 import pytest
 
+from repro.api import execute
 from repro.bench import run_experiment
+from repro.bench.experiments import (
+    figure1_database,
+    tpcd_database,
+    warehouse_database,
+)
+from repro.optimizer.plan import OpKind
 
 
 class TestTable1Experiment:
@@ -38,7 +45,10 @@ class TestComplexityExperiment:
         report = run_experiment("complexity", tables=4)
         counts = report.data["counts"]
         assert counts == sorted(counts)
-        assert counts[-1] > counts[0]
+        assert counts[-1] > counts[0] > 0
+        # ...but bounded: the paper's O(n^2) factor for n = 4 orders,
+        # not an explosion.
+        assert counts[-1] <= counts[0] * (1 + 4) ** 2
 
 
 class TestFigureExperiments:
@@ -52,7 +62,10 @@ class TestFigureExperiments:
 
     def test_fig1_plan_recorded(self):
         report = run_experiment("fig1")
-        assert "group by" in report.data["plan"].explain()
+        plan = report.data["plan"]
+        # The figure's shape: an order-based GROUP BY, never a hash.
+        assert plan.find_all(OpKind.GROUP_SORTED), plan.explain()
+        assert execute(figure1_database(), plan).rows
 
 
 class TestAblationExperiments:
@@ -60,11 +73,50 @@ class TestAblationExperiments:
         report = run_experiment("ablation_reduce")
         rows = {row[0]: row for row in report.rows}
         assert int(rows["reduction ON"][3]) < int(rows["reduction OFF"][3])
+        # Reduction strips region (constant) and cat (key-determined):
+        # any sort left is on one column; without it some sort is wider.
+        widths = {
+            label: [
+                len(node.args["order"])
+                for node in report.data[label].find_all(OpKind.SORT)
+            ]
+            for label in rows
+        }
+        assert all(width == 1 for width in widths["reduction ON"])
+        assert any(width >= 2 for width in widths["reduction OFF"])
 
     def test_cover_ablation_shows_extra_sort(self):
         report = run_experiment("ablation_cover")
         rows = {row[0]: row for row in report.rows}
         assert int(rows["cover OFF"][3]) > int(rows["cover ON"][3])
+        # One sort serves GROUP BY and ORDER BY.
+        assert not any(
+            node.args.get("reason") == "order by"
+            for node in report.data["cover ON"].find_all(OpKind.SORT)
+        )
+        assert execute(warehouse_database(), report.data["cover OFF"]).rows
+
+    @pytest.mark.parametrize(
+        "experiment_id", ["ablation_sortahead", "ablation_hash"]
+    )
+    def test_query3_ablations_agree_on_rows(self, experiment_id):
+        # The experiment raises if its two configs disagree on rows.
+        report = run_experiment(experiment_id, scale_factor=0.002)
+        assert len(report.rows) == 2
+        for label, *_ in report.rows:
+            assert execute(tpcd_database(0.002), report.data[label]).rows
+
+    def test_order_deps_never_add_a_sort(self):
+        report = run_experiment("order_deps")
+        assert len(report.rows) == 3
+        assert all(on <= off for _label, on, off in report.rows)
+
+
+class TestSuiteExperiment:
+    def test_six_queries_and_a_geomean(self):
+        report = run_experiment("suite", scale_factor=0.002, runs=1)
+        assert len(report.data["ratios"]) == 6
+        assert report.data["geomean"] > 0
 
 
 class TestPrefetchAblation:

@@ -17,7 +17,7 @@ summary is a readable approximation. Two deliberate exemptions:
   time becomes a hidden cycle.
 
 Run standalone (``python tools/check_imports.py``) or via the tier-1
-wrapper ``tests/core/test_import_order.py``. Exit status 0 = clean.
+wrapper ``tests/test_import_order.py``. Exit status 0 = clean.
 """
 
 from __future__ import annotations
