@@ -24,8 +24,11 @@ race-free. ``COUNTERS``/``TIMERS`` are dict-like proxies over *the
 calling thread's* slice, for readers and tests. Reading a total goes
 through :func:`snapshot` — a bare ``COUNTERS.get`` only sees work done
 by the current thread. Slices of finished threads stay registered until
-:func:`reset`; with the service's fixed-size pools that is a bounded,
-harmless leak.
+:func:`reset`. The service's fixed-size pools are the only source of
+threads that run planner or executor code — a statement plans and
+executes on one thread and nothing below ``repro.service`` starts
+another (``tools/check_imports.py`` enforces it) — so the registry is
+bounded by the pool sizes.
 
 Counters stay enabled permanently, so they cannot drift out of sync
 with the code they observe.

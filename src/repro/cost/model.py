@@ -306,25 +306,13 @@ class CostModel:
         return Cost(0.0, rows * self.CPU_ROW_MS * 0.25)
 
     # ------------------------------------------------------------------
-    # Parallelism: exchanges and per-partition work
+    # Merge exchange over per-partition ordered streams
     # ------------------------------------------------------------------
 
-    # Modeled workers draining partition streams concurrently. CPU on a
-    # parallel subtree divides by min(streams, PARALLEL_WORKERS); I/O
-    # never does — the simulated disk is one device.
-    PARALLEL_WORKERS = 4
-    # Per-row transfer cost through an exchange's queues.
+    # Per-row hand-off through the merge (decorate, heap entry, emit).
+    # A statement runs on one thread, so the exchange's inputs cost
+    # their plain sum — CPU and I/O alike — and this comes on top.
     EXCHANGE_ROW_MS = 0.0005
-
-    def parallel_input(self, cost: Cost, streams: int) -> Cost:
-        """Cost of a subtree when its partitions run on the worker pool:
-        CPU shrinks by the effective parallelism, I/O stays serial."""
-        workers = max(1, min(streams, self.PARALLEL_WORKERS))
-        return Cost(cost.io_ms, cost.cpu_ms / workers)
-
-    def exchange_gather(self, rows: float, streams: int) -> Cost:
-        """Unordered gather: move every row through a queue."""
-        return Cost(0.0, max(0.0, rows) * self.EXCHANGE_ROW_MS)
 
     def exchange_merge(self, rows: float, streams: int) -> Cost:
         """Order-preserving k-way merge: transfer plus a log2(k)-deep
@@ -332,10 +320,4 @@ class CostModel:
         rows = max(0.0, rows)
         depth = math.log2(max(2, streams))
         cpu = rows * (self.EXCHANGE_ROW_MS + depth * self.CPU_COMPARE_MS)
-        return Cost(0.0, cpu)
-
-    def repartition(self, rows: float, streams: int) -> Cost:
-        """Hash repartition: hash each row and move it to its bucket."""
-        rows = max(0.0, rows)
-        cpu = rows * (self.CPU_HASH_MS + self.EXCHANGE_ROW_MS)
         return Cost(0.0, cpu)

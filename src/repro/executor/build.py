@@ -71,7 +71,6 @@ def build_operator(
     node: PlanNode,
     database: Database,
     estimator: Optional[SelectivityEstimator] = None,
-    _split_cache: Optional[Dict[int, object]] = None,
     node_map: Optional[Dict[int, PhysicalOperator]] = None,
 ) -> PhysicalOperator:
     """Recursively build the physical operator for one plan node.
@@ -79,15 +78,11 @@ def build_operator(
     ``estimator`` (optional) supplies catalog-stats selectivities that
     seed the vector engine's cost-ordered predicate evaluation; without
     it filters run unhinted (adaptive feedback still applies).
-    ``_split_cache`` keeps PARTITION_SPLIT buckets that share one plan
-    child sharing one built operator — the child must execute once, not
-    once per bucket. ``node_map`` (optional) records
-    ``id(plan_node) -> operator`` for every node built, letting the
-    workload loop join plan estimates against executed metrics.
+    ``node_map`` (optional) records ``id(plan_node) -> operator`` for
+    every node built, letting the workload loop join plan estimates
+    against executed metrics.
     """
-    if _split_cache is None:
-        _split_cache = {}
-    operator = _build_node(node, database, estimator, _split_cache, node_map)
+    operator = _build_node(node, database, estimator, node_map)
     if node_map is not None:
         node_map[id(node)] = operator
     return operator
@@ -97,29 +92,12 @@ def _build_node(
     node: PlanNode,
     database: Database,
     estimator: Optional[SelectivityEstimator],
-    _split_cache: Dict[int, object],
     node_map: Optional[Dict[int, PhysicalOperator]],
 ) -> PhysicalOperator:
     args = dict(node.args)
     kind = node.kind
-    if kind is OpKind.PARTITION_SPLIT:
-        from repro.executor.exchange import PartitionSplitOp, _SplitSource
-
-        shared = node.children[0]
-        source = _split_cache.get(id(shared))
-        if source is None:
-            child_op = build_operator(
-                shared, database, estimator, _split_cache, node_map
-            )
-            positions = [
-                shared.properties.schema.position(column)
-                for column in args["columns"]
-            ]
-            source = _SplitSource(child_op, positions, args["count"])
-            _split_cache[id(shared)] = source
-        return PartitionSplitOp(source, args["index"], node.properties.schema)
     children = [
-        build_operator(child, database, estimator, _split_cache, node_map)
+        build_operator(child, database, estimator, node_map)
         for child in node.children
     ]
     if kind is OpKind.TABLE_SCAN:
@@ -231,10 +209,6 @@ def _build_node(
             node.properties.schema,
             args["partitions"],
         )
-    if kind is OpKind.GATHER_EXCHANGE:
-        from repro.executor.exchange import GatherExchangeOp
-
-        return GatherExchangeOp(children, node.properties.schema)
     if kind is OpKind.MERGE_EXCHANGE:
         from repro.executor.exchange import MergeExchangeOp
 

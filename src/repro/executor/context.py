@@ -242,39 +242,6 @@ class ExecutionContext:
             self.metrics[operator] = entry
         return entry
 
-    def worker_clone(self) -> "ExecutionContext":
-        """Context for one partition worker thread.
-
-        Shares the database and engine settings but owns its counters,
-        metrics, and :class:`CancelToken` (same deadline as the parent),
-        so a worker can be cancelled or fault-injected individually and
-        its counter slice merged back race-free via :meth:`absorb`.
-        """
-        token = None
-        if self.cancel_token is not None:
-            token = CancelToken()
-            token.deadline = self.cancel_token.deadline
-        return ExecutionContext(
-            database=self.database,
-            sort_memory_rows=self.sort_memory_rows,
-            batch_size=self.batch_size,
-            mode=self.mode,
-            cancel_token=token,
-        )
-
-    def absorb(self, worker: "ExecutionContext") -> None:
-        """Merge a worker clone's counters and metrics into this context.
-
-        Called at the exchange's gather point after the worker finished;
-        the clone is never touched by its thread again, so plain
-        addition is safe.
-        """
-        self.spill_pages += worker.spill_pages
-        self.rows_sorted += worker.rows_sorted
-        self.rows_partial_sorted += worker.rows_partial_sorted
-        self.rows_hashed += worker.rows_hashed
-        self.metrics.update(worker.metrics)
-
     def charge_spill(self, rows: int, rows_per_page: int = 64) -> int:
         """Record spill I/O for an operator overflowing memory.
 

@@ -117,24 +117,12 @@ def observe_execution(
     """Join plan-node estimates against executed operator metrics.
 
     Nodes the executor never pulled (no metrics entry) are skipped —
-    there is nothing actual to compare. PARTITION_SPLIT's shared child
-    executes once and is observed once; revisits only report its rows.
+    there is nothing actual to compare.
     """
     aliases = _alias_tables(plan.root)
     observations: List[NodeObservation] = []
-    seen: set = set()
-
-    def actual_rows(node: PlanNode) -> Optional[int]:
-        operator = node_map.get(id(node))
-        metrics = (
-            context.metrics.get(operator) if operator is not None else None
-        )
-        return metrics.rows if metrics is not None else None
 
     def walk(node: PlanNode) -> Optional[int]:
-        if id(node) in seen:
-            return actual_rows(node)
-        seen.add(id(node))
         children_actual = [walk(child) for child in node.children]
         operator = node_map.get(id(node))
         metrics = (

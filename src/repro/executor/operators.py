@@ -256,8 +256,8 @@ class IndexScanOp(PhysicalOperator):
         self.low_inclusive = low_inclusive
         self.high_inclusive = high_inclusive
         self.descending = descending
-        # Partitioned tables only: scan a single partition's tree (the
-        # leaf of a parallel subtree), charging just that partition's
+        # Partitioned tables only: scan a single partition's tree (one
+        # input of a merge exchange), charging just that partition's
         # pages.
         self.partition = partition
 

@@ -36,12 +36,11 @@ class OptimizerConfig:
     # delivered prefixes (shared sort segments). Off under
     # ``disabled()`` via the master switch.
     enable_partial_sort: bool = True
-    # Partitioned storage + parallel exchanges (beyond the paper; the
-    # scale-out sibling of the order property): consider partition-
-    # pruned scans, partition-parallel joins/group-bys, and order-
-    # preserving merge exchanges over range partitions. Off under
+    # Partitioned storage (beyond the paper): consider partition-pruned
+    # scans and order-preserving merge exchanges over per-partition
+    # local-index scans — an order delivered without a sort. Off under
     # ``disabled()`` via the master switch and off in
-    # ``db2_faithful()`` (1996 DB2 had no parallel repertoire
+    # ``db2_faithful()`` (1996 DB2 had no partitioned repertoire
     # here). With the switch off, partitioned tables still execute —
     # the planner just scans them as one sequential stream.
     enable_partitioning: bool = True
@@ -74,9 +73,9 @@ class OptimizerConfig:
         operators: DB2/CS had no hash join or hash aggregation at the
         time, no segmented-sort operator (keeping it off also keeps the
         figure/table plan shapes — full sorts — stable) and no
-        parallel/partitioned repertoire, so the faithful comparison
-        disables ours. ``python -m repro.bench ablation_hash``
-        quantifies what hash operators change.
+        partitioned repertoire, so the faithful comparison disables
+        ours. ``python -m repro.bench ablation_hash`` quantifies what
+        hash operators change.
         """
         return cls(
             order_optimization=order_optimization,

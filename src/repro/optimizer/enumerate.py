@@ -519,27 +519,6 @@ def _join_methods(
                 output_rows,
             )
         )
-    if config.effective("enable_partitioning"):
-        from repro.optimizer.parallel import partition_wise_joins
-
-        results.extend(
-            _built(
-                partition_wise_joins(
-                    planner,
-                    outer_plan,
-                    inner_plans,
-                    predicates,
-                    lambda plan: _dedupe_pairs(
-                        _equi_pairs(
-                            predicates,
-                            outer_columns,
-                            inner_columns_by_plan[id(plan)],
-                        )
-                    ),
-                    output_rows,
-                )
-            )
-        )
     planner.stats.plans_generated += len(results)
     return results
 

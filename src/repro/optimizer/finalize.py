@@ -279,16 +279,6 @@ def _plan_group_by(
     # --- hash-based GROUP BY ---
     if config.enable_hash_group_by:
         variants.append(grouped(plan, hash_based=True))
-
-    # --- partition-wise GROUP BY (pushed below a gather exchange) ---
-    if config.effective("enable_partitioning"):
-        from repro.optimizer.parallel import partitioned_group_by
-
-        parallel = partitioned_group_by(
-            planner, plan, output_schema, aggregate_columns, output_rows
-        )
-        if parallel is not None:
-            variants.append(parallel)
     return variants
 
 

@@ -42,9 +42,7 @@ class OpKind(enum.Enum):
     TOPN = "top-n sort"
     CONCAT = "concat (union all)"
     PARTITION_SCAN = "partition scan"
-    GATHER_EXCHANGE = "gather exchange"
     MERGE_EXCHANGE = "merge exchange"
-    PARTITION_SPLIT = "partition split"
 
 
 @dataclass(frozen=True)
@@ -148,18 +146,10 @@ class PlanNode:
                 f"{kind} {self.args['table']} as {self.args['alias']} "
                 f"[parts {parts}]"
             )
-        if self.kind is OpKind.GATHER_EXCHANGE:
-            return f"{kind} ({len(self.children)} streams)"
         if self.kind is OpKind.MERGE_EXCHANGE:
             return (
                 f"{kind} {self.args['order']} "
                 f"({len(self.children)} streams)"
-            )
-        if self.kind is OpKind.PARTITION_SPLIT:
-            inner = ", ".join(str(c) for c in self.args["columns"])
-            return (
-                f"{kind} #{self.args['index']} hash({inner}) "
-                f"x{self.args['count']}"
             )
         return kind
 
@@ -183,23 +173,11 @@ class PlanNode:
         return "\n".join(lines)
 
     def find_all(self, kind: OpKind) -> List["PlanNode"]:
-        """All nodes of a given kind (plan-shape assertions in tests).
-
-        Visits each physical node once: PARTITION_SPLIT buckets share
-        one child subtree, which executes once and must count once.
-        """
-        found: List["PlanNode"] = []
-        self._find_into(kind, found, set())
-        return found
-
-    def _find_into(self, kind: OpKind, found: List["PlanNode"], seen: set) -> None:
-        if id(self) in seen:
-            return
-        seen.add(id(self))
-        if self.kind is kind:
-            found.append(self)
+        """All nodes of a given kind (plan-shape assertions in tests)."""
+        found = [self] if self.kind is kind else []
         for child in self.children:
-            child._find_into(kind, found, seen)
+            found.extend(child.find_all(kind))
+        return found
 
     def sort_count(self) -> int:
         return len(self.find_all(OpKind.SORT))

@@ -420,9 +420,9 @@ def access_paths(planner: PlannerContext, alias: str) -> List[PlanNode]:
     else:
         # Indexes on a partitioned table are *local* (one B-tree per
         # partition): a globally ordered scan is inherently a k-way
-        # merge, which is an exchange — offered by the parallel access
-        # paths below when partitioning is enabled, and not at all
-        # otherwise (point probes for index NLJ still work). Lazy
+        # merge, which is an exchange — offered by the partitioned
+        # access paths below when partitioning is enabled, and not at
+        # all otherwise (point probes for index NLJ still work). Lazy
         # import: parallel builds on this module.
         from repro.optimizer.parallel import partitioned_access_paths
 

@@ -9,13 +9,6 @@ properties from its inputs — the paper's "each operator determines the
 properties of its output stream".
 """
 
-from repro.properties.partitioning import (
-    SINGLETON,
-    PartitioningProperty,
-    hash_partitioning,
-    range_partitioning,
-    round_robin,
-)
 from repro.properties.stream import KeyProperty, StreamProperties
 from repro.properties.propagate import (
     propagate_filter,
@@ -27,11 +20,6 @@ from repro.properties.propagate import (
 
 __all__ = [
     "KeyProperty",
-    "PartitioningProperty",
-    "SINGLETON",
-    "hash_partitioning",
-    "range_partitioning",
-    "round_robin",
     "StreamProperties",
     "propagate_filter",
     "propagate_group_by",

@@ -19,11 +19,6 @@ from repro.core.ordering import OrderKey, OrderSpec
 from repro.expr.analysis import analyze_predicates, columns_of
 from repro.expr.nodes import ColumnRef, Expression
 from repro.expr.schema import RowSchema
-from repro.properties.partitioning import (
-    SINGLETON,
-    PartitioningProperty,
-    round_robin,
-)
 from repro.properties.stream import KeyProperty, StreamProperties
 
 
@@ -114,7 +109,6 @@ def propagate_project(
             if columns_of(predicate) <= column_set
         ),
         ods=properties.ods.restrict(column_set),
-        partitioning=properties.partitioning.restricted(column_set),
     )
 
 
@@ -248,7 +242,6 @@ def _propagate_join_impl(
 
     order = outer.order if preserves_outer_order else OrderSpec()
     joined = StreamProperties(
-        partitioning=_join_partitioning(outer, inner),
         schema=outer.schema.concat(inner.schema),
         order=order,
         key_property=key_property,
@@ -264,27 +257,6 @@ def _propagate_join_impl(
     return replace(
         joined, key_property=joined.key_property.simplified(joined.context())
     )
-
-
-def _join_partitioning(
-    outer: StreamProperties, inner: StreamProperties
-) -> PartitioningProperty:
-    """Partitioning of a join of two per-partition streams.
-
-    A join executes within one partition pair, so a singleton side
-    (broadcast to every partition, e.g. the shared build of a
-    partition split) leaves the other side's partitioning intact. Two
-    genuinely partitioned sides only meet inside a partition-wise join,
-    where rows stay in their partition — the output keeps the outer
-    side's partitioning (the aligned inner adds nothing new); claiming
-    hash columns from *both* sides would require re-proving alignment
-    downstream, so we keep the conservative single-side claim.
-    """
-    if outer.partitioning.is_singleton:
-        return inner.partitioning
-    if inner.partitioning.is_singleton:
-        return outer.partitioning
-    return outer.partitioning
 
 
 def rename_properties(
@@ -343,7 +315,6 @@ def rename_properties(
         predicates=frozenset(),
         cardinality=properties.cardinality,
         ods=properties.ods.translate(mapping),
-        partitioning=properties.partitioning.renamed(mapping),
     )
 
 
@@ -410,7 +381,6 @@ def propagate_left_outer_join(
         # NULL padding breaks null-side order facts; only the preserved
         # side's ODs survive.
         ods=preserved.ods,
-        partitioning=_join_partitioning(preserved, null_supplying),
     )
     return replace(
         joined, key_property=joined.key_property.simplified(joined.context())
@@ -484,7 +454,6 @@ def propagate_group_by(
         ),
         cardinality=max(0.0, cardinality),
         ods=properties.ods.restrict(output_columns),
-        partitioning=properties.partitioning.restricted(output_columns),
     )
     return replace(
         grouped, key_property=grouped.key_property.simplified(grouped.context())

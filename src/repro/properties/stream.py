@@ -25,7 +25,6 @@ from repro.core.od import EMPTY_ODS, ODSet
 from repro.core.ordering import OrderSpec
 from repro.expr.nodes import ColumnRef, Expression
 from repro.expr.schema import RowSchema
-from repro.properties.partitioning import SINGLETON, PartitioningProperty
 
 ColumnSet = FrozenSet[ColumnRef]
 
@@ -140,10 +139,6 @@ class StreamProperties:
         cardinality: estimated number of records.
         ods: order dependencies among the stream's columns (empty
             unless ``use_order_dependencies`` harvesting is on).
-        partitioning: how this stream divides across parallel workers
-            (``SINGLETON`` for every classic sequential stream). On a
-            parallel subtree the other properties describe *each*
-            partition's stream; ``cardinality`` stays the total.
     """
 
     schema: RowSchema
@@ -155,7 +150,6 @@ class StreamProperties:
     predicates: FrozenSet[Expression] = frozenset()
     cardinality: float = 0.0
     ods: ODSet = EMPTY_ODS
-    partitioning: PartitioningProperty = SINGLETON
 
     def __post_init__(self):
         if self.equivalences is None:
@@ -212,18 +206,12 @@ class StreamProperties:
                 self.predicates,
                 self.cardinality,
                 self.ods.as_frozenset(),
-                self.partitioning,
             )
             object.__setattr__(self, "_content_key", cached)
         return cached
 
     def with_order(self, order: OrderSpec) -> "StreamProperties":
         return replace(self, order=order)
-
-    def with_partitioning(
-        self, partitioning: PartitioningProperty
-    ) -> "StreamProperties":
-        return replace(self, partitioning=partitioning)
 
     def with_cardinality(self, cardinality: float) -> "StreamProperties":
         return replace(self, cardinality=max(0.0, cardinality))

@@ -5,7 +5,7 @@ A partitioned table stores each partition in its own
 each index in per-partition :class:`~repro.storage.btree.BPlusTree`
 instances (``index:{name}#{p}``). Distinct file ids keep the buffer
 pool's sequential-prefetch detection per partition, so the I/O
-simulation charges a pruned or partition-parallel scan exactly the
+simulation charges a pruned or per-partition scan exactly the
 pages it touches — nothing about the accounting is approximated.
 
 RIDs stay global: a partitioned heap encodes the partition into the

@@ -3,41 +3,12 @@
 from __future__ import annotations
 
 import random
-import threading
-import time
 
 import pytest
 
 from repro import Column, Database, Index, TableSchema
 from repro.catalog import hash_spec, range_spec
 from repro.sqltypes import DATE, INTEGER, decimal_type, varchar
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_exchange_workers():
-    """Exchange teardown must join every ``repro-exch-*`` worker.
-
-    The exchange operators promise no stranded partition workers on any
-    exit path — success, error, cancellation, or an abandoned
-    generator. This suite-wide guard fails any test that returns while
-    one is still alive (a short grace window absorbs threads mid-exit).
-    """
-    yield
-    deadline = time.monotonic() + 5.0
-    while True:
-        leaked = [
-            thread
-            for thread in threading.enumerate()
-            if thread.name.startswith("repro-exch-") and thread.is_alive()
-        ]
-        if not leaked:
-            return
-        if time.monotonic() > deadline:
-            pytest.fail(
-                "exchange worker threads leaked past the test: "
-                + ", ".join(thread.name for thread in leaked)
-            )
-        time.sleep(0.01)
 
 
 @pytest.fixture
@@ -129,13 +100,14 @@ def warehouse_db() -> Database:
 
 @pytest.fixture(scope="session")
 def partitioned_db() -> Database:
-    """Partitioned tables for exchange/parallel-plan tests.
+    """Partitioned tables for merge-exchange and pruning tests.
 
     ``orders`` is range-partitioned on ``odate`` with a clustered
     per-partition (local) index on it — the shape that lets a merge
     exchange deliver ``ORDER BY odate`` with zero sorts. ``lineitem``
-    and ``orders2`` are hash-co-partitioned on ``okey`` for
-    partition-wise joins; ``cust`` stays unpartitioned.
+    and ``orders2`` are hash-partitioned on ``okey`` (joins and
+    group-bys over them must return the single-stream rows); ``cust``
+    stays unpartitioned.
     Session-scoped and treated as read-only by tests.
     """
     rng = random.Random(7)

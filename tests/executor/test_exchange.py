@@ -1,4 +1,4 @@
-"""Exchange operators: merge identity/stability, cancellation, faults.
+"""Merge exchange: identity/stability, cancellation, determinism.
 
 Covers the executor half of the partitioning subsystem:
 
@@ -6,26 +6,29 @@ Covers the executor half of the partitioning subsystem:
   the single-stream (no-partitioning) plan for the same query;
 * the k-way merge is stable — equal keys resolve to
   partition-then-arrival order, never by comparing row payloads;
-* a consumer cancelled mid-merge (or abandoning the generator) leaves
-  no stranded ``repro-exch-*`` worker (the autouse suite guard
-  re-checks after every test here);
-* a fault injected into an *individual* partition worker's token
-  surfaces at the gather point as the typed error, without corrupting
-  later fault-free runs.
+* the merge runs on the consumer's thread: a mid-merge cancel raises
+  at the next block, an abandoned generator just closes, and no
+  thread is started;
+* the simulated I/O of a merge-exchange plan is a function of the
+  plan — the same cold execution charges the same misses every time,
+  even when the table is larger than the buffer pool.
 """
+
+import random
+import threading
 
 import pytest
 
 from repro.api import execute, plan_query
 from repro.core.ordering import OrderSpec, asc
-from repro.errors import QueryCancelled, QueryTimeout
+from repro.errors import QueryCancelled
 from repro.executor import (
     ExecutionContext,
     MODE_INTERPRETED,
     MODE_VECTOR,
 )
 from repro.executor.build import build_executor
-from repro.executor.context import CancelToken, set_fault_hook
+from repro.executor.context import CancelToken
 from repro.executor.exchange import MergeExchangeOp
 from repro.executor.operators import PhysicalOperator
 from repro.expr.nodes import ColumnRef
@@ -74,6 +77,22 @@ class TestCrossEngineIdentity:
             assert execute(
                 partitioned_db, plan, context=context
             ).rows == baseline
+
+
+    def test_partition_scans_report_into_the_one_context(self, partitioned_db):
+        # The merge pulls its children on the consumer's context: every
+        # per-partition scan's metrics land there directly.
+        context = ExecutionContext(partitioned_db)
+        result = execute(
+            partitioned_db, _merge_plan(partitioned_db), context=context
+        )
+        scans = [
+            entry
+            for entry in context.metrics.values()
+            if entry.label.startswith("index scan")
+        ]
+        assert len(scans) == 4
+        assert sum(entry.rows for entry in scans) == len(result.rows)
 
 
 class _StaticOp(PhysicalOperator):
@@ -140,9 +159,7 @@ class TestMergeStability:
 
 
 class TestCancellation:
-    def test_mid_merge_cancel_raises_typed_and_joins_workers(
-        self, partitioned_db
-    ):
+    def test_mid_merge_cancel_raises_at_the_next_block(self, partitioned_db):
         plan = _merge_plan(partitioned_db)
         operator = build_executor(plan, partitioned_db)
         token = CancelToken()
@@ -153,76 +170,57 @@ class TestCancellation:
         assert next(stream)  # the merge is live
         token.cancel("test cancel")
         with pytest.raises(QueryCancelled):
-            for _ in stream:
-                pass
-        # The suite-wide autouse fixture re-checks for leaked
-        # repro-exch-* threads after this test returns.
+            next(stream)
 
-    def test_abandoned_generator_joins_workers(self, partitioned_db):
+    def test_abandoned_generator_closes_cleanly(self, partitioned_db):
         plan = _merge_plan(partitioned_db)
         operator = build_executor(plan, partitioned_db)
         context = ExecutionContext(partitioned_db, batch_size=64)
+        before = set(threading.enumerate())
         stream = operator.batches(context)
         assert next(stream)
-        stream.close()  # GeneratorExit must tear the workers down
+        # The merge runs on this thread: it started none of its own.
+        assert set(threading.enumerate()) == before
+        stream.close()
+        with pytest.raises(StopIteration):
+            next(stream)
+        # The operator tree is reusable after the abandoned pull.
+        assert execute(partitioned_db, plan).rows
 
 
-class TestWorkerFaults:
-    GATHER_SQL = "select okey, qty from lineitem where qty < 40"
+class TestDeterministicIo:
+    def test_cold_runs_charge_identical_io(self):
+        # Regression: per-partition worker threads interleaved their
+        # page accesses by scheduling luck, so once the table outgrew
+        # the pool the same plan charged different misses run to run.
+        # The index is declared clustered but the rows are loaded in
+        # key order, so every partition's scan fetches heap pages at
+        # random and heap plus index leaves do not fit the 32-page pool.
+        from repro.catalog import Column, Index, TableSchema, range_spec
+        from repro.sqltypes import INTEGER
 
-    def _gather_plan(self, db):
-        plan = plan_query(db, self.GATHER_SQL, config=OptimizerConfig())
-        assert plan.find_all(OpKind.GATHER_EXCHANGE), plan.explain()
-        return plan
-
-    @pytest.mark.parametrize(
-        "kind,error",
-        [("cancel", QueryCancelled), ("timeout", QueryTimeout)],
-    )
-    def test_single_worker_fault_surfaces_at_gather(
-        self, partitioned_db, kind, error
-    ):
-        plan = self._gather_plan(partitioned_db)
-        baseline = execute(partitioned_db, plan).rows
-
-        parent = CancelToken()
-        state = {"victim": None}
-
-        def hook(token):
-            # Trip exactly one partition worker's token — never the
-            # consumer's — at its first checkpoint.
-            if token is parent or state["victim"] is not None:
-                return
-            state["victim"] = token
-            if kind == "cancel":
-                token.cancel("injected worker fault")
-            else:
-                token.expire()
-
-        previous = set_fault_hook(hook)
-        try:
-            context = ExecutionContext(
-                partitioned_db, batch_size=32, cancel_token=parent
+        rng = random.Random(7)
+        db = Database(32)
+        db.create_table(
+            TableSchema(
+                "big",
+                [
+                    Column("k", INTEGER, nullable=False),
+                    Column("d", INTEGER, nullable=False),
+                ],
+                primary_key=("k",),
+                partitioning=range_spec(["d"], [1000, 2000, 3000]),
+            ),
+            rows=[(i, rng.randrange(4000)) for i in range(8000)],
+        )
+        db.create_index(Index.on("big_d", "big", ("d",), clustered=True))
+        plan = plan_query(db, "select k, d from big order by d")
+        assert plan.find_all(OpKind.MERGE_EXCHANGE), plan.explain()
+        charged = set()
+        for _ in range(8):
+            execute(db, plan, cold_cache=True)
+            stats = db.buffer_pool.stats
+            charged.add(
+                (stats.hits, stats.sequential_misses, stats.random_misses)
             )
-            with pytest.raises(error):
-                execute(partitioned_db, plan, context=context)
-        finally:
-            set_fault_hook(previous)
-        assert state["victim"] is not None, "no worker checkpoint reached"
-        assert not parent.cancelled  # the fault stayed in the worker
-        # The fault interrupted; it must not corrupt later runs.
-        assert execute(partitioned_db, plan).rows == baseline
-
-    def test_worker_metrics_are_absorbed_at_gather(self, partitioned_db):
-        plan = self._gather_plan(partitioned_db)
-        context = ExecutionContext(partitioned_db)
-        result = execute(partitioned_db, plan, context=context)
-        scans = [
-            entry
-            for entry in context.metrics.values()
-            if entry.label.startswith("partition scan")
-        ]
-        assert len(scans) == 4  # one slice per partition worker
-        total_rows = partitioned_db.store("lineitem").heap.row_count
-        assert sum(entry.rows for entry in scans) == total_rows
-        assert len(result.rows) < total_rows  # the filter did run
+        assert len(charged) == 1, charged

@@ -8,7 +8,7 @@ module just drives them inside the tier-1 budget:
   configs (the seed test's historical four plus ``no-od``,
   ``no-partial-sort``, and ``no-partitioning``);
 * the ``slow``-marked deep pass runs 500 queries under the *full*
-  129-config feature-toggle matrix with plan-property auditing — opt in
+  65-config feature-toggle matrix with plan-property auditing — opt in
   with ``pytest -m slow`` (or run ``python -m repro.verify fuzz``).
 """
 
@@ -47,7 +47,7 @@ def test_fuzzed_query_matches_reference(harness, configs, seed):
 
 @pytest.mark.slow
 def test_deep_fuzz_full_matrix_with_audit():
-    """500 queries, all 129 configs, auditing the full-featured plan.
+    """500 queries, all 65 configs, auditing the full-featured plan.
 
     On failure the minimal shrunk repro is part of the message — paste
     it into a regression test rather than chasing the seed.

@@ -44,3 +44,22 @@ def test_errors_must_stay_an_import_leaf(tmp_path):
     (package / "errors.py").write_text("from repro.sqltypes import X\n")
     problems = checker.check(tmp_path / "src")
     assert any("import leaf" in problem for problem in problems)
+
+
+def test_statement_layers_may_not_import_concurrency(tmp_path):
+    # One statement, one thread: the planner and executor layers start
+    # no threads and take no locks; the service layer may.
+    checker = _load_checker()
+    package = tmp_path / "src" / "repro"
+    (package / "executor").mkdir(parents=True)
+    (package / "service").mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "executor" / "exchange.py").write_text(
+        "import heapq\nimport queue\nfrom threading import Thread\n"
+    )
+    (package / "service" / "pool.py").write_text(
+        "from concurrent.futures import ThreadPoolExecutor\n"
+    )
+    problems = checker.check(tmp_path / "src")
+    assert len(problems) == 2, problems
+    assert all("exchange.py" in problem for problem in problems)

@@ -34,7 +34,7 @@ def tiny_db():
 
 def test_full_matrix_covers_all_toggle_combinations():
     configs = full_matrix()
-    assert len(configs) == 129  # 2^7 feature combos + master-off baseline
+    assert len(configs) == 65  # 2^6 feature combos + master-off baseline
     combos = {
         (
             c.enable_reduction,
@@ -43,12 +43,11 @@ def test_full_matrix_covers_all_toggle_combinations():
             c.enable_hash_join,
             c.use_order_dependencies,
             c.enable_partial_sort,
-            c.enable_partitioning,
         )
         for name, c in configs.items()
         if name != "disabled"
     }
-    assert len(combos) == 128
+    assert len(combos) == 64
     assert not configs["disabled"].order_optimization
     for config in configs.values():
         assert config.enable_hash_join == config.enable_hash_group_by

@@ -8,7 +8,11 @@ facade imports, and imports of unknown layers.
 
 The canonical order lives in ``LAYERS`` below — it is *derived from the
 actual dependency graph*, which is the authority; CLAUDE.md's prose
-summary is a readable approximation. Two deliberate exemptions:
+summary is a readable approximation. One statement plans and executes
+on one thread: ``properties``, ``cost``, ``optimizer`` and ``executor``
+may not import ``threading``, ``queue`` or ``concurrent`` — concurrency
+lives in ``service`` (plus the buffer-pool lock, ``core.instrument``'s
+striping and the ``expr`` memos it needs). Two deliberate exemptions:
 
 * ``repro/__init__.py`` is the public facade and re-exports from many
   layers by design;
@@ -52,6 +56,10 @@ LAYER_INDEX = {name: index for index, name in enumerate(LAYERS)}
 
 PACKAGE = "repro"
 
+# Layers whose code runs inside one statement, on the caller's thread.
+SINGLE_THREADED_LAYERS = {"properties", "cost", "optimizer", "executor"}
+CONCURRENCY_MODULES = {"threading", "queue", "concurrent"}
+
 
 def _layer_of(path: Path, root: Path) -> str:
     """Layer name for a source file: ``src/repro/<layer>[/...].py``."""
@@ -83,6 +91,21 @@ def _imported_layers(
                 yield node.lineno, node.module
 
 
+def _concurrency_imports(tree: ast.AST) -> Iterator[Tuple[int, str]]:
+    """Yield ``(lineno, module)`` for every import of a concurrency
+    module, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] in CONCURRENCY_MODULES:
+                yield node.lineno, name
+
+
 def check(src_root: Path) -> List[str]:
     package_root = src_root / PACKAGE
     problems: List[str] = []
@@ -94,6 +117,13 @@ def check(src_root: Path) -> List[str]:
             problems.append(f"{path}: unknown layer {layer!r}")
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
+        if layer in SINGLE_THREADED_LAYERS:
+            for lineno, name in _concurrency_imports(tree):
+                problems.append(
+                    f"{path}:{lineno}: {layer!r} imports {name!r}; a "
+                    "statement runs on one thread — concurrency lives "
+                    "in 'service'"
+                )
         for lineno, name in _imported_layers(tree):
             where = f"{path}:{lineno}"
             if name.startswith("."):
