@@ -20,6 +20,14 @@ context's engine the same way. The index nested-loop join hoists its
 last encoded key, so an ordered outer stream with duplicate join values
 encodes each distinct key once (``exec.index_probe.*`` counters track
 this).
+
+The index nested-loop block body charges simulated I/O per outer block,
+not per access: a :class:`~repro.storage.btree.ProbeCursor` and
+``fetch_run`` append the pages of each probe (descent, leaf-chain
+steps, then the heap page of every fetched row) to the block's page
+run, and one ``BufferPool.access_run`` charges the run — in the order,
+and with the hit / miss outcome, of the row body's ``probe`` + ``fetch``
+calls — before the ``JoinBlock`` is yielded.
 """
 
 from __future__ import annotations
@@ -45,7 +53,8 @@ from repro.expr.evaluate import evaluate_predicate
 from repro.expr.nodes import ColumnRef, Expression
 from repro.expr.schema import RowSchema
 from repro.expr.vector import JoinBlock, VectorBatch, compile_vector_filter
-from repro.sqltypes import is_null, sort_key
+from repro.sqltypes import NULL, is_null, sort_key
+from repro.storage.buffer import PageId
 from repro.storage.database import encode_index_key
 
 KeyList = List[Optional[Tuple[Any, ...]]]
@@ -71,27 +80,39 @@ def residual_matcher(
 
 def make_probe_encoder(
     directions: Sequence[Any],
-) -> Callable[[Tuple[Any, ...]], Any]:
+) -> Callable[[KeyList], List[Any]]:
     """Index-probe key encoder, built once per probe loop.
 
-    Caches the most recent (values, key) pair: an ordered outer stream
+    Encodes a block of raw probe tuples at a time (``None`` — a NULL
+    probe value, never probed — stays ``None``) and caches the most
+    recent (values, key) pair across blocks: an ordered outer stream
     re-probing the same join value — the paper's ordered nested-loop
     join — skips re-encoding entirely. ``exec.index_probe.probes`` and
-    ``exec.index_probe.encodes`` count calls vs actual encodings.
+    ``exec.index_probe.encodes`` count probe keys handed out vs actual
+    encodings, once per block.
     """
     directions = list(directions)
     last_values: Optional[Tuple[Any, ...]] = None
     last_key: Any = None
 
-    def encode(values: Tuple[Any, ...]) -> Any:
+    def encode(probe_values: KeyList) -> List[Any]:
         nonlocal last_values, last_key
-        count("exec.index_probe.probes")
-        if values == last_values:
-            return last_key
-        count("exec.index_probe.encodes")
-        last_values = values
-        last_key = encode_index_key(values, directions)
-        return last_key
+        keys: List[Any] = []
+        append = keys.append
+        skipped = encodes = 0
+        for values in probe_values:
+            if values is None:
+                skipped += 1
+                append(None)
+                continue
+            if values != last_values:
+                encodes += 1
+                last_values = values
+                last_key = encode_index_key(values, directions)
+            append(last_key)
+        count("exec.index_probe.probes", len(keys) - skipped)
+        count("exec.index_probe.encodes", encodes)
+        return keys
 
     return encode
 
@@ -114,6 +135,19 @@ def _null_free_keys(
         return keys
 
     return per_row
+
+
+def _null_free_values(columns: Sequence[Sequence[Any]]) -> KeyList:
+    """Raw-tuple keys from gathered key columns, None where any is NULL."""
+    if len(columns) == 1:
+        return [
+            None if value is None or value is NULL else (value,)
+            for value in columns[0]
+        ]
+    return [
+        None if any(is_null(value) for value in values) else values
+        for values in zip(*columns)
+    ]
 
 
 def _ordered_keys(
@@ -250,7 +284,7 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
             self.outer.schema.position(column)
             for column in self.probe_columns
         ]
-        return tree.probe, store.heap.fetch, directions, positions
+        return store, tree, directions, positions
 
     def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
         if not context.vectorized or (
@@ -261,7 +295,12 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
             # engines.
             yield from row_blocks(self._joined(context), context.batch_size)
             return
-        probe, fetch, directions, positions = self._probe_setup(context)
+        store, tree, directions, positions = self._probe_setup(context)
+        # The cursor and the page run are this generator's locals: what
+        # the cursor remembers of the shared tree dies with the pull.
+        probe = tree.probe_cursor().probe
+        fetch_run = store.heap.fetch_run
+        charge = context.database.buffer_pool.access_run
         encode = make_probe_encoder(directions)
         residual_filter = (
             compile_vector_filter(self.residual, self.schema)
@@ -272,39 +311,29 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
         left_outer = self.left_outer
         outer_width = len(self.outer.schema)
         metrics = context.metrics_for(self)
-        single = positions[0] if len(positions) == 1 else None
         for block in self.outer.blocks(context):
             metrics.rows_in += block.count
             out_index: List[int] = []
             inner_rows: List[Row] = []
-            index_append = out_index.append
-            inner_append = inner_rows.append
+            run: List[PageId] = []
             live = block.live()
             if type(live) is range:
                 live = list(live)
-            if single is not None:
-                for i, value in zip(live, block.gather(single, live)):
-                    matched = False
-                    if not is_null(value):
-                        for rid in probe(encode((value,))):
-                            index_append(i)
-                            inner_append(fetch(rid))
-                            matched = True
-                    if left_outer and not matched:
-                        index_append(i)
-                        inner_append(padding)
-            else:
-                columns = [block.gather(p, live) for p in positions]
-                for i, values in zip(live, zip(*columns)):
-                    matched = False
-                    if not any(is_null(value) for value in values):
-                        for rid in probe(encode(values)):
-                            index_append(i)
-                            inner_append(fetch(rid))
-                            matched = True
-                    if left_outer and not matched:
-                        index_append(i)
-                        inner_append(padding)
+            keys = encode(
+                _null_free_values([block.gather(p, live) for p in positions])
+            )
+            for i, key in zip(live, keys):
+                rows: Sequence[Row] = ()
+                if key is not None:
+                    # Probe i's index pages, then its heap pages, then
+                    # probe i+1: the order the row body charges them in.
+                    rows = fetch_run(probe(key, run), run)
+                    inner_rows += rows
+                    out_index += [i] * len(rows)
+                if left_outer and not rows:
+                    out_index.append(i)
+                    inner_rows.append(padding)
+            charge(run)
             if not out_index:
                 continue
             joined = JoinBlock(block, outer_width, out_index, inner_rows)
@@ -316,18 +345,18 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
             yield joined
 
     def _joined(self, context: ExecutionContext) -> Iterator[Row]:
-        probe, fetch, directions, positions = self._probe_setup(context)
+        store, tree, directions, positions = self._probe_setup(context)
+        probe, fetch = tree.probe, store.heap.fetch
         keys_of = _null_free_keys(context, positions)
         encode = make_probe_encoder(directions)
         matcher = residual_matcher(self.residual, self.schema, context)
         padding = (None,) * len(self.inner_schema)
         left_outer = self.left_outer
         for batch in self.outer.batches(context):
-            keys = keys_of(batch)
-            for outer_row, values in zip(batch, keys):
+            for outer_row, key in zip(batch, encode(keys_of(batch))):
                 matched = False
-                if values is not None:
-                    for rid in probe(encode(values)):
+                if key is not None:
+                    for rid in probe(key):
                         joined = outer_row + fetch(rid)
                         if matcher is None or matcher(joined):
                             matched = True

@@ -12,21 +12,21 @@ prefetch-friendly I/O).
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
-from repro.storage.buffer import BufferPool
+from repro.storage.buffer import BufferPool, PageId
 from repro.storage.heap import Rid
 
 Key = Tuple[Any, ...]
 
 
 class _Node:
-    __slots__ = ("node_id", "keys", "is_leaf")
+    __slots__ = ("page_id", "keys", "is_leaf")
 
-    def __init__(self, node_id: int, is_leaf: bool):
-        self.node_id = node_id
+    def __init__(self, page_id: PageId, is_leaf: bool):
+        self.page_id = page_id
         self.keys: List[Key] = []
         self.is_leaf = is_leaf
 
@@ -34,8 +34,8 @@ class _Node:
 class _Leaf(_Node):
     __slots__ = ("values", "next_leaf", "prev_leaf")
 
-    def __init__(self, node_id: int):
-        super().__init__(node_id, True)
+    def __init__(self, page_id: PageId):
+        super().__init__(page_id, True)
         self.values: List[Rid] = []
         self.next_leaf: Optional["_Leaf"] = None
         self.prev_leaf: Optional["_Leaf"] = None
@@ -44,8 +44,8 @@ class _Leaf(_Node):
 class _Internal(_Node):
     __slots__ = ("children",)
 
-    def __init__(self, node_id: int):
-        super().__init__(node_id, False)
+    def __init__(self, page_id: PageId):
+        super().__init__(page_id, False)
         self.children: List[_Node] = []
 
 
@@ -62,23 +62,26 @@ class BPlusTree:
         self._root: _Node = self._new_leaf()
         self._height = 1
         self._entry_count = 0
+        # Bumped by every mutation; probe cursors drop their remembered
+        # descent when it moves.
+        self._version = 0
 
     # ------------------------------------------------------------------
     # Node management
     # ------------------------------------------------------------------
 
     def _new_leaf(self) -> _Leaf:
-        leaf = _Leaf(self._next_node_id)
+        leaf = _Leaf((self.file_id, self._next_node_id))
         self._next_node_id += 1
         return leaf
 
     def _new_internal(self) -> _Internal:
-        node = _Internal(self._next_node_id)
+        node = _Internal((self.file_id, self._next_node_id))
         self._next_node_id += 1
         return node
 
     def _touch(self, node: _Node) -> None:
-        self.buffer_pool.access((self.file_id, node.node_id))
+        self.buffer_pool.access(node.page_id)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -103,20 +106,21 @@ class BPlusTree:
             self._root = new_root
             self._height += 1
         self._entry_count += 1
+        self._version += 1
 
     def _insert_into(
         self, node: _Node, key: Key, rid: Rid
     ) -> Optional[Tuple[Key, _Node]]:
         if node.is_leaf:
             leaf = node  # type: ignore[assignment]
-            position = bisect.bisect_right(leaf.keys, key)
+            position = bisect_right(leaf.keys, key)
             leaf.keys.insert(position, key)
             leaf.values.insert(position, rid)
             if len(leaf.keys) > self.fanout:
                 return self._split_leaf(leaf)
             return None
         internal = node  # type: ignore[assignment]
-        child_index = bisect.bisect_right(internal.keys, key)
+        child_index = bisect_right(internal.keys, key)
         split = self._insert_into(internal.children[child_index], key, rid)
         if split is None:
             return None
@@ -160,6 +164,7 @@ class BPlusTree:
         ordered = sorted(entries, key=lambda entry: entry[0])
         self._next_node_id = 0
         self._entry_count = len(ordered)
+        self._version += 1
         per_leaf = max(2, (self.fanout * 3) // 4)
         leaves: List[_Leaf] = []
         for start in range(0, len(ordered), per_leaf):
@@ -201,55 +206,61 @@ class BPlusTree:
     # Search
     # ------------------------------------------------------------------
 
-    def _descend(self, key: Optional[Key], rightmost: bool = False) -> _Leaf:
+    def _find_leaf(
+        self, key: Optional[Key], rightmost: bool = False
+    ) -> Tuple[List[PageId], _Leaf, Optional[Key], Optional[Key]]:
+        """Walk root to leaf without charging anything.
+
+        Returns the page ids on the path, the leaf, and the separator
+        interval ``lower < key <= upper`` (``None`` = unbounded) inside
+        which any other key takes this same path. ``key=None`` walks to
+        the leftmost (or rightmost) leaf.
+        """
         node = self._root
-        self._touch(node)
+        path = [node.page_id]
+        lower: Optional[Key] = None
+        upper: Optional[Key] = None
         while not node.is_leaf:
-            internal = node  # type: ignore[assignment]
+            separators = node.keys
             if key is None:
-                child = (
-                    internal.children[-1] if rightmost else internal.children[0]
-                )
+                child_index = len(separators) if rightmost else 0
             else:
-                child_index = bisect.bisect_left(internal.keys, key)
                 # bisect_left sends equal keys to the left child, where
                 # the first duplicate lives.
-                child = internal.children[child_index]
-            node = child
-            self._touch(node)
-        return node  # type: ignore[return-value]
+                child_index = bisect_left(separators, key)
+                if child_index and (
+                    lower is None or separators[child_index - 1] > lower
+                ):
+                    lower = separators[child_index - 1]
+                if child_index < len(separators) and (
+                    upper is None or separators[child_index] < upper
+                ):
+                    upper = separators[child_index]
+            node = node.children[child_index]  # type: ignore[attr-defined]
+            path.append(node.page_id)
+        return path, node, lower, upper  # type: ignore[return-value]
+
+    def _descend(self, key: Optional[Key], rightmost: bool = False) -> _Leaf:
+        path, leaf, _lower, _upper = self._find_leaf(key, rightmost)
+        self.buffer_pool.access_run(path)
+        return leaf
+
+    def probe_cursor(self) -> "ProbeCursor":
+        """A probe cursor for one operator's probe stream."""
+        return ProbeCursor(self)
 
     def probe(self, key: Key) -> List[Rid]:
         """Equality point-probe: RIDs of every entry whose key prefix
         equals ``key``, in leaf order.
 
         Touches exactly the pages ``scan_range(low=key, high=key)``
-        would, but returns a plain list — index-nested-loop joins issue
-        thousands of these, and the generator frames plus per-entry
-        bound re-slicing of the general range scan are pure overhead
-        for a point lookup.
+        would, but returns a plain list — a one-shot
+        :class:`ProbeCursor` whose page run is charged on the spot.
         """
-        if self._entry_count == 0:
-            return []
-        leaf = self._descend(key)
-        width = len(key)
-        out: List[Rid] = []
-        append = out.append
-        while leaf is not None:
-            keys = leaf.keys
-            full = keys and width == len(keys[0])
-            for position, stored in enumerate(keys):
-                prefix = stored if full else stored[:width]
-                if prefix < key:
-                    continue
-                if prefix > key:
-                    return out
-                append(leaf.values[position])
-            next_leaf = leaf.next_leaf
-            if next_leaf is not None:
-                self._touch(next_leaf)
-            leaf = next_leaf
-        return out
+        run: List[PageId] = []
+        rids = self.probe_cursor().probe(key, run)
+        self.buffer_pool.access_run(run)
+        return rids
 
     def scan_range(
         self,
@@ -262,63 +273,122 @@ class BPlusTree:
         """Iterate entries with ``low <= key <= high`` (bounds optional).
 
         Bounds are prefix bounds: a bound tuple shorter than stored keys
-        compares against the key's prefix of the same length.
+        compares against the key's prefix of the same length. Each leaf
+        is cut at the bisect positions of the bounds; a leaf is touched
+        exactly when an entry-by-entry walk would have reached it.
         """
         if self._entry_count == 0:
             return
         if descending:
-            yield from self._scan_descending(low, high, low_inclusive, high_inclusive)
-            return
-        leaf = self._descend(low)
+            leaf = self._descend(high, rightmost=high is None)
+            # The first qualifying entry may be in a later leaf when
+            # ``high`` lands at a leaf boundary with duplicates; walk
+            # right first.
+            while leaf.next_leaf is not None and (
+                high is None or leaf.next_leaf.keys[0][: len(high)] <= high
+            ):
+                leaf = leaf.next_leaf
+                self._touch(leaf)
+        else:
+            leaf = self._descend(low)
         while leaf is not None:
-            for position in range(len(leaf.keys)):
-                key = leaf.keys[position]
-                if low is not None:
-                    prefix = key[: len(low)]
-                    if prefix < low or (not low_inclusive and prefix == low):
-                        continue
-                if high is not None:
-                    prefix = key[: len(high)]
-                    if prefix > high or (not high_inclusive and prefix == high):
-                        return
-                yield key, leaf.values[position]
-            next_leaf = leaf.next_leaf
-            if next_leaf is not None:
-                self._touch(next_leaf)
-            leaf = next_leaf
+            keys = leaf.keys
+            start = (
+                0
+                if low is None
+                else bisect_left(keys, low)
+                if low_inclusive
+                else _first_above(keys, low)
+            )
+            stop = (
+                len(keys)
+                if high is None
+                else _first_above(keys, high)
+                if high_inclusive
+                else bisect_left(keys, high)
+            )
+            entries = zip(keys[start:stop], leaf.values[start:stop])
+            if descending:
+                yield from reversed(list(entries))
+                # Walking down, an entry under ``stop`` that falls below
+                # ``low`` ends the scan.
+                if start and stop:
+                    return
+                leaf = leaf.prev_leaf
+            else:
+                yield from entries
+                # Walking up, an entry from ``start`` on that exceeds
+                # ``high`` ends the scan; entries below ``low`` are
+                # skipped without looking at ``high``.
+                if max(start, stop) < len(keys):
+                    return
+                leaf = leaf.next_leaf
+            if leaf is not None:
+                self._touch(leaf)
 
-    def _scan_descending(
-        self,
-        low: Optional[Key],
-        high: Optional[Key],
-        low_inclusive: bool,
-        high_inclusive: bool,
-    ) -> Iterator[Tuple[Key, Rid]]:
-        leaf = self._descend(high, rightmost=high is None)
-        # The first qualifying entry may be in a later leaf when ``high``
-        # lands at a leaf boundary with duplicates; walk right first.
-        while leaf.next_leaf is not None and (
-            high is None or leaf.next_leaf.keys[0][: len(high)] <= high
+
+def _first_above(keys: List[Key], bound: Key) -> int:
+    """Position of the first stored key whose prefix exceeds ``bound``."""
+    width = len(bound)
+    return bisect_right(keys, bound, key=lambda stored: stored[:width])
+
+
+class ProbeCursor:
+    """One operator's memory of its last descent into a tree.
+
+    The ordered nested-loop join of the paper's Section 8.1 probes with
+    a sorted key stream, so consecutive keys mostly land in the same
+    leaf. The cursor keeps the last root-to-leaf path and the separator
+    interval that path is valid for; a key inside the interval replays
+    the path's page ids without bisecting the internal nodes again.
+
+    :meth:`probe` charges nothing: it appends the page ids a plain
+    :meth:`BPlusTree.probe` would touch, in order, to the caller's run,
+    which the caller charges with ``BufferPool.access_run``. The state
+    belongs to one probe stream — create a cursor per operator
+    execution, never share one through the tree.
+    """
+
+    __slots__ = ("_tree", "_descent")
+
+    def __init__(self, tree: BPlusTree):
+        self._tree = tree
+        # (tree version, path page ids, leaf, lower, upper) of the last
+        # descent; no tree is ever at version None.
+        self._descent: Tuple[Any, ...] = (None, (), None, None, None)
+
+    def probe(self, key: Key, run: List[PageId]) -> List[Rid]:
+        """RIDs of every entry whose key prefix equals ``key``, in leaf
+        order; the pages visited are appended to ``run``."""
+        tree = self._tree
+        version, path, leaf, lower, upper = self._descent
+        if (
+            version != tree._version
+            or (lower is not None and not lower < key)
+            or (upper is not None and not key <= upper)
         ):
+            if tree._entry_count == 0:
+                return []
+            path, leaf, lower, upper = tree._find_leaf(key)
+            self._descent = (tree._version, path, leaf, lower, upper)
+        run += path
+        keys = leaf.keys
+        start = bisect_left(keys, key)
+        # Stored keys share one width; a shorter probe key is a prefix.
+        full_width = len(keys[0]) == len(key)
+        out: List[Rid] = []
+        while True:
+            stop = (
+                bisect_right(keys, key, start)
+                if full_width
+                else _first_above(keys, key)
+            )
+            out += leaf.values[start:stop]
+            if stop < len(keys):
+                return out
             leaf = leaf.next_leaf
-            self._touch(leaf)
-        while leaf is not None:
-            for position in range(len(leaf.keys) - 1, -1, -1):
-                key = leaf.keys[position]
-                if high is not None:
-                    prefix = key[: len(high)]
-                    if prefix > high or (not high_inclusive and prefix == high):
-                        continue
-                if low is not None:
-                    prefix = key[: len(low)]
-                    if prefix < low or (not low_inclusive and prefix == low):
-                        return
-                yield key, leaf.values[position]
-            previous = leaf.prev_leaf
-            if previous is not None:
-                self._touch(previous)
-            leaf = previous
-
-    def probe(self, key: Key) -> List[Rid]:
-        """Exact-match lookup of a full or prefix key."""
-        return [rid for _key, rid in self.scan_range(low=key, high=key)]
+            if leaf is None:
+                return out
+            run.append(leaf.page_id)
+            keys = leaf.keys
+            start = 0

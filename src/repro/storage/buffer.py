@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Tuple
+from typing import Dict, Hashable, Iterable, Tuple
 
 PageId = Tuple[Hashable, int]  # (file identifier, page number)
 
@@ -96,20 +96,52 @@ class BufferPool:
                 self._resident.move_to_end(page_id)
                 self.stats.hits += 1
                 return True
-            file_id, page_no = page_id
-            previous = self._last_missed_page.get(file_id)
-            if (
-                previous is not None
-                and 0 < page_no - previous <= self.PREFETCH_WINDOW
-            ):
-                self.stats.sequential_misses += 1
-            else:
-                self.stats.random_misses += 1
-            self._last_missed_page[file_id] = page_no
-            self._resident[page_id] = None
-            if len(self._resident) > self.capacity_pages:
-                self._resident.popitem(last=False)
+            self._admit(page_id)
             return False
+
+    def access_run(self, page_ids: Iterable[PageId]) -> None:
+        """Charge an ordered run of page accesses under one lock hold.
+
+        Page for page this is a loop of :meth:`access` — same hit /
+        sequential / random classification, LRU order, eviction and
+        last-missed bookkeeping — minus a lock round trip per page. A
+        consecutive repeat is a hit on the page that is already most
+        recently used, so it only counts. Block operators collect the
+        pages of a whole block (descents, leaf steps, heap fetches) and
+        charge them here once.
+        """
+        with self._lock:
+            resident = self._resident
+            move_to_end = resident.move_to_end
+            hits = 0
+            previous = None
+            for page_id in page_ids:
+                if page_id == previous:
+                    hits += 1
+                    continue
+                previous = page_id
+                if page_id in resident:
+                    move_to_end(page_id)
+                    hits += 1
+                else:
+                    self._admit(page_id)
+            self.stats.hits += hits
+
+    def _admit(self, page_id: PageId) -> None:
+        """Classify a miss and make the page resident (lock held)."""
+        file_id, page_no = page_id
+        previous = self._last_missed_page.get(file_id)
+        if (
+            previous is not None
+            and 0 < page_no - previous <= self.PREFETCH_WINDOW
+        ):
+            self.stats.sequential_misses += 1
+        else:
+            self.stats.random_misses += 1
+        self._last_missed_page[file_id] = page_no
+        self._resident[page_id] = None
+        if len(self._resident) > self.capacity_pages:
+            self._resident.popitem(last=False)
 
     def invalidate(self, file_id: Hashable) -> None:
         """Evict every page of one file (e.g. after a table reload)."""

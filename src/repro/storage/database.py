@@ -19,6 +19,7 @@ from repro.storage.heap import HeapFile, Rid
 from repro.storage.partition import PartitionedHeap, PartitionedTree
 
 PAGE_SIZE_BYTES = 4096
+_DESC = SortDirection.DESC
 
 
 def encode_index_key(
@@ -30,8 +31,10 @@ def encode_index_key(
     leaf walk always yields the index's declared order.
     """
     return tuple(
-        sort_key(value, descending=(direction is SortDirection.DESC))
-        for value, direction in zip(values, directions)
+        [
+            sort_key(value, direction is _DESC)
+            for value, direction in zip(values, directions)
+        ]
     )
 
 

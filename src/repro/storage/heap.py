@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Tuple
+from typing import Any, Iterator, List, Sequence, Tuple
 
 from repro.errors import StorageError
-from repro.storage.buffer import BufferPool
+from repro.storage.buffer import BufferPool, PageId
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,9 @@ class HeapFile:
         self.buffer_pool = buffer_pool
         self.rows_per_page = rows_per_page
         self._pages: List[List[Tuple[Any, ...]]] = []
+        # Page ids as the buffer pool names them, one per page, built
+        # once so the fetch paths allocate no tuple per access.
+        self._page_ids: List[PageId] = []
 
     @property
     def page_count(self) -> int:
@@ -48,6 +51,7 @@ class HeapFile:
         """Store one record, returning its RID. No I/O is charged: loading
         is setup, not measured query work."""
         if not self._pages or len(self._pages[-1]) >= self.rows_per_page:
+            self._page_ids.append((self.file_id, len(self._pages)))
             self._pages.append([])
         page_no = len(self._pages) - 1
         self._pages[page_no].append(row)
@@ -60,13 +64,31 @@ class HeapFile:
             row = page[rid.slot]
         except IndexError:
             raise StorageError(f"bad {rid} in heap {self.file_id}") from None
-        self.buffer_pool.access((self.file_id, rid.page_no))
+        self.buffer_pool.access(self._page_ids[rid.page_no])
         return row
+
+    def fetch_run(
+        self, rids: Sequence[Rid], run: List[PageId]
+    ) -> List[Tuple[Any, ...]]:
+        """The records at ``rids``, read straight from their pages.
+
+        Charges nothing: the page :meth:`fetch` would touch for each
+        RID is appended to ``run``, in RID order, for the caller to
+        charge with ``BufferPool.access_run``.
+        """
+        pages = self._pages
+        try:
+            rows = [pages[rid.page_no][rid.slot] for rid in rids]
+        except IndexError:
+            raise StorageError(f"bad rid in heap {self.file_id}") from None
+        page_ids = self._page_ids
+        run.extend([page_ids[rid.page_no] for rid in rids])
+        return rows
 
     def scan(self) -> Iterator[Tuple[Rid, Tuple[Any, ...]]]:
         """Full sequential scan in physical order."""
         for page_no, page in enumerate(self._pages):
-            self.buffer_pool.access((self.file_id, page_no))
+            self.buffer_pool.access(self._page_ids[page_no])
             for slot, row in enumerate(page):
                 yield Rid(page_no, slot), row
 
@@ -78,11 +100,11 @@ class HeapFile:
         The yielded lists are the live pages — do not mutate them.
         """
         access = self.buffer_pool.access
-        file_id = self.file_id
-        for page_no, page in enumerate(self._pages):
-            access((file_id, page_no))
+        for page_id, page in zip(self._page_ids, self._pages):
+            access(page_id)
             yield page
 
     def truncate(self) -> None:
         self._pages.clear()
+        self._page_ids.clear()
         self.buffer_pool.invalidate(self.file_id)

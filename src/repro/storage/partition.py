@@ -21,8 +21,8 @@ import heapq
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
-from repro.storage.buffer import BufferPool
-from repro.storage.btree import BPlusTree, Key
+from repro.storage.buffer import BufferPool, PageId
+from repro.storage.btree import BPlusTree, Key, ProbeCursor
 from repro.storage.heap import HeapFile, Rid
 
 # Pages per partition in the global RID space. A partition would need
@@ -91,6 +91,21 @@ class PartitionedHeap:
         except IndexError:
             raise StorageError(f"bad {rid} in {self.file_id}") from None
         return part.fetch(Rid(page_no, rid.slot))
+
+    def fetch_run(
+        self, rids: Sequence[Rid], run: List[PageId]
+    ) -> List[Tuple[Any, ...]]:
+        """:meth:`HeapFile.fetch_run` over global RIDs: each record is
+        read from, and its page attributed to, its partition's file."""
+        rows: List[Tuple[Any, ...]] = []
+        for rid in rids:
+            partition, page_no = divmod(rid.page_no, _STRIDE)
+            try:
+                part = self._parts[partition]
+            except IndexError:
+                raise StorageError(f"bad {rid} in {self.file_id}") from None
+            rows.extend(part.fetch_run((Rid(page_no, rid.slot),), run))
+        return rows
 
     def scan(self) -> Iterator[Tuple[Rid, Tuple[Any, ...]]]:
         """Full scan across partitions in partition order (global RIDs)."""
@@ -185,6 +200,12 @@ class PartitionedTree:
             out.extend(tree.probe(key))
         return out
 
+    def probe_cursor(self) -> "PartitionedProbeCursor":
+        """A probe cursor over every partition, for one operator."""
+        return PartitionedProbeCursor(
+            [tree.probe_cursor() for tree in self._trees]
+        )
+
     def scan_range(
         self,
         low: Optional[Key] = None,
@@ -204,3 +225,18 @@ class PartitionedTree:
         return heapq.merge(
             *streams, key=lambda entry: entry[0], reverse=descending
         )
+
+
+class PartitionedProbeCursor:
+    """One :class:`ProbeCursor` per partition, probed in partition order
+    like :meth:`PartitionedTree.probe` — every partition's descent lands
+    in the run."""
+
+    def __init__(self, cursors: List[ProbeCursor]):
+        self._cursors = cursors
+
+    def probe(self, key: Key, run: List[PageId]) -> List[Rid]:
+        out: List[Rid] = []
+        for cursor in self._cursors:
+            out.extend(cursor.probe(key, run))
+        return out

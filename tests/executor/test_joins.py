@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro import Column, Database, Index, TableSchema
+from repro.catalog import hash_spec
 from repro.core import OrderSpec
 from repro.errors import ExecutionError
 from repro.executor import (
@@ -188,3 +189,95 @@ class TestHashJoin:
     def test_key_arity_guard(self, db):
         with pytest.raises(ExecutionError):
             HashJoinOp(scan_r(), scan_s(), [], [])
+
+
+class TestIndexNljPageAccounting:
+    """The block body charges the pages of a whole outer block in one
+    ``access_run``; the interpreted row body charges ``probe`` + ``fetch``
+    one access at a time. From a cold pool both must return the same
+    rows and leave the same ``IoStats`` — including when the pool is far
+    smaller than the inner table, where the *order* of accesses decides
+    what is evicted."""
+
+    @staticmethod
+    def build(pool_pages, partitioning=None):
+        rng = random.Random(24)
+        database = Database(buffer_pool_pages=pool_pages)
+        database.create_table(
+            TableSchema("r", [Column("a", INTEGER), Column("b", INTEGER)]),
+            # Half the outer values have no inner match: sorted, whole
+            # blocks of them probe (and are charged) without output.
+            rows=[(rng.randint(0, 800), rng.randint(0, 5)) for _ in range(300)]
+            + [(None, 1), (7, None)],
+        )
+        database.create_table(
+            TableSchema(
+                "s",
+                [Column("a", INTEGER), Column("b", INTEGER)],
+                partitioning=partitioning,
+            ),
+            rows=[
+                (rng.randint(0, 400), rng.randint(0, 5)) for _ in range(6000)
+            ],
+        )
+        database.create_index(Index.on("s_a", "s", ["a"]))
+        database.create_index(Index.on("s_ab", "s", ["a", "b"]))
+        return database
+
+    @staticmethod
+    def join(outer, index_name="s_a", probe_columns=(RA,), **kwargs):
+        return NestedLoopIndexJoinOp(
+            outer=outer,
+            table_name="s",
+            index_name=index_name,
+            alias="s",
+            inner_schema=S_SCHEMA,
+            probe_columns=list(probe_columns),
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "ordered",
+            "unordered",
+            "left_outer",
+            "residual",
+            "two_column",
+            "partitioned",
+        ],
+    )
+    @pytest.mark.parametrize("pool_pages", [3, 2048])
+    def test_engines_charge_the_same_pages(self, shape, pool_pages):
+        database = self.build(
+            pool_pages,
+            partitioning=hash_spec(["a"], 3) if shape == "partitioned" else None,
+        )
+        heap = database.store("s").heap
+        assert heap.page_count > 3, "a 3-page pool must evict"
+        outer = (
+            scan_r()
+            if shape == "unordered"
+            else SortOp(scan_r(), OrderSpec.of(RA, RB))
+        )
+        operator = {
+            "left_outer": lambda: self.join(outer, left_outer=True),
+            "residual": lambda: self.join(
+                outer, residual=Comparison(ComparisonOp.EQ, SB, lit(3))
+            ),
+            "two_column": lambda: self.join(
+                outer, index_name="s_ab", probe_columns=(RA, RB)
+            ),
+        }.get(shape, lambda: self.join(outer, ordered=shape == "ordered"))()
+        outcomes = {}
+        for mode in ("vector", "interpreted"):
+            database.reset_io(cold=True)
+            # Small batches: the NULL probe values and the unmatched
+            # outer rows land in several blocks, not one.
+            context = ExecutionContext(database, mode=mode, batch_size=64)
+            outcomes[mode] = (operator.execute(context), database.buffer_pool.stats)
+        rows, stats = outcomes["vector"]
+        assert rows, "the shape must produce matches"
+        assert any(row[0] is None for row in rows) == (shape == "left_outer")
+        assert outcomes["interpreted"] == (rows, stats)
+        assert stats.total_misses > (heap.page_count if pool_pages == 3 else 0)
