@@ -31,12 +31,10 @@ from repro.executor.operators import (
     IndexScanOp,
     LimitOp,
     MaterializeOp,
-    PartialSortOp,
     PhysicalOperator,
     ProjectOp,
     SortOp,
     TableScanOp,
-    TopNSortOp,
 )
 from repro.executor.joins import (
     HashJoinOp,
@@ -65,9 +63,7 @@ __all__ = [
     "FilterOp",
     "ProjectOp",
     "SortOp",
-    "PartialSortOp",
     "LimitOp",
-    "TopNSortOp",
     "MaterializeOp",
     "NestedLoopJoinOp",
     "NestedLoopIndexJoinOp",

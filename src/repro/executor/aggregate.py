@@ -1,12 +1,14 @@
 """Aggregation and duplicate elimination operators.
 
-Group-by has two bodies behind one ``_blocks``: in ``vector`` mode
-group markers and aggregate arguments are gathered column-wise off the
-child's blocks and folded a run at a time; in ``interpreted`` mode the
-row-at-a-time reference body computes markers per row and feeds each
-aggregate through a counted interpreter thunk. Output rows are few, so
-both lift them into ``RowBlock``s. DISTINCT is row-native: markers come
-from a batch kernel (vector) or a per-row closure (interpreted).
+Group markers are ascending sort keys of the grouping columns, built in
+both engines by the executor's one key builder,
+:func:`repro.executor.operators.sort_keys`. Group-by has two bodies
+behind one ``_blocks``: in ``vector`` mode markers and aggregate
+arguments are gathered column-wise off the child's blocks and folded a
+run at a time; in ``interpreted`` mode the row-at-a-time reference body
+feeds each aggregate through a counted interpreter thunk. Output rows
+are few, so both lift them into ``RowBlock``s. DISTINCT is row-native:
+its markers cover every column of each row batch.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from repro.executor.operators import (
     Row,
     count_interpreted,
     row_blocks,
+    sort_keys,
 )
-from repro.expr.compile import ordered_key_kernel
 from repro.expr.evaluate import evaluate
 from repro.expr.nodes import Aggregate, AggregateKind, ColumnRef
 from repro.expr.schema import RowSchema
@@ -137,19 +139,6 @@ class _Accumulator:
 _COUNT_STAR = object()
 
 
-def _marker_kernel(
-    context: ExecutionContext, positions: Sequence[int]
-) -> Callable[[Batch], List[Tuple[Any, ...]]]:
-    """Total-order group markers (sort_key tuples) per batch."""
-    if context.vectorized:
-        return ordered_key_kernel([(position, False) for position in positions])
-    positions = tuple(positions)
-    return lambda batch: [
-        tuple(sort_key(row[position]) for position in positions)
-        for row in batch
-    ]
-
-
 class _GroupByBase(PhysicalOperator):
     """Shared plumbing for sort- and hash-based GROUP BY.
 
@@ -172,6 +161,10 @@ class _GroupByBase(PhysicalOperator):
         self.aggregates = list(aggregates)
         self._group_positions = [
             child.schema.position(column) for column in group_columns
+        ]
+        # Group markers are ascending sort keys of the group columns.
+        self._marker_plan = [
+            (position, False) for position in self._group_positions
         ]
 
     def children(self) -> Sequence[PhysicalOperator]:
@@ -236,22 +229,13 @@ class _GroupByBase(PhysicalOperator):
             else vector_value_kernel(aggregate.argument, child_schema)
             for _name, aggregate in self.aggregates
         ]
-        positions = self._group_positions
         for block in self.child.blocks(context):
             sel = block.live()
             if type(sel) is range:
                 sel = list(sel)
             if not sel:
                 continue
-            raw_cols: List[List[Any]] = [
-                block.gather(position, sel) for position in positions
-            ]
-            if raw_cols:
-                markers = list(
-                    zip(*[[sort_key(v) for v in col] for col in raw_cols])
-                )
-            else:
-                markers = [()] * len(sel)
+            markers, raw_cols = sort_keys(block, self._marker_plan)
             value_lists = [
                 None if kernel is None else kernel(block, sel)
                 for kernel in kernels
@@ -266,13 +250,12 @@ class SortedGroupByOp(_GroupByBase):
 
     def _grouped(self, context: ExecutionContext) -> Iterator[Row]:
         evaluators = self._argument_evaluators()
-        markers_of = _marker_kernel(context, self._group_positions)
         positions = tuple(self._group_positions)
         current_group: Optional[Tuple[Any, ...]] = None
         current_raw: Optional[Tuple[Any, ...]] = None
         accumulators: List[_Accumulator] = []
         for batch in self.child.batches(context):
-            markers = markers_of(batch)
+            markers, _ = sort_keys(RowBlock(batch), self._marker_plan)
             for marker, row in zip(markers, batch):
                 if current_group is None or marker != current_group:
                     if current_group is not None:
@@ -328,7 +311,6 @@ class HashGroupByOp(_GroupByBase):
 
     def _grouped(self, context: ExecutionContext) -> Iterator[Row]:
         evaluators = self._argument_evaluators()
-        markers_of = _marker_kernel(context, self._group_positions)
         positions = tuple(self._group_positions)
         groups: Dict[
             Tuple[Any, ...], Tuple[Tuple[Any, ...], List[_Accumulator]]
@@ -341,7 +323,7 @@ class HashGroupByOp(_GroupByBase):
             # first output batch, so checkpoint per input batch.
             if token is not None:
                 token.check()
-            markers = markers_of(batch)
+            markers, _ = sort_keys(RowBlock(batch), self._marker_plan)
             count += len(batch)
             for marker, row in zip(markers, batch):
                 entry = get(marker)
@@ -426,6 +408,11 @@ class HashGroupByOp(_GroupByBase):
         return f"group by (hash) [{inner}]"
 
 
+def _whole_row_plan(schema: RowSchema) -> List[Tuple[int, bool]]:
+    """DISTINCT markers: ascending sort keys of every column."""
+    return [(position, False) for position in range(len(schema))]
+
+
 class SortedDistinctOp(PhysicalOperator):
     """Order-based DISTINCT over a grouped input."""
 
@@ -437,12 +424,10 @@ class SortedDistinctOp(PhysicalOperator):
         return (self.child,)
 
     def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
-        markers_of = _marker_kernel(
-            context, range(len(self.child.schema))
-        )
+        plan = _whole_row_plan(self.schema)
         previous: Optional[Tuple[Any, ...]] = None
         for batch in self.child.batches(context):
-            markers = markers_of(batch)
+            markers, _ = sort_keys(RowBlock(batch), plan)
             kept: Batch = []
             for marker, row in zip(markers, batch):
                 if previous is None or marker != previous:
@@ -466,13 +451,11 @@ class HashDistinctOp(PhysicalOperator):
         return (self.child,)
 
     def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
-        markers_of = _marker_kernel(
-            context, range(len(self.child.schema))
-        )
+        plan = _whole_row_plan(self.schema)
         seen: Set[Tuple[Any, ...]] = set()
         add = seen.add
         for batch in self.child.batches(context):
-            markers = markers_of(batch)
+            markers, _ = sort_keys(RowBlock(batch), plan)
             kept: Batch = []
             for marker, row in zip(markers, batch):
                 if marker in seen:

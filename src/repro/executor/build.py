@@ -34,9 +34,10 @@ from repro.executor.joins import (
     NestedLoopJoinOp,
 )
 from repro.executor.operators import (
+    ConcatOp,
     FilterOp,
     IndexScanOp,
-    PartialSortOp,
+    LimitOp,
     PhysicalOperator,
     ProjectOp,
     SortOp,
@@ -126,14 +127,14 @@ def _build_node(
         return ProjectOp(
             children[0], args["expressions"], node.properties.schema
         )
-    if kind is OpKind.SORT:
-        return SortOp(children[0], args["order"])
-    if kind is OpKind.PARTIAL_SORT:
-        return PartialSortOp(
+    if kind in (OpKind.SORT, OpKind.PARTIAL_SORT, OpKind.TOPN):
+        # One enforcer: a full sort is a partial sort with an empty
+        # prefix, and a Top-N sort is one under a limit.
+        return SortOp(
             children[0],
             args["order"],
-            args["prefix"],
-            limit=args.get("limit"),
+            args.get("prefix", 0),
+            limit=args.get("limit", args.get("count")),
         )
     if kind is OpKind.NLJ:
         return NestedLoopJoinOp(
@@ -177,17 +178,9 @@ def _build_node(
             left_outer=args.get("left_outer", False),
         )
     if kind is OpKind.CONCAT:
-        from repro.executor.operators import ConcatOp
-
         return ConcatOp(children, node.properties.schema)
     if kind is OpKind.LIMIT:
-        from repro.executor.operators import LimitOp
-
         return LimitOp(children[0], args["count"])
-    if kind is OpKind.TOPN:
-        from repro.executor.operators import TopNSortOp
-
-        return TopNSortOp(children[0], args["order"], args["count"])
     if kind is OpKind.GROUP_SORTED:
         return SortedGroupByOp(
             children[0], args["group_columns"], args["aggregates"]

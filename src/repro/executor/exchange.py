@@ -28,7 +28,13 @@ from typing import Iterator, Sequence, Tuple
 from repro.core.ordering import OrderSpec
 from repro.errors import ExecutionError
 from repro.executor.context import ExecutionContext
-from repro.executor.operators import Batch, PhysicalOperator, _batch_keys
+from repro.executor.operators import (
+    PhysicalOperator,
+    rebatched,
+    row_blocks,
+    sort_key_plan,
+    sort_keys,
+)
 from repro.expr.schema import RowSchema
 from repro.expr.vector import RowBlock, VectorBatch
 
@@ -54,16 +60,12 @@ class PartitionScanOp(PhysicalOperator):
 
     def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
         heap = context.database.store(self.table_name).heap
-        size = context.batch_size
-        batch: Batch = []
-        for partition in self.partitions:
-            for page in heap.scan_pages_partition(partition):
-                batch.extend(page)
-                while len(batch) >= size:
-                    yield RowBlock(batch[:size])
-                    batch = batch[size:]
-        if batch:
-            yield RowBlock(batch)
+        pages = (
+            page
+            for partition in self.partitions
+            for page in heap.scan_pages_partition(partition)
+        )
+        return rebatched(pages, context.batch_size)
 
     def label(self) -> str:
         parts = ",".join(str(p) for p in self.partitions)
@@ -108,32 +110,24 @@ class MergeExchangeOp(PhysicalOperator):
     def _entries(
         child: PhysicalOperator,
         partition: int,
-        keys_of,
+        plan,
         context: ExecutionContext,
     ) -> Iterator[Tuple]:
         sequence = 0
         for batch in child.batches(context):
-            for key, row in zip(keys_of(batch), batch):
+            keys, _ = sort_keys(RowBlock(batch), plan)
+            for key, row in zip(keys, batch):
                 yield (key, partition, sequence, row)
                 sequence += 1
 
     def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
-        keys_of = _batch_keys(context, self.schema, self.order)
+        plan = sort_key_plan(self.schema, self.order)
         streams = [
-            self._entries(child, partition, keys_of, context)
+            self._entries(child, partition, plan, context)
             for partition, child in enumerate(self._children)
         ]
-        size = context.batch_size
-        batch: Batch = []
-        append = batch.append
-        for entry in heapq.merge(*streams):
-            append(entry[3])
-            if len(batch) >= size:
-                yield RowBlock(batch)
-                batch = []
-                append = batch.append
-        if batch:
-            yield RowBlock(batch)
+        merged = heapq.merge(*streams)
+        return row_blocks((entry[3] for entry in merged), context.batch_size)
 
     def label(self) -> str:
         return (

@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import operator as operator_module
 import time
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import instrument
 from repro.core.ordering import OrderSpec, SortDirection
 from repro.errors import ExecutionError
 from repro.executor.context import ExecutionContext
-from repro.expr.compile import ordered_key_kernel
 from repro.expr.bindings import active_value
 from repro.expr.evaluate import evaluate, evaluate_predicate
 from repro.expr.nodes import ColumnRef, Expression, Parameter
@@ -49,6 +49,8 @@ from repro.storage.database import encode_index_key
 
 Row = Tuple[Any, ...]
 Batch = List[Row]
+# A decorated sort entry: (key, input sequence number, row).
+Entry = Tuple[Tuple[Any, ...], int, Row]
 
 
 def count_interpreted(rows: int = 1) -> None:
@@ -79,14 +81,32 @@ def row_blocks(rows: Iterable[Row], size: int) -> Iterator[RowBlock]:
     return map(RowBlock, chunked(rows, size))
 
 
-def sliced_blocks(rows: Sequence[Row], size: int) -> Iterator[RowBlock]:
-    """Blocks over an in-memory row list (cheap slicing).
+def rebatched(
+    row_lists: Iterable[List[Row]], size: int
+) -> Iterator[RowBlock]:
+    """Cut a stream of row lists into blocks of exactly ``size`` rows
+    (the last one may be short): heap pages, sorted groups, a buffer.
 
-    A slice of a list is already a fresh list, so each block is
-    independent of the source buffer — no second copy needed.
+    Slices of a list are fresh lists, so no block aliases a source list
+    and the sources (live heap pages among them) are never mutated.
     """
-    for start in range(0, len(rows), size):
-        yield RowBlock(rows[start : start + size])
+    pending: List[Row] = []
+    for rows in row_lists:
+        start = size - len(pending)
+        if start > len(rows):  # fits in the open block
+            pending.extend(rows)
+            continue
+        if pending:
+            pending.extend(rows[:start])
+            yield RowBlock(pending)
+        else:
+            start = 0
+        while len(rows) - start >= size:
+            yield RowBlock(rows[start : start + size])
+            start += size
+        pending = rows[start:]
+    if pending:
+        yield RowBlock(pending)
 
 
 class PhysicalOperator:
@@ -187,16 +207,8 @@ class TableScanOp(PhysicalOperator):
         self.alias = alias
 
     def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
-        store = context.database.store(self.table_name)
-        size = context.batch_size
-        batch: Batch = []
-        for page in store.heap.scan_pages():
-            batch.extend(page)
-            while len(batch) >= size:
-                yield RowBlock(batch[:size])
-                batch = batch[size:]
-        if batch:
-            yield RowBlock(batch)
+        heap = context.database.store(self.table_name).heap
+        return rebatched(heap.scan_pages(), context.batch_size)
 
     def label(self) -> str:
         return f"table scan {self.table_name} as {self.alias}"
@@ -442,20 +454,6 @@ class ProjectOp(PhysicalOperator):
         return f"project [{inner}]"
 
 
-def make_sort_key_function(
-    schema: RowSchema, order: OrderSpec
-) -> Callable[[Row], Tuple[Any, ...]]:
-    """Build a sort-key callable for records of ``schema``."""
-    plan = sort_key_plan(schema, order)
-
-    def key_of(row: Row) -> Tuple[Any, ...]:
-        return tuple(
-            sort_key(row[position], descending) for position, descending in plan
-        )
-
-    return key_of
-
-
 def sort_key_plan(
     schema: RowSchema, order: OrderSpec
 ) -> List[Tuple[int, bool]]:
@@ -466,270 +464,201 @@ def sort_key_plan(
     ]
 
 
-def _batch_keys(
-    context: ExecutionContext,
-    schema: RowSchema,
-    order: OrderSpec,
-) -> Callable[[Batch], List[Tuple[Any, ...]]]:
-    """Batch sort-key computation: one compiled kernel call per batch in
-    vector mode, the per-row key function in interpreted mode."""
-    plan = sort_key_plan(schema, order)
-    if context.vectorized:
-        return ordered_key_kernel(plan)
-    key_of = make_sort_key_function(schema, order)
-    return lambda batch: [key_of(row) for row in batch]
+def sort_keys(
+    block: VectorBatch, plan: Sequence[Tuple[int, bool]]
+) -> Tuple[List[Tuple[Any, ...]], List[Sequence[Any]]]:
+    """Total-order keys of ``block``'s live rows under ``plan``.
+
+    The one key builder of both engines (sorts, the merge exchange,
+    GROUP BY and DISTINCT markers), column-wise: each key column is
+    gathered over the live selection once and mapped through
+    ``sort_key``, then the columns are zipped into one tuple per row.
+    Returns ``(keys, gathered)``; the raw gathered columns ride along
+    for callers that also need the values (GROUP BY's group columns).
+    """
+    live = block.live()
+    gathered = [block.gather(position, live) for position, _desc in plan]
+    if not gathered:
+        return [()] * len(live), gathered
+    keyed = [
+        [sort_key(value, descending) for value in column]
+        for column, (_position, descending) in zip(gathered, plan)
+    ]
+    return list(zip(*keyed)), gathered
 
 
 class SortOp(PhysicalOperator):
-    """External merge sort on an order specification.
+    """Segmented external sort: full sort, partial sort and Top-N.
 
-    Inputs within the context's sort memory are sorted in place. Larger
-    inputs go through the classic two-phase algorithm — sorted run
-    generation followed by a k-way heap merge — with spill I/O charged
-    per run written and re-read, mirroring the cost model.
+    The child delivers rows grouped by ``order.prefix(prefix_length)``
+    — the optimizer proved it through the order algebra, possibly via
+    FDs/ODs/constants rather than a literal column match. With prefix 0
+    (a full sort) the whole input is one group and no per-row prefix
+    comparison happens. Each group is sorted on the remaining keys and
+    streamed out, so memory is bounded by the largest group, not the
+    input. A group reaching ``sort_memory_rows`` is cut into sorted
+    spill runs — boundaries land exactly at the threshold whatever the
+    batch size — charged per run written and re-read, and heap-merged.
 
-    Sort keys are computed exactly once per input row (decorated
-    ``(key, sequence, row)`` entries), so neither the in-memory sort nor
-    the k-way merge ever re-derives a key; the sequence number keeps the
-    sort stable and guarantees rows themselves are never compared.
-    """
+    With ``limit`` set (a FETCH FIRST above), each group keeps only its
+    ``limit`` smallest rows in a bounded sorted buffer and never spills:
+    later rows of a group can never reach the result because whole
+    earlier groups precede them. With prefix 0 this is the Top-N sort.
 
-    def __init__(self, child: PhysicalOperator, order: OrderSpec):
-        super().__init__(child.schema)
-        if order.is_empty():
-            raise ExecutionError("sort needs a non-empty order")
-        self.child = child
-        self.order = order
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self.child,)
-
-    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
-        metrics = context.metrics_for(self)
-        keys_of = _batch_keys(context, self.schema, self.order)
-        memory_rows = max(1, context.sort_memory_rows)
-        size = context.batch_size
-        runs: List[List[Tuple[Any, int, Row]]] = []
-        buffered: List[Tuple[Any, int, Row]] = []
-        sequence = 0
-        for batch in self.child.batches(context):
-            keys = keys_of(batch)
-            start = 0
-            total = len(batch)
-            while start < total:
-                # Fill the in-memory buffer in slices so run boundaries
-                # land exactly at memory_rows regardless of batch size.
-                take = min(total - start, memory_rows - len(buffered))
-                end = start + take
-                buffered.extend(
-                    zip(
-                        keys[start:end],
-                        range(sequence, sequence + take),
-                        batch[start:end],
-                    )
-                )
-                sequence += take
-                start = end
-                if len(buffered) >= memory_rows:
-                    buffered.sort()
-                    runs.append(buffered)
-                    metrics.spill_pages += context.charge_spill(
-                        len(buffered)
-                    )
-                    buffered = []
-        context.rows_sorted += sequence
-        metrics.sorted_rows += sequence
-        instrument.count("exec.sorts")
-        instrument.count("exec.rows_sorted", sequence)
-        if not runs:
-            buffered.sort()
-            # Slice the decorated buffer directly — no full-length
-            # intermediate row list before chunking.
-            for start in range(0, len(buffered), size):
-                yield RowBlock(
-                    [entry[2] for entry in buffered[start : start + size]]
-                )
-            return
-        if buffered:
-            buffered.sort()
-            runs.append(buffered)
-            metrics.spill_pages += context.charge_spill(len(buffered))
-        merged = heapq.merge(*runs)
-        yield from row_blocks((row for _key, _seq, row in merged), size)
-
-    def label(self) -> str:
-        return f"sort {self.order}"
-
-
-class PartialSortOp(PhysicalOperator):
-    """Segmented sort: input already ordered on a prefix of the target.
-
-    The child's delivered order satisfies ``order.prefix(prefix_length)``
-    (the optimizer proved it via the order algebra — possibly through
-    FDs/ODs/constants, not just a literal column match), so rows with
-    equal prefix sort-keys arrive contiguously. Only one prefix-group is
-    buffered at a time; each group is sorted on the suffix keys and
-    streamed out, which makes the operator incremental and bounds memory
-    by the largest group, not the input.
-
-    The ``CancelToken`` is polled at every group boundary: a single pull
-    may consume many input groups without yielding (tiny groups smaller
-    than a batch), so the universal ``blocks()`` checkpoint alone is
-    not enough. A group exceeding ``sort_memory_rows`` falls back to
-    per-group spill runs merged with ``heapq.merge``.
-
-    Byte-identity invariant: because groups arrive in prefix-sorted
-    order and the per-group sort is stable on the suffix (decorated
-    ``(suffix_key, sequence, row)`` entries), the output is identical to
-    a full stable sort of the whole input on ``order`` — in both
-    engines and against ``SortOp`` itself.
-
-    With ``limit`` set (a FETCH FIRST above), each group only needs its
-    ``limit`` smallest rows — later rows of the group can never be in
-    the query result because whole earlier groups precede them.
+    Byte-identity invariant: keys are computed once per input row into
+    decorated ``(key, sequence, row)`` entries, so the sort is stable,
+    rows are never compared, and the output equals a full stable sort
+    of the input on ``order`` (truncated per group under a limit) — in
+    both engines. A single pull can cross many groups without yielding
+    a block, so the ``CancelToken`` is polled at every group boundary.
     """
 
     def __init__(
         self,
         child: PhysicalOperator,
         order: OrderSpec,
-        prefix_length: int,
+        prefix_length: int = 0,
         limit: Optional[int] = None,
     ):
         super().__init__(child.schema)
         if order.is_empty():
-            raise ExecutionError("partial sort needs a non-empty order")
-        if not 0 < prefix_length < len(order):
+            raise ExecutionError("sort needs a non-empty order")
+        if not 0 <= prefix_length < len(order):
             raise ExecutionError(
-                "partial sort prefix must be a non-empty proper prefix "
+                "sort prefix must be shorter than the order "
                 f"(got {prefix_length} of {len(order)} keys)"
             )
         if limit is not None and limit < 1:
-            raise ExecutionError("partial sort limit must be positive")
+            raise ExecutionError("sort limit must be positive")
         self.child = child
         self.order = order
         self.prefix_length = prefix_length
-        self.prefix = order.prefix(prefix_length)
-        self.suffix = OrderSpec(list(order)[prefix_length:])
         self.limit = limit
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
     def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
-        return row_blocks(
-            self._sorted_rows(context, self._block_entries(context)),
-            context.batch_size,
-        )
+        return rebatched(self._sorted_groups(context), context.batch_size)
 
-    def _block_entries(
+    def _sorted_groups(
         self, context: ExecutionContext
-    ) -> Iterator[Tuple[Tuple[Any, ...], Tuple[Any, ...], Row]]:
-        """(prefix key, suffix key, row) per input row: keys gathered
-        column-wise over the live selection, rows materialized in the
-        same selection order."""
-        prefix_plan = sort_key_plan(self.schema, self.prefix)
-        suffix_plan = sort_key_plan(self.schema, self.suffix)
-        for block in self.child.blocks(context):
-            if not block.count:
-                continue
-            selection = block.live()
-            prefix_columns = [
-                [
-                    sort_key(value, descending)
-                    for value in block.gather(position, selection)
-                ]
-                for position, descending in prefix_plan
-            ]
-            suffix_columns = [
-                [
-                    sort_key(value, descending)
-                    for value in block.gather(position, selection)
-                ]
-                for position, descending in suffix_plan
-            ]
-            rows = block.materialize()
-            yield from zip(
-                zip(*prefix_columns), zip(*suffix_columns), rows
-            )
-
-    def _sorted_rows(
-        self,
-        context: ExecutionContext,
-        entries: Iterator[Tuple[Tuple[Any, ...], Tuple[Any, ...], Row]],
-    ) -> Iterator[Row]:
+    ) -> Iterator[List[Row]]:
+        """Row lists in output order, one sorted group after another."""
         metrics = context.metrics_for(self)
         token = context.cancel_token
-        memory_rows = max(1, context.sort_memory_rows)
+        plan = sort_key_plan(self.schema, self.order)
+        prefix_plan = plan[: self.prefix_length]
+        suffix_plan = plan[self.prefix_length :]
+        group: List[Entry] = []
+        runs: List[List[Entry]] = []
         marker: Any = _NO_GROUP
-        group: List[Tuple[Tuple[Any, ...], int, Row]] = []
-        runs: List[List[Tuple[Tuple[Any, ...], int, Row]]] = []
         sequence = 0
-        for prefix_key, suffix_key, row in entries:
-            if prefix_key != marker:
-                if marker is not _NO_GROUP:
+        for batch in self.child.batches(context):
+            block = RowBlock(batch)
+            keys, _ = sort_keys(block, suffix_plan)
+            entries = zip(keys, range(sequence, sequence + len(batch)), batch)
+            sequence += len(batch)
+            starts: List[int] = []  # where a new prefix group begins
+            if prefix_plan:
+                markers, _ = sort_keys(block, prefix_plan)
+                for index, current in enumerate(markers):
+                    if current != marker:
+                        starts.append(index)
+                        marker = current
+            edge = 0
+            for start in starts:
+                group = self._buffer(
+                    context, metrics, group, runs,
+                    itertools.islice(entries, start - edge),
+                )
+                if group or runs:
                     yield from self._flush(context, metrics, group, runs)
-                    group = []
-                    runs = []
-                    # Group boundary: one pull can span many groups
-                    # without yielding a batch, so poll here too.
+                    group, runs = [], []
                     if token is not None:
                         token.check()
-                marker = prefix_key
-            group.append((suffix_key, sequence, row))
-            sequence += 1
-            if len(group) >= memory_rows:
-                group.sort()
-                runs.append(group)
-                metrics.spill_pages += context.charge_spill(len(group))
-                group = []
-        if marker is not _NO_GROUP:
-            yield from self._flush(context, metrics, group, runs)
-        context.rows_partial_sorted += sequence
+                edge = start
+            group = self._buffer(context, metrics, group, runs, entries)
         metrics.sorted_rows += sequence
-        instrument.count("exec.partial_sorts")
-        instrument.count("exec.rows_partial_sorted", sequence)
+        if self.prefix_length:
+            context.rows_partial_sorted += sequence
+            instrument.count("exec.partial_sorts")
+            instrument.count("exec.rows_partial_sorted", sequence)
+        else:
+            context.rows_sorted += sequence
+            instrument.count("exec.sorts")
+            instrument.count("exec.rows_sorted", sequence)
+        if group or runs:
+            yield from self._flush(context, metrics, group, runs)
+
+    def _buffer(
+        self,
+        context: ExecutionContext,
+        metrics,
+        group: List[Entry],
+        runs: List[List[Entry]],
+        entries: Iterable[Entry],
+    ) -> List[Entry]:
+        """Add ``entries`` to the open group; returns its in-memory part.
+
+        Under a limit the group is a bounded sorted buffer (an entry
+        enters only if it beats the largest kept one). Otherwise every
+        ``sort_memory_rows`` entries leave as a sorted spill run.
+        """
+        limit = self.limit
+        if limit is not None:
+            for entry in entries:
+                if len(group) < limit:
+                    bisect.insort(group, entry)
+                elif entry < group[-1]:
+                    bisect.insort(group, entry)
+                    group.pop()
+            return group
+        group.extend(entries)
+        memory_rows = max(1, context.sort_memory_rows)
+        while len(group) >= memory_rows:
+            run, group = group[:memory_rows], group[memory_rows:]
+            run.sort()
+            runs.append(run)
+            metrics.spill_pages += context.charge_spill(memory_rows)
+        return group
 
     def _flush(
         self,
         context: ExecutionContext,
         metrics,
-        group: List[Tuple[Tuple[Any, ...], int, Row]],
-        runs: List[List[Tuple[Tuple[Any, ...], int, Row]]],
-    ) -> Iterator[Row]:
-        """Sort and emit one prefix-group (spill-merging if it overflowed)."""
-        metrics.groups += 1
-        if runs:
-            if group:
-                group.sort()
-                runs.append(group)
-                metrics.spill_pages += context.charge_spill(len(group))
-            emitted = 0
-            for _key, _seq, row in heapq.merge(*runs):
-                yield row
-                emitted += 1
-                if self.limit is not None and emitted >= self.limit:
-                    break
-            return
-        if self.limit is not None and len(group) > self.limit:
-            # Bounded heap: (key, sequence) pairs are unique, so
-            # nsmallest is deterministic and equals sorted()[:limit].
-            for _key, _seq, row in heapq.nsmallest(self.limit, group):
-                yield row
-            return
+        group: List[Entry],
+        runs: List[List[Entry]],
+    ) -> Iterator[List[Row]]:
+        """One group's rows in order (heap-merging its spill runs)."""
+        if self.prefix_length:
+            metrics.groups += 1
         group.sort()
-        for _key, _seq, row in group:
-            yield row
+        if not runs:
+            yield [entry[2] for entry in group]
+            return
+        if group:
+            runs.append(group)
+            metrics.spill_pages += context.charge_spill(len(group))
+        merged = heapq.merge(*runs)
+        size = context.batch_size
+        while True:
+            rows = [entry[2] for entry in itertools.islice(merged, size)]
+            if not rows:
+                return
+            yield rows
 
     def label(self) -> str:
-        text = f"partial sort {self.order} (prefix {self.prefix_length})"
+        if self.prefix_length:
+            text = f"partial sort {self.order} (prefix {self.prefix_length})"
+            return text if self.limit is None else f"{text} limit {self.limit}"
         if self.limit is not None:
-            text += f" limit {self.limit}"
-        return text
+            return f"top-{self.limit} sort {self.order}"
+        return f"sort {self.order}"
 
 
-# Sentinel marking "no group open yet" in PartialSortOp (None is a
-# legal sort-key, so it cannot serve as the marker).
+# Sentinel marking "no group open yet" in SortOp (None is a legal
+# sort key, so it cannot serve as the marker).
 _NO_GROUP = object()
 
 
@@ -758,57 +687,6 @@ class LimitOp(PhysicalOperator):
 
     def label(self) -> str:
         return f"limit {self.count}"
-
-
-class TopNSortOp(PhysicalOperator):
-    """Partial sort: the ``count`` smallest rows under ``order``.
-
-    A bounded buffer replaces the full sort when FETCH FIRST follows an
-    unsatisfied ORDER BY — O(n log k) comparisons and no spill, the
-    Top-N analogue of the paper's minimal-sort-column economics.
-    """
-
-    def __init__(self, child: PhysicalOperator, order: OrderSpec, count: int):
-        if order.is_empty():
-            raise ExecutionError("top-n sort needs a non-empty order")
-        if count < 1:
-            raise ExecutionError("top-n count must be positive")
-        super().__init__(child.schema)
-        self.child = child
-        self.order = order
-        self.count = count
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self.child,)
-
-    def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
-        metrics = context.metrics_for(self)
-        keys_of = _batch_keys(context, self.schema, self.order)
-        count = self.count
-        buffer: List[Tuple[Any, int, Row]] = []  # (key, tie, row), ascending
-        tie = 0
-        for batch in self.child.batches(context):
-            keys = keys_of(batch)
-            for key, row in zip(keys, batch):
-                entry = (key, tie, row)
-                tie += 1
-                if len(buffer) < count:
-                    bisect.insort(buffer, entry)
-                elif entry[0] < buffer[-1][0]:
-                    bisect.insort(buffer, entry)
-                    buffer.pop()
-        context.rows_sorted += tie
-        metrics.sorted_rows += tie
-        instrument.count("exec.sorts")
-        instrument.count("exec.rows_sorted", tie)
-        size = context.batch_size
-        for start in range(0, len(buffer), size):
-            yield RowBlock(
-                [entry[2] for entry in buffer[start : start + size]]
-            )
-
-    def label(self) -> str:
-        return f"top-{self.count} sort {self.order}"
 
 
 class ConcatOp(PhysicalOperator):
@@ -852,7 +730,7 @@ class MaterializeOp(PhysicalOperator):
     def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
         if self._buffer is None:
             self._buffer = self.child.execute(context)
-        yield from sliced_blocks(self._buffer, context.batch_size)
+        yield from rebatched([self._buffer], context.batch_size)
 
     def label(self) -> str:
         return "materialize"

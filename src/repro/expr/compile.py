@@ -234,20 +234,6 @@ def join_key_kernel(
     return kernel
 
 
-def ordered_key_kernel(
-    plan: Sequence[Tuple[int, bool]],
-) -> Callable[[Sequence[Row]], List[Tuple[Any, ...]]]:
-    """Decorated sort keys for ``plan`` = [(position, descending), ...]."""
-    plan = tuple(plan)
-    return lambda rows: [
-        tuple(
-            sort_key(row[position], descending)
-            for position, descending in plan
-        )
-        for row in rows
-    ]
-
-
 # ----------------------------------------------------------------------
 # The compiler proper
 # ----------------------------------------------------------------------

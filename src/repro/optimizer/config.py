@@ -45,12 +45,9 @@ class OptimizerConfig:
     # the planner just scans them as one sequential stream.
     enable_partitioning: bool = True
 
-    enable_merge_join: bool = True
     enable_hash_join: bool = True
     enable_index_nlj: bool = True
     enable_hash_group_by: bool = True
-
-    max_sort_ahead_orders: int = 4
 
     def effective(self, feature: str) -> bool:
         """A fine-grained switch, gated by the master switch."""

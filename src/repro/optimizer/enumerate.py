@@ -35,6 +35,7 @@ from repro.optimizer.helpers import (
     satisfied_prefix_length,
     sort_columns_for,
 )
+from repro.optimizer.order_scan import MAX_SORT_AHEAD_ORDERS
 from repro.optimizer.plan import OpKind, PlanNode
 from repro.optimizer.planner import (
     PlannerContext,
@@ -496,12 +497,11 @@ def _join_methods(
                     },
                 )
             )
-        if config.enable_merge_join:
-            results.extend(
-                _merge_joins(
-                    planner, outer_plan, inner_plan, pairs, residual, output_rows
-                )
+        results.extend(
+            _merge_joins(
+                planner, outer_plan, inner_plan, pairs, residual, output_rows
             )
+        )
     if config.enable_index_nlj and not planner.is_derived(inner_alias):
         # Derived tables have no indexes to probe.
         inner_base = frozenset(
@@ -695,10 +695,12 @@ def make_sort(
 ) -> PlanNode:
     """Enforce ``order`` on ``plan`` — the single sort construction site.
 
-    With ``enable_partial_sort`` on, a delivered order satisfying a
-    proper prefix of the target turns the enforcement into a segmented
-    partial sort: only the suffix keys are sorted, one prefix-group at
-    a time.
+    Every SORT and PARTIAL_SORT node comes from here (finalize's Top-N
+    rewrite only bounds one of them; UNION reaches finalize as a block),
+    which ``tests/test_sort_construction_sites.py`` enforces. With
+    ``enable_partial_sort`` on, a delivered order satisfying a proper
+    prefix of the target turns the enforcement into a segmented partial
+    sort: only the suffix keys are sorted, one prefix-group at a time.
     """
     properties = propagate_sort(plan.properties, order)
     rows = plan.properties.cardinality
@@ -880,7 +882,7 @@ def _sort_ahead_variants(
     available = frozenset(cheapest.properties.schema.columns)
     context = cheapest.properties.context()
     homogenized_orders = planner.homogenized_interesting(available)
-    for homogenized in homogenized_orders[: config.max_sort_ahead_orders]:
+    for homogenized in homogenized_orders[:MAX_SORT_AHEAD_ORDERS]:
         if homogenized is None or homogenized.is_empty():
             continue
         target = reduce_order(homogenized, context)

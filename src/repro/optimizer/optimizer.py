@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.core.ordering import OrderSpec
 from repro.cost.model import CostModel
 from repro.errors import OptimizerError
+from repro.expr.nodes import ColumnRef
 from repro.optimizer.config import OptimizerConfig, PlannerStats
 from repro.optimizer.enumerate import enumerate_joins
 from repro.optimizer.finalize import finalize_plans
@@ -15,7 +17,7 @@ from repro.optimizer.planner import PlannerContext
 from repro.parser import parse_query
 from repro.qgm import normalize, rewrite
 from repro.qgm.block import QueryBlock
-from repro.qgm.boxes import Box
+from repro.qgm.boxes import Box, BoxQuantifier, SelectBox, SelectItem, UnionBox
 from repro.storage import Database
 
 
@@ -51,23 +53,18 @@ class Optimizer:
 
     def plan_box(self, box: Box) -> Plan:
         """Rewrite and plan a QGM box tree."""
-        from repro.qgm.boxes import UnionBox
-
-        box = rewrite(box)
+        box = _union_block(rewrite(box))
         if isinstance(box, UnionBox):
             return self._plan_union(box)
         return self.plan_block(normalize(box))
 
     def plan_block(self, block: QueryBlock) -> Plan:
         """Plan a normalized query block."""
-        best, names = self._best_block_node(block)
-        return Plan(root=best, output_names=names)
-
-    def _best_block_node(self, block: QueryBlock, extra_interesting=()):
-        candidates = self._block_candidates(block, extra_interesting)
-        best = min(candidates, key=lambda plan: plan.cost.total_ms)
+        best = min(
+            self._block_candidates(block), key=lambda plan: plan.cost.total_ms
+        )
         names = tuple(item.name for item in block.select_items)
-        return best, names
+        return Plan(root=best, output_names=names)
 
     def _block_candidates(self, block: QueryBlock, extra_interesting=()):
         """All surviving full plans for a block (cheapest first not
@@ -112,11 +109,9 @@ class Optimizer:
         of a sort "into a view": the outer DP decides whether the
         pre-ordered view pays for itself.
         """
-        from repro.expr.nodes import ColumnRef
         from repro.optimizer.helpers import order_satisfies
         from repro.optimizer.plan import OpKind, PlanNode
         from repro.properties.propagate import rename_properties
-        from repro.qgm.boxes import UnionBox
 
         def rename(sub_plan, source_columns, names):
             mapping = {
@@ -135,6 +130,7 @@ class Optimizer:
                 {"expressions": source_columns, "derived": alias},
             )
 
+        box = _union_block(box)
         if isinstance(box, UnionBox):
             sub_plan = self._plan_union(box).root
             source_columns = list(sub_plan.properties.schema.columns)
@@ -191,9 +187,8 @@ class Optimizer:
         ties of the coarse output span several source values, so no
         later key can be promised within them.
         """
-        from repro.core.ordering import OrderKey, OrderSpec
+        from repro.core.ordering import OrderKey
         from repro.expr.analysis import monotonic_dependency
-        from repro.expr.nodes import ColumnRef
 
         if outer_block is None:
             return []
@@ -233,174 +228,89 @@ class Optimizer:
         return wanted
 
     def _plan_union(self, union) -> Plan:
-        """Plan UNION [ALL]: branch plans + concat + optional dedupe.
+        """Plan UNION ALL: every branch's best plan renamed onto the
+        union's output columns, then concatenated.
 
-        The dedupe sort of a plain UNION is an interesting order: with
-        cover enabled it is aligned with the union's ORDER BY so one
-        sort serves both (the Rdb trick the paper cites in §2).
+        Only a bare UNION ALL gets here — :func:`_union_block` turns a
+        union with duplicate removal, an ORDER BY or a FETCH FIRST into
+        a block over this concatenation, which finalize completes.
         """
-        from repro.core.context import OrderContext
-        from repro.core.general import GeneralOrderSpec
-        from repro.core.ordering import OrderSpec
-        from repro.core.reduce import reduce_order
         from repro.cost.model import Cost
         from repro.expr.schema import RowSchema
-        from repro.optimizer.helpers import (
-            general_satisfies,
-            order_satisfies,
-            sort_columns_for,
-        )
         from repro.optimizer.plan import OpKind, PlanNode
-        from repro.properties.stream import KeyProperty, StreamProperties
+        from repro.properties.stream import StreamProperties
 
         union_items = list(union.output_items())
         names = tuple(item.name for item in union_items)
-        common_columns = [item.output for item in union_items]
-        common_schema = RowSchema(common_columns)
+        common_schema = RowSchema([item.output for item in union_items])
 
         branch_nodes = []
         total_rows = 0.0
         for branch in union.branches:
-            node, _branch_names = self._best_block_node(normalize(branch))
-            branch_columns = list(node.properties.schema.columns)
-            rename_props = StreamProperties(
-                schema=common_schema,
-                cardinality=node.properties.cardinality,
+            node = self.plan_block(normalize(branch)).root
+            rows = node.properties.cardinality
+            branch_nodes.append(
+                PlanNode(
+                    OpKind.PROJECT,
+                    (node,),
+                    StreamProperties(schema=common_schema, cardinality=rows),
+                    node.cost + self.cost_model.project_rows(rows),
+                    {
+                        "expressions": list(node.properties.schema.columns),
+                        "final_projection": True,
+                    },
+                )
             )
-            node = PlanNode(
-                OpKind.PROJECT,
-                (node,),
-                rename_props,
-                node.cost
-                + self.cost_model.project_rows(node.properties.cardinality),
-                {"expressions": branch_columns, "final_projection": True},
-            )
-            total_rows += node.properties.cardinality
-            branch_nodes.append(node)
+            total_rows += rows
 
-        concat_props = StreamProperties(
-            schema=common_schema, cardinality=total_rows
-        )
-        concat_cost = sum(
-            (node.cost for node in branch_nodes), Cost()
-        ) + self.cost_model.project_rows(total_rows)
         plan = PlanNode(
             OpKind.CONCAT,
             tuple(branch_nodes),
-            concat_props,
-            concat_cost,
+            StreamProperties(schema=common_schema, cardinality=total_rows),
+            sum((node.cost for node in branch_nodes), Cost())
+            + self.cost_model.project_rows(total_rows),
             {},
         )
-
-        context = OrderContext.empty()
-        if not union.all_rows:
-            output_rows = max(1.0, total_rows * 0.5)
-            general = GeneralOrderSpec.from_distinct(common_columns)
-            target = None
-            if self.config.effective("enable_cover") and not union.output_order.is_empty():
-                target = general.aligned_with(union.output_order, context)
-            if target is None:
-                target = general.concrete(context, hint=union.output_order or None)
-            if not self.config.effective("enable_general_orders"):
-                target = OrderSpec.of(*common_columns)
-            candidates = []
-            if not target.is_empty():
-                sort_cost = self.cost_model.sort(
-                    total_rows, len(target), max(1.0, total_rows / 64.0)
-                )
-                sorted_node = PlanNode(
-                    OpKind.SORT,
-                    (plan,),
-                    concat_props.with_order(target),
-                    plan.cost + sort_cost,
-                    {"order": target, "reason": "union distinct"},
-                )
-                dedup_props = StreamProperties(
-                    schema=common_schema,
-                    order=target,
-                    key_property=KeyProperty([common_columns]),
-                    cardinality=output_rows,
-                )
-                candidates.append(
-                    PlanNode(
-                        OpKind.DISTINCT_SORTED,
-                        (sorted_node,),
-                        dedup_props,
-                        sorted_node.cost
-                        + self.cost_model.group_by_sorted(
-                            total_rows, output_rows
-                        ),
-                        {},
-                    )
-                )
-            if self.config.enable_hash_group_by or not candidates:
-                hash_props = StreamProperties(
-                    schema=common_schema,
-                    key_property=KeyProperty([common_columns]),
-                    cardinality=output_rows,
-                )
-                candidates.append(
-                    PlanNode(
-                        OpKind.DISTINCT_HASH,
-                        (plan,),
-                        hash_props,
-                        plan.cost
-                        + self.cost_model.group_by_hash(
-                            total_rows,
-                            output_rows,
-                            max(1.0, output_rows / 64.0),
-                        ),
-                        {},
-                    )
-                )
-
-            def with_order_by(candidate):
-                if union.output_order.is_empty():
-                    return candidate
-                ctx = candidate.properties.context()
-                if order_satisfies(
-                    self.config, union.output_order, candidate.order, ctx
-                ):
-                    return candidate
-                sort_target = sort_columns_for(
-                    self.config, union.output_order, ctx
-                )
-                if sort_target.is_empty():
-                    return candidate
-                rows = candidate.properties.cardinality
-                return PlanNode(
-                    OpKind.SORT,
-                    (candidate,),
-                    candidate.properties.with_order(sort_target),
-                    candidate.cost
-                    + self.cost_model.sort(
-                        rows, len(sort_target), max(1.0, rows / 64.0)
-                    ),
-                    {"order": sort_target, "reason": "order by"},
-                )
-
-            candidates = [with_order_by(c) for c in candidates]
-            plan = min(candidates, key=lambda node: node.cost.total_ms)
-        elif not union.output_order.is_empty():
-            rows = plan.properties.cardinality
-            plan = PlanNode(
-                OpKind.SORT,
-                (plan,),
-                plan.properties.with_order(union.output_order),
-                plan.cost
-                + self.cost_model.sort(
-                    rows, len(union.output_order), max(1.0, rows / 64.0)
-                ),
-                {"order": union.output_order, "reason": "order by"},
-            )
-
-        if union.fetch_first is not None:
-            rows = min(float(union.fetch_first), plan.properties.cardinality)
-            plan = PlanNode(
-                OpKind.LIMIT,
-                (plan,),
-                plan.properties.with_cardinality(rows),
-                plan.cost + self.cost_model.project_rows(rows),
-                {"count": union.fetch_first},
-            )
         return Plan(root=plan, output_names=names)
+
+
+# Alias of the derived UNION ALL that :func:`_union_block` ranges over.
+_UNION_ALIAS = "union"
+
+
+def _union_block(box: Box) -> Box:
+    """A union that needs more than concatenation, as a block.
+
+    Duplicate removal, an ORDER BY or a FETCH FIRST turn
+    ``<branches> UNION [ALL] ... ORDER BY ... FETCH FIRST n`` into
+    ``SELECT [DISTINCT] <outputs> FROM (<branches> UNION ALL) AS union
+    ORDER BY ... FETCH FIRST n``, so finalize plans the dedupe, the sort
+    and the Top-N exactly as for any other block: the dedupe sort is
+    aligned with the ORDER BY (one sort serves both — the Rdb trick the
+    paper cites in §2), and every sort goes through ``make_sort``. Any
+    other box, a bare UNION ALL included, comes back unchanged.
+
+    Planning-time only: ``qgm.rewrite`` keeps the union as parsed, so
+    ``verify.reference`` still evaluates it independently.
+    """
+    if not isinstance(box, UnionBox) or (
+        box.all_rows
+        and box.output_order.is_empty()
+        and box.fetch_first is None
+    ):
+        return box
+    exposed = {
+        item.output: ColumnRef(_UNION_ALIAS, item.name)
+        for item in box.output_items()
+    }
+    union_all = UnionBox(box.branches, all_rows=True)
+    block = SelectBox(
+        [BoxQuantifier(_UNION_ALIAS, union_all)],
+        [SelectItem(column, column.name) for column in exposed.values()],
+        distinct=not box.all_rows,
+    )
+    block.output_order = OrderSpec(
+        key.with_column(exposed[key.column]) for key in box.output_order
+    )
+    block.fetch_first = box.fetch_first
+    return block

@@ -20,6 +20,9 @@ from repro.core.reduce import reduce_order
 from repro.expr.nodes import ColumnRef
 from repro.optimizer.planner import PlannerContext
 
+# Interesting orders a block keeps as sort-ahead candidates.
+MAX_SORT_AHEAD_ORDERS = 4
+
 
 def run_order_scan(planner: PlannerContext) -> List[OrderSpec]:
     """Interesting (sort-ahead) orders for the block's join box."""
@@ -89,4 +92,4 @@ def run_order_scan(planner: PlannerContext) -> List[OrderSpec]:
         if pair is not None:
             push(OrderSpec.of(pair[0]))
 
-    return candidates[: planner.config.max_sort_ahead_orders]
+    return candidates[:MAX_SORT_AHEAD_ORDERS]

@@ -151,9 +151,12 @@ class UnionBox(Box):
     """UNION / UNION ALL over two or more branch boxes.
 
     Branches must agree in arity; output item names come from the first
-    branch. ``all`` keeps duplicates; plain UNION deduplicates — an
-    order-based DISTINCT whose sort the optimizer covers with the
-    union's ORDER BY when possible.
+    branch. ``all_rows`` keeps duplicates; plain UNION deduplicates.
+    ``output_order`` / ``fetch_first`` hold the trailing ORDER BY /
+    FETCH FIRST, which govern the whole union. The optimizer plans a
+    union needing dedupe, order or a row limit as a SELECT [DISTINCT]
+    block over the UNION ALL of the same branches, so its DISTINCT,
+    sort and Top-N are the ones every block gets.
     """
 
     def __init__(self, branches: Sequence[Box], all_rows: bool = False):

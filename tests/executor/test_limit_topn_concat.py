@@ -1,4 +1,5 @@
-"""LimitOp, TopNSortOp, and ConcatOp at the operator level."""
+"""LimitOp, Top-N sorting (``SortOp`` under a limit), and ConcatOp at
+the operator level."""
 
 import random
 
@@ -9,7 +10,7 @@ from repro.core import OrderSpec
 from repro.core.ordering import desc
 from repro.errors import ExecutionError
 from repro.executor import ExecutionContext, SortOp, TableScanOp
-from repro.executor.operators import ConcatOp, LimitOp, TopNSortOp
+from repro.executor.operators import ConcatOp, LimitOp
 from repro.expr import RowSchema, col
 from repro.sqltypes import INTEGER
 
@@ -63,27 +64,27 @@ class TestLimit:
 class TestTopN:
     def test_matches_sort_then_limit(self, db):
         order = OrderSpec((desc(TB),))
-        top = run(TopNSortOp(scan(db), order, 7), db)
+        top = run(SortOp(scan(db), order, limit=7), db)
         full = run(SortOp(scan(db), order), db)
         assert [row[1] for row in top] == [row[1] for row in full[:7]]
 
     def test_count_larger_than_input(self, db):
-        top = run(TopNSortOp(scan(db), OrderSpec.of(TA), 10_000), db)
+        top = run(SortOp(scan(db), OrderSpec.of(TA), limit=10_000), db)
         assert len(top) == 500
         values = [row[0] for row in top]
         assert values == sorted(values)
 
     def test_stable_for_ties(self, db):
         db.store("t").load([(i, 1) for i in range(20)])
-        top = run(TopNSortOp(scan(db), OrderSpec.of(TB), 5), db)
+        top = run(SortOp(scan(db), OrderSpec.of(TB), limit=5), db)
         # All ties on b: the first five input rows win, in input order.
         assert [row[0] for row in top] == [0, 1, 2, 3, 4]
 
     def test_guards(self, db):
         with pytest.raises(ExecutionError):
-            TopNSortOp(scan(db), OrderSpec(), 5)
+            SortOp(scan(db), OrderSpec(), limit=5)
         with pytest.raises(ExecutionError):
-            TopNSortOp(scan(db), OrderSpec.of(TA), 0)
+            SortOp(scan(db), OrderSpec.of(TA), limit=0)
 
 
 class TestConcat:

@@ -4,7 +4,7 @@ import pytest
 
 from repro import Column, Database, Index, TableSchema
 from repro.core import OrderSpec
-from repro.core.ordering import desc
+from repro.core.ordering import asc, desc
 from repro.errors import ExecutionError, QueryCancelled
 from repro.executor import (
     MODE_INTERPRETED,
@@ -12,15 +12,15 @@ from repro.executor import (
     ExecutionContext,
     FilterOp,
     IndexScanOp,
-    PartialSortOp,
     ProjectOp,
     SortOp,
     TableScanOp,
 )
 from repro.executor.context import CancelToken
-from repro.executor.operators import MaterializeOp
+from repro.executor.operators import MaterializeOp, sort_keys
 from repro.expr import Arithmetic, Comparison, ComparisonOp, RowSchema, col, lit
 from repro.expr.nodes import ArithmeticOp
+from repro.expr.vector import ColumnBlock, RowBlock
 from repro.sqltypes import INTEGER
 
 TA, TB = col("t", "a"), col("t", "b")
@@ -171,6 +171,25 @@ class TestSort:
         assert context.rows_sorted == 50
 
 
+class TestSortKeys:
+    def test_sort_keys_are_per_value_sort_keys(self):
+        from repro.sqltypes import sort_key as key_of
+
+        rows = [(3, None), (1, 5), (None, 2), (2, 2)]
+        plan = [(0, False), (1, True)]
+        expected = [
+            (key_of(row[0], False), key_of(row[1], True)) for row in rows
+        ]
+        keys, gathered = sort_keys(RowBlock(rows), plan)
+        assert keys == expected
+        assert gathered == [[3, 1, None, 2], [None, 5, 2, 2]]
+        # Only the live selection is keyed, in selection order.
+        selected = ColumnBlock([list(c) for c in zip(*rows)], 4, [1, 3])
+        assert sort_keys(selected, plan)[0] == [expected[1], expected[3]]
+        # No key columns: one empty marker per live row.
+        assert sort_keys(selected, [])[0] == [(), ()]
+
+
 class TestSortMergeBoundaries:
     """External-merge edge cases around the ``memory_rows`` threshold.
 
@@ -267,7 +286,7 @@ class TestPartialSort:
         full = SortOp(grouped_scan(), UORDER).execute(
             ExecutionContext(grouped_db)
         )
-        partial = PartialSortOp(grouped_scan(), UORDER, 1).execute(
+        partial = SortOp(grouped_scan(), UORDER, 1).execute(
             ExecutionContext(grouped_db)
         )
         # Groups stream in prefix order; stable suffix sort within each
@@ -277,10 +296,10 @@ class TestPartialSort:
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_engines_byte_identical(self, grouped_db, mode):
-        reference = PartialSortOp(grouped_scan(), UORDER, 1).execute(
+        reference = SortOp(grouped_scan(), UORDER, 1).execute(
             ExecutionContext(grouped_db, mode=MODE_INTERPRETED)
         )
-        rows = PartialSortOp(grouped_scan(), UORDER, 1).execute(
+        rows = SortOp(grouped_scan(), UORDER, 1).execute(
             ExecutionContext(grouped_db, mode=mode, batch_size=7)
         )
         assert rows == reference
@@ -290,7 +309,7 @@ class TestPartialSort:
         # whole input: with batch_size 5 (== group size) the first pull
         # must not have consumed all 50 input rows.
         context = ExecutionContext(grouped_db, batch_size=5)
-        op = PartialSortOp(grouped_scan(), UORDER, 1)
+        op = SortOp(grouped_scan(), UORDER, 1)
         batches = op.batches(context)
         first = next(batches)
         assert len(first) == 5
@@ -306,7 +325,7 @@ class TestPartialSort:
         sorts_before = COUNTERS.get("exec.partial_sorts", 0)
         rows_before = COUNTERS.get("exec.rows_partial_sorted", 0)
         context = ExecutionContext(grouped_db)
-        op = PartialSortOp(grouped_scan(), UORDER, 1)
+        op = SortOp(grouped_scan(), UORDER, 1)
         op.execute(context)
         metrics = context.metrics[op]
         assert metrics.groups == 10
@@ -322,7 +341,7 @@ class TestPartialSort:
         # Groups of 5 with sort memory 3: every group spills, and the
         # merged output still matches the full sort.
         context = ExecutionContext(grouped_db, sort_memory_rows=3)
-        op = PartialSortOp(grouped_scan(), UORDER, 1)
+        op = SortOp(grouped_scan(), UORDER, 1)
         rows = op.execute(context)
         full = SortOp(grouped_scan(), UORDER).execute(
             ExecutionContext(grouped_db)
@@ -343,7 +362,7 @@ class TestPartialSort:
         context = ExecutionContext(
             grouped_db, cancel_token=CountingToken(), batch_size=1024
         )
-        PartialSortOp(grouped_scan(), UORDER, 1).execute(context)
+        SortOp(grouped_scan(), UORDER, 1).execute(context)
         # One pull spans all 10 groups (batch_size > input), so the
         # wrapper checkpoints alone would poll only a handful of times;
         # the per-group-boundary polls push the count past group count.
@@ -365,13 +384,13 @@ class TestPartialSort:
             grouped_db, cancel_token=TrippingToken(6), batch_size=1024
         )
         with pytest.raises(QueryCancelled):
-            PartialSortOp(grouped_scan(), UORDER, 1).execute(context)
+            SortOp(grouped_scan(), UORDER, 1).execute(context)
 
     def test_limit_truncates_each_group(self, grouped_db):
-        limited = PartialSortOp(grouped_scan(), UORDER, 1, limit=2).execute(
+        limited = SortOp(grouped_scan(), UORDER, 1, limit=2).execute(
             ExecutionContext(grouped_db)
         )
-        full = PartialSortOp(grouped_scan(), UORDER, 1).execute(
+        full = SortOp(grouped_scan(), UORDER, 1).execute(
             ExecutionContext(grouped_db)
         )
         expected = []
@@ -385,13 +404,116 @@ class TestPartialSort:
     def test_validation(self, grouped_db):
         scan = grouped_scan()
         with pytest.raises(ExecutionError):
-            PartialSortOp(scan, OrderSpec(), 0)
+            SortOp(scan, OrderSpec(), 0)
         with pytest.raises(ExecutionError):
-            PartialSortOp(scan, UORDER, 0)
+            SortOp(scan, UORDER, -1)
         with pytest.raises(ExecutionError):
-            PartialSortOp(scan, UORDER, 2)  # whole order: nothing to sort
+            SortOp(scan, UORDER, 2)  # whole order: nothing to sort
         with pytest.raises(ExecutionError):
-            PartialSortOp(scan, UORDER, 1, limit=0)
+            SortOp(scan, UORDER, 1, limit=0)
+        # An empty prefix is the full sort.
+        assert SortOp(scan, UORDER, 0).label() == f"sort {UORDER}"
+
+    def test_limited_groups_never_spill(self, grouped_db):
+        # Groups of 5 with sort memory 3: under a limit each group keeps
+        # a bounded buffer, so nothing spills and each group still
+        # yields its first rows of the full stable sort.
+        context = ExecutionContext(grouped_db, sort_memory_rows=3)
+        op = SortOp(grouped_scan(), UORDER, 1, limit=4)
+        rows = op.execute(context)
+        full = SortOp(grouped_scan(), UORDER).execute(
+            ExecutionContext(grouped_db)
+        )
+        expected = []
+        for start in range(0, 50, 5):
+            expected.extend(full[start : start + 4])
+        assert rows == expected
+        assert context.spill_pages == 0
+        assert context.metrics[op].spill_pages == 0
+        assert context.metrics[op].groups == 10
+
+
+def _sorted_reference(rows, order_plan, prefix_length, limit):
+    """``sorted(rows, key=full key)``, truncated to ``limit`` rows per
+    prefix group — what every SortOp configuration must return."""
+    from repro.sqltypes import sort_key
+
+    def key(row):
+        return tuple(
+            sort_key(row[position], descending)
+            for position, descending in order_plan
+        )
+
+    ordered = sorted(rows, key=key)
+    if limit is None:
+        return ordered
+    kept, counts = [], {}
+    for row in ordered:
+        prefix = key(row)[:prefix_length]
+        if counts.get(prefix, 0) < limit:
+            counts[prefix] = counts.get(prefix, 0) + 1
+            kept.append(row)
+    return kept
+
+
+@pytest.fixture(scope="module")
+def nullable_db():
+    """Groups of uneven size on ``g`` (NULLs included), with NULLs and
+    ties in the DESC suffix column ``x``."""
+    import random
+
+    rng = random.Random(25)
+    rows = []
+    for i in range(300):
+        g = rng.choice([None, 0, 1, 2, 3, 4, 5, 6])
+        x = rng.choice([None, 1, 2, 3, 4])
+        rows.append((i, g, x))
+    database = Database()
+    database.create_table(
+        TableSchema(
+            "u",
+            [
+                Column("id", INTEGER, nullable=False),
+                Column("g", INTEGER),
+                Column("x", INTEGER),
+            ],
+            primary_key=("id",),
+        ),
+        rows=rows,
+    )
+    database.create_index(Index.on("u_g", "u", ["g"]))
+    return database
+
+
+class TestSortConfigurations:
+    """Every SortOp configuration equals the reference full stable sort
+    (per-group truncated under a limit): prefix {0, 1} x limit
+    {None, 3} x engine x batch size, over NULLs and a DESC key."""
+
+    ORDER = OrderSpec((asc(UG), desc(UX)))
+    PLAN = [(1, False), (2, True)]
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 4096])
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("limit", [None, 3])
+    @pytest.mark.parametrize("prefix_length", [0, 1])
+    def test_equals_reference(
+        self, nullable_db, prefix_length, limit, mode, batch_size
+    ):
+        context = ExecutionContext(
+            nullable_db, mode=mode, batch_size=batch_size, sort_memory_rows=40
+        )
+        rows = SortOp(
+            grouped_scan(), self.ORDER, prefix_length, limit=limit
+        ).execute(context)
+        # The index scan delivers g-order with ties in id order, so the
+        # reference sees the same arrival order the operator does.
+        arrival = grouped_scan().execute(ExecutionContext(nullable_db))
+        assert rows == _sorted_reference(
+            arrival, self.PLAN, prefix_length, limit
+        )
+        if limit is not None:
+            assert context.spill_pages == 0
 
 
 class TestMaterialize:

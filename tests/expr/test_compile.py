@@ -30,7 +30,6 @@ from repro.expr.compile import (
     clear_compile_cache,
     compile_expression,
     compile_predicate,
-    ordered_key_kernel,
     predicate_kernel,
     reset_stats,
     stats,
@@ -185,17 +184,6 @@ class TestKernelsAndCaching:
             Comparison(ComparisonOp.EQ, Y, lit(0)), SCHEMA
         )
         assert kernel(rows) == [row for row in rows if row[1] == 0]
-
-    def test_ordered_key_kernel_sorts_like_sort_key(self):
-        from repro.sqltypes import sort_key as key_of
-
-        rows = [(3, None), (1, 5), (None, 2), (2, 2)]
-        kernel = ordered_key_kernel([(0, False), (1, True)])
-        expected = [
-            (key_of(row[0], False), key_of(row[1], True)) for row in rows
-        ]
-        assert kernel(rows) == expected
-        assert sorted(kernel(rows)) == sorted(expected)
 
     def test_memoization(self):
         clear_compile_cache()

@@ -13,10 +13,13 @@ from repro import (
     run_query,
 )
 from repro.errors import ParseError, QgmError
+from repro.executor import MODE_INTERPRETED, MODE_VECTOR
 from repro.optimizer.plan import OpKind
 from repro.parser import parse_query
 from repro.sqltypes import INTEGER
 from repro.sqltypes.values import sort_key
+from repro.verify.oracle import normalized, tier1_matrix
+from repro.verify.reference import reference_query
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +121,73 @@ class TestUnionDistinct:
         assert result.plan.sort_count() == 1
         values = [row[0] for row in result.rows]
         assert values == sorted(values)
+
+
+class TestUnionThroughFinalize:
+    """A union with dedupe, ORDER BY or FETCH FIRST is planned as a block
+    over its UNION ALL, so it gets the same enforcers as any block."""
+
+    def test_fetch_first_plans_a_top_n_sort(self, db):
+        sql = (
+            "select x, y from a union all select x, z from b "
+            "order by x fetch first 3 rows only"
+        )
+        result = run_query(db, sql)
+        assert result.plan.find_all(OpKind.TOPN)
+        assert not result.plan.find_all(OpKind.SORT)
+        assert result.rows == reference_query(db, sql)
+
+    def test_dedupe_sort_covering_order_by_is_the_only_sort(self, db):
+        config = OptimizerConfig(
+            enable_hash_join=False, enable_hash_group_by=False
+        )
+        sql = "select x, y from a union select x, z from b order by 2"
+        result = run_query(db, sql, config=config)
+        assert result.plan.find_all(OpKind.DISTINCT_SORTED)
+        sorts = [
+            node
+            for kind in (OpKind.SORT, OpKind.PARTIAL_SORT, OpKind.TOPN)
+            for node in result.plan.find_all(kind)
+        ]
+        assert len(sorts) == 1
+        keys = [sort_key(row[1]) for row in result.rows]
+        assert keys == sorted(keys)
+
+    def test_union_in_from_keeps_distinct_semantics(self, db):
+        result = run_query(
+            db,
+            "select u.x from (select x from a union select x from b) u",
+        )
+        expected = {(row[0],) for row in rows_of(db, "a") + rows_of(db, "b")}
+        assert sorted(result.rows) == sorted(expected)
+        assert result.plan.find_all(OpKind.CONCAT)
+
+
+MATRIX_STATEMENTS = (
+    "select x, y from a union all select x, z from b "
+    "order by 1, 2 fetch first 7 rows only",
+    "select x, y from a union select x, z from b order by 2 desc, 1",
+    "select y from a union select z from b order by 1 fetch first 3 rows only",
+    "select x from a union select x from b",
+    "select u.x, u.y from (select x, y from a union select x, z from b) u "
+    "where u.y > 2 order by u.x, u.y",
+    "select u.y, count(*) as n from (select y from a union all select z "
+    "from b) u group by u.y order by u.y",
+)
+
+
+@pytest.mark.parametrize("mode", [MODE_VECTOR, MODE_INTERPRETED])
+@pytest.mark.parametrize("config_name", sorted(tier1_matrix()))
+@pytest.mark.parametrize("index", range(len(MATRIX_STATEMENTS)))
+def test_rows_equal_reference(db, index, config_name, mode):
+    sql = MATRIX_STATEMENTS[index]
+    result = run_query(db, sql, config=tier1_matrix()[config_name], mode=mode)
+    expected = reference_query(db, sql)
+    if "order by" in sql:
+        # Every ORDER BY here is total on the output rows.
+        assert result.rows == expected
+    else:
+        assert normalized(result.rows) == normalized(expected)
 
 
 class TestUnionErrors:

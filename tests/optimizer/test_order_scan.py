@@ -101,13 +101,11 @@ class TestOrderScan:
         for order in orders:
             assert order.head().column.qualifier  # base column, not agg
 
-    def test_max_orders_respected(self, db):
-        config = OptimizerConfig(max_sort_ahead_orders=1)
-        orders, _ = scan_for(
-            db,
-            "select distinct y, x from a order by x",
-            config=config,
-        )
+    def test_max_orders_respected(self, db, monkeypatch):
+        from repro.optimizer import order_scan
+
+        monkeypatch.setattr(order_scan, "MAX_SORT_AHEAD_ORDERS", 1)
+        orders, _ = scan_for(db, "select distinct y, x from a order by x")
         assert len(orders) <= 1
 
     def test_distinct_contributes_orders(self, db):
