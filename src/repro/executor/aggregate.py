@@ -1,18 +1,28 @@
 """Aggregation and duplicate elimination operators.
 
-Group markers are ascending sort keys of the grouping columns, built in
-both engines by the executor's one key builder,
-:func:`repro.executor.operators.sort_keys`. Group-by has two bodies
-behind one ``_blocks``: in ``vector`` mode markers and aggregate
-arguments are gathered column-wise off the child's blocks and folded a
-run at a time; in ``interpreted`` mode the row-at-a-time reference body
-feeds each aggregate through a counted interpreter thunk. Output rows
-are few, so both lift them into ``RowBlock``s. DISTINCT is row-native:
-its markers cover every column of each row batch.
+Grouping needs equality, not order, so group and DISTINCT markers are
+the grouping columns' ``group_key`` values — equal exactly when their
+``sort_key``s are — built in both engines by
+:func:`repro.executor.operators.group_markers`; a column of plain values
+is its own marker column. Group-by has two bodies behind one
+``_blocks``: in ``vector`` mode markers and aggregate arguments are
+gathered column-wise off the child's blocks and folded a run at a time
+(``_Accumulator.add_run``, which reads each run's type census); in
+``interpreted`` mode the row-at-a-time reference body feeds each
+aggregate through a counted interpreter thunk. An aggregate without
+GROUP BY columns builds no markers: every row folds into its one
+accumulator set, and it yields one row even over empty input. Output
+rows are few, so every body lifts them into ``RowBlock``s. DISTINCT is
+row-native: its markers cover every column of each row batch.
 """
 
 from __future__ import annotations
 
+import datetime
+import decimal
+import functools
+import itertools
+import operator
 from typing import (
     Any,
     Callable,
@@ -27,18 +37,25 @@ from typing import (
 
 from repro.executor.context import ExecutionContext
 from repro.executor.operators import (
+    _NO_GROUP,
     Batch,
     PhysicalOperator,
     Row,
     count_interpreted,
+    group_markers,
     row_blocks,
-    sort_keys,
 )
 from repro.expr.evaluate import evaluate
 from repro.expr.nodes import Aggregate, AggregateKind, ColumnRef
 from repro.expr.schema import RowSchema
 from repro.expr.vector import RowBlock, VectorBatch, vector_value_kernel
-from repro.sqltypes import NULL, is_null, sort_key
+from repro.sqltypes import NULL, SqlNull, is_null, sort_key
+
+# Runs of one of these exact types take plain ``min`` / ``max``: their
+# sort keys are ``(band, value)`` (dates: the ordinal), which order and
+# tie exactly as the values do.
+_PLAIN_EXTREMES = frozenset({int, str, decimal.Decimal, datetime.date})
+_NULL_TYPES = frozenset({type(None), SqlNull})
 
 
 class _Accumulator:
@@ -82,43 +99,49 @@ class _Accumulator:
         """Fold a run of argument values in one call.
 
         Semantically identical to calling :meth:`add` per value (same
-        left-to-right fold, same NULL and tie handling); the vector
-        sorted group-by feeds whole group runs through here so the
-        per-value work happens in comprehensions instead of per-call
-        accumulator dispatch.
+        left-to-right fold, same NULL and tie handling), with the
+        per-value work in C: NULLs are found by the run's type census
+        (never ``NULL in values`` — ``Decimal.__eq__`` against a
+        non-number runs an ABC ``isinstance`` per element), SUM / AVG
+        are ``functools.reduce(operator.add, ...)`` — the exact left
+        fold; ``sum()`` may compensate float sums — and MIN / MAX of a
+        one-type run are plain ``min`` / ``max``.
         """
         if self.distinct:
             for value in values:
                 self.add(value)
             return
-        live = [
-            value
-            for value in values
-            if value is not None and value is not NULL
-        ]
-        if not live:
+        kinds = set(map(type, values))
+        if not kinds.isdisjoint(_NULL_TYPES):
+            values = [
+                value
+                for value in values
+                if value is not None and value is not NULL
+            ]
+            kinds -= _NULL_TYPES
+        if not values:
             return
-        self.count += len(live)
+        self.count += len(values)
         kind = self.kind
         if kind in (AggregateKind.SUM, AggregateKind.AVG):
             # Keep the exact per-value fold order (float addition is
             # not associative; engines must stay byte-identical).
             total = self.total
-            start = 0
             if total is None:
-                total = live[0]
-                start = 1
-            for value in live[start:]:
-                total = total + value
-            self.total = total
-        elif kind is AggregateKind.MIN:
-            candidate = min(live, key=sort_key)
+                total, values = values[0], itertools.islice(values, 1, None)
+            self.total = functools.reduce(operator.add, values, total)
+            return
+        if kind is AggregateKind.COUNT:
+            return
+        plain = len(kinds) == 1 and kinds <= _PLAIN_EXTREMES
+        if kind is AggregateKind.MIN:
+            candidate = min(values) if plain else min(values, key=sort_key)
             if self.extreme is None or sort_key(candidate) < sort_key(
                 self.extreme
             ):
                 self.extreme = candidate
-        elif kind is AggregateKind.MAX:
-            candidate = max(live, key=sort_key)
+        else:
+            candidate = max(values) if plain else max(values, key=sort_key)
             if self.extreme is None or sort_key(candidate) > sort_key(
                 self.extreme
             ):
@@ -162,21 +185,38 @@ class _GroupByBase(PhysicalOperator):
         self._group_positions = [
             child.schema.position(column) for column in group_columns
         ]
-        # Group markers are ascending sort keys of the group columns.
-        self._marker_plan = [
-            (position, False) for position in self._group_positions
-        ]
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
     def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
-        grouped = (
-            self._grouped_vector(context)
-            if context.vectorized
-            else self._grouped(context)
-        )
+        if not self.group_columns:
+            grouped = self._scalar(context)
+        elif context.vectorized:
+            grouped = self._grouped_vector(context)
+        else:
+            grouped = self._grouped(context)
         return row_blocks(grouped, context.batch_size)
+
+    def _scalar(self, context: ExecutionContext) -> Iterator[Row]:
+        """No GROUP BY columns: no markers; every input row folds into
+        the one accumulator set (whole value lists at a time in
+        ``vector`` mode), and one row comes out even over empty input."""
+        accumulators = self._new_accumulators()
+        if context.vectorized:
+            for block, value_lists in self._vector_inputs(context):
+                for accumulator, values in zip(accumulators, value_lists):
+                    if values is None:
+                        accumulator.add_count(block.count)
+                    else:
+                        accumulator.add_run(values)
+        else:
+            evaluators = self._argument_evaluators()
+            for batch in self.child.batches(context):
+                for row in batch:
+                    for accumulator, evaluator in zip(accumulators, evaluators):
+                        accumulator.add(evaluator(row))
+        yield self._output_row((), accumulators)
 
     def _new_accumulators(self) -> List[_Accumulator]:
         return [
@@ -213,14 +253,15 @@ class _GroupByBase(PhysicalOperator):
 
     def _vector_inputs(
         self, context: ExecutionContext
-    ) -> Iterator[Tuple[List[Tuple[Any, ...]], List[List[Any]], List[Optional[List[Any]]]]]:
-        """Columnar group-by input: per child block, yields selection-
-        aligned ``(markers, raw_group_columns, argument_value_lists)``.
+    ) -> Iterator[Tuple[VectorBatch, List[Optional[Sequence[Any]]]]]:
+        """Columnar group-by input: per non-empty child block, yields
+        ``(block, argument_value_lists)``, the lists aligned with the
+        block's live selection (the order ``group_markers`` sees).
 
-        Group markers and aggregate arguments come straight off the
-        block's columns — a join feeding a group-by never builds its
-        wide concatenated tuples at all (COUNT(*) has a ``None`` value
-        list; the accumulator loop substitutes the sentinel).
+        Aggregate arguments come straight off the block's columns — a
+        join feeding a group-by never builds its wide concatenated
+        tuples at all (COUNT(*) has a ``None`` value list; the
+        accumulator loop substitutes the sentinel).
         """
         child_schema = self.child.schema
         kernels = [
@@ -235,12 +276,10 @@ class _GroupByBase(PhysicalOperator):
                 sel = list(sel)
             if not sel:
                 continue
-            markers, raw_cols = sort_keys(block, self._marker_plan)
-            value_lists = [
+            yield block, [
                 None if kernel is None else kernel(block, sel)
                 for kernel in kernels
             ]
-            yield markers, raw_cols, value_lists
 
 
 class SortedGroupByOp(_GroupByBase):
@@ -251,14 +290,14 @@ class SortedGroupByOp(_GroupByBase):
     def _grouped(self, context: ExecutionContext) -> Iterator[Row]:
         evaluators = self._argument_evaluators()
         positions = tuple(self._group_positions)
-        current_group: Optional[Tuple[Any, ...]] = None
-        current_raw: Optional[Tuple[Any, ...]] = None
+        current_group: Any = _NO_GROUP
+        current_raw: Tuple[Any, ...] = ()
         accumulators: List[_Accumulator] = []
         for batch in self.child.batches(context):
-            markers, _ = sort_keys(RowBlock(batch), self._marker_plan)
+            markers, _ = group_markers(RowBlock(batch), positions)
             for marker, row in zip(markers, batch):
-                if current_group is None or marker != current_group:
-                    if current_group is not None:
+                if current_group is _NO_GROUP or marker != current_group:
+                    if current_group is not _NO_GROUP:
                         yield self._output_row(current_raw, accumulators)
                     current_group = marker
                     current_raw = tuple(
@@ -267,7 +306,7 @@ class SortedGroupByOp(_GroupByBase):
                     accumulators = self._new_accumulators()
                 for accumulator, evaluator in zip(accumulators, evaluators):
                     accumulator.add(evaluator(row))
-        if current_group is not None:
+        if current_group is not _NO_GROUP:
             yield self._output_row(current_raw, accumulators)
 
     def _grouped_vector(self, context: ExecutionContext) -> Iterator[Row]:
@@ -275,10 +314,11 @@ class SortedGroupByOp(_GroupByBase):
         # boundaries, then each aggregate folds the whole run at once —
         # the columnar win for sorted aggregation is run-at-a-time
         # accumulation, not per-row accumulator dispatch.
-        current_group: Optional[Tuple[Any, ...]] = None
-        current_raw: Optional[Tuple[Any, ...]] = None
+        current_group: Any = _NO_GROUP
+        current_raw: Tuple[Any, ...] = ()
         accumulators: List[_Accumulator] = []
-        for markers, raw_cols, value_lists in self._vector_inputs(context):
+        for block, value_lists in self._vector_inputs(context):
+            markers, raw_cols = group_markers(block, self._group_positions)
             n = len(markers)
             start = 0
             while start < n:
@@ -286,8 +326,8 @@ class SortedGroupByOp(_GroupByBase):
                 end = start + 1
                 while end < n and markers[end] == marker:
                     end += 1
-                if current_group is None or marker != current_group:
-                    if current_group is not None:
+                if current_group is _NO_GROUP or marker != current_group:
+                    if current_group is not _NO_GROUP:
                         yield self._output_row(current_raw, accumulators)
                     current_group = marker
                     current_raw = tuple(col[start] for col in raw_cols)
@@ -298,7 +338,7 @@ class SortedGroupByOp(_GroupByBase):
                     else:
                         accumulator.add_run(values[start:end])
                 start = end
-        if current_group is not None:
+        if current_group is not _NO_GROUP:
             yield self._output_row(current_raw, accumulators)
 
     def label(self) -> str:
@@ -312,9 +352,7 @@ class HashGroupByOp(_GroupByBase):
     def _grouped(self, context: ExecutionContext) -> Iterator[Row]:
         evaluators = self._argument_evaluators()
         positions = tuple(self._group_positions)
-        groups: Dict[
-            Tuple[Any, ...], Tuple[Tuple[Any, ...], List[_Accumulator]]
-        ] = {}
+        groups: Dict[Any, Tuple[Tuple[Any, ...], List[_Accumulator]]] = {}
         get = groups.get
         count = 0
         token = context.cancel_token
@@ -323,7 +361,7 @@ class HashGroupByOp(_GroupByBase):
             # first output batch, so checkpoint per input batch.
             if token is not None:
                 token.check()
-            markers, _ = sort_keys(RowBlock(batch), self._marker_plan)
+            markers, _ = group_markers(RowBlock(batch), positions)
             count += len(batch)
             for marker, row in zip(markers, batch):
                 entry = get(marker)
@@ -336,10 +374,6 @@ class HashGroupByOp(_GroupByBase):
         context.rows_hashed += count
         if len(groups) > context.sort_memory_rows:
             context.charge_spill(len(groups))
-        if not groups and not self.group_columns:
-            # Scalar aggregate over empty input still yields one row.
-            yield self._output_row((), self._new_accumulators())
-            return
         for raw, accumulators in groups.values():
             yield self._output_row(raw, accumulators)
 
@@ -349,15 +383,14 @@ class HashGroupByOp(_GroupByBase):
         # Rows are bucketed by marker within each block so aggregates
         # fold whole buckets (one dict probe and one append per row
         # instead of per-aggregate accumulator dispatch).
-        groups: Dict[
-            Tuple[Any, ...], Tuple[Tuple[Any, ...], List[_Accumulator]]
-        ] = {}
+        groups: Dict[Any, Tuple[Tuple[Any, ...], List[_Accumulator]]] = {}
         get = groups.get
         count = 0
-        for markers, raw_cols, value_lists in self._vector_inputs(context):
+        for block, value_lists in self._vector_inputs(context):
+            markers, raw_cols = group_markers(block, self._group_positions)
             n = len(markers)
             count += n
-            buckets: Dict[Tuple[Any, ...], List[int]] = {}
+            buckets: Dict[Any, List[int]] = {}
             bucket_get = buckets.get
             for j, marker in enumerate(markers):
                 positions = bucket_get(marker)
@@ -397,20 +430,12 @@ class HashGroupByOp(_GroupByBase):
         context.rows_hashed += count
         if len(groups) > context.sort_memory_rows:
             context.charge_spill(len(groups))
-        if not groups and not self.group_columns:
-            yield self._output_row((), self._new_accumulators())
-            return
         for raw, accumulators in groups.values():
             yield self._output_row(raw, accumulators)
 
     def label(self) -> str:
         inner = ", ".join(str(column) for column in self.group_columns)
         return f"group by (hash) [{inner}]"
-
-
-def _whole_row_plan(schema: RowSchema) -> List[Tuple[int, bool]]:
-    """DISTINCT markers: ascending sort keys of every column."""
-    return [(position, False) for position in range(len(schema))]
 
 
 class SortedDistinctOp(PhysicalOperator):
@@ -424,13 +449,13 @@ class SortedDistinctOp(PhysicalOperator):
         return (self.child,)
 
     def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
-        plan = _whole_row_plan(self.schema)
-        previous: Optional[Tuple[Any, ...]] = None
+        every_column = range(len(self.schema))
+        previous: Any = _NO_GROUP
         for batch in self.child.batches(context):
-            markers, _ = sort_keys(RowBlock(batch), plan)
+            markers, _ = group_markers(RowBlock(batch), every_column)
             kept: Batch = []
             for marker, row in zip(markers, batch):
-                if previous is None or marker != previous:
+                if previous is _NO_GROUP or marker != previous:
                     previous = marker
                     kept.append(row)
             if kept:
@@ -451,11 +476,11 @@ class HashDistinctOp(PhysicalOperator):
         return (self.child,)
 
     def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
-        plan = _whole_row_plan(self.schema)
-        seen: Set[Tuple[Any, ...]] = set()
+        every_column = range(len(self.schema))
+        seen: Set[Any] = set()
         add = seen.add
         for batch in self.child.batches(context):
-            markers, _ = sort_keys(RowBlock(batch), plan)
+            markers, _ = group_markers(RowBlock(batch), every_column)
             kept: Batch = []
             for marker, row in zip(markers, batch):
                 if marker in seen:

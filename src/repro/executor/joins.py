@@ -12,10 +12,14 @@ The hash and index nested-loop joins have a block body for ``vector``
 mode — probe keys gathered from the outer block's columns, matches
 emitted as deferred :class:`~repro.expr.vector.JoinBlock` pairs — and
 every join has a row-at-a-time ``_joined`` body, the ``interpreted``
-reference, whose rows are lifted into ``RowBlock``s. In the row bodies
-join keys come from compiled kernels in ``vector`` mode and per-row
-closures in ``interpreted`` mode; residual predicates follow the
-context's engine the same way. The index nested-loop join hoists its
+reference, whose rows are lifted into ``RowBlock``s. Hash and probe
+keys are built column-wise in both engines: hash keys are ``group_key``
+markers (equal exactly when the values' ``sort_key``s are, so a float
+meets the equal Decimal), probe keys raw values that
+``encode_index_key`` maps through ``sort_key``; NULL never matches.
+Merge-join keys come from a compiled kernel in ``vector`` mode and a
+per-row closure in ``interpreted`` mode; residual predicates follow
+the context's engine the same way. The index nested-loop join hoists its
 ``encode_index_key`` encoder out of the outer-row loop and caches the
 last encoded key, so an ordered outer stream with duplicate join values
 encodes each distinct key once (``exec.index_probe.*`` counters track
@@ -44,16 +48,12 @@ from repro.executor.operators import (
     count_interpreted,
     row_blocks,
 )
-from repro.expr.compile import (
-    compile_predicate,
-    join_key_kernel,
-    nullable_raw_key_kernel,
-)
+from repro.expr.compile import compile_predicate, join_key_kernel
 from repro.expr.evaluate import evaluate_predicate
 from repro.expr.nodes import ColumnRef, Expression
 from repro.expr.schema import RowSchema
 from repro.expr.vector import JoinBlock, VectorBatch, compile_vector_filter
-from repro.sqltypes import NULL, is_null, sort_key
+from repro.sqltypes import NULL, group_key_column, is_null, sort_key
 from repro.storage.buffer import PageId
 from repro.storage.database import encode_index_key
 
@@ -117,28 +117,15 @@ def make_probe_encoder(
     return encode
 
 
-def _null_free_keys(
-    context: ExecutionContext, positions: Sequence[int]
-) -> Callable[[Batch], KeyList]:
-    """Raw-tuple keys per batch, None where a key column is NULL."""
-    if context.vectorized:
-        return nullable_raw_key_kernel(positions)
-    positions = tuple(positions)
-
-    def per_row(batch: Batch) -> KeyList:
-        keys: KeyList = []
-        for row in batch:
-            values = tuple(row[position] for position in positions)
-            keys.append(
-                None if any(is_null(value) for value in values) else values
-            )
-        return keys
-
-    return per_row
+def _key_columns(batch: Batch, positions: Sequence[int]) -> List[List[Any]]:
+    """The key columns of a row batch."""
+    return [[row[position] for row in batch] for position in positions]
 
 
 def _null_free_values(columns: Sequence[Sequence[Any]]) -> KeyList:
-    """Raw-tuple keys from gathered key columns, None where any is NULL."""
+    """Raw-tuple probe keys from gathered key columns, None where any is
+    NULL. Index probes encode them through ``sort_key``, which already
+    equates a float with the equal Decimal."""
     if len(columns) == 1:
         return [
             None if value is None or value is NULL else (value,)
@@ -148,6 +135,25 @@ def _null_free_values(columns: Sequence[Sequence[Any]]) -> KeyList:
         None if any(is_null(value) for value in values) else values
         for values in zip(*columns)
     ]
+
+
+def _hash_keys(columns: Sequence[Sequence[Any]]) -> Sequence[Any]:
+    """Hash-join keys from gathered key columns: ``group_key`` markers —
+    equal exactly when the ``sort_key``s are, so a DOUBLE 0.1 meets a
+    DECIMAL 0.10 — and None where any column is NULL (NULL never
+    matches). One key column is its own key list, a plain-typed one
+    without any per-value work (``group_key_column``); several give a
+    tuple per row, with NULL rows found by type census."""
+    markers = [group_key_column(column) for column in columns]
+    if len(markers) == 1:
+        return markers[0]
+    keys: List[Any] = list(zip(*markers))
+    for column in markers:
+        if type(None) in set(map(type, column)):
+            for index, value in enumerate(column):
+                if value is None:
+                    keys[index] = None
+    return keys
 
 
 def _ordered_keys(
@@ -347,13 +353,13 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
     def _joined(self, context: ExecutionContext) -> Iterator[Row]:
         store, tree, directions, positions = self._probe_setup(context)
         probe, fetch = tree.probe, store.heap.fetch
-        keys_of = _null_free_keys(context, positions)
         encode = make_probe_encoder(directions)
         matcher = residual_matcher(self.residual, self.schema, context)
         padding = (None,) * len(self.inner_schema)
         left_outer = self.left_outer
         for batch in self.outer.batches(context):
-            for outer_row, key in zip(batch, encode(keys_of(batch))):
+            keys = encode(_null_free_values(_key_columns(batch, positions)))
+            for outer_row, key in zip(batch, keys):
                 matched = False
                 if key is not None:
                     for rid in probe(key):
@@ -502,7 +508,6 @@ class HashJoinOp(_BinaryJoin):
         inner_positions = [
             self.inner.schema.position(column) for column in self.inner_keys
         ]
-        build_keys = _null_free_keys(context, inner_positions)
         table: dict = {}
         setdefault = table.setdefault
         build_count = 0
@@ -512,7 +517,8 @@ class HashJoinOp(_BinaryJoin):
             # batch so a huge inner stops before the probe phase.
             if token is not None:
                 token.check()
-            for values, inner_row in zip(build_keys(batch), batch):
+            keys = _hash_keys(_key_columns(batch, inner_positions))
+            for values, inner_row in zip(keys, batch):
                 if values is None:
                     continue
                 setdefault(values, []).append(inner_row)
@@ -543,7 +549,6 @@ class HashJoinOp(_BinaryJoin):
             if self.residual is not None
             else None
         )
-        single = outer_positions[0] if len(outer_positions) == 1 else None
         for block in self.outer.blocks(context):
             metrics.rows_in += block.count
             out_index: List[int] = []
@@ -553,31 +558,15 @@ class HashJoinOp(_BinaryJoin):
             live = block.live()
             if type(live) is range:
                 live = list(live)
-            if single is not None:
-                for i, value in zip(live, block.gather(single, live)):
-                    matches = (
-                        empty if is_null(value) else get((value,), empty)
-                    )
-                    for inner_row in matches:
-                        index_append(i)
-                        inner_append(inner_row)
-                    if left_outer and not matches:
-                        index_append(i)
-                        inner_append(padding)
-            else:
-                columns = [block.gather(p, live) for p in outer_positions]
-                for i, values in zip(live, zip(*columns)):
-                    matches = (
-                        empty
-                        if any(is_null(value) for value in values)
-                        else get(values, empty)
-                    )
-                    for inner_row in matches:
-                        index_append(i)
-                        inner_append(inner_row)
-                    if left_outer and not matches:
-                        index_append(i)
-                        inner_append(padding)
+            keys = _hash_keys([block.gather(p, live) for p in outer_positions])
+            for i, key in zip(live, keys):
+                matches = empty if key is None else get(key, empty)
+                for inner_row in matches:
+                    index_append(i)
+                    inner_append(inner_row)
+                if left_outer and not matches:
+                    index_append(i)
+                    inner_append(padding)
             if not out_index:
                 continue
             joined = JoinBlock(block, outer_width, out_index, inner_rows)
@@ -593,7 +582,6 @@ class HashJoinOp(_BinaryJoin):
             self.outer.schema.position(column) for column in self.outer_keys
         ]
         matcher = residual_matcher(self.residual, self.schema, context)
-        probe_keys = _null_free_keys(context, outer_positions)
         table = self._build_table(context)
         padding = (None,) * len(self.inner.schema)
         empty: Tuple[Row, ...] = ()
@@ -602,7 +590,8 @@ class HashJoinOp(_BinaryJoin):
         metrics = context.metrics_for(self)
         for batch in self.outer.batches(context):
             metrics.rows_in += len(batch)
-            for values, outer_row in zip(probe_keys(batch), batch):
+            keys = _hash_keys(_key_columns(batch, outer_positions))
+            for values, outer_row in zip(keys, batch):
                 matched = False
                 if values is not None:
                     for inner_row in get(values, empty):

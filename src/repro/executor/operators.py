@@ -44,7 +44,7 @@ from repro.expr.vector import (
     compile_vector_filter,
     vector_projection_kernel,
 )
-from repro.sqltypes import is_null, sort_key
+from repro.sqltypes import group_key_column, is_null, sort_key_column
 from repro.storage.database import encode_index_key
 
 Row = Tuple[Any, ...]
@@ -469,22 +469,45 @@ def sort_keys(
 ) -> Tuple[List[Tuple[Any, ...]], List[Sequence[Any]]]:
     """Total-order keys of ``block``'s live rows under ``plan``.
 
-    The one key builder of both engines (sorts, the merge exchange,
-    GROUP BY and DISTINCT markers), column-wise: each key column is
-    gathered over the live selection once and mapped through
-    ``sort_key``, then the columns are zipped into one tuple per row.
-    Returns ``(keys, gathered)``; the raw gathered columns ride along
-    for callers that also need the values (GROUP BY's group columns).
+    The ordered key builder of both engines (sorts and the merge
+    exchange), column-wise: each key column is gathered over the live
+    selection once and keyed by ``sort_key_column`` — exactly
+    ``[sort_key(v, descending) for v in column]``, built from the
+    column's type census — then the columns are zipped into one tuple
+    per row. Returns ``(keys, gathered)`` like :func:`group_markers`.
     """
     live = block.live()
     gathered = [block.gather(position, live) for position, _desc in plan]
     if not gathered:
         return [()] * len(live), gathered
     keyed = [
-        [sort_key(value, descending) for value in column]
+        sort_key_column(column, descending)
         for column, (_position, descending) in zip(gathered, plan)
     ]
     return list(zip(*keyed)), gathered
+
+
+def group_markers(
+    block: VectorBatch, positions: Sequence[int]
+) -> Tuple[Sequence[Any], List[Sequence[Any]]]:
+    """Grouping markers of ``block``'s live rows over ``positions``.
+
+    GROUP BY, DISTINCT and the sort's prefix-group boundaries need only
+    equality (the paper's §7: equal values adjacent, any column order,
+    either direction), so a marker is the row's ``group_key`` values —
+    equal exactly when the ``sort_key``s are equal — not an ordered key.
+    ``group_key_column`` hands back a gathered column of plain values as
+    its own marker column. One key column gives bare markers, several
+    give one tuple per row. Returns ``(markers, gathered)``; the raw
+    gathered columns ride along for GROUP BY's output values.
+    """
+    live = block.live()
+    gathered = [block.gather(position, live) for position in positions]
+    if len(gathered) == 1:
+        return group_key_column(gathered[0]), gathered
+    if not gathered:
+        return [()] * len(live), gathered
+    return list(zip(*map(group_key_column, gathered))), gathered
 
 
 class SortOp(PhysicalOperator):
@@ -548,7 +571,9 @@ class SortOp(PhysicalOperator):
         metrics = context.metrics_for(self)
         token = context.cancel_token
         plan = sort_key_plan(self.schema, self.order)
-        prefix_plan = plan[: self.prefix_length]
+        prefix_positions = [
+            position for position, _desc in plan[: self.prefix_length]
+        ]
         suffix_plan = plan[self.prefix_length :]
         group: List[Entry] = []
         runs: List[List[Entry]] = []
@@ -560,8 +585,8 @@ class SortOp(PhysicalOperator):
             entries = zip(keys, range(sequence, sequence + len(batch)), batch)
             sequence += len(batch)
             starts: List[int] = []  # where a new prefix group begins
-            if prefix_plan:
-                markers, _ = sort_keys(block, prefix_plan)
+            if prefix_positions:
+                markers, _ = group_markers(block, prefix_positions)
                 for index, current in enumerate(markers):
                     if current != marker:
                         starts.append(index)
@@ -657,8 +682,8 @@ class SortOp(PhysicalOperator):
         return f"sort {self.order}"
 
 
-# Sentinel marking "no group open yet" in SortOp (None is a legal
-# sort key, so it cannot serve as the marker).
+# Sentinel marking "no group open yet" wherever markers are compared
+# (None is a legal group marker, so it cannot serve).
 _NO_GROUP = object()
 
 

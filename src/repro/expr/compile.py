@@ -174,42 +174,6 @@ def predicate_kernel(
     return lambda rows: [row for row in rows if fn(row) is True]
 
 
-def nullable_raw_key_kernel(
-    positions: Sequence[int],
-) -> Callable[[Sequence[Row]], List[Optional[Tuple[Any, ...]]]]:
-    """Raw-value keys, ``None`` for records with a NULL key column
-    (hash-join semantics: NULL never matches)."""
-    positions = tuple(positions)
-    if len(positions) == 1:
-        only = positions[0]
-
-        def single(rows: Sequence[Row]) -> List[Optional[Tuple[Any, ...]]]:
-            return [
-                None
-                if (value := row[only]) is None or value is NULL
-                else (value,)
-                for row in rows
-            ]
-
-        return single
-
-    def kernel(rows: Sequence[Row]) -> List[Optional[Tuple[Any, ...]]]:
-        keys: List[Optional[Tuple[Any, ...]]] = []
-        append = keys.append
-        for row in rows:
-            values = []
-            for position in positions:
-                value = row[position]
-                if value is None or value is NULL:
-                    values = None
-                    break
-                values.append(value)
-            append(None if values is None else tuple(values))
-        return keys
-
-    return kernel
-
-
 def join_key_kernel(
     positions: Sequence[int],
 ) -> Callable[[Sequence[Row]], List[Optional[Tuple[Any, ...]]]]:

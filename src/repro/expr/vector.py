@@ -51,6 +51,7 @@ must not import upward.
 from __future__ import annotations
 
 import decimal
+import operator
 from itertools import chain
 from typing import (
     Any,
@@ -1283,10 +1284,14 @@ ValueKernel = Callable[[VectorBatch, Selection], List[Any]]
 _VALUE_MEMO = KernelMemo()
 
 _ARITHMETIC_FNS = {
-    ArithmeticOp.ADD: lambda a, b: a + b,
-    ArithmeticOp.SUB: lambda a, b: a - b,
-    ArithmeticOp.MUL: lambda a, b: a * b,
+    ArithmeticOp.ADD: operator.add,
+    ArithmeticOp.SUB: operator.sub,
+    ArithmeticOp.MUL: operator.mul,
 }
+# Operand types the arithmetic kernel may combine with one ``map`` over
+# both columns: no NULLs, no bools, and (checked per side) no Decimal
+# meeting a float, which the loop coerces first.
+_PLAIN_NUMBERS = frozenset({int, float, decimal.Decimal})
 
 
 def clear_vector_cache() -> None:
@@ -1302,7 +1307,11 @@ def vector_value_kernel(
 
     Column references gather (or alias the column outright when the
     selection is dense); raise-free arithmetic combines child columns
-    with the row compiler's exact NULL/coercion rules; everything else —
+    with the row compiler's exact NULL/coercion rules — as one C-level
+    ``map`` when both columns' type censuses are plain numbers with no
+    NULL and no Decimal meeting a float, re-running the per-row loop
+    (same result, same error at the same row) if that map raises;
+    everything else —
     including division, whose error timing is row-ordered — falls back
     to the compiled row closure over ``batch.row``.
     """
@@ -1351,11 +1360,23 @@ def _build_value_kernel(
         Decimal = decimal.Decimal
 
         def arithmetic(batch: VectorBatch, sel: Selection) -> List[Any]:
+            lefts = left_kernel(batch, sel)
+            rights = right_kernel(batch, sel)
+            left_kinds = set(map(type, lefts))
+            right_kinds = set(map(type, rights))
+            if (
+                left_kinds <= _PLAIN_NUMBERS
+                and right_kinds <= _PLAIN_NUMBERS
+                and not (Decimal in left_kinds and float in right_kinds)
+                and not (float in left_kinds and Decimal in right_kinds)
+            ):
+                try:
+                    return list(map(apply, lefts, rights))
+                except ArithmeticError:
+                    pass  # the loop below raises the failing row's error
             out: List[Any] = []
             append = out.append
-            for left, right in zip(
-                left_kernel(batch, sel), right_kernel(batch, sel)
-            ):
+            for left, right in zip(lefts, rights):
                 if (
                     left is None
                     or right is None

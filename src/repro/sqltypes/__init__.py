@@ -24,8 +24,11 @@ from repro.sqltypes.values import (
     NULL,
     SqlNull,
     coerce_value,
+    group_key,
+    group_key_column,
     is_null,
     sort_key,
+    sort_key_column,
     sql_compare,
     sql_equal,
 )
@@ -44,8 +47,11 @@ __all__ = [
     "NULL",
     "SqlNull",
     "coerce_value",
+    "group_key",
+    "group_key_column",
     "is_null",
     "sort_key",
+    "sort_key_column",
     "sql_compare",
     "sql_equal",
 ]

@@ -4,13 +4,21 @@ SQL NULL is represented by Python ``None`` inside records. Comparisons
 involving NULL yield ``None`` (unknown) under three-valued logic, while
 *sorting* needs a total order, so :func:`sort_key` places NULLs after all
 non-NULL values in ascending order (DB2 sorts NULLs high).
+
+:func:`sort_key` is the one definition of order. Grouping needs only
+equality, so :func:`group_key` maps each value to a marker that equals
+another exactly when their sort keys are equal — for the common exact
+types the value itself. The column builders :func:`sort_key_column` and
+:func:`group_key_column` give the same keys a value at a time would, but
+read a column's *type census* (``set(map(type, column))``, C speed) first
+and skip the per-value call when the column holds one plain type.
 """
 
 from __future__ import annotations
 
 import datetime
 import decimal
-from typing import Any, Optional
+from typing import Any, List, Optional, Sequence
 
 from repro.errors import TypeSystemError
 
@@ -195,3 +203,89 @@ def sort_key(value: Any, descending: bool = False) -> Any:
     if descending:
         return _Reversed(key)
     return key
+
+
+_NONE_TYPE = type(None)
+
+# Exact types whose sort key is ``(band, value)`` or, for date, the
+# ordinal: a column of one of them (NULLs allowed) is keyed by one
+# comprehension. They and ``None`` are also their own group markers.
+_BANDS = {int: 0, decimal.Decimal: 0, str: 1}
+_CENSUS_KEYED = frozenset(_BANDS) | {datetime.date}
+_MARKER_TYPES = _CENSUS_KEYED | {_NONE_TYPE}
+
+
+def sort_key_column(
+    values: Sequence[Any], descending: bool = False
+) -> List[Any]:
+    """``[sort_key(v, descending) for v in values]``, built from the
+    column's type census: one exact int / Decimal / str / date type,
+    optionally with ``None``, is keyed without a per-value call; any
+    other mix goes through :func:`sort_key` value by value."""
+    kinds = set(map(type, values))
+    nulls = _NONE_TYPE in kinds
+    kinds.discard(_NONE_TYPE)
+    if len(kinds) > 1 or not kinds <= _CENSUS_KEYED:
+        return [sort_key(value, descending) for value in values]
+    if not kinds:
+        keys = [_NULLS_HIGH] * len(values)
+    elif datetime.date in kinds:
+        keys = (
+            [_NULLS_HIGH if v is None else (3, v.toordinal()) for v in values]
+            if nulls
+            else [(3, v.toordinal()) for v in values]
+        )
+    else:
+        band = _BANDS[kinds.pop()]
+        keys = (
+            [_NULLS_HIGH if v is None else (band, v) for v in values]
+            if nulls
+            else [(band, v) for v in values]
+        )
+    if descending:
+        return list(map(_Reversed, keys))
+    return keys
+
+
+def group_key(value: Any) -> Any:
+    """Equality marker for grouping: ``group_key(a) == group_key(b)``
+    exactly when ``sort_key(a) == sort_key(b)`` (and equal markers hash
+    equal).
+
+    Exact ``str``, ``int``, ``Decimal``, ``date`` and ``None`` are their
+    own markers (Python's numeric equality and hashing already agree
+    across int and Decimal). Every other value maps to its class's
+    representative: the NULL marker to ``None``, a float to the Decimal
+    its sort key holds, an int subclass to the plain int, a date subclass
+    (a datetime) to the plain date of the same day, and a bool to its
+    sort key (so ``True`` does not meet ``1``). An unsortable value
+    raises what :func:`sort_key` raises.
+    """
+    if type(value) in _MARKER_TYPES:
+        return value
+    if value is NULL:
+        return None
+    if isinstance(value, bool):
+        return (2, value)
+    if isinstance(value, float):
+        return decimal.Decimal(str(value))
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, decimal.Decimal):
+        return decimal.Decimal(value)
+    if isinstance(value, str):
+        return str(value)
+    if isinstance(value, datetime.date):
+        return datetime.date.fromordinal(value.toordinal())
+    raise TypeSystemError(f"unsortable value {value!r}")
+
+
+def group_key_column(values: Sequence[Any]) -> Sequence[Any]:
+    """``[group_key(v) for v in values]``: the column itself when its
+    type census is within the exact marker types (the common case, no
+    per-value work at all), else mapped through :func:`group_key`.
+    NULL (either form) becomes ``None``. The result may alias
+    ``values``; callers must not mutate it."""
+    if _MARKER_TYPES.issuperset(map(type, values)):
+        return values
+    return list(map(group_key, values))

@@ -7,6 +7,8 @@ import pytest
 from repro import Column, Database, TableSchema
 from repro.core import OrderSpec
 from repro.executor import (
+    MODE_INTERPRETED,
+    MODE_VECTOR,
     ExecutionContext,
     HashDistinctOp,
     HashGroupByOp,
@@ -122,6 +124,27 @@ class TestHashGroupBy:
         aggs = [("mean", Aggregate(AggregateKind.AVG, TV))]
         rows = run(HashGroupByOp(scan(), [TG], aggs), db)
         assert rows == [(1, None)]
+
+
+@pytest.mark.parametrize("mode", [MODE_INTERPRETED, MODE_VECTOR])
+@pytest.mark.parametrize("operator_class", [HashGroupByOp, SortedGroupByOp])
+def test_scalar_aggregate_over_empty_input_yields_one_row(
+    db, operator_class, mode
+):
+    db.store("t").load([])
+    rows = operator_class(sorted_scan(), [], AGGS).execute(
+        ExecutionContext(db, mode=mode)
+    )
+    assert rows == [(None, 0, 0, None, None, None)]
+
+
+@pytest.mark.parametrize("mode", [MODE_INTERPRETED, MODE_VECTOR])
+@pytest.mark.parametrize("operator_class", [HashGroupByOp, SortedGroupByOp])
+def test_scalar_aggregate_folds_every_row(db, operator_class, mode):
+    rows = operator_class(scan(), [], AGGS).execute(
+        ExecutionContext(db, mode=mode, batch_size=3)
+    )
+    assert rows == [(35, 8, 7, 1, 10, 5)]
 
 
 class TestDistinct:

@@ -1,14 +1,17 @@
 """Join operators, cross-validated against a brute-force join."""
 
 import random
+from decimal import Decimal
 
 import pytest
 
-from repro import Column, Database, Index, TableSchema
+from repro import Column, Database, Index, TableSchema, run_query
 from repro.catalog import hash_spec
 from repro.core import OrderSpec
 from repro.errors import ExecutionError
 from repro.executor import (
+    MODE_INTERPRETED,
+    MODE_VECTOR,
     ExecutionContext,
     HashJoinOp,
     MergeJoinOp,
@@ -18,7 +21,10 @@ from repro.executor import (
     TableScanOp,
 )
 from repro.expr import Comparison, ComparisonOp, RowSchema, col, lit
-from repro.sqltypes import INTEGER
+from repro.optimizer.plan import OpKind
+from repro.sqltypes import DOUBLE, INTEGER, decimal_type
+from repro.verify.oracle import tier1_matrix
+from repro.verify.reference import reference_query
 
 RA, RB = col("r", "a"), col("r", "b")
 SA, SB = col("s", "a"), col("s", "b")
@@ -281,3 +287,58 @@ class TestIndexNljPageAccounting:
         assert any(row[0] is None for row in rows) == (shape == "left_outer")
         assert outcomes["interpreted"] == (rows, stats)
         assert stats.total_misses > (heap.page_count if pool_pages == 3 else 0)
+
+
+@pytest.fixture(scope="module")
+def double_decimal_db():
+    """``a.x`` DOUBLE and ``b.y`` DECIMAL(4,2) holding equal numbers:
+    the float 0.1 and Decimal('0.10') are one value to SQL (and to
+    ``sort_key``), and neither NULL row matches anything."""
+    values = [0.1, 0.5, 1.0, 0.3, None]
+    database = Database()
+    database.create_table(
+        TableSchema(
+            "a", [Column("k", INTEGER, nullable=False), Column("x", DOUBLE)]
+        ),
+        rows=[(k, value) for k, value in enumerate(values, 1)],
+    )
+    database.create_table(
+        TableSchema(
+            "b",
+            [
+                Column("k", INTEGER, nullable=False),
+                Column("y", decimal_type(4, 2)),
+            ],
+        ),
+        rows=[
+            (k, None if value is None else Decimal(f"{value:.2f}"))
+            for k, value in enumerate(values, 1)
+        ],
+    )
+    return database
+
+
+DOUBLE_DECIMAL_SQL = (
+    "select a.k, b.k from a, b where a.x = b.y order by 1, 2",
+    "select a.k, b.k from a, b where a.x = b.y and a.k = b.k order by 1, 2",
+)
+
+
+def test_double_decimal_equi_join_plans_a_hash_join(double_decimal_db):
+    for sql in DOUBLE_DECIMAL_SQL:
+        plan = run_query(double_decimal_db, sql).plan
+        assert plan.find_all(OpKind.HASH_JOIN), sql
+
+
+@pytest.mark.parametrize("mode", [MODE_VECTOR, MODE_INTERPRETED])
+@pytest.mark.parametrize("config_name", sorted(tier1_matrix()))
+@pytest.mark.parametrize("sql", DOUBLE_DECIMAL_SQL)
+def test_double_decimal_equi_join_matches_reference(
+    double_decimal_db, sql, config_name, mode
+):
+    result = run_query(
+        double_decimal_db, sql, config=tier1_matrix()[config_name], mode=mode
+    )
+    expected = reference_query(double_decimal_db, sql)
+    assert expected == [(1, 1), (2, 2), (3, 3), (4, 4)]
+    assert result.rows == expected

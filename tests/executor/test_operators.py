@@ -1,27 +1,45 @@
 """Leaf/unary physical operators."""
 
+import datetime
+from decimal import Decimal
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Column, Database, Index, TableSchema
 from repro.core import OrderSpec
 from repro.core.ordering import asc, desc
-from repro.errors import ExecutionError, QueryCancelled
+from repro.errors import ExecutionError, QueryCancelled, TypeSystemError
 from repro.executor import (
     MODE_INTERPRETED,
     MODE_VECTOR,
     ExecutionContext,
     FilterOp,
+    HashDistinctOp,
+    HashGroupByOp,
     IndexScanOp,
+    PhysicalOperator,
     ProjectOp,
+    SortedDistinctOp,
+    SortedGroupByOp,
     SortOp,
     TableScanOp,
 )
 from repro.executor.context import CancelToken
-from repro.executor.operators import MaterializeOp, sort_keys
-from repro.expr import Arithmetic, Comparison, ComparisonOp, RowSchema, col, lit
+from repro.executor.operators import MaterializeOp, group_markers, sort_keys
+from repro.expr import (
+    Aggregate,
+    AggregateKind,
+    Arithmetic,
+    Comparison,
+    ComparisonOp,
+    RowSchema,
+    col,
+    lit,
+)
 from repro.expr.nodes import ArithmeticOp
 from repro.expr.vector import ColumnBlock, RowBlock
-from repro.sqltypes import INTEGER
+from repro.sqltypes import INTEGER, NULL, group_key, sort_key
 
 TA, TB = col("t", "a"), col("t", "b")
 SCHEMA = RowSchema([TA, TB])
@@ -188,6 +206,162 @@ class TestSortKeys:
         assert sort_keys(selected, plan)[0] == [expected[1], expected[3]]
         # No key columns: one empty marker per live row.
         assert sort_keys(selected, [])[0] == [(), ()]
+
+
+class _Day(datetime.date):
+    """A date subclass: sort_key keys it by ordinal like a plain date."""
+
+
+# Every kind of value a key column can hold, each drawn from a few
+# values with cross-kind ties (1 == 1.0 == Decimal('1.00'),
+# 0 == -0.0, a date == the _Day of the same ordinal, True == 1 in
+# Python but not in sort_key).
+_KEY_SCALARS = {
+    "int": st.integers(-2, 2),
+    "bool": st.booleans(),
+    "float": st.sampled_from([0.1, -0.0, 0.0, 1.0, 2.5, -1.5]),
+    "decimal": st.sampled_from(
+        [
+            Decimal("0.1"),
+            Decimal("0.10"),
+            Decimal("1"),
+            Decimal("1.00"),
+            Decimal("-0"),
+            Decimal("2.5"),
+            Decimal("1E+1"),
+        ]
+    ),
+    "str": st.sampled_from(["", "a", "A", "b"]),
+    "date": st.sampled_from(
+        [datetime.date(1995, 3, 1), datetime.date(1995, 3, 2)]
+    ),
+    "day": st.sampled_from([_Day(1995, 3, 1), _Day(1996, 1, 1)]),
+}
+
+
+@st.composite
+def _key_column(draw, size):
+    """A column of one kind (the census fast paths) or a mix, with or
+    without None and the NULL marker."""
+    kinds = draw(
+        st.lists(st.sampled_from(sorted(_KEY_SCALARS)), min_size=1, max_size=3)
+    )
+    nulls = draw(st.sampled_from([(), (None,), (None, NULL)]))
+    element = st.one_of(
+        [_KEY_SCALARS[kind] for kind in kinds]
+        + [st.just(null) for null in nulls]
+    )
+    return draw(st.lists(element, min_size=size, max_size=size))
+
+
+@st.composite
+def _key_rows(draw):
+    size = draw(st.integers(0, 12))
+    width = draw(st.integers(1, 3))
+    columns = [draw(_key_column(size)) for _ in range(width)]
+    return list(zip(*columns)), width
+
+
+def _classes(markers):
+    """Each marker's class number, numbered by first occurrence — what a
+    hash group-by's dict makes of them."""
+    first = {}
+    return [first.setdefault(marker, len(first)) for marker in markers]
+
+
+def _sort_key_markers(rows, positions):
+    return [tuple(sort_key(row[p]) for p in positions) for row in rows]
+
+
+class TestKeyContracts:
+    """``sort_keys`` is per-value ``sort_key`` exactly, and
+    ``group_markers`` has exactly the classes of ``sort_key`` markers,
+    whatever mix of types a column holds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_key_rows(), st.lists(st.booleans(), min_size=3, max_size=3))
+    def test_sort_keys_equal_per_value_sort_key(self, drawn, directions):
+        rows, width = drawn
+        plan = list(zip(range(width), directions))
+        expected = [
+            tuple(sort_key(row[p], descending) for p, descending in plan)
+            for row in rows
+        ]
+        assert sort_keys(RowBlock(rows), plan)[0] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(_key_rows())
+    def test_group_markers_have_sort_key_classes(self, drawn):
+        rows, width = drawn
+        for positions in [[p] for p in range(width)] + [list(range(width))]:
+            markers, _ = group_markers(RowBlock(rows), positions)
+            reference = _sort_key_markers(rows, positions)
+            assert _classes(markers) == _classes(reference)
+            # Adjacent comparison, what sorted group-by and the sort's
+            # prefix boundaries do, agrees too.
+            assert [a == b for a, b in zip(markers, markers[1:])] == [
+                a == b for a, b in zip(reference, reference[1:])
+            ]
+
+    def test_plain_values_are_their_own_markers(self):
+        for value in ("A", 7, Decimal("1.50"), datetime.date(1995, 3, 1), None):
+            assert group_key(value) is value
+        column = ["A", None, "b"]
+        assert group_markers(RowBlock([(v,) for v in column]), [0])[0] == column
+        assert group_key(NULL) is None
+        assert group_key(True) != group_key(1)
+        assert group_key(_Day(1995, 3, 1)) == datetime.date(1995, 3, 1)
+
+    def test_unsortable_value_raises_like_sort_key(self):
+        with pytest.raises(TypeSystemError):
+            sort_key(object())
+        with pytest.raises(TypeSystemError):
+            group_key(object())
+        with pytest.raises(TypeSystemError):
+            group_markers(RowBlock([("a",), (object(),)]), [0])
+
+
+class _Blocks(PhysicalOperator):
+    """Replays fixed row blocks: the block boundaries are the test's."""
+
+    def __init__(self, schema, blocks):
+        super().__init__(schema)
+        self._rows = blocks
+
+    def _blocks(self, context):
+        return (RowBlock(list(rows)) for rows in self._rows)
+
+
+class TestMarkersAcrossBlocks:
+    """A value's marker does not depend on its block: 'A' in an all-str
+    block (its own marker column) and 'A' in a block holding NULLs
+    (mapped through group_key) land in one group."""
+
+    G = col("t", "g")
+    BLOCKS = [[("a",), ("A",), ("A",)], [("A",), (None,), (NULL,)]]
+    COUNT = [("n", Aggregate(AggregateKind.COUNT, None))]
+
+    def grouped(self, operator_class, blocks, mode):
+        child = _Blocks(RowSchema([self.G]), blocks)
+        op = operator_class(child, [self.G], self.COUNT)
+        return op.execute(ExecutionContext(None, mode=mode))
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("operator_class", [HashGroupByOp, SortedGroupByOp])
+    def test_two_blocks_group_like_one(self, operator_class, mode):
+        one_block = [[row for rows in self.BLOCKS for row in rows]]
+        rows = self.grouped(operator_class, self.BLOCKS, mode)
+        assert rows == self.grouped(operator_class, one_block, mode)
+        assert rows == [("a", 1), ("A", 3), (None, 2)]
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize(
+        "operator_class", [HashDistinctOp, SortedDistinctOp]
+    )
+    def test_two_blocks_distinct_like_one(self, operator_class, mode):
+        child = _Blocks(RowSchema([self.G]), self.BLOCKS)
+        rows = operator_class(child).execute(ExecutionContext(None, mode=mode))
+        assert rows == [("a",), ("A",), (None,)]
 
 
 class TestSortMergeBoundaries:

@@ -11,8 +11,13 @@ accumulator's run folding is value-for-value identical to per-row adds.
 
 from __future__ import annotations
 
-import pytest
+from decimal import Decimal
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import ExpressionError
+from repro.executor import ExecutionContext, PhysicalOperator, ProjectOp
 from repro.executor.aggregate import _Accumulator
 from repro.expr import (
     BooleanExpr,
@@ -336,3 +341,108 @@ class TestAccumulatorRunFolding:
         bulk.add_count(4)
         bulk.add_count(3)
         assert bulk.result() == per_row.result() == 7
+
+
+_FOLD_SCALARS = {
+    "int": st.integers(-(10**20), 10**20),
+    "decimal": st.sampled_from(
+        [Decimal("0.1"), Decimal("1.00"), Decimal("-2.5"), Decimal("1E+3")]
+    ),
+    "float": st.one_of(
+        st.sampled_from([0.1, 0.2, -0.0, 1e16, -1e16]),
+        st.floats(-1e6, 1e6),
+    ),
+}
+# Families whose values add without raising (Decimal + float does not).
+_FOLD_FAMILIES = [
+    ("int",), ("decimal",), ("float",), ("int", "decimal"), ("int", "float")
+]
+
+
+@st.composite
+def _fold_runs(draw):
+    family = draw(st.sampled_from(_FOLD_FAMILIES))
+    nulls = draw(st.sampled_from([(), (None,), (None, NULL)]))
+    element = st.one_of(
+        [_FOLD_SCALARS[name] for name in family]
+        + [st.just(null) for null in nulls]
+    )
+    return draw(st.lists(element, max_size=30)), draw(st.integers(1, 8))
+
+
+class TestAccumulatorRunIdentity:
+    """``add_run``'s census / ``reduce`` / plain ``min``-``max`` folds
+    equal the per-value ``add`` loop object for object, float sums in
+    their fixed order included."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_fold_runs(), st.sampled_from(list(AggregateKind)))
+    def test_add_run_equals_add_loop(self, drawn, kind):
+        values, chunk = drawn
+        TestAccumulatorRunFolding().run_vs_add(kind, values, chunk=chunk)
+
+
+@st.composite
+def _number_columns(draw):
+    size = draw(st.integers(0, 12))
+    families = [draw(st.sampled_from(_FOLD_FAMILIES)) for _ in range(2)]
+    nulls = draw(st.booleans())
+    columns = []
+    for family in families:
+        element = st.one_of(
+            [_FOLD_SCALARS[name] for name in family]
+            + ([st.none()] if nulls else [])
+        )
+        columns.append(draw(st.lists(element, min_size=size, max_size=size)))
+    return list(zip(*columns))
+
+
+class _OneBlock(PhysicalOperator):
+    """Yields its rows as one block in either engine."""
+
+    def __init__(self, schema, rows):
+        super().__init__(schema)
+        self.rows = rows
+
+    def _blocks(self, context):
+        yield RowBlock(list(self.rows))
+
+
+def _outcome(compute):
+    try:
+        return repr(compute())
+    except ExpressionError as exc:
+        return f"ExpressionError: {exc}"
+
+
+class TestArithmeticKernelIdentity:
+    """The arithmetic kernel's one-``map`` path returns what the per-row
+    loop and the interpreter return, and fails with the same error at
+    the same row."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        _number_columns(),
+        st.sampled_from([ArithmeticOp.ADD, ArithmeticOp.SUB, ArithmeticOp.MUL]),
+    )
+    def test_equals_interpreter(self, rows, op):
+        expression = Arithmetic(op, X, Y)
+        kernel = vector_value_kernel(expression, SCHEMA)
+        sel = list(range(len(rows)))
+        assert _outcome(lambda: kernel(RowBlock(rows), sel)) == _outcome(
+            lambda: [evaluate(expression, SCHEMA, row) for row in rows]
+        )
+
+    @pytest.mark.parametrize("mode", ["interpreted", "vector"])
+    def test_invalid_decimal_operation_raises_at_its_row(self, mode):
+        inf = Decimal("Infinity")
+        rows = [(Decimal(1), Decimal(2)), (inf, inf), (-inf, -inf)]
+        expression = Arithmetic(ArithmeticOp.SUB, X, Y)
+        op = ProjectOp(
+            _OneBlock(SCHEMA, rows), [expression], RowSchema([col("", "d")])
+        )
+        with pytest.raises(ExpressionError) as raised:
+            op.execute(ExecutionContext(None, mode=mode))
+        assert str(raised.value) == (
+            "cannot compute Decimal('Infinity') - Decimal('Infinity')"
+        )
