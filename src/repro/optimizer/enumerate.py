@@ -15,12 +15,14 @@ its outer input's order, so each method returns a :class:`Candidate`
 carrying only those two; :func:`_prune` drops a candidate whose order
 is a literal prefix of a cheaper survivor's without ever running
 ``propagate_join`` or making a ``PlanNode`` for it, and builds the rest
-to ask Test Order under their own context.
+to ask Test Order under their own context. An inner's order is paid
+for only where a merge join can use it: nested-loop and hash join price
+one inner plan per order-blind class (:func:`_join_methods`).
 """
 
 from __future__ import annotations
 
-from functools import wraps
+from functools import partial, wraps
 from itertools import combinations
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -164,18 +166,22 @@ def enumerate_joins(planner: PlannerContext) -> List[PlanNode]:
                 outer_plans = best.get(outer_set, ())
                 if not outer_plans:
                     continue
-                if not _connected(planner, outer_set, inner_alias):
+                if not _connected(planner, outer_set, inner_alias) and any(
+                    _connected(planner, subset - {alias}, alias)
+                    for alias in subset
+                ):
                     # Avoid Cartesian products unless the subset has no
                     # connected decomposition at all.
-                    if _subset_has_connection(planner, subset):
-                        continue
-                inner_plans = best[frozenset((inner_alias,))]
-                for outer_plan in outer_plans:
-                    candidates.extend(
-                        _join_methods(
-                            planner, outer_plan, inner_alias, inner_plans
-                        )
+                    continue
+                candidates.extend(
+                    _join_methods(
+                        planner,
+                        outer_set,
+                        outer_plans,
+                        inner_alias,
+                        best[frozenset((inner_alias,))],
                     )
+                )
             if not candidates:
                 raise OptimizerError(
                     f"no join candidates for subset {sorted(subset)}"
@@ -192,21 +198,17 @@ def _enumerate_sequential(planner: PlannerContext) -> List[PlanNode]:
     candidates = _built(access_paths(planner, aliases[0]))
     candidates.extend(_sort_ahead_variants(planner, candidates))
     plans = _prune(planner, candidates)
-    for alias in aliases[1:]:
-        candidates = []
+    for position, alias in enumerate(aliases[1:], 1):
         if alias in outer_joins:
-            for plan in plans:
-                candidates.extend(
-                    _left_outer_join_methods(
-                        planner, plan, alias, outer_joins[alias]
-                    )
-                )
+            candidates = _left_outer_join_methods(
+                planner, plans, alias, outer_joins[alias]
+            )
         else:
+            outer_set = frozenset(aliases[:position])
             inner_plans = _prune(planner, _built(access_paths(planner, alias)))
-            for plan in plans:
-                candidates.extend(
-                    _join_methods(planner, plan, alias, inner_plans)
-                )
+            candidates = _join_methods(
+                planner, outer_set, plans, alias, inner_plans
+            )
         if not candidates:
             raise OptimizerError(f"no join candidates adding {alias}")
         candidates.extend(_sort_ahead_variants(planner, candidates))
@@ -217,153 +219,143 @@ def _enumerate_sequential(planner: PlannerContext) -> List[PlanNode]:
 
 def _left_outer_join_methods(
     planner: PlannerContext,
-    outer_plan: PlanNode,
+    outer_plans: Sequence[PlanNode],
     inner_alias: str,
     on_predicate: Expression,
 ) -> List[Candidate]:
-    """LEFT OUTER JOIN methods: nested-loop, hash, and index probes.
+    """LEFT OUTER JOIN methods for each of ``outer_plans``: nested-loop,
+    hash, and index probes.
 
     ON conjuncts touching only the inner table filter the inner input
     before matching (ON semantics); cross-side conjuncts decide matches
-    and padding.
+    and padding. The filtered inner is built once for every outer plan.
     """
     derived = planner.is_derived(inner_alias)
-    table = None if derived else planner.table_for(inner_alias)
     inner_only: List[Expression] = []
     cross: List[Expression] = []
     for conjunct in conjuncts_of(on_predicate):
         touched = {c.qualifier for c in columns_of(conjunct)} - {""}
-        if touched <= {inner_alias}:
-            inner_only.append(conjunct)
-        else:
-            cross.append(conjunct)
+        (inner_only if touched <= {inner_alias} else cross).append(conjunct)
 
+    # The inner-only conjuncts become one FILTER node, which feedback
+    # observes (and corrects) as one conjunction.
+    selectivity = planner.estimator.conjunction_selectivity(inner_only)
     if derived:
-        base_inner_rows = planner.derived_plans[inner_alias][
-            0
-        ].properties.cardinality
-        inner_columns_all = frozenset(
-            planner.derived_plans[inner_alias][0].properties.schema.columns
-        )
-    else:
-        base_inner_rows = float(table.stats.row_count)
-        inner_columns_all = frozenset(
-            ColumnRef(inner_alias, column.name) for column in table.columns
-        )
-    inner_rows = base_inner_rows
-    for conjunct in inner_only:
-        inner_rows *= planner.estimator.selectivity(conjunct)
-    inner_rows = max(1.0, inner_rows)
-    outer_rows = outer_plan.properties.cardinality
-    match_selectivity = 1.0
-    for conjunct in cross:
-        match_selectivity *= planner.estimator.selectivity(conjunct)
-    output_rows = max(outer_rows, outer_rows * inner_rows * match_selectivity)
-
-    outer_columns = frozenset(outer_plan.properties.schema.columns)
-    pairs = _dedupe_pairs(
-        _equi_pairs(cross, outer_columns, inner_columns_all)
-    )
-    covered = {p for _o, _i, p in pairs}
-    residual = [conjunct for conjunct in cross if conjunct not in covered]
-
-    # --- nested loops over a filtered inner ---
-    if derived:
+        inner_input = planner.derived_plans[inner_alias][0]
+        inner_rows = max(1.0, inner_input.properties.cardinality * selectivity)
         inner_scan = _apply_filters(
-            planner,
-            planner.derived_plans[inner_alias][0],
-            inner_only,
-            inner_rows,
+            planner, inner_input, inner_only, inner_rows
         )
     else:
+        table = planner.table_for(inner_alias)
+        inner_rows = max(1.0, float(table.stats.row_count) * selectivity)
         inner_scan = _table_scan_plan(
             planner, inner_alias, table, inner_only, inner_rows
         )
-    children = (outer_plan, inner_scan)
-    per_iteration = planner.cost_model.filter_rows(inner_rows)
-    cost = (
-        outer_plan.cost
-        + inner_scan.cost
-        + planner.cost_model.nested_loop_join(
-            outer_rows, per_iteration, output_rows
+    match_selectivity = 1.0
+    for conjunct in cross:
+        match_selectivity *= planner.estimator.selectivity(conjunct)
+
+    # Every plan over one alias set has the same columns.
+    outer_columns = frozenset(outer_plans[0].properties.schema.columns)
+    inner_columns = frozenset(inner_scan.properties.schema.columns)
+    pairs = _dedupe_pairs(_equi_pairs(cross, outer_columns, inner_columns))
+    covered = {p for _o, _i, p in pairs}
+    residual = [conjunct for conjunct in cross if conjunct not in covered]
+    probes = _index_probe_joins(
+        planner,
+        inner_alias,
+        pairs if planner.config.enable_index_nlj and not derived else [],
+        cross,
+        inner_only,
+        left_outer=True,
+    )
+
+    results: List[Candidate] = []
+    for outer_plan in outer_plans:
+        outer_rows = outer_plan.properties.cardinality
+        output_rows = max(
+            outer_rows, outer_rows * inner_rows * match_selectivity
         )
+        results.extend(
+            _order_blind_joins(
+                planner, outer_plan, inner_scan, inner_rows, output_rows,
+                cross, cross, pairs, residual, left_outer=True,
+            )
+        )
+        results.extend(probes(outer_plan, output_rows))
+    planner.stats.plans_generated += len(results)
+    return results
+
+
+def _order_blind_joins(
+    planner: PlannerContext,
+    outer_plan: PlanNode,
+    inner_plan: PlanNode,
+    inner_rows: float,
+    output_rows: float,
+    predicates: Sequence[Expression],
+    hash_predicates: Sequence[Expression],
+    pairs: Sequence[Tuple[ColumnRef, ColumnRef, Expression]],
+    residual: Sequence[Expression],
+    left_outer: bool = False,
+) -> List[Candidate]:
+    """Nested-loop join and, given equi-pairs, hash join: the methods
+    whose output keeps the outer's order whatever the inner's is."""
+    flags = {"left_outer": True} if left_outer else {}
+    cost_model = planner.cost_model
+    outer_rows = outer_plan.properties.cardinality
+    children = (outer_plan, inner_plan)
+    inputs_cost = outer_plan.cost + inner_plan.cost
+    # --- naive nested loops (always legal; also covers Cartesian): the
+    # inner is materialized once, each outer row pays CPU over it
+    method = cost_model.nested_loop_join(
+        outer_rows, cost_model.filter_rows(inner_rows), output_rows
     )
     results = [
         _join_candidate(
             OpKind.NLJ,
             children,
-            inner_scan.properties,
-            cross,
+            inner_plan.properties,
+            predicates,
             output_rows,
-            cost,
-            {"predicate": _and_all(cross), "left_outer": True},
+            inputs_cost + method,
+            {"predicate": _and_all(predicates), **flags},
         )
     ]
-
-    # --- hash left outer join ---
     if pairs and planner.config.enable_hash_join:
-        cost = (
-            outer_plan.cost
-            + inner_scan.cost
-            + planner.cost_model.hash_join(
-                inner_rows,
-                outer_rows,
-                output_rows,
-                planner.pages_for(inner_rows),
-            )
+        # --- hash join: the probe side streams in its own order ---
+        method = cost_model.hash_join(
+            inner_rows, outer_rows, output_rows, planner.pages_for(inner_rows)
         )
+        args = {
+            "outer_keys": [o for o, _i, _p in pairs],
+            "inner_keys": [i for _o, i, _p in pairs],
+            "residual": _and_all(residual),
+            **flags,
+        }
         results.append(
             _join_candidate(
                 OpKind.HASH_JOIN,
                 children,
-                inner_scan.properties,
-                cross,
+                inner_plan.properties,
+                hash_predicates,
                 output_rows,
-                cost,
-                {
-                    "outer_keys": [o for o, _i, _p in pairs],
-                    "inner_keys": [i for _o, i, _p in pairs],
-                    "residual": _and_all(residual),
-                    "left_outer": True,
-                },
+                inputs_cost + method,
+                args,
             )
         )
-
-    # --- index-probe left outer join ---
-    if pairs and planner.config.enable_index_nlj and not derived:
-        results.extend(
-            _index_probe_joins(
-                planner,
-                outer_plan,
-                inner_alias,
-                pairs,
-                cross,
-                inner_only,
-                output_rows,
-                left_outer=True,
-            )
-        )
-    planner.stats.plans_generated += len(results)
     return results
 
 
 def _connected(
     planner: PlannerContext, outer_set: AliasSet, inner_alias: str
 ) -> bool:
-    for predicate in planner.join_predicates:
-        touched = {c.qualifier for c in columns_of(predicate)} - {""}
-        if inner_alias in touched and touched - {inner_alias} <= outer_set and (
-            touched - {inner_alias}
-        ):
-            return True
-    return False
-
-
-def _subset_has_connection(planner: PlannerContext, subset: AliasSet) -> bool:
-    for inner_alias in subset:
-        if _connected(planner, subset - {inner_alias}, inner_alias):
-            return True
-    return False
+    subset = outer_set | {inner_alias}
+    return any(
+        inner_alias in touched and len(touched) > 1 and touched <= subset
+        for _predicate, touched in planner.join_predicates
+    )
 
 
 def _applicable_join_predicates(
@@ -372,15 +364,11 @@ def _applicable_join_predicates(
     """Join conjuncts evaluable once ``inner_alias`` joins ``outer_set``
     that were not evaluable before."""
     subset = outer_set | {inner_alias}
-    found = []
-    for predicate in planner.join_predicates:
-        touched = {c.qualifier for c in columns_of(predicate)} - {""}
-        if not touched <= subset:
-            continue
-        if touched <= outer_set:
-            continue  # already applied below
-        found.append(predicate)
-    return found
+    return [
+        predicate
+        for predicate, touched in planner.join_predicates
+        if touched <= subset and not touched <= outer_set
+    ]
 
 
 def _equi_pairs(
@@ -423,102 +411,113 @@ def _dedupe_pairs(
     return unique
 
 
+def _order_blind_key(plan: PlanNode) -> tuple:
+    """What a join's properties, cost and context read of an inner
+    input, bar its order (and its predicate set, which no context
+    sees): inner plans equal on this form one class."""
+    columns, _, keys, fds, equivalences, constants, _, rows, ods = (
+        plan.properties.content_key()
+    )
+    return columns, keys, fds, equivalences, constants, rows, ods
+
+
 def _join_methods(
     planner: PlannerContext,
-    outer_plan: PlanNode,
+    outer_set: AliasSet,
+    outer_plans: Sequence[PlanNode],
     inner_alias: str,
     inner_plans: Sequence[PlanNode],
 ) -> List[Candidate]:
-    """Every join method combining ``outer_plan`` with ``inner_alias``."""
-    config = planner.config
-    outer_set = outer_plan.aliases()
-    subset = outer_set | {inner_alias}
+    """Every join method combining each of ``outer_plans`` (the plans
+    over ``outer_set``) with ``inner_alias``.
+
+    What no outer plan changes — predicates, output rows, each inner
+    class's equi-pairs, the index probes — is worked out once here.
+    Nested-loop and hash join keep the outer's order, so an inner's
+    order is wasted on them: they price only the first (cheapest) plan
+    of each class of ``inner_plans`` (:func:`_order_blind_key`). A merge
+    join takes the member cheapest once sorted for it, the first on
+    ties. Every pairing left out has the order and context of a kept
+    one at no lower cost, so ``_prune`` would drop it; the
+    price-every-inner oracle in ``test_prune_differential.py`` checks it.
+    """
     predicates = _applicable_join_predicates(planner, outer_set, inner_alias)
-    output_rows = planner.subset_cardinality(subset)
-    outer_columns = frozenset(outer_plan.properties.schema.columns)
-    results: List[Candidate] = []
-
-    inner_columns_by_plan = {
-        id(plan): frozenset(plan.properties.schema.columns)
-        for plan in inner_plans
-    }
-
-    cost_model = planner.cost_model
-    outer_rows = outer_plan.properties.cardinality
+    output_rows = planner.subset_cardinality(outer_set | {inner_alias})
+    # Every plan over one alias set has the same columns.
+    outer_columns = frozenset(outer_plans[0].properties.schema.columns)
+    classes: Dict[tuple, List[PlanNode]] = {}
     for inner_plan in inner_plans:
-        inner = inner_plan.properties
+        classes.setdefault(_order_blind_key(inner_plan), []).append(inner_plan)
+    class_of = {}
+    for plans in classes.values():
+        inner_columns = frozenset(plans[0].properties.schema.columns)
         pairs = _dedupe_pairs(
-            _equi_pairs(
-                predicates, outer_columns, inner_columns_by_plan[id(inner_plan)]
-            )
+            _equi_pairs(predicates, outer_columns, inner_columns)
         )
         covered = {p for _o, _i, p in pairs}
         residual = [p for p in predicates if p not in covered]
-        children = (outer_plan, inner_plan)
-        inputs_cost = outer_plan.cost + inner_plan.cost
-        # --- naive nested loops (always legal; also covers Cartesian):
-        # the inner is materialized once, each outer row pays CPU over it
-        method = cost_model.nested_loop_join(
-            outer_rows, cost_model.filter_rows(inner.cardinality), output_rows
-        )
-        results.append(
-            _join_candidate(
-                OpKind.NLJ,
-                children,
-                inner,
-                predicates,
-                output_rows,
-                inputs_cost + method,
-                {"predicate": _and_all(predicates)},
+        for inner_plan in plans:
+            class_of[id(inner_plan)] = (plans, pairs, residual)
+    cheapest_sorted: Dict[tuple, Tuple[Optional[PlanNode], ...]] = {}
+
+    def merge_input(plans, inner_plan, required):
+        """``inner_plan`` sorted on ``required`` if it is the member of
+        its class cheapest so sorted (the first on ties), else None."""
+        key = (id(plans), required)
+        if key not in cheapest_sorted:
+            sorted_plans = [
+                (_ensure_order(planner, plan, required, "merge-join"), plan)
+                for plan in plans
+            ]
+            cheapest_sorted[key] = min(
+                (entry for entry in sorted_plans if entry[0] is not None),
+                key=lambda entry: entry[0].cost.total_ms,
+                default=(None, None),
             )
-        )
-        if not pairs:
-            continue
-        if config.enable_hash_join:
-            # --- hash join: the probe side streams in its own order ---
-            method = cost_model.hash_join(
-                inner.cardinality,
-                outer_rows,
-                output_rows,
-                planner.pages_for(inner.cardinality),
-            )
-            results.append(
-                _join_candidate(
-                    OpKind.HASH_JOIN,
-                    children,
-                    inner,
-                    [p for _o, _i, p in pairs] + residual,
-                    output_rows,
-                    inputs_cost + method,
-                    {
-                        "outer_keys": [o for o, _i, _p in pairs],
-                        "inner_keys": [i for _o, i, _p in pairs],
-                        "residual": _and_all(residual),
-                    },
-                )
-            )
-        results.extend(
-            _merge_joins(
-                planner, outer_plan, inner_plan, pairs, residual, output_rows
-            )
-        )
-    if config.enable_index_nlj and not planner.is_derived(inner_alias):
+        sorted_plan, plan = cheapest_sorted[key]
+        return sorted_plan if plan is inner_plan else None
+
+    probe_pairs = []
+    if planner.config.enable_index_nlj and not planner.is_derived(inner_alias):
         # Derived tables have no indexes to probe.
         inner_base = frozenset(
             ColumnRef(inner_alias, column.name)
             for column in planner.table_for(inner_alias).columns
         )
-        results.extend(
-            _index_probe_joins(
-                planner,
-                outer_plan,
-                inner_alias,
-                _equi_pairs(predicates, outer_columns, inner_base),
-                predicates,
-                planner.local_predicates.get(inner_alias, []),
-                output_rows,
-            )
-        )
+        probe_pairs = _equi_pairs(predicates, outer_columns, inner_base)
+    probes = _index_probe_joins(
+        planner,
+        inner_alias,
+        probe_pairs,
+        predicates,
+        planner.local_predicates.get(inner_alias, []),
+    )
+
+    results: List[Candidate] = []
+    for outer_plan in outer_plans:
+        for inner_plan in inner_plans:
+            plans, pairs, residual = class_of[id(inner_plan)]
+            if inner_plan is plans[0]:
+                results.extend(
+                    _order_blind_joins(
+                        planner, outer_plan, inner_plan,
+                        inner_plan.properties.cardinality, output_rows,
+                        predicates, [p for _o, _i, p in pairs] + residual,
+                        pairs, residual,
+                    )
+                )
+            if pairs:
+                results.extend(
+                    _merge_joins(
+                        planner,
+                        outer_plan,
+                        partial(merge_input, plans, inner_plan),
+                        pairs,
+                        residual,
+                        output_rows,
+                    )
+                )
+        results.extend(probes(outer_plan, output_rows))
     planner.stats.plans_generated += len(results)
     return results
 
@@ -526,12 +525,14 @@ def _join_methods(
 def _merge_joins(
     planner: PlannerContext,
     outer_plan: PlanNode,
-    inner_plan: PlanNode,
+    sorted_inner_for: Callable[[OrderSpec], Optional[PlanNode]],
     pairs: Sequence[Tuple[ColumnRef, ColumnRef, Expression]],
     residual: Sequence[Expression],
     output_rows: float,
 ) -> List[Candidate]:
-    """Merge join, inserting sorts on either side when needed.
+    """Merge join, inserting sorts on either side when needed;
+    ``sorted_inner_for(order)`` is the inner input sorted on ``order``,
+    or None when this inner does not take part in that merge join.
 
     §5.2: when an interesting order is pushed to the outer of a merge
     join, "a cover with the merge-join order is also required" — so when
@@ -554,27 +555,20 @@ def _merge_joins(
 
     results: List[Candidate] = []
     for sequence in sequences:
-        outer_keys = [o for o, _i, _p in sequence]
         inner_keys = [i for _o, i, _p in sequence]
-        outer_required = OrderSpec.of(*outer_keys)
-        inner_required = OrderSpec.of(*inner_keys)
-
-        sorted_inner = _ensure_order(
-            planner, inner_plan, inner_required, "merge-join"
-        )
+        sorted_inner = sorted_inner_for(OrderSpec.of(*inner_keys))
         if sorted_inner is None:
             continue
-        outer_variants: List[PlanNode] = []
+        outer_keys = [o for o, _i, _p in sequence]
+        outer_required = OrderSpec.of(*outer_keys)
         primary = _ensure_order(
             planner, outer_plan, outer_required, "merge-join"
         )
-        if primary is not None:
-            outer_variants.append(primary)
-        if (
-            config.effective("enable_cover")
-            and primary is not None
-            and primary is not outer_plan  # a sort was needed anyway
-        ):
+        if primary is None:
+            continue
+        outer_variants = [primary]
+        if config.effective("enable_cover") and primary is not outer_plan:
+            # A sort was needed anyway.
             outer_variants.extend(
                 _covered_merge_sorts(planner, outer_plan, outer_required)
             )
@@ -766,27 +760,25 @@ def _distinct_prefix_groups(
 
 def _index_probe_joins(
     planner: PlannerContext,
-    outer_plan: PlanNode,
     inner_alias: str,
     pairs: Sequence[Tuple[ColumnRef, ColumnRef, Expression]],
     predicates: Sequence[Expression],
     inner_filters: Sequence[Expression],
-    output_rows: float,
     left_outer: bool = False,
-) -> List[Candidate]:
+) -> Callable[[PlanNode, float], List[Candidate]]:
     """Nested-loop joins probing an index of the inner base table.
 
     ``pairs`` are the equi-pairs a probe may use, ``predicates`` the
     join (or ON) conjuncts, ``inner_filters`` the inner-only conjuncts
-    evaluated on each fetched row.
+    evaluated on each fetched row. What no outer plan changes is worked
+    out here; the returned function prices the probes of one outer plan
+    producing ``output_rows``.
     """
     if not pairs:
-        return []
+        return lambda outer_plan, output_rows: []
     table = planner.table_for(inner_alias)
     store = planner.database.store(table.name)
-    inner_properties = base_table_properties(inner_alias, table)
-    outer_rows = outer_plan.properties.cardinality
-    results: List[Candidate] = []
+    probes = []
     for index in planner.database.catalog.indexes_on(table.name):
         if index.name not in store.indexes:
             continue
@@ -806,40 +798,15 @@ def _index_probe_joins(
         residual = [p for p in predicates if p not in covered] + list(
             inner_filters
         )
-
-        # Detecting that the probe stream arrives in index order IS order
-        # optimization (Section 8.1: the disabled optimizer "was unable
-        # to determine that the same sort could be used to generate an
-        # ordered nested-loop join"), so the disabled build never plans
-        # ordered probes and prices every probe as random I/O.
-        ordered = planner.config.order_optimization and order_satisfies(
-            planner.config,
-            OrderSpec.of(*probe_outer),
-            outer_plan.order,
-            outer_plan.properties.context(),
-        )
-        matches = max(
-            0.1,
-            table.stats.row_count
-            * planner.estimator.selectivity(probe_pairs[0][2]),
-        )
-        cost = outer_plan.cost + planner.cost_model.index_nlj(
-            outer_rows=outer_rows,
-            matches_per_probe=matches,
-            table_pages=table.stats.pages,
-            table_rows=table.stats.row_count,
-            tree_height=store.indexes[index.name][1].height,
-            ordered=ordered,
-            clustered=index.clustered,
-            output_rows=output_rows,
-        )
+        selectivity = planner.estimator.selectivity(probe_pairs[0][2])
+        matches = max(0.1, table.stats.row_count * selectivity)
         args = {
             "table": table.name,
             "index": index.name,
             "alias": inner_alias,
             "probe_columns": probe_outer,
             "residual": _and_all(residual),
-            "ordered": ordered,
+            "ordered": False,
         }
         if left_outer:
             # Padded rows break the probe equalities: only the ON
@@ -848,18 +815,50 @@ def _index_probe_joins(
             described = predicates
         else:
             described = [p for _o, _i, p in probe_pairs] + residual
-        results.append(
-            _join_candidate(
-                OpKind.NLJ_INDEX,
-                (outer_plan,),
-                inner_properties,
-                described,
-                output_rows,
-                cost,
-                args,
+        probe_order = OrderSpec.of(*probe_outer)
+        height = store.indexes[index.name][1].height
+        probes.append((probe_order, matches, height, index, args, described))
+    inner_properties = base_table_properties(inner_alias, table)
+
+    def price(outer_plan: PlanNode, output_rows: float) -> List[Candidate]:
+        results: List[Candidate] = []
+        for probe_order, matches, height, index, args, described in probes:
+            # Detecting that the probe stream arrives in index order IS
+            # order optimization (Section 8.1: the disabled optimizer
+            # "was unable to determine that the same sort could be used
+            # to generate an ordered nested-loop join"), so the disabled
+            # build never plans ordered probes and prices every probe as
+            # random I/O.
+            ordered = planner.config.order_optimization and order_satisfies(
+                planner.config,
+                probe_order,
+                outer_plan.order,
+                outer_plan.properties.context(),
             )
-        )
-    return results
+            cost = outer_plan.cost + planner.cost_model.index_nlj(
+                outer_rows=outer_plan.properties.cardinality,
+                matches_per_probe=matches,
+                table_pages=table.stats.pages,
+                table_rows=table.stats.row_count,
+                tree_height=height,
+                ordered=ordered,
+                clustered=index.clustered,
+                output_rows=output_rows,
+            )
+            results.append(
+                _join_candidate(
+                    OpKind.NLJ_INDEX,
+                    (outer_plan,),
+                    inner_properties,
+                    described,
+                    output_rows,
+                    cost,
+                    dict(args, ordered=ordered),
+                )
+            )
+        return results
+
+    return price
 
 
 def _sort_ahead_variants(

@@ -87,7 +87,7 @@ def run_order_scan(planner: PlannerContext) -> List[OrderSpec]:
     # sides of a class onto one head.
     from repro.expr.analysis import is_column_equality
 
-    for predicate in planner.join_predicates:
+    for predicate, _aliases in planner.join_predicates:
         pair = is_column_equality(predicate)
         if pair is not None:
             push(OrderSpec.of(pair[0]))

@@ -52,7 +52,10 @@ class PlannerContext:
     estimator: SelectivityEstimator
     # Conjuncts of the WHERE clause, split by the aliases they touch.
     local_predicates: Dict[str, List[Expression]] = field(default_factory=dict)
-    join_predicates: List[Expression] = field(default_factory=list)
+    # Join conjuncts, each with the aliases it touches (worked out once).
+    join_predicates: List[Tuple[Expression, FrozenSet[str]]] = field(
+        default_factory=list
+    )
     # WHERE conjuncts touching a null-supplying (outer-joined) alias:
     # they filter *after* padding, so they must not be pushed below the
     # outer join.
@@ -154,7 +157,7 @@ class PlannerContext:
                 # once at the first table's access path.
                 self.local_predicates[first_alias].append(conjunct)
             else:
-                self.join_predicates.append(conjunct)
+                self.join_predicates.append((conjunct, frozenset(aliases)))
 
     def column_nullable(self, column: ColumnRef) -> bool:
         """Conservatively: can this column carry NULLs at this block?
@@ -260,9 +263,8 @@ class PlannerContext:
         rows = 1.0
         for alias in aliases:
             rows *= self.base_cardinality(alias)
-        for predicate in self.join_predicates:
-            touched = {c.qualifier for c in columns_of(predicate)} - {""}
-            if touched and touched <= set(aliases):
+        for predicate, touched in self.join_predicates:
+            if touched <= aliases:
                 rows *= self.estimator.selectivity(predicate)
         self._subset_rows[aliases] = rows = max(1.0, rows)
         return rows

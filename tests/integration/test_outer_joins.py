@@ -12,6 +12,10 @@ from repro import (
     TableSchema,
     run_query,
 )
+from repro.api import plan_query
+from repro.catalog import StatsCorrections
+from repro.cost.estimate import conjunction_fingerprint
+from repro.expr.analysis import conjuncts_of
 from repro.optimizer.plan import OpKind
 from repro.sqltypes import INTEGER
 from repro.sqltypes.values import sort_key
@@ -197,3 +201,43 @@ class TestOuterJoinPlanning:
             if node.args.get("reason") == "order by"
         ]
         assert not order_sorts  # a's index order flows through the join
+
+    def test_on_only_inner_filter_follows_feedback(self):
+        # The ON-only conjuncts become one FILTER node, which feedback
+        # observes as one conjunction: an override for that conjunction
+        # must reach the estimate, as it does for WHERE filters.
+        database = Database()
+        database.create_table(
+            TableSchema("a", [Column("x", INTEGER, nullable=False)]),
+            rows=[(i,) for i in range(40)],
+        )
+        database.create_table(
+            TableSchema(
+                "b",
+                [Column("x", INTEGER, nullable=False), Column("z", INTEGER)],
+            ),
+            rows=[(i, i % 6) for i in range(60)],
+        )
+        sql = (
+            "select a.x, b.z from a left join b "
+            "on a.x = b.x and b.z > 2 and b.x < 50"
+        )
+
+        def inner_filter():
+            plan = plan_query(database, sql)
+            (node,) = [
+                node
+                for node in plan.find_all(OpKind.FILTER)
+                if node.children[0].aliases() == {"b"}
+            ]
+            return node
+
+        before = inner_filter()
+        assert len(conjuncts_of(before.args["predicate"])) == 2
+        corrections = StatsCorrections()
+        corrections.add_selectivity(
+            conjunction_fingerprint(before.args["predicate"]), 0.25
+        )
+        database.catalog.apply_feedback(corrections)
+        assert before.properties.cardinality != 15.0
+        assert inner_filter().properties.cardinality == 15.0  # 60 × 0.25

@@ -13,6 +13,7 @@ from repro.optimizer.enumerate import (
     _built,
     _dedupe_pairs,
     _equi_pairs,
+    _join_methods,
     _prune,
     enumerate_joins,
 )
@@ -23,7 +24,7 @@ from repro.optimizer.helpers import (
     sort_columns_for,
 )
 from repro.optimizer.plan import OpKind, PlanNode
-from repro.optimizer.planner import PlannerContext
+from repro.optimizer.planner import PlannerContext, access_paths
 from repro.properties.stream import KeyProperty, StreamProperties
 from repro.qgm.block import QueryBlock
 from repro.qgm.boxes import SelectItem
@@ -191,6 +192,94 @@ class TestPrune:
         survivors = _prune(planner, candidates)
         assert len(survivors) == len(built) == 12
         assert planner.stats.plans_pruned == 0
+
+
+def _join_planner():
+    """A planner for ``a JOIN b ON a.x = b.x`` (b.x indexed)."""
+    database = Database()
+    for name in ("a", "b"):
+        database.create_table(
+            TableSchema(
+                name,
+                [Column("x", INTEGER, nullable=False), Column("y", INTEGER)],
+                primary_key=("x",),
+            ),
+            rows=[(i, i % 3) for i in range(10)],
+        )
+    block = QueryBlock(
+        tables={"a": "a", "b": "b"},
+        predicate=EQ(AX, BX),
+        select_items=[SelectItem(AX, "x")],
+    )
+    return PlannerContext.build(database, OptimizerConfig(), block)
+
+
+def _inner_plan(cost_ms, order=OrderSpec(), constants=frozenset()):
+    properties = StreamProperties(
+        schema=RowSchema([BX, BY]),
+        order=order,
+        key_property=KeyProperty([[BX]]),
+        constants=constants,
+        cardinality=10.0,
+    )
+    return PlanNode(
+        OpKind.TABLE_SCAN, (), properties, Cost(cpu_ms=cost_ms),
+        {"table": "b", "alias": "b"},
+    )
+
+
+def _priced_inners(candidates):
+    """Every inner plan some candidate was priced with (below its sort)."""
+    found = []
+    for candidate in candidates:
+        node = candidate.node()
+        if node.kind is OpKind.NLJ_INDEX:
+            continue
+        inner = node.children[1]
+        while inner.kind in (OpKind.SORT, OpKind.PARTIAL_SORT):
+            inner = inner.children[0]
+        found.append(inner)
+    return found
+
+
+class TestInnerClasses:
+    def _methods(self, planner, inner_plans):
+        outer = access_paths(planner, "a")[0]
+        return _join_methods(
+            planner, frozenset(["a"]), [outer], "b", inner_plans
+        )
+
+    def test_the_dearer_of_one_class_is_never_priced(self):
+        # Same properties but order: the ordered plan costs more, and a
+        # sort on b.x makes the cheaper one the cheaper merge input too.
+        planner = _join_planner()
+        cheap = _inner_plan(1.0)
+        dear = _inner_plan(50.0, OrderSpec.of(BY))
+        priced = _priced_inners(self._methods(planner, [cheap, dear]))
+        assert len(priced) == 3  # nested loops, hash, merge
+        assert all(plan is cheap for plan in priced)
+
+    def test_the_cheaper_merge_input_of_a_class_is_priced(self):
+        # Already ordered on the merge key, the dearer plan needs no
+        # sort: merge join takes it, the other methods the cheap one.
+        planner = _join_planner()
+        cheap = _inner_plan(1.0)
+        ordered = _inner_plan(1.01, OrderSpec.of(BX))  # sorting costs more
+        candidates = self._methods(planner, [cheap, ordered])
+        kinds = {
+            candidate.node().kind: inner
+            for candidate, inner in zip(candidates, _priced_inners(candidates))
+        }
+        assert kinds[OpKind.MERGE_JOIN] is ordered
+        assert kinds[OpKind.NLJ] is kinds[OpKind.HASH_JOIN] is cheap
+
+    def test_inner_plans_whose_contexts_differ_are_both_priced(self):
+        planner = _join_planner()
+        cheap = _inner_plan(1.0)
+        dear = _inner_plan(50.0, OrderSpec.of(BY), constants=frozenset([BY]))
+        priced = _priced_inners(self._methods(planner, [cheap, dear]))
+        assert sum(plan is cheap for plan in priced) == 3
+        assert sum(plan is dear for plan in priced) == 3
 
 
 class TestCartesianFallback:

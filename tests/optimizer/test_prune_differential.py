@@ -1,4 +1,4 @@
-"""Differential test: cost-first pruning ≡ build-everything pruning.
+"""Differential tests: the planner's two unbuilt drops ≡ their oracles.
 
 ``enumerate._prune`` drops a candidate unbuilt when its order is a
 literal prefix of a cheaper survivor's, and builds the rest. The oracle
@@ -9,6 +9,12 @@ here the way ``repro.core.reference`` keeps the naive algebra. Every
 tier-1 config matrix — and the two ``adhoc_plan`` statements with the
 largest search spaces — must return the very same nodes in the same
 order and prune the same number.
+
+``enumerate._join_methods`` prices nested-loop and hash join with one
+inner plan per order-blind class, and merge join with the class member
+cheapest once sorted. Its oracle prices every inner plan under every
+method (each plan its own class); over the same statements and configs
+every DP subset must keep survivors with the same explain text and cost.
 """
 
 import pytest
@@ -100,3 +106,66 @@ def test_prune_matches_the_eager_oracle_on_chain5_and_star(tpcd_db, monkeypatch)
         tpcd_db, [texts["chain5"], texts["star"]], OptimizerConfig(), monkeypatch
     )
     assert seen["left_unbuilt"] > seen["candidates"] // 2
+
+
+def price_every_inner_plan(plan):
+    """The inner-class oracle's key: every inner plan is its own class,
+    so every join method is priced with every inner plan."""
+    return id(plan)
+
+
+def survivors_per_subset(database, statements, config, monkeypatch, key):
+    """(explain text and cost of each ``_prune`` call's survivors, in
+    call order; candidates priced) planning with inner-class ``key``."""
+    lazy_prune = enumerate_module._prune
+    seen = {"survivors": [], "candidates": 0}
+
+    def recording_prune(planner, candidates):
+        candidates = list(candidates)
+        survivors = lazy_prune(planner, candidates)
+        seen["candidates"] += len(candidates)
+        seen["survivors"].append(
+            [(plan.explain(show_cost=True), plan.cost) for plan in survivors]
+        )
+        return survivors
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumerate_module, "_prune", recording_prune)
+        patch.setattr(enumerate_module, "_order_blind_key", key)
+        for sql in statements:
+            plan_query(database, sql, config=config)
+    return seen
+
+
+def assert_inner_classes_match_the_oracle(database, statements, config, monkeypatch):
+    got = survivors_per_subset(
+        database, statements, config, monkeypatch,
+        enumerate_module._order_blind_key,
+    )
+    want = survivors_per_subset(
+        database, statements, config, monkeypatch, price_every_inner_plan
+    )
+    assert len(got["survivors"]) == len(want["survivors"])
+    for subset, (kept, expected) in enumerate(
+        zip(got["survivors"], want["survivors"])
+    ):
+        assert kept == expected, f"_prune call {subset} differs"
+    # Not vacuous: some inner plan went unpriced.
+    assert got["candidates"] < want["candidates"]
+
+
+@pytest.mark.parametrize("config_name", sorted(tier1_matrix()))
+def test_inner_classes_match_the_price_every_inner_oracle(
+    corpus, config_name, monkeypatch
+):
+    database, statements = corpus
+    assert_inner_classes_match_the_oracle(
+        database, statements, tier1_matrix()[config_name], monkeypatch
+    )
+
+
+def test_inner_classes_match_the_oracle_on_chain5_and_star(tpcd_db, monkeypatch):
+    texts = seed1_statements(tpcd_db, "adhoc_plan")
+    assert_inner_classes_match_the_oracle(
+        tpcd_db, [texts["chain5"], texts["star"]], OptimizerConfig(), monkeypatch
+    )
