@@ -45,6 +45,7 @@ from repro.expr.vector import (
     vector_projection_kernel,
 )
 from repro.sqltypes import group_key_column, is_null, sort_key_column
+from repro.storage.buffer import PageId
 from repro.storage.database import encode_index_key
 
 Row = Tuple[Any, ...]
@@ -241,9 +242,16 @@ class IndexScanOp(PhysicalOperator):
     """Ordered scan through an index, optionally bounded.
 
     ``low``/``high`` are tuples of raw values keying a prefix of the
-    index columns; ``fetch`` controls whether heap rows are fetched (an
-    index-only scan would pass False — we always fetch, since our schema
-    is the full row).
+    index columns. Every qualifying entry's heap row is fetched (the
+    schema is the full row).
+
+    A block is filled from :meth:`BPlusTree.scan_runs` leaf slices with
+    ``fetch_run``, a slice cut at the block boundary so a consumer that
+    stops early fetches nothing past its last block. The block's page
+    run — descent, leaf steps and heap pages, in the order an
+    entry-at-a-time ``scan_range`` + ``fetch`` walk touches them — is
+    charged with one ``BufferPool.access_run`` before the block is
+    yielded.
     """
 
     def __init__(
@@ -286,6 +294,11 @@ class IndexScanOp(PhysicalOperator):
         index, tree = store.indexes[self.index_name]
         if self.partition is not None:
             tree = tree.partition(self.partition)
+        elif store.partitioning is not None:
+            raise ExecutionError(
+                f"index {self.index_name} is partitioned: an index scan "
+                "reads one partition's local tree"
+            )
         directions = [column.direction for column in index.key]
         low_key = (
             encode_index_key(low, directions[: len(low)])
@@ -297,22 +310,34 @@ class IndexScanOp(PhysicalOperator):
             if high is not None
             else None
         )
-        fetch = store.heap.fetch
+        fetch_run = store.heap.fetch_run
+        charge = context.database.buffer_pool.access_run
         size = context.batch_size
+        # The page run is this generator's local, like the index
+        # nested-loop join's: it is empty at every yield.
+        run: List[PageId] = []
         batch: Batch = []
-        append = batch.append
-        for _key, rid in tree.scan_range(
-            low=low_key,
-            high=high_key,
-            low_inclusive=self.low_inclusive,
-            high_inclusive=self.high_inclusive,
-            descending=self.descending,
+        for _keys, rids in tree.scan_runs(
+            low_key,
+            high_key,
+            self.low_inclusive,
+            self.high_inclusive,
+            self.descending,
+            run,
         ):
-            append(fetch(rid))
-            if len(batch) >= size:
+            start = 0
+            # A slice that fills the block is cut there, and the block
+            # leaves before the scan is asked for the next leaf.
+            while len(rids) - start >= size - len(batch):
+                stop = start + size - len(batch)
+                batch += fetch_run(rids[start:stop], run)
+                charge(run)
+                run.clear()
                 yield RowBlock(batch)
                 batch = []
-                append = batch.append
+                start = stop
+            batch += fetch_run(rids[start:], run)
+        charge(run)
         if batch:
             yield RowBlock(batch)
 

@@ -80,9 +80,6 @@ class BPlusTree:
         self._next_node_id += 1
         return node
 
-    def _touch(self, node: _Node) -> None:
-        self.buffer_pool.access(node.page_id)
-
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
@@ -240,11 +237,6 @@ class BPlusTree:
             path.append(node.page_id)
         return path, node, lower, upper  # type: ignore[return-value]
 
-    def _descend(self, key: Optional[Key], rightmost: bool = False) -> _Leaf:
-        path, leaf, _lower, _upper = self._find_leaf(key, rightmost)
-        self.buffer_pool.access_run(path)
-        return leaf
-
     def probe_cursor(self) -> "ProbeCursor":
         """A probe cursor for one operator's probe stream."""
         return ProbeCursor(self)
@@ -272,15 +264,48 @@ class BPlusTree:
     ) -> Iterator[Tuple[Key, Rid]]:
         """Iterate entries with ``low <= key <= high`` (bounds optional).
 
+        Entry-at-a-time :meth:`scan_runs`: each leaf's pages are charged
+        just before its first entry is yielded.
+        """
+        run: List[PageId] = []
+        charge = self.buffer_pool.access_run
+        for keys, rids in self.scan_runs(
+            low, high, low_inclusive, high_inclusive, descending, run
+        ):
+            charge(run)
+            run.clear()
+            yield from zip(keys, rids)
+
+    def scan_runs(
+        self,
+        low: Optional[Key],
+        high: Optional[Key],
+        low_inclusive: bool,
+        high_inclusive: bool,
+        descending: bool,
+        run: List[PageId],
+    ) -> Iterator[Tuple[List[Key], List[Rid]]]:
+        """The range scan one leaf at a time: ``(keys, rids)`` slices of
+        each visited leaf's qualifying entries, in scan order.
+
         Bounds are prefix bounds: a bound tuple shorter than stored keys
         compares against the key's prefix of the same length. Each leaf
-        is cut at the bisect positions of the bounds; a leaf is touched
+        is cut at the bisect positions of the bounds; a leaf is visited
         exactly when an entry-by-entry walk would have reached it.
+
+        Charges nothing: the descent path and each leaf step are
+        appended to ``run`` for the caller to charge with
+        ``BufferPool.access_run``. The next leaf is appended only when
+        the consumer asks for its slice, so a consumer that stops early
+        never pays for a leaf it did not read.
         """
         if self._entry_count == 0:
             return
         if descending:
-            leaf = self._descend(high, rightmost=high is None)
+            path, leaf, _lower, _upper = self._find_leaf(
+                high, rightmost=high is None
+            )
+            run += path
             # The first qualifying entry may be in a later leaf when
             # ``high`` lands at a leaf boundary with duplicates; walk
             # right first.
@@ -288,10 +313,11 @@ class BPlusTree:
                 high is None or leaf.next_leaf.keys[0][: len(high)] <= high
             ):
                 leaf = leaf.next_leaf
-                self._touch(leaf)
+                run.append(leaf.page_id)
         else:
-            leaf = self._descend(low)
-        while leaf is not None:
+            path, leaf, _lower, _upper = self._find_leaf(low)
+            run += path
+        while True:
             keys = leaf.keys
             start = (
                 0
@@ -307,24 +333,24 @@ class BPlusTree:
                 if high_inclusive
                 else bisect_left(keys, high)
             )
-            entries = zip(keys[start:stop], leaf.values[start:stop])
             if descending:
-                yield from reversed(list(entries))
+                yield keys[start:stop][::-1], leaf.values[start:stop][::-1]
                 # Walking down, an entry under ``stop`` that falls below
                 # ``low`` ends the scan.
                 if start and stop:
                     return
                 leaf = leaf.prev_leaf
             else:
-                yield from entries
+                yield keys[start:stop], leaf.values[start:stop]
                 # Walking up, an entry from ``start`` on that exceeds
                 # ``high`` ends the scan; entries below ``low`` are
                 # skipped without looking at ``high``.
                 if max(start, stop) < len(keys):
                     return
                 leaf = leaf.next_leaf
-            if leaf is not None:
-                self._touch(leaf)
+            if leaf is None:
+                return
+            run.append(leaf.page_id)
 
 
 def _first_above(keys: List[Key], bound: Key) -> int:

@@ -17,8 +17,7 @@ partition's file.
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool, PageId
@@ -142,11 +141,10 @@ class PartitionedTree:
     """B+-tree facade over one tree per partition.
 
     Entries route by the partition already encoded in their RID, so the
-    index is automatically co-partitioned with the heap. A global
-    ``scan_range`` k-way merges the per-partition leaf walks — ties
-    break toward lower partitions, keeping the merge deterministic —
-    while per-partition scans back the order-preserving merge-exchange
-    plans.
+    index is automatically co-partitioned with the heap. The trees are
+    local indexes: there is no whole-table range scan, only
+    per-partition scans (``partition(p)``), which back the
+    order-preserving merge-exchange plans.
     """
 
     def __init__(
@@ -204,26 +202,6 @@ class PartitionedTree:
         """A probe cursor over every partition, for one operator."""
         return PartitionedProbeCursor(
             [tree.probe_cursor() for tree in self._trees]
-        )
-
-    def scan_range(
-        self,
-        low: Optional[Key] = None,
-        high: Optional[Key] = None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-        descending: bool = False,
-    ) -> Iterator[Tuple[Key, Rid]]:
-        streams = [
-            tree.scan_range(
-                low, high, low_inclusive, high_inclusive, descending
-            )
-            for tree in self._trees
-        ]
-        # heapq.merge is stable across input order, so equal keys come
-        # out in partition order — matching bulk_load's global ordering.
-        return heapq.merge(
-            *streams, key=lambda entry: entry[0], reverse=descending
         )
 
 

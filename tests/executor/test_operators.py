@@ -1,14 +1,16 @@
 """Leaf/unary physical operators."""
 
 import datetime
+import random
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Column, Database, Index, TableSchema
+from repro.catalog import hash_spec
 from repro.core import OrderSpec
-from repro.core.ordering import asc, desc
+from repro.core.ordering import SortDirection, asc, desc
 from repro.errors import ExecutionError, QueryCancelled, TypeSystemError
 from repro.executor import (
     MODE_INTERPRETED,
@@ -26,7 +28,13 @@ from repro.executor import (
     TableScanOp,
 )
 from repro.executor.context import CancelToken
-from repro.executor.operators import MaterializeOp, group_markers, sort_keys
+from repro.executor.exchange import MergeExchangeOp
+from repro.executor.operators import (
+    LimitOp,
+    MaterializeOp,
+    group_markers,
+    sort_keys,
+)
 from repro.expr import (
     Aggregate,
     AggregateKind,
@@ -40,9 +48,11 @@ from repro.expr import (
 from repro.expr.nodes import ArithmeticOp
 from repro.expr.vector import ColumnBlock, RowBlock
 from repro.sqltypes import INTEGER, NULL, group_key, sort_key
+from repro.storage.database import encode_index_key
 
 TA, TB = col("t", "a"), col("t", "b")
 SCHEMA = RowSchema([TA, TB])
+S_SCHEMA = RowSchema([col("s", "a"), col("s", "b")])
 
 ALL_MODES = (MODE_INTERPRETED, MODE_VECTOR)
 
@@ -133,6 +143,101 @@ class TestIndexScan:
         op = IndexScanOp("t", "t_b", "t", SCHEMA, descending=True)
         values = [row[1] for row in run(op, db)]
         assert values == sorted(values, reverse=True)
+
+    def test_partitioned_index_needs_a_partition(self):
+        database = TestIndexScanPageAccounting.build(64, partitioned=True)
+        with pytest.raises(ExecutionError, match="partition"):
+            run(IndexScanOp("s", "s_a", "s", S_SCHEMA), database)
+
+
+class TestIndexScanPageAccounting:
+    """An index scan charges each block's page run (descent, leaf steps,
+    heap pages) with one ``access_run``. From a cold pool far smaller
+    than the table — where the *order* of accesses decides what is
+    evicted — both engines must return the same rows and ``IoStats``,
+    and a single scan must charge what the entry-at-a-time walk
+    (``scan_range`` plus one ``fetch`` per RID) charges."""
+
+    @staticmethod
+    def build(pool_pages, partitioned=False):
+        rng = random.Random(28)
+        database = Database(buffer_pool_pages=pool_pages)
+        database.create_table(
+            TableSchema(
+                "s",
+                [Column("a", INTEGER), Column("b", INTEGER)],
+                partitioning=hash_spec(["a"], 3) if partitioned else None,
+            ),
+            rows=[(rng.randint(0, 400), rng.randint(0, 5)) for _ in range(6000)],
+        )
+        database.create_index(Index.on("s_a", "s", ["a"]))
+        return database
+
+    @staticmethod
+    def scan(partition=None, **bounds):
+        return IndexScanOp("s", "s_a", "s", S_SCHEMA, partition=partition, **bounds)
+
+    @staticmethod
+    def walked_stats(database, operator):
+        """Cold-pool ``IoStats`` of the entry-at-a-time walk."""
+        store = database.store("s")
+        tree = database.index_tree("s_a")
+        if operator.partition is not None:
+            tree = tree.partition(operator.partition)
+        low, high = (
+            bound and encode_index_key(bound, (SortDirection.ASC,))
+            for bound in (operator.low, operator.high)
+        )
+        database.reset_io(cold=True)
+        for _key, rid in tree.scan_range(
+            low,
+            high,
+            operator.low_inclusive,
+            operator.high_inclusive,
+            operator.descending,
+        ):
+            store.heap.fetch(rid)
+        return database.buffer_pool.stats
+
+    @pytest.mark.parametrize(
+        "shape", ["full", "backward_bounded", "partition", "merge", "limit"]
+    )
+    @pytest.mark.parametrize("pool_pages", [3, 2048])
+    def test_engines_charge_the_same_pages(self, shape, pool_pages):
+        database = self.build(
+            pool_pages, partitioned=shape in ("partition", "merge")
+        )
+        heap = database.store("s").heap
+        assert heap.page_count > 3, "a 3-page pool must evict"
+        operator = {
+            "full": lambda: self.scan(),
+            "backward_bounded": lambda: self.scan(
+                low=(50,), high=(300,), high_inclusive=False, descending=True
+            ),
+            "partition": lambda: self.scan(partition=1),
+            "merge": lambda: MergeExchangeOp(
+                [self.scan(partition=part) for part in range(3)],
+                S_SCHEMA,
+                OrderSpec.of(col("s", "a")),
+            ),
+            "limit": lambda: LimitOp(self.scan(), 100),
+        }[shape]()
+        outcomes = {}
+        for mode in ALL_MODES:
+            database.reset_io(cold=True)
+            context = ExecutionContext(database, mode=mode, batch_size=64)
+            outcomes[mode] = (operator.execute(context), database.buffer_pool.stats)
+        rows, stats = outcomes[MODE_VECTOR]
+        assert outcomes[MODE_INTERPRETED] == (rows, stats)
+        keys = [row[0] for row in rows]
+        assert keys == sorted(keys, reverse=shape == "backward_bounded")
+        if shape == "limit":
+            # Two 64-row blocks are fetched, not the table.
+            assert len(rows) == 100 and stats.total_accesses < 200
+        elif shape != "merge":
+            assert stats == self.walked_stats(database, operator)
+        if pool_pages == 3 and shape != "limit":
+            assert stats.total_misses > heap.page_count
 
 
 class TestFilter:

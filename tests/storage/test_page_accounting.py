@@ -9,16 +9,26 @@ id and in order:
 * ``scan_range`` (positions by bisect) against the compare-every-entry
   walk it replaced, kept below as :func:`reference_scan`, and against a
   digest of traces recorded from that implementation before the rewrite;
+* ``IndexScanOp``'s block body (``scan_runs`` leaf slices, ``fetch_run``,
+  one ``access_run`` per block) against ``scan_range`` plus one
+  ``HeapFile.fetch`` per entry, kept below as
+  :func:`reference_index_scan`;
 * ``BufferPool.access_run`` against a loop of ``access``.
 """
 
 import hashlib
 import random
+from itertools import islice
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.catalog import Column, Index, IndexColumn, TableSchema, hash_spec
 from repro.core.ordering import SortDirection
-from repro.storage import BPlusTree, BufferPool
+from repro.executor import ExecutionContext, IndexScanOp
+from repro.expr import RowSchema, col
+from repro.sqltypes import INTEGER, varchar
+from repro.storage import BPlusTree, BufferPool, Database
 from repro.storage.database import encode_index_key
 from repro.storage.heap import Rid
 
@@ -308,6 +318,158 @@ def scan_trace_digest():
 
 def test_range_scan_traces_match_the_recording():
     assert scan_trace_digest() == RECORDED_SCAN_TRACES
+
+
+# ----------------------------------------------------------------------
+# Index scans
+# ----------------------------------------------------------------------
+
+T_SCHEMA = RowSchema([col("t", "a"), col("t", "b"), col("t", "pad")])
+
+
+def build_table(pairs, extra, directions, fanout, partitioned, capacity):
+    """Table ``t(a, b, pad)`` loaded from ``pairs``, index ``t_ab`` on
+    ``(a, b)`` built at ``fanout``, then ``extra`` rows inserted through
+    the tree so packed leaves split. ``pad``'s declared width keeps a
+    heap page to a handful of rows, so leaf and heap pages interleave."""
+    database = Database()
+    pool = database.buffer_pool = RecordingPool(capacity)
+    database.create_table(
+        TableSchema(
+            "t",
+            [
+                Column("a", INTEGER),
+                Column("b", INTEGER),
+                Column("pad", varchar(1000)),
+            ],
+            partitioning=hash_spec(["b"], 2) if partitioned else None,
+        ),
+        rows=[(a, b, "") for a, b in pairs],
+    )
+    index = Index(
+        "t_ab",
+        "t",
+        [IndexColumn("a", directions[0]), IndexColumn("b", directions[1])],
+    )
+    database.catalog.create_index(index)
+    store = database.store("t")
+    store.add_index(index, fanout=fanout)
+    for a, b in extra:
+        store.insert((a, b, ""))
+    return database, pool
+
+
+def reference_index_scan(
+    database, batch_size, partition, low, high, low_inclusive,
+    high_inclusive, descending,
+):
+    """``IndexScanOp``'s blocks as produced before leaf runs:
+    ``scan_range`` entry by entry, one ``HeapFile.fetch`` per RID, and
+    a block yielded as soon as ``batch_size`` rows are collected."""
+    store = database.store("t")
+    index, tree = store.indexes["t_ab"]
+    if partition is not None:
+        tree = tree.partition(partition)
+    directions = [column.direction for column in index.key]
+    batch = []
+    for _key, rid in tree.scan_range(
+        encoded(low, directions),
+        encoded(high, directions),
+        low_inclusive,
+        high_inclusive,
+        descending,
+    ):
+        batch.append(store.heap.fetch(rid))
+        if len(batch) >= batch_size:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pairs=pairs_strategy,
+    extra=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=20),
+    directions=tree_arguments["directions"],
+    fanout=st.integers(4, 8),
+    scan=range_strategy,
+    batch=st.sampled_from(["one", "two", "leaf", "large"]),
+    stop_after=st.none() | st.integers(1, 4),
+    partition=st.none() | st.integers(0, 1),
+    capacity=st.sampled_from([2, 1024]),
+)
+def test_index_scan_blocks_charge_what_the_row_at_a_time_scan_charged(
+    pairs, extra, directions, fanout, scan, batch, stop_after, partition,
+    capacity,
+):
+    database, pool = build_table(
+        pairs, extra, directions, fanout, partition is not None, capacity
+    )
+    # "leaf": a packed leaf's entry count, so blocks end on leaf edges.
+    batch_size = {
+        "one": 1, "two": 2, "leaf": max(2, (fanout * 3) // 4), "large": 1024
+    }[batch]
+    pool.clear()
+    expected = pool.traced(
+        lambda: list(
+            islice(
+                reference_index_scan(database, batch_size, partition, *scan),
+                stop_after,
+            )
+        )
+    )
+    expected_stats = pool.stats.snapshot()
+    operator = IndexScanOp("t", "t_ab", "t", T_SCHEMA, *scan, partition)
+    context = ExecutionContext(database, batch_size=batch_size)
+    pool.clear()
+    assert pool.traced(
+        lambda: [
+            block.materialize()
+            for block in islice(operator.blocks(context), stop_after)
+        ]
+    ) == expected
+    assert pool.stats == expected_stats
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        (None, None, True, True, False),
+        (None, None, True, True, True),
+        ((2,), (9, 1), False, True, False),
+        ((2,), (9, 1), True, False, True),
+        ((5,), (5,), True, True, False),
+    ],
+    ids=["full", "full-desc", "bounded", "bounded-desc", "probe"],
+)
+@pytest.mark.parametrize("stop_after", [1, 2, 3, None])
+@pytest.mark.parametrize("batch_size", [3, 5])
+def test_index_scan_stops_on_and_between_leaf_edges(scan, stop_after, batch_size):
+    """Packed fanout-4 leaves hold 3 entries: 3-row blocks end on leaf
+    edges, where the next leaf must not be charged until asked for, and
+    5-row blocks end mid-leaf."""
+    pairs = [(value % 13, value % 4) for value in range(60)]
+    database, pool = build_table(pairs, [], (ASC, DESC), 4, False, 1024)
+    pool.clear()
+    expected = pool.traced(
+        lambda: list(
+            islice(
+                reference_index_scan(database, batch_size, None, *scan),
+                stop_after,
+            )
+        )
+    )
+    operator = IndexScanOp("t", "t_ab", "t", T_SCHEMA, *scan)
+    context = ExecutionContext(database, batch_size=batch_size)
+    pool.clear()
+    assert expected[0], "the scan must return rows"
+    assert pool.traced(
+        lambda: [
+            block.materialize()
+            for block in islice(operator.blocks(context), stop_after)
+        ]
+    ) == expected
 
 
 # ----------------------------------------------------------------------

@@ -69,14 +69,18 @@ class TestGlobalRids:
         db.create_index(Index.on("t_k", "t", ("k",), unique=True))
         tree = db.index_tree("t_k")
         assert tree.partition_count == 4
-        # Entries land in the tree of the partition their RID addresses.
+        # Entries land in the tree of the partition their RID addresses,
+        # each local tree in key order.
+        scanned = 0
         for part in range(4):
-            for _, rid in tree.partition(part).scan_range():
-                assert rid_partition(rid) == part
-        # A global range scan merges to full key order.
-        keys = [key for key, _ in tree.scan_range()]
-        assert keys == sorted(keys)
-        assert len(keys) == 300
+            entries = list(tree.partition(part).scan_range())
+            assert all(rid_partition(rid) == part for _, rid in entries)
+            keys = [key for key, _ in entries]
+            assert keys == sorted(keys)
+            scanned += len(entries)
+        assert scanned == 300
+        # Local indexes have no whole-table range scan.
+        assert not hasattr(tree, "scan_range")
         # Point probes hit every partition but find exactly one match.
         from repro.core.ordering import SortDirection
         from repro.storage.database import encode_index_key
