@@ -44,7 +44,10 @@ class Optimizer:
         self.config = config or OptimizerConfig()
         self.cost_model = cost_model or CostModel()
         self.last_stats: PlannerStats = PlannerStats()
-        self.last_interesting_orders: List = []
+        # The planning state of the last block planned: the statement's
+        # top block once ``plan_sql`` returns (its derived tables are
+        # planned before it).
+        self.last_planner: Optional[PlannerContext] = None
 
     def plan_sql(self, sql: str) -> Plan:
         """Parse, rewrite, and plan a SQL query."""
@@ -88,7 +91,7 @@ class Optimizer:
                 and not specification.is_empty()
             ):
                 planner.interesting_orders.append(specification)
-        self.last_interesting_orders = list(planner.interesting_orders)
+        self.last_planner = planner
         join_plans = enumerate_joins(planner)
         candidates = finalize_plans(planner, join_plans)
         if not candidates:

@@ -17,7 +17,6 @@ from repro.core.general import GeneralOrderSpec
 from repro.core.homogenize import homogenize_prefix
 from repro.core.ordering import OrderSpec
 from repro.core.reduce import reduce_order
-from repro.expr.nodes import ColumnRef
 from repro.optimizer.planner import PlannerContext
 
 # Interesting orders a block keeps as sort-ahead candidates.
@@ -30,22 +29,11 @@ def run_order_scan(planner: PlannerContext) -> List[OrderSpec]:
         return []
     block = planner.block
     optimistic = planner.optimistic
-    collected = []
-    for alias, table_name in block.tables.items():
-        if block.is_derived(alias):
-            collected.extend(
-                planner.derived_plans[alias][0].properties.schema.columns
-            )
-        else:
-            collected.extend(
-                ColumnRef(alias, name)
-                for name in planner.database.catalog.table(
-                    table_name
-                ).column_names
-            )
     # Frozen once: homogenization memo keys include the target column
     # set, so every push below probes the same table.
-    base_columns = frozenset(collected)
+    base_columns = frozenset(
+        column for alias in block.tables for column in planner.alias_columns(alias)
+    )
     candidates: List[OrderSpec] = []
 
     def push(specification: OrderSpec) -> None:

@@ -198,9 +198,21 @@ class PlannerContext:
             nullable=self.column_nullable,
         )
 
-    def _build_optimistic_context(self) -> None:
-        """All predicates assumed applied + every base-table key (§5.1).
+    def alias_columns(self, alias: str) -> Tuple[ColumnRef, ...]:
+        """The columns one quantifier contributes to the join box."""
+        if self.block.is_derived(alias):
+            return tuple(self.derived_plans[alias][0].properties.schema.columns)
+        return tuple(
+            ColumnRef(alias, name) for name in self.table_for(alias).column_names
+        )
 
+    def _build_optimistic_context(self) -> None:
+        """All predicates assumed applied + every quantifier's keys (§5.1).
+
+        A key determines the columns *of its own quantifier* (§4.1): one
+        customer has many orders, so ``{c_custkey} -> *`` over the join
+        box would be false. The join's equivalences carry a key further
+        (``o_orderkey = l_orderkey`` plus ``{o_orderkey} -> orders.*``).
         Outer-join ON equalities contribute only their one-directional
         FD (preserved column determines null-supplying column, §4.1) —
         never an equivalence class.
@@ -209,16 +221,18 @@ class PlannerContext:
         from repro.expr.analysis import analyze_predicates as analyze
 
         facts = analyze_predicates(conjuncts_of(self.block.predicate))
-        keys = []
-        for alias, table_name in self.block.tables.items():
-            if self.block.is_derived(alias):
-                for key in self.derived_plans[alias][0].properties.key_property.keys:
-                    keys.append(list(key))
-                continue
-            table = self.database.catalog.table(table_name)
-            for key in table.keys():
-                keys.append([ColumnRef(alias, name) for name in key])
         extra = FDSet()
+        for alias in self.block.tables:
+            if self.block.is_derived(alias):
+                keys = self.derived_plans[alias][0].properties.key_property.keys
+            else:
+                keys = [
+                    [ColumnRef(alias, name) for name in key]
+                    for key in self.table_for(alias).keys()
+                ]
+            columns = self.alias_columns(alias)
+            for key in keys:
+                extra = extra.add(fd(key, columns))
         for alias, on_predicate in self.block.outer_joins.items():
             for left, right in analyze([on_predicate]).equalities:
                 if right.qualifier == alias and left.qualifier != alias:
@@ -226,7 +240,7 @@ class PlannerContext:
                 elif left.qualifier == alias and right.qualifier != alias:
                     extra = extra.add(fd([right], [left]))
         self.optimistic = OrderContext.from_facts(
-            facts, keys=keys, extra_fds=extra, ods=self.block_ods
+            facts, extra_fds=extra, ods=self.block_ods
         )
 
     # ------------------------------------------------------------------

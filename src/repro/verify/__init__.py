@@ -31,6 +31,7 @@ from repro.verify.oracle import (
     FuzzReport,
     Mismatch,
     audit_node,
+    audit_optimistic_context,
     audit_plan,
     check_query,
     full_matrix,
@@ -54,6 +55,7 @@ __all__ = [
     "FuzzReport",
     "Mismatch",
     "audit_node",
+    "audit_optimistic_context",
     "audit_plan",
     "check_query",
     "full_matrix",

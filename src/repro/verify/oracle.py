@@ -18,7 +18,9 @@ decide what a failure means:
   functional, order physically true, constants constant, one-record
   means ≤ 1 row) are checked against the rows it actually produced.
   This is the strongest guard against unsound reductions: a wrong key
-  or FD would silently license removing a sort the data needs.
+  or FD would silently license removing a sort the data needs. The
+  order scan's optimistic context (§5.1) is checked the same way, on
+  the rows of the block's FROM + WHERE.
 
 All comparisons use :func:`repro.sqltypes.values.sort_key` (NULLs high),
 the same convention as the reference and the executor.
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.api import execute, plan_query, run_query
+from repro.api import execute, run_query
 from repro.core.ordering import SortDirection
 from repro.executor.build import build_operator
 from repro.executor.context import (
@@ -37,12 +39,13 @@ from repro.executor.context import (
     MODE_VECTOR,
     ExecutionContext,
 )
-from repro.optimizer import OptimizerConfig, Plan
+from repro.optimizer import Optimizer, OptimizerConfig, Plan
 from repro.optimizer.plan import PlanNode
+from repro.optimizer.planner import PlannerContext
 from repro.sqltypes.values import sort_key
 from repro.storage import Database
 from repro.verify.gen import GenConfig, QueryGenerator, SchemaSpec, generate_schema
-from repro.verify.reference import reference_query
+from repro.verify.reference import join_box_rows, reference_query
 
 
 # ----------------------------------------------------------------------
@@ -343,6 +346,19 @@ def _marker(row, positions):
     return tuple(sort_key(row[p]) for p in positions)
 
 
+def _functional(rows, schema, head, tail) -> bool:
+    """Whether ``head -> tail`` holds on ``rows`` (an empty head: the
+    tail is constant)."""
+    head_positions = [schema.position(column) for column in head]
+    tail_positions = [schema.position(column) for column in tail]
+    mapping = {}
+    for row in rows:
+        value = _marker(row, tail_positions)
+        if mapping.setdefault(_marker(row, head_positions), value) != value:
+            return False
+    return True
+
+
 def audit_node(database: Database, node: PlanNode) -> List[str]:
     """Execute just ``node``'s subtree and check every claimed property
     against the rows it produced. Returns violation descriptions."""
@@ -369,25 +385,11 @@ def audit_node(database: Database, node: PlanNode) -> List[str]:
         tail = list(dependency.tail)
         if not all(c in schema for c in head + tail):
             continue
-        head_positions = [schema.position(c) for c in head]
-        tail_positions = [schema.position(c) for c in tail]
-        mapping = {}
-        for row in rows:
-            key = _marker(row, head_positions)
-            value = _marker(row, tail_positions)
-            previous = mapping.setdefault(key, value)
-            if previous != value:
-                violations.append(
-                    f"FD {dependency} violated at {node.describe()}"
-                )
-                break
+        if not _functional(rows, schema, head, tail):
+            violations.append(f"FD {dependency} violated at {node.describe()}")
 
     for column in properties.constants:
-        if column not in schema:
-            continue
-        position = schema.position(column)
-        values = {sort_key(row[position]) for row in rows}
-        if len(values) > 1:
+        if column in schema and not _functional(rows, schema, (), [column]):
             violations.append(
                 f"constant {column} not constant at {node.describe()}"
             )
@@ -443,6 +445,43 @@ def audit_plan(database: Database, plan: Plan) -> List[str]:
     violations: List[str] = []
     for node in walk(plan.root):
         violations.extend(audit_node(database, node))
+    return violations
+
+
+def audit_optimistic_context(
+    database: Database, planner: PlannerContext
+) -> List[str]:
+    """Check the order scan's optimistic context (§5.1) on real rows.
+
+    ``planner.optimistic`` claims facts about the block's join box with
+    every predicate applied. Each FD (an ``ALL_COLUMNS`` tail means
+    every column), constant and equivalence class must hold on the rows
+    of the block's FROM + WHERE as the reference evaluator produces
+    them. Columns the join box lacks (select outputs, named by
+    harvested ODs) are skipped; :func:`audit_node` checks the ODs plan
+    nodes claim. Returns violation descriptions.
+    """
+    schema, rows = join_box_rows(database, planner.block)
+    context = planner.optimistic
+    violations: List[str] = []
+    for dependency in context.fds:
+        if not all(column in schema for column in dependency.head):
+            continue
+        if dependency.determines_all():
+            tail = schema.columns
+        else:
+            tail = [column for column in dependency.tail if column in schema]
+        if not _functional(rows, schema, dependency.head, tail):
+            violations.append(f"optimistic FD {dependency} violated")
+    for column in sorted(context.constants, key=str):
+        if column in schema and not _functional(rows, schema, (), [column]):
+            violations.append(f"optimistic constant {column} not constant")
+    for group in context.equivalences.classes():
+        members = [column for column in sorted(group, key=str) if column in schema]
+        positions = [schema.position(column) for column in members]
+        if any(len(set(_marker(row, positions))) > 1 for row in rows):
+            names = ", ".join(map(str, members))
+            violations.append(f"optimistic equivalence {{{names}}} violated")
     return violations
 
 
@@ -523,15 +562,20 @@ def audit_matrix() -> Dict[str, OptimizerConfig]:
 def run_audit_battery(
     configs: Optional[Dict[str, OptimizerConfig]] = None,
 ) -> List[Mismatch]:
-    """Plan + audit every battery query under every config."""
+    """Plan + audit every battery query under every config: each node of
+    the chosen plan, and the top block's optimistic context."""
     database = build_audit_database()
     if configs is None:
         configs = audit_matrix()
     mismatches: List[Mismatch] = []
     for sql in AUDIT_QUERIES:
         for name, config in configs.items():
-            plan = plan_query(database, sql, config=config)
-            for violation in audit_plan(database, plan):
+            optimizer = Optimizer(database, config)
+            plan = optimizer.plan_sql(sql)
+            violations = audit_plan(database, plan) + audit_optimistic_context(
+                database, optimizer.last_planner
+            )
+            for violation in violations:
                 mismatches.append(Mismatch(sql, name, "audit", violation))
     return mismatches
 

@@ -1,8 +1,10 @@
 """A naive reference evaluator used as the differential-testing oracle.
 
-Evaluates a :class:`~repro.qgm.block.QueryBlock` by brute force:
-Cartesian product, predicate filter, hash grouping, then sorting — no
-optimizer, no indexes, no cleverness. Slow but obviously correct.
+Evaluates a :class:`~repro.qgm.block.QueryBlock` by brute force: the
+FROM tables joined in FROM order with each WHERE conjunct applied once
+its tables are joined (the filtered Cartesian product, never built
+whole), hash grouping, then sorting — no optimizer, no indexes, no
+cleverness. Slow but obviously correct.
 
 NULL-ordering convention
 ------------------------
@@ -21,25 +23,21 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.executor.aggregate import _Accumulator, _COUNT_STAR
+from repro.expr.analysis import columns_of, conjuncts_of, is_column_equality
 from repro.expr.evaluate import evaluate, evaluate_predicate
 from repro.expr.nodes import ColumnRef
 from repro.expr.schema import RowSchema
 from repro.core.ordering import SortDirection
 from repro.qgm.block import QueryBlock
 from repro.sqltypes import sort_key
+from repro.sqltypes.values import is_null
 from repro.storage import Database
 
 
 def evaluate_block(database: Database, block: QueryBlock) -> List[tuple]:
     """Evaluate ``block`` naively and return its rows (sorted per the
     block's ORDER BY; unordered otherwise)."""
-    schema, rows = _cartesian(database, block)
-    if block.predicate is not None:
-        rows = [
-            row
-            for row in rows
-            if evaluate_predicate(block.predicate, schema, row)
-        ]
+    schema, rows = join_box_rows(database, block)
     if block.has_group_by():
         schema, rows = _group(schema, rows, block)
     if block.having is not None:
@@ -103,11 +101,31 @@ def _unique_items(block: QueryBlock):
     return unique
 
 
-def _cartesian(
+def join_box_rows(
     database: Database, block: QueryBlock
 ) -> Tuple[RowSchema, List[tuple]]:
+    """The rows of ``block``'s FROM + WHERE: its join box with every
+    predicate applied, before grouping and projection."""
+    return _cartesian(database, block, conjuncts_of(block.predicate))
+
+
+def _cartesian(
+    database: Database, block: QueryBlock, conjuncts: Sequence = ()
+) -> Tuple[RowSchema, List[tuple]]:
     """FROM-clause evaluation: Cartesian for comma joins, sequential
-    LEFT OUTER JOIN with padding for outer-joined entries."""
+    LEFT OUTER JOIN with padding for outer-joined entries.
+
+    ``conjuncts`` (WHERE conjuncts) are applied as soon as every table
+    they name is joined, and a comma-joined table equated to a joined
+    column is matched through a hash on that column. Each step extends
+    every row on its own, so the rows are those of the full product
+    filtered afterwards, without the product ever being built.
+    """
+    pending = [
+        (conjunct, {column.qualifier for column in columns_of(conjunct)})
+        for conjunct in conjuncts
+    ]
+    joined = set()
     schema_columns: List[ColumnRef] = []
     rows: List[tuple] = [()]
     for alias, table_name in block.tables.items():
@@ -125,11 +143,27 @@ def _cartesian(
             ]
         on_predicate = block.outer_joins.get(alias)
         if on_predicate is None:
-            rows = [
-                existing + candidate
-                for existing in rows
-                for candidate in table_rows
-            ]
+            match = _hash_match(pending, schema_columns, table_columns)
+            if match is None:
+                rows = [
+                    existing + candidate
+                    for existing in rows
+                    for candidate in table_rows
+                ]
+            else:
+                bound, probed = match
+                buckets: Dict[object, List[tuple]] = {}
+                for candidate in table_rows:
+                    if not is_null(candidate[probed]):
+                        buckets.setdefault(
+                            sort_key(candidate[probed]), []
+                        ).append(candidate)
+                rows = [
+                    existing + candidate
+                    for existing in rows
+                    if not is_null(existing[bound])
+                    for candidate in buckets.get(sort_key(existing[bound]), ())
+                ]
         else:
             joined_schema = RowSchema(schema_columns + table_columns)
             padding = (None,) * len(table_columns)
@@ -147,7 +181,42 @@ def _cartesian(
                     joined_rows.append(existing + padding)
             rows = joined_rows
         schema_columns.extend(table_columns)
-    return RowSchema(schema_columns), rows
+        joined.add(alias)
+        ready = [conjunct for conjunct, names in pending if names <= joined]
+        if ready:
+            pending = [entry for entry in pending if not entry[1] <= joined]
+            rows = _filtered(rows, RowSchema(schema_columns), ready)
+    schema = RowSchema(schema_columns)
+    if pending:  # a conjunct naming no table of the block
+        rows = _filtered(rows, schema, [entry[0] for entry in pending])
+    return schema, rows
+
+
+def _filtered(rows, schema, conjuncts):
+    return [
+        row
+        for row in rows
+        if all(evaluate_predicate(c, schema, row) for c in conjuncts)
+    ]
+
+
+def _hash_match(pending, bound_columns, table_columns):
+    """``(bound position, table position)`` of a pending ``col = col``
+    conjunct between a joined column and one of the next table's, or
+    None. NULL never equals, and ``sort_key`` classes are SQL equality
+    (a float meets the equal Decimal), so the hash loses no match."""
+    bound = {column: position for position, column in enumerate(bound_columns)}
+    probed = {column: position for position, column in enumerate(table_columns)}
+    for conjunct, _names in pending:
+        pair = is_column_equality(conjunct)
+        if pair is None:
+            continue
+        left, right = pair
+        if left in bound and right in probed:
+            return bound[left], probed[right]
+        if right in bound and left in probed:
+            return bound[right], probed[left]
+    return None
 
 
 def _derived_rows(database: Database, alias: str, box):

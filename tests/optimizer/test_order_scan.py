@@ -113,17 +113,10 @@ class TestOrderScan:
         assert OrderSpec.of(col("a", "y")) in orders
 
 
-# The optimistic context adds every base-table key as ``K -> *``, and
-# ``*`` there means every column of the join box. Across a join that FD
-# is false: b holds two rows for each a.x, with distinct w. TPC-D's
-# q3_customer (``c_custkey = :k``) loses every interesting order this
-# way (ROADMAP item K).
-KEY_FD_ACROSS_JOIN = pytest.mark.xfail(
-    strict=True, reason="base-key FDs are K -> * across the whole join box"
-)
-
-
-@KEY_FD_ACROSS_JOIN
+# The optimistic context gives a key FD its own table's columns as
+# tail, never every column of the join box: b holds two rows for each
+# a.x, with distinct w. With ``K -> *`` TPC-D's q3_customer
+# (``c_custkey = :k``) lost every interesting order.
 def test_a_constant_key_does_not_fix_the_other_tables_columns(db):
     orders, _ = scan_for(
         db,
@@ -133,9 +126,21 @@ def test_a_constant_key_does_not_fix_the_other_tables_columns(db):
     assert OrderSpec.of(col("b", "w")) in orders
 
 
-@KEY_FD_ACROSS_JOIN
 def test_a_key_does_not_determine_the_other_tables_columns(db):
     orders, _ = scan_for(
         db, "select a.x, b.w from a, b where a.x = b.x order by a.x, b.w"
     )
     assert OrderSpec.of(col("a", "x"), col("b", "w")) in orders
+
+
+def test_a_derived_tables_key_does_not_determine_the_other_tables_columns(db):
+    """The grouped view's key ``g.y`` determines g's outputs only."""
+    from repro.optimizer.optimizer import Optimizer
+
+    optimizer = Optimizer(db)
+    optimizer.plan_sql(
+        "select g.y, b.w from (select y, count(*) as n from a group by y) g, b "
+        "where g.y = b.x order by g.y, b.w"
+    )
+    orders = optimizer.last_planner.interesting_orders
+    assert OrderSpec.of(col("b", "x"), col("b", "w")) in orders

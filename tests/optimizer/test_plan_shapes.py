@@ -148,7 +148,7 @@ class TestSortAhead:
             "where dim.k = fact.k group by dim.k, attr order by dim.k"
         )
         assert optimizer.last_stats.sort_ahead_plans == 0
-        assert optimizer.last_interesting_orders == []
+        assert optimizer.last_planner.interesting_orders == []
 
 
 class TestGeneralOrdersInPlans:
