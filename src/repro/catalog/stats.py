@@ -9,10 +9,22 @@ and null counts. Statistics are gathered by scanning loaded data
 from __future__ import annotations
 
 import bisect
+import datetime
+import decimal
+import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Sequence
+from itertools import islice
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.sqltypes import is_null, sort_key
+from repro.sqltypes import NULL, SqlNull, sort_key
+
+_NULL_TYPES = (type(None), SqlNull)
+# Exact types whose own ``<`` is their sort-key order: a column holding
+# one of them alone takes bare ``min`` / ``max``.
+_SELF_ORDERED = frozenset({int, str, decimal.Decimal, datetime.date})
+# Exact types whose :func:`_numeric` image is ``float(value)``.
+_FLOAT_IMAGED = frozenset({int, float, decimal.Decimal})
 
 
 class Histogram:
@@ -34,10 +46,11 @@ class Histogram:
     def from_values(
         cls, values: Sequence[Any], buckets: int = 32
     ) -> Optional["Histogram"]:
-        numeric = []
-        for value in values:
+        if _FLOAT_IMAGED.issuperset(map(type, values)):
+            numeric = list(map(float, values))
+        else:
             try:
-                numeric.append(_numeric(value))
+                numeric = list(map(_numeric, values))
             except TypeError:
                 return None
         if not numeric:
@@ -142,11 +155,52 @@ class ColumnStats:
         return fraction
 
 
+def _row_of_nth_value(column: Sequence[Any], n: int) -> int:
+    """The 1-based row holding ``column``'s ``n``-th non-NULL value
+    (which must exist)."""
+    seen = 0
+    for number, value in enumerate(column, 1):
+        if value is not None and value is not NULL:
+            seen += 1
+            if seen == n:
+                return number
+    raise ValueError(f"fewer than {n} non-NULL values")
+
+
+def _draw_column_samples(
+    rows: Sequence[Sequence[Any]],
+    samples: List[List[Any]],
+    full_after: Sequence[Optional[int]],
+    size: int,
+) -> None:
+    """Run the per-column reservoir draws in row-major order.
+
+    One RNG serves every column, so the draw order is the row loop's:
+    rows are walked in segments between the points where some column's
+    sample fills, and within a segment each row draws once per full
+    column holding a non-NULL value, in column order.
+    """
+    draw = random.Random(0xC0FFEE).randrange
+    edges = sorted({filled for filled in full_after if filled is not None})
+    for index, start in enumerate(edges):
+        stop = edges[index + 1] if index + 1 < len(edges) else len(rows)
+        full = [
+            (position, samples[position])
+            for position, filled in enumerate(full_after)
+            if filled is not None and filled <= start
+        ]
+        for number, row in enumerate(islice(rows, start, stop), start + 1):
+            for position, sample in full:
+                value = row[position]
+                if value is None or value is NULL:
+                    continue
+                slot = draw(number)
+                if slot < size:
+                    sample[slot] = value
+
+
 def _numeric(value: Any) -> float:
     """Map a value onto the real line for range-selectivity arithmetic."""
-    import datetime
-    import decimal
-
     if isinstance(value, bool):
         return float(value)
     if isinstance(value, (int, float)):
@@ -192,51 +246,76 @@ class TableStats:
         rows: Iterable[Sequence[Any]],
         page_rows: int = 64,
     ) -> "TableStats":
-        """Scan ``rows`` once and compute exact NDV/min/max plus an
-        equi-depth histogram over a reservoir sample per column."""
-        import random
+        """Exact NDV / null count / min / max per column, an equi-depth
+        histogram over a reservoir sample per column, and a reservoir
+        sample of whole rows.
 
-        distinct: Dict[str, set] = {name: set() for name in column_names}
-        samples: Dict[str, List[Any]] = {name: [] for name in column_names}
-        reservoir_rng = random.Random(0xC0FFEE)
-        row_rng = random.Random(0xBEEF)
-        row_sample: List[Tuple[Any, ...]] = []
+        Works a column at a time: each column is read once through its
+        type census, and only one column list and one distinct set are
+        alive at a time. ``low`` / ``high`` are the first extremes in
+        scan order under :func:`sort_key`. The reservoirs draw as a row
+        loop would: column ``c`` of row ``r`` (1-based) draws
+        ``randrange(r)`` from the shared column RNG when its value is
+        not NULL and ``c``'s sample already holds ``SAMPLE_SIZE``
+        values, row by row and, within a row, in column order.
+        """
+        rows = list(rows)
+        size = cls.SAMPLE_SIZE
+        row_count = len(rows)
         stats = cls(
-            columns={name: ColumnStats() for name in column_names},
+            row_count=row_count,
+            pages=max(1, (row_count + page_rows - 1) // page_rows),
             sample_columns=tuple(column_names),
         )
-        for row in rows:
-            stats.row_count += 1
-            if len(row_sample) < cls.SAMPLE_SIZE:
-                row_sample.append(tuple(row))
-            else:
-                slot = row_rng.randrange(stats.row_count)
-                if slot < cls.SAMPLE_SIZE:
-                    row_sample[slot] = tuple(row)
-            for name, value in zip(column_names, row):
-                column = stats.columns[name]
-                if is_null(value):
-                    column.null_count += 1
-                    continue
-                distinct[name].add(value)
-                if column.low is None or sort_key(value) < sort_key(column.low):
-                    column.low = value
-                if column.high is None or sort_key(value) > sort_key(column.high):
-                    column.high = value
-                sample = samples[name]
-                if len(sample) < cls.SAMPLE_SIZE:
-                    sample.append(value)
-                else:
-                    slot = reservoir_rng.randrange(stats.row_count)
-                    if slot < cls.SAMPLE_SIZE:
-                        sample[slot] = value
-        for name in column_names:
-            stats.columns[name].ndv = max(1, len(distinct[name]))
-            if samples[name]:
-                stats.columns[name].histogram = Histogram.from_values(
-                    samples[name], cls.HISTOGRAM_BUCKETS
+        samples: List[List[Any]] = []
+        # Per column, the row count after which its sample is full and
+        # every further non-NULL value draws; None when it never fills.
+        full_after: List[Optional[int]] = []
+        for position, name in enumerate(column_names):
+            column = list(map(itemgetter(position), rows))
+            kinds = set(map(type, column))
+            values = column
+            filled: Optional[int] = size if row_count > size else None
+            if not kinds.isdisjoint(_NULL_TYPES):
+                kinds.difference_update(_NULL_TYPES)
+                values = [
+                    value
+                    for value in column
+                    if value is not None and value is not NULL
+                ]
+                filled = (
+                    _row_of_nth_value(column, size)
+                    if len(values) > size
+                    else None
                 )
-        stats.pages = max(1, (stats.row_count + page_rows - 1) // page_rows)
+            column_stats = ColumnStats(
+                ndv=max(1, len(set(values))),
+                null_count=row_count - len(values),
+            )
+            if values:
+                if len(kinds) == 1 and kinds <= _SELF_ORDERED:
+                    column_stats.low = min(values)
+                    column_stats.high = max(values)
+                else:
+                    column_stats.low = min(values, key=sort_key)
+                    column_stats.high = max(values, key=sort_key)
+            stats.columns[name] = column_stats
+            samples.append(values[:size])
+            full_after.append(filled)
+        _draw_column_samples(rows, samples, full_after, size)
+        for name, sample in zip(column_names, samples):
+            if sample:
+                stats.columns[name].histogram = Histogram.from_values(
+                    sample, cls.HISTOGRAM_BUCKETS
+                )
+        row_sample: List[Tuple[Any, ...]] = [
+            tuple(row) for row in rows[:size]
+        ]
+        draw = random.Random(0xBEEF).randrange
+        for number, row in enumerate(islice(rows, size, None), size + 1):
+            slot = draw(number)
+            if slot < size:
+                row_sample[slot] = tuple(row)
         stats.sample_rows = tuple(row_sample)
         return stats
 

@@ -7,7 +7,17 @@ load, and hand to the optimizer/executor.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.catalog import Catalog, Index, TableSchema, TableStats
 from repro.core.ordering import SortDirection
@@ -20,6 +30,8 @@ from repro.storage.partition import PartitionedHeap, PartitionedTree
 
 PAGE_SIZE_BYTES = 4096
 _DESC = SortDirection.DESC
+
+KeyEncoder = Callable[[Sequence[Any]], Tuple[Any, ...]]
 
 
 def encode_index_key(
@@ -67,6 +79,7 @@ class StoredTable:
             )
             self._partition_positions = []
         self.indexes: Dict[str, Tuple[Index, BPlusTree]] = {}
+        self._key_encoders: Dict[str, KeyEncoder] = {}
         self._buffer_pool = buffer_pool
         self._key_positions: List[Tuple[Tuple[str, ...], List[int]]] = [
             (key, [schema.position(name) for name in key])
@@ -106,8 +119,8 @@ class StoredTable:
         coerced = self.schema.validate_row(row)
         self._check_keys(coerced)
         rid = self._append(coerced)
-        for index, tree in self.indexes.values():
-            tree.insert(self._index_key(index, coerced), rid)
+        for name, (_index, tree) in self.indexes.items():
+            tree.insert(self._key_encoders[name](coerced), rid)
         return rid
 
     def load(self, rows: Iterable[Sequence[Any]]) -> int:
@@ -122,22 +135,30 @@ class StoredTable:
             count += 1
         self.heap.truncate()
         rids = [self._append(row) for row in validated]
-        for index, tree in self.indexes.values():
+        for name, (_index, tree) in self.indexes.items():
             tree.bulk_load(
-                [
-                    (self._index_key(index, row), rid)
-                    for row, rid in zip(validated, rids)
-                ]
+                list(zip(map(self._key_encoders[name], validated), rids))
             )
         self.analyze()
         return count
 
-    def _index_key(self, index: Index, row: Sequence[Any]) -> Tuple[Any, ...]:
-        positions = [self.schema.position(name) for name in index.key_names]
-        directions = [column.direction for column in index.key]
-        return encode_index_key(
-            [row[position] for position in positions], directions
-        )
+    def _key_encoder(self, index: Index) -> KeyEncoder:
+        """``row -> encode_index_key(row's key values, directions)``,
+        with the key's positions and directions looked up once."""
+        fields = [
+            (self.schema.position(column.name), column.direction is _DESC)
+            for column in index.key
+        ]
+
+        def encode(row: Sequence[Any]) -> Tuple[Any, ...]:
+            return tuple(
+                [
+                    sort_key(row[position], descending)
+                    for position, descending in fields
+                ]
+            )
+
+        return encode
 
     def add_index(self, index: Index, fanout: int = 64) -> BPlusTree:
         if index.name in self.indexes:
@@ -153,18 +174,18 @@ class StoredTable:
             )
         else:
             tree = BPlusTree(f"index:{index.name}", self._buffer_pool, fanout)
-        entries = [
-            (self._index_key(index, row), rid) for rid, row in self.heap.scan()
-        ]
-        tree.bulk_load(entries)
+        encode = self._key_encoder(index)
+        tree.bulk_load([(encode(row), rid) for rid, row in self.heap.scan()])
         self.indexes[index.name] = (index, tree)
+        self._key_encoders[index.name] = encode
         return tree
 
     def analyze(self) -> TableStats:
-        """Recompute exact statistics from the stored rows."""
+        """Recompute exact statistics from the stored rows (one
+        sequential pass, charged page by page)."""
         self.schema.stats = TableStats.collect(
             self.schema.column_names,
-            (row for _rid, row in self.heap.scan()),
+            chain.from_iterable(self.heap.scan_pages()),
             page_rows=self.rows_per_page,
         )
         return self.schema.stats

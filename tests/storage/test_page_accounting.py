@@ -13,7 +13,9 @@ id and in order:
   one ``access_run`` per block) against ``scan_range`` plus one
   ``HeapFile.fetch`` per entry, kept below as
   :func:`reference_index_scan`;
-* ``BufferPool.access_run`` against a loop of ``access``.
+* ``BufferPool.access_run`` against a loop of ``access``;
+* ``StoredTable.analyze`` (``HeapFile.scan_pages``) against a loop over
+  ``HeapFile.scan``.
 """
 
 import hashlib
@@ -470,6 +472,34 @@ def test_index_scan_stops_on_and_between_leaf_edges(scan, stop_after, batch_size
             for block in islice(operator.blocks(context), stop_after)
         ]
     ) == expected
+
+
+# ----------------------------------------------------------------------
+# Statistics
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("capacity", [2, 1024])
+@pytest.mark.parametrize(
+    "partitioned", [False, True], ids=["plain", "partitioned"]
+)
+def test_analyze_charges_what_a_heap_scan_charges(partitioned, capacity):
+    pairs = [(value % 13, value % 4) for value in range(60)]
+    database, pool = build_table(
+        pairs, [(1, 2), (3, 1)], (ASC, ASC), 4, partitioned, capacity
+    )
+    store = database.store("t")
+    pool.clear()
+    rows, expected = pool.traced(
+        lambda: [row for _rid, row in store.heap.scan()]
+    )
+    expected_stats = pool.stats.snapshot()
+    pool.clear()
+    stats, charged = pool.traced(store.analyze)
+    assert len(expected) > 4, "the heap must span several pages"
+    assert charged == expected
+    assert pool.stats == expected_stats
+    assert stats.row_count == len(rows) == 62
 
 
 # ----------------------------------------------------------------------
