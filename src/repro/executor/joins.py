@@ -15,27 +15,26 @@ every join has a row-at-a-time ``_joined`` body, the ``interpreted``
 reference, whose rows are lifted into ``RowBlock``s. Hash and probe
 keys are built column-wise in both engines: hash keys are ``group_key``
 markers (equal exactly when the values' ``sort_key``s are, so a float
-meets the equal Decimal), probe keys raw values that
-``encode_index_key`` maps through ``sort_key``; NULL never matches.
-Merge-join keys come from a compiled kernel in ``vector`` mode and a
-per-row closure in ``interpreted`` mode; residual predicates follow
-the context's engine the same way. The index nested-loop join hoists its
-``encode_index_key`` encoder out of the outer-row loop and caches the
-last encoded key, so an ordered outer stream with duplicate join values
-encodes each distinct key once (``exec.index_probe.*`` counters track
-this).
+meets the equal Decimal), probe keys the ``encode_index_key`` tuples
+that ``storage.database.encode_probe_keys`` builds from each column's
+type census; NULL never matches. Merge-join keys come from a compiled
+kernel in ``vector`` mode and a per-row closure in ``interpreted``
+mode; residual predicates follow the context's engine the same way.
+``exec.index_probe.probes`` counts the keys the index nested-loop join
+probes.
 
-The index nested-loop block body charges simulated I/O per outer block,
-not per access: a :class:`~repro.storage.btree.ProbeCursor` and
-``fetch_run`` append the pages of each probe (descent, leaf-chain
-steps, then the heap page of every fetched row) to the block's page
-run, and one ``BufferPool.access_run`` charges the run — in the order,
-and with the hit / miss outcome, of the row body's ``probe`` + ``fetch``
-calls — before the ``JoinBlock`` is yielded.
+The index nested-loop block body makes one storage call per outer
+block: the cursor's ``probe_block`` probes every key and fetches the
+matching rows, appending each key's pages (descent, leaf-chain steps,
+then the heap page of every fetched row) to the block's page run, and
+one ``BufferPool.access_run`` charges the run — in the order, and with
+the hit / miss outcome, of the row body's ``probe`` + ``fetch`` calls —
+before the ``JoinBlock`` is yielded.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.instrument import count
@@ -53,9 +52,9 @@ from repro.expr.evaluate import evaluate_predicate
 from repro.expr.nodes import ColumnRef, Expression
 from repro.expr.schema import RowSchema
 from repro.expr.vector import JoinBlock, VectorBatch, compile_vector_filter
-from repro.sqltypes import NULL, group_key_column, is_null, sort_key
+from repro.sqltypes import group_key_column, is_null, sort_key
 from repro.storage.buffer import PageId
-from repro.storage.database import encode_index_key
+from repro.storage.database import encode_probe_keys
 
 KeyList = List[Optional[Tuple[Any, ...]]]
 
@@ -78,63 +77,44 @@ def residual_matcher(
     return interpreted
 
 
-def make_probe_encoder(
-    directions: Sequence[Any],
-) -> Callable[[KeyList], List[Any]]:
-    """Index-probe key encoder, built once per probe loop.
-
-    Encodes a block of raw probe tuples at a time (``None`` — a NULL
-    probe value, never probed — stays ``None``) and caches the most
-    recent (values, key) pair across blocks: an ordered outer stream
-    re-probing the same join value — the paper's ordered nested-loop
-    join — skips re-encoding entirely. ``exec.index_probe.probes`` and
-    ``exec.index_probe.encodes`` count probe keys handed out vs actual
-    encodings, once per block.
-    """
-    directions = list(directions)
-    last_values: Optional[Tuple[Any, ...]] = None
-    last_key: Any = None
-
-    def encode(probe_values: KeyList) -> List[Any]:
-        nonlocal last_values, last_key
-        keys: List[Any] = []
-        append = keys.append
-        skipped = encodes = 0
-        for values in probe_values:
-            if values is None:
-                skipped += 1
-                append(None)
-                continue
-            if values != last_values:
-                encodes += 1
-                last_values = values
-                last_key = encode_index_key(values, directions)
-            append(last_key)
-        count("exec.index_probe.probes", len(keys) - skipped)
-        count("exec.index_probe.encodes", encodes)
-        return keys
-
-    return encode
-
-
 def _key_columns(batch: Batch, positions: Sequence[int]) -> List[List[Any]]:
     """The key columns of a row batch."""
     return [[row[position] for row in batch] for position in positions]
 
 
-def _null_free_values(columns: Sequence[Sequence[Any]]) -> KeyList:
-    """Raw-tuple probe keys from gathered key columns, None where any is
-    NULL. Index probes encode them through ``sort_key``, which already
-    equates a float with the equal Decimal."""
-    if len(columns) == 1:
-        return [
-            None if value is None or value is NULL else (value,)
-            for value in columns[0]
-        ]
-    return [
-        None if any(is_null(value) for value in values) else values
-        for values in zip(*columns)
-    ]
+def _probe_keys(
+    columns: Sequence[Sequence[Any]], directions: Sequence[Any]
+) -> List[Any]:
+    """Index-probe keys of gathered probe columns (``None`` where any
+    value is NULL, never probed); ``exec.index_probe.probes`` counts
+    the keys that will be probed."""
+    keys = encode_probe_keys(columns, directions)
+    count("exec.index_probe.probes", len(keys) - keys.count(None))
+    return keys
+
+
+def _padded(
+    live: Sequence[int],
+    owners: List[int],
+    rows: List[Row],
+    padding: Row,
+) -> Tuple[List[int], List[Row]]:
+    """Left-outer pairs of one block: each live outer row with its
+    matches (``owners`` holds each match's position in ``live``), or
+    with one NULL-padded inner row when it has none."""
+    out_index: List[int] = []
+    inner_rows: List[Row] = []
+    start = 0
+    for position, index in enumerate(live):
+        stop = bisect_right(owners, position, start)
+        if stop == start:
+            out_index.append(index)
+            inner_rows.append(padding)
+        else:
+            out_index += [index] * (stop - start)
+            inner_rows += rows[start:stop]
+        start = stop
+    return out_index, inner_rows
 
 
 def _hash_keys(columns: Sequence[Sequence[Any]]) -> Sequence[Any]:
@@ -302,12 +282,11 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
             yield from row_blocks(self._joined(context), context.batch_size)
             return
         store, tree, directions, positions = self._probe_setup(context)
-        # The cursor and the page run are this generator's locals: what
-        # the cursor remembers of the shared tree dies with the pull.
-        probe = tree.probe_cursor().probe
-        fetch_run = store.heap.fetch_run
+        # The cursor is this generator's local: what it remembers of the
+        # shared tree dies with the pull.
+        probe_block = tree.probe_cursor().probe_block
+        heap = store.heap
         charge = context.database.buffer_pool.access_run
-        encode = make_probe_encoder(directions)
         residual_filter = (
             compile_vector_filter(self.residual, self.schema)
             if self.residual is not None
@@ -319,27 +298,23 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
         metrics = context.metrics_for(self)
         for block in self.outer.blocks(context):
             metrics.rows_in += block.count
-            out_index: List[int] = []
-            inner_rows: List[Row] = []
-            run: List[PageId] = []
             live = block.live()
-            if type(live) is range:
-                live = list(live)
-            keys = encode(
-                _null_free_values([block.gather(p, live) for p in positions])
+            keys = _probe_keys(
+                [block.gather(p, live) for p in positions], directions
             )
-            for i, key in zip(live, keys):
-                rows: Sequence[Row] = ()
-                if key is not None:
-                    # Probe i's index pages, then its heap pages, then
-                    # probe i+1: the order the row body charges them in.
-                    rows = fetch_run(probe(key, run), run)
-                    inner_rows += rows
-                    out_index += [i] * len(rows)
-                if left_outer and not rows:
-                    out_index.append(i)
-                    inner_rows.append(padding)
+            # Probe i's index pages, then its heap pages, then probe
+            # i+1: the order the row body charges them in.
+            run: List[PageId] = []
+            owners, inner_rows = probe_block(keys, heap, run)
             charge(run)
+            if left_outer:
+                out_index, inner_rows = _padded(
+                    live, owners, inner_rows, padding
+                )
+            elif type(live) is range:
+                out_index = owners
+            else:
+                out_index = [live[owner] for owner in owners]
             if not out_index:
                 continue
             joined = JoinBlock(block, outer_width, out_index, inner_rows)
@@ -353,12 +328,11 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
     def _joined(self, context: ExecutionContext) -> Iterator[Row]:
         store, tree, directions, positions = self._probe_setup(context)
         probe, fetch = tree.probe, store.heap.fetch
-        encode = make_probe_encoder(directions)
         matcher = residual_matcher(self.residual, self.schema, context)
         padding = (None,) * len(self.inner_schema)
         left_outer = self.left_outer
         for batch in self.outer.batches(context):
-            keys = encode(_null_free_values(_key_columns(batch, positions)))
+            keys = _probe_keys(_key_columns(batch, positions), directions)
             for outer_row, key in zip(batch, keys):
                 matched = False
                 if key is not None:

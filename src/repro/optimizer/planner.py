@@ -214,8 +214,10 @@ class PlannerContext:
         box would be false. The join's equivalences carry a key further
         (``o_orderkey = l_orderkey`` plus ``{o_orderkey} -> orders.*``).
         Outer-join ON equalities contribute only their one-directional
-        FD (preserved column determines null-supplying column, §4.1) —
-        never an equivalence class.
+        FD (§4.1) — never an equivalence class. Its determinant is every
+        preserved-side column the ON clause reads, not just the equated
+        one: under ``ON d.grp = f.k AND d.name = 'n1'`` two rows with one
+        ``grp`` can differ in whether they matched.
         """
         from repro.core.fd import FDSet, fd
         from repro.expr.analysis import analyze_predicates as analyze
@@ -234,11 +236,16 @@ class PlannerContext:
             for key in keys:
                 extra = extra.add(fd(key, columns))
         for alias, on_predicate in self.block.outer_joins.items():
+            preserved = [
+                column
+                for column in columns_of(on_predicate)
+                if column.qualifier != alias
+            ]
             for left, right in analyze([on_predicate]).equalities:
                 if right.qualifier == alias and left.qualifier != alias:
-                    extra = extra.add(fd([left], [right]))
+                    extra = extra.add(fd(preserved, [right]))
                 elif left.qualifier == alias and right.qualifier != alias:
-                    extra = extra.add(fd([right], [left]))
+                    extra = extra.add(fd(preserved, [left]))
         self.optimistic = OrderContext.from_facts(
             facts, extra_fds=extra, ods=self.block_ods
         )

@@ -331,8 +331,11 @@ def propagate_left_outer_join(
 
     * ON equalities do NOT merge equivalence classes (x = y fails on
       padded rows) — but per §4.1, ``x = y`` with x from the preserved
-      side yields the one-directional FD ``{x} -> {y}``: rows agreeing
-      on x either all matched (y = x) or all padded (y NULL);
+      side yields a one-directional FD into y. Its head is every
+      preserved-side column the ON clause reads (x among them): rows
+      agreeing on those either all matched (y = x) or all padded (y
+      NULL), while rows agreeing on x alone may differ in another ON
+      conjunct over the preserved side;
     * constants and equivalences of the null side are dropped;
     * the null side's explicit FDs and keys are dropped (NULL padding
       can alias head values);
@@ -344,12 +347,18 @@ def propagate_left_outer_join(
     preserved_columns = set(preserved.schema.columns)
     null_columns = set(null_supplying.schema.columns)
 
+    head = [
+        column
+        for predicate in on_predicates
+        for column in columns_of(predicate)
+        if column in preserved_columns
+    ]
     fds = preserved.fds
     for left, right in facts.equalities:
         if left in preserved_columns and right in null_columns:
-            fds = fds.add(fd([left], [right]))
+            fds = fds.add(fd(head, [right]))
         elif right in preserved_columns and left in null_columns:
-            fds = fds.add(fd([right], [left]))
+            fds = fds.add(fd(head, [left]))
 
     # n:1 test against the ON equalities (padding keeps it at-most-one).
     equivalence_probe = EquivalenceClasses(facts.equalities)

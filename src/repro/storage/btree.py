@@ -17,7 +17,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool, PageId
-from repro.storage.heap import Rid
+from repro.storage.heap import HeapFile, Rid
 
 Key = Tuple[Any, ...]
 
@@ -246,11 +246,11 @@ class BPlusTree:
         equals ``key``, in leaf order.
 
         Touches exactly the pages ``scan_range(low=key, high=key)``
-        would, but returns a plain list — a one-shot
-        :class:`ProbeCursor` whose page run is charged on the spot.
+        would: a one-key :meth:`ProbeCursor.probe_block` with no heap,
+        its page run charged on the spot.
         """
         run: List[PageId] = []
-        rids = self.probe_cursor().probe(key, run)
+        _owners, rids = self.probe_cursor().probe_block((key,), None, run)
         self.buffer_pool.access_run(run)
         return rids
 
@@ -366,13 +366,11 @@ class ProbeCursor:
     a sorted key stream, so consecutive keys mostly land in the same
     leaf. The cursor keeps the last root-to-leaf path and the separator
     interval that path is valid for; a key inside the interval replays
-    the path's page ids without bisecting the internal nodes again.
-
-    :meth:`probe` charges nothing: it appends the page ids a plain
-    :meth:`BPlusTree.probe` would touch, in order, to the caller's run,
-    which the caller charges with ``BufferPool.access_run``. The state
-    belongs to one probe stream — create a cursor per operator
-    execution, never share one through the tree.
+    the path's page ids without bisecting the internal nodes again, and
+    any other key (or a tree that changed since) descends afresh, so an
+    unordered stream takes the same loop. The state belongs to one
+    probe stream — create a cursor per operator execution, never share
+    one through the tree.
     """
 
     __slots__ = ("_tree", "_descent")
@@ -383,38 +381,82 @@ class ProbeCursor:
         # descent; no tree is ever at version None.
         self._descent: Tuple[Any, ...] = (None, (), None, None, None)
 
-    def probe(self, key: Key, run: List[PageId]) -> List[Rid]:
-        """RIDs of every entry whose key prefix equals ``key``, in leaf
-        order; the pages visited are appended to ``run``."""
+    def probe_block(
+        self,
+        keys: Sequence[Optional[Key]],
+        heap: Optional[HeapFile],
+        run: List[PageId],
+    ) -> Tuple[List[int], List[Any]]:
+        """Probe every key of a block, fetching the matches from
+        ``heap``: ``(owners, rows)``, the matching rows in key order and
+        leaf order, each row's key position in ``owners``. A ``None``
+        key is skipped. With no heap the RIDs themselves stand in for
+        the rows and no heap page is touched.
+
+        Charges nothing. Per key it appends to ``run`` what
+        ``scan_range(low=key, high=key)`` and a :meth:`HeapFile.fetch`
+        per RID would touch, in that order: the root-to-leaf path, each
+        leaf step, then the heap page of every fetched RID. The caller
+        charges the run with ``BufferPool.access_run``.
+        """
         tree = self._tree
         version, path, leaf, lower, upper = self._descent
-        if (
-            version != tree._version
-            or (lower is not None and not lower < key)
-            or (upper is not None and not key <= upper)
-        ):
-            if tree._entry_count == 0:
-                return []
-            path, leaf, lower, upper = tree._find_leaf(key)
-            self._descent = (tree._version, path, leaf, lower, upper)
-        run += path
-        keys = leaf.keys
-        start = bisect_left(keys, key)
-        # Stored keys share one width; a shorter probe key is a prefix.
-        full_width = len(keys[0]) == len(key)
-        out: List[Rid] = []
-        while True:
+        owners: List[int] = []
+        found: List[Any] = []
+        append_found = found.append
+        append_page = run.append
+        if heap is not None:
+            pages, page_ids = heap.page_tables()
+        for position, key in enumerate(keys):
+            if key is None:
+                continue
+            if (
+                version != tree._version
+                or (lower is not None and not lower < key)
+                or (upper is not None and not key <= upper)
+            ):
+                if tree._entry_count == 0:
+                    continue
+                version = tree._version
+                path, leaf, lower, upper = tree._find_leaf(key)
+            run += path
+            keys_here = leaf.keys
+            # Stored keys share one width; a shorter key is a prefix.
+            full_width = len(keys_here[0]) == len(key)
+            start = bisect_left(keys_here, key)
             stop = (
-                bisect_right(keys, key, start)
+                bisect_right(keys_here, key, start)
                 if full_width
-                else _first_above(keys, key)
+                else _first_above(keys_here, key)
             )
-            out += leaf.values[start:stop]
-            if stop < len(keys):
-                return out
-            leaf = leaf.next_leaf
-            if leaf is None:
-                return out
-            run.append(leaf.page_id)
-            keys = leaf.keys
-            start = 0
+            rids = leaf.values[start:stop]
+            step = leaf
+            while stop == len(keys_here):
+                step = step.next_leaf
+                if step is None:
+                    break
+                append_page(step.page_id)
+                keys_here = step.keys
+                stop = (
+                    bisect_right(keys_here, key)
+                    if full_width
+                    else _first_above(keys_here, key)
+                )
+                rids += step.values[:stop]
+            if not rids:
+                continue
+            owners += [position] * len(rids)
+            if heap is None:
+                found += rids
+                continue
+            try:
+                for rid in rids:
+                    page_no = rid.page_no
+                    append_found(pages[page_no][rid.slot])
+                    append_page(page_ids[page_no])
+            except IndexError:
+                raise StorageError(
+                    f"bad {rid} in heap {heap.file_id}"
+                ) from None
+        self._descent = (version, path, leaf, lower, upper)
+        return owners, found

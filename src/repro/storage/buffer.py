@@ -91,57 +91,53 @@ class BufferPool:
 
     def access(self, page_id: PageId) -> bool:
         """Record an access to ``page_id``; returns True on a hit."""
-        with self._lock:
-            if page_id in self._resident:
-                self._resident.move_to_end(page_id)
-                self.stats.hits += 1
-                return True
-            self._admit(page_id)
-            return False
+        return self.access_run((page_id,)) == 1
 
-    def access_run(self, page_ids: Iterable[PageId]) -> None:
-        """Charge an ordered run of page accesses under one lock hold.
+    def access_run(self, page_ids: Iterable[PageId]) -> int:
+        """Charge an ordered run of page accesses under one lock hold;
+        returns the number of hits.
 
-        Page for page this is a loop of :meth:`access` — same hit /
-        sequential / random classification, LRU order, eviction and
-        last-missed bookkeeping — minus a lock round trip per page. A
-        consecutive repeat is a hit on the page that is already most
-        recently used, so it only counts. Block operators collect the
-        pages of a whole block (descents, leaf steps, heap fetches) and
-        charge them here once.
+        Each page is a hit when resident (and becomes most recently
+        used), else a miss: sequential when it lands within
+        ``PREFETCH_WINDOW`` pages ahead of the file's previously missed
+        page, random otherwise, and the least recently used page is
+        evicted when the pool overflows. :meth:`access` is the one-page
+        run; block operators collect the pages of a whole block
+        (descents, leaf steps, heap fetches) and charge them here once.
         """
         with self._lock:
             resident = self._resident
-            move_to_end = resident.move_to_end
+            stats = self.stats
             hits = 0
             previous = None
             for page_id in page_ids:
-                if page_id == previous:
+                # A repeat of the page just charged is a hit on the most
+                # recently used page. Callers hand out one page-id object
+                # per page; an equal copy takes the resident path below,
+                # with the same outcome.
+                if page_id is previous:
                     hits += 1
                     continue
                 previous = page_id
                 if page_id in resident:
-                    move_to_end(page_id)
+                    resident.move_to_end(page_id)
                     hits += 1
+                    continue
+                file_id, page_no = page_id
+                last = self._last_missed_page.get(file_id)
+                if (
+                    last is not None
+                    and 0 < page_no - last <= self.PREFETCH_WINDOW
+                ):
+                    stats.sequential_misses += 1
                 else:
-                    self._admit(page_id)
-            self.stats.hits += hits
-
-    def _admit(self, page_id: PageId) -> None:
-        """Classify a miss and make the page resident (lock held)."""
-        file_id, page_no = page_id
-        previous = self._last_missed_page.get(file_id)
-        if (
-            previous is not None
-            and 0 < page_no - previous <= self.PREFETCH_WINDOW
-        ):
-            self.stats.sequential_misses += 1
-        else:
-            self.stats.random_misses += 1
-        self._last_missed_page[file_id] = page_no
-        self._resident[page_id] = None
-        if len(self._resident) > self.capacity_pages:
-            self._resident.popitem(last=False)
+                    stats.random_misses += 1
+                self._last_missed_page[file_id] = page_no
+                resident[page_id] = None
+                if len(resident) > self.capacity_pages:
+                    resident.popitem(last=False)
+            stats.hits += hits
+        return hits
 
     def invalidate(self, file_id: Hashable) -> None:
         """Evict every page of one file (e.g. after a table reload)."""

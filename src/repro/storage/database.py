@@ -22,14 +22,16 @@ from typing import (
 from repro.catalog import Catalog, Index, TableSchema, TableStats
 from repro.core.ordering import SortDirection
 from repro.errors import CatalogError, StorageError
-from repro.sqltypes import sort_key
-from repro.storage.btree import BPlusTree
+from repro.sqltypes import NULL, sort_key, sort_key_column
+from repro.storage.btree import BPlusTree, Key
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile, Rid
 from repro.storage.partition import PartitionedHeap, PartitionedTree
 
 PAGE_SIZE_BYTES = 4096
 _DESC = SortDirection.DESC
+_NONE_TYPE = type(None)
+_NULL_TYPE = type(NULL)
 
 KeyEncoder = Callable[[Sequence[Any]], Tuple[Any, ...]]
 
@@ -48,6 +50,34 @@ def encode_index_key(
             for value, direction in zip(values, directions)
         ]
     )
+
+
+def encode_probe_keys(
+    columns: Sequence[Sequence[Any]], directions: Sequence[SortDirection]
+) -> List[Optional[Key]]:
+    """``encode_index_key`` of each row of ``columns`` (one value list
+    per probe column), or ``None`` for a row with a NULL in any probe
+    column — NULL never matches, so that row is never probed.
+
+    Each column is keyed through its type census
+    (``sqltypes.sort_key_column``), and NULL rows are found by census
+    too: a column holding neither ``None`` nor the NULL marker has none.
+    """
+    keys: List[Optional[Key]] = list(
+        zip(
+            *[
+                sort_key_column(column, direction is _DESC)
+                for column, direction in zip(columns, directions)
+            ]
+        )
+    )
+    for column in columns:
+        kinds = set(map(type, column))
+        if _NONE_TYPE in kinds or _NULL_TYPE in kinds:
+            for row, value in enumerate(column):
+                if value is None or value is NULL:
+                    keys[row] = None
+    return keys
 
 
 class StoredTable:

@@ -85,6 +85,12 @@ class HeapFile:
         run.extend([page_ids[rid.page_no] for rid in rids])
         return rows
 
+    def page_tables(self) -> Tuple[List[List[Tuple[Any, ...]]], List[PageId]]:
+        """The live pages and their page ids, by page number, for a
+        caller that reads records inline and charges what
+        :meth:`fetch` would (``ProbeCursor.probe_block``). Read only."""
+        return self._pages, self._page_ids
+
     def scan(self) -> Iterator[Tuple[Rid, Tuple[Any, ...]]]:
         """Full sequential scan in physical order."""
         for page_no, page in enumerate(self._pages):
@@ -99,9 +105,9 @@ class HeapFile:
         per-record Rid construction for callers that only want rows.
         The yielded lists are the live pages — do not mutate them.
         """
-        access = self.buffer_pool.access
+        charge = self.buffer_pool.access_run
         for page_id, page in zip(self._page_ids, self._pages):
-            access(page_id)
+            charge((page_id,))
             yield page
 
     def truncate(self) -> None:

@@ -17,7 +17,7 @@ partition's file.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool, PageId
@@ -213,8 +213,31 @@ class PartitionedProbeCursor:
     def __init__(self, cursors: List[ProbeCursor]):
         self._cursors = cursors
 
-    def probe(self, key: Key, run: List[PageId]) -> List[Rid]:
-        out: List[Rid] = []
-        for cursor in self._cursors:
-            out.extend(cursor.probe(key, run))
-        return out
+    def probe_block(
+        self,
+        keys: Sequence[Optional[Key]],
+        heap: PartitionedHeap,
+        run: List[PageId],
+    ) -> Tuple[List[int], List[Tuple[Any, ...]]]:
+        """:meth:`ProbeCursor.probe_block` over every partition: per
+        key, each partition's index pages in partition order, then the
+        heap page of every fetched RID, read from its partition's file."""
+        owners: List[int] = []
+        rows: List[Tuple[Any, ...]] = []
+        parts = [part.page_tables() for part in heap._parts]
+        for position, key in enumerate(keys):
+            if key is None:
+                continue
+            rids: List[Rid] = []
+            for cursor in self._cursors:
+                rids += cursor.probe_block((key,), None, run)[1]
+            owners += [position] * len(rids)
+            for rid in rids:
+                partition, page_no = divmod(rid.page_no, _STRIDE)
+                try:
+                    pages, page_ids = parts[partition]
+                    rows.append(pages[page_no][rid.slot])
+                except IndexError:
+                    raise StorageError(f"bad {rid} in {heap.file_id}") from None
+                run.append(page_ids[page_no])
+        return owners, rows

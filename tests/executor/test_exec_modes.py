@@ -145,33 +145,10 @@ class TestMetrics:
         assert materialized, "the block engine must materialize somewhere"
 
 
-class TestProbeEncoderCache:
-    def test_adjacent_duplicate_keys_encode_once(self):
-        # Regression: the pre-batching join re-ran encode_index_key for
-        # every outer row. The encoder is now built once per probe loop,
-        # takes a block of probe values at a time and caches the last
-        # key across blocks, so an ordered outer stream with duplicate
-        # join values re-encodes only on value change. A NULL probe
-        # value (None) is never probed and never counted.
-        from repro.executor.joins import make_probe_encoder
-        from repro.storage.database import encode_index_key
-
-        for key in ("exec.index_probe.probes", "exec.index_probe.encodes"):
-            COUNTERS[key] = 0
-        encode = make_probe_encoder([False])
-        stream = [(1,), (1,), (1,), (2,), (2,), (3,), (3,), (3,), (3,)]
-        keys = encode(stream[:4]) + encode([None]) + encode(stream[4:])
-        assert keys == (
-            [encode_index_key(v, [False]) for v in stream[:4]]
-            + [None]
-            + [encode_index_key(v, [False]) for v in stream[4:]]
-        )
-        assert COUNTERS["exec.index_probe.probes"] == len(stream)
-        assert COUNTERS["exec.index_probe.encodes"] == 3
-
+class TestProbeCounters:
     def test_index_probe_counters_move_during_execution(self, simple_db):
-        # End to end: an index nested-loop plan routes its probes
-        # through the shared encoder (both engines use it).
+        # End to end: an index nested-loop plan counts the keys it
+        # probes, in both engines (a NULL probe value is never probed).
         sql = "SELECT a.x, b.z FROM a, b WHERE a.x = b.x ORDER BY a.x"
         plan = plan_query(
             database=simple_db,
@@ -179,14 +156,13 @@ class TestProbeEncoderCache:
             config=OptimizerConfig.db2_faithful(True),
         )
         assert "nested-loop join (index" in plan.explain()
-        for key in ("exec.index_probe.probes", "exec.index_probe.encodes"):
-            COUNTERS[key] = 0
-        result = execute(simple_db, plan)
-        assert result.rows
-        probes = COUNTERS["exec.index_probe.probes"]
-        encodes = COUNTERS["exec.index_probe.encodes"]
-        assert probes > 0
-        assert encodes <= probes
+        probed = {}
+        for mode in ("vector", "interpreted"):
+            COUNTERS["exec.index_probe.probes"] = 0
+            context = ExecutionContext(simple_db, mode=mode)
+            assert execute(simple_db, plan, context=context).rows
+            probed[mode] = COUNTERS["exec.index_probe.probes"]
+        assert probed["vector"] == probed["interpreted"] > 0
 
 
 class TestModeSelection:

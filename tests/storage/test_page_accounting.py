@@ -31,27 +31,24 @@ from repro.executor import ExecutionContext, IndexScanOp
 from repro.expr import RowSchema, col
 from repro.sqltypes import INTEGER, varchar
 from repro.storage import BPlusTree, BufferPool, Database
-from repro.storage.database import encode_index_key
+from repro.storage.database import encode_index_key, encode_probe_keys
 from repro.storage.heap import Rid
 
 ASC, DESC = SortDirection.ASC, SortDirection.DESC
 
 
 class RecordingPool(BufferPool):
-    """Logs every page id charged, through either entry point."""
+    """Logs every page id charged; ``access`` is a one-page
+    ``access_run``, so this one entry point sees them all."""
 
     def __init__(self, capacity_pages=1024):
         super().__init__(capacity_pages)
         self.trace = []
 
-    def access(self, page_id):
-        self.trace.append(page_id)
-        return super().access(page_id)
-
     def access_run(self, page_ids):
         page_ids = list(page_ids)
         self.trace.extend(page_ids)
-        super().access_run(page_ids)
+        return super().access_run(page_ids)
 
     def traced(self, action):
         """``(action's result, the page ids it charged)``."""
@@ -121,18 +118,23 @@ def test_probe_and_cursor_charge_what_the_range_scan_charges(
     # Sorted input keeps the cursor replaying its last descent, reversed
     # and shuffled input keep invalidating it.
     for ordering in (keys, keys[::-1], shuffled):
-        cursor = tree.probe_cursor()
-        for key in ordering:
+        owners, rids, pages = [], [], []
+        for position, key in enumerate(ordering):
             expected = pool.traced(
                 lambda: [
                     rid for _key, rid in tree.scan_range(low=key, high=key)
                 ]
             )
             assert pool.traced(lambda: tree.probe(key)) == expected
-            run = []
-            rids, charged = pool.traced(lambda: cursor.probe(key, run))
-            assert charged == [], "a cursor collects pages, it charges none"
-            assert (rids, run) == expected
+            owners += [position] * len(expected[0])
+            rids += expected[0]
+            pages += expected[1]
+        run = []
+        result, charged = pool.traced(
+            lambda: tree.probe_cursor().probe_block(ordering, None, run)
+        )
+        assert charged == [], "a cursor collects pages, it charges none"
+        assert (result, run) == ((owners, rids), pages)
 
 
 def test_ordered_probes_replay_the_descent():
@@ -147,9 +149,8 @@ def test_ordered_probes_replay_the_descent():
     leaves = sum(1 for _ in _leaves(tree))
     assert 4 * leaves < 96
     keys = [encode_index_key((value,), (ASC,)) for value in range(96)]
-    cursor = tree.probe_cursor()
-    for key in keys + keys[::-1]:
-        assert len(cursor.probe(key, [])) == 1
+    owners, rids = tree.probe_cursor().probe_block(keys + keys[::-1], None, [])
+    assert owners == list(range(2 * len(keys))) and len(rids) == 2 * len(keys)
     assert len(descents) <= 2 * leaves
 
 
@@ -159,12 +160,12 @@ def test_cursor_survives_a_split_of_its_leaf():
     )
     key = encode_index_key((5,), (ASC,))
     cursor = tree.probe_cursor()
-    assert len(cursor.probe(key, [])) == 4
+    assert len(cursor.probe_block((key,), None, [])[1]) == 4
     for slot in range(4, 12):
         tree.insert(encode_index_key((5, slot), (ASC, ASC)), Rid(slot, 0))
     assert tree.height > 1
     run = []
-    rids = cursor.probe(key, run)
+    _owners, rids = cursor.probe_block((key,), None, run)
     assert (rids, run) == pool.traced(lambda: tree.probe(key))
     assert len(rids) == 12
 
@@ -472,6 +473,98 @@ def test_index_scan_stops_on_and_between_leaf_edges(scan, stop_after, batch_size
             for block in islice(operator.blocks(context), stop_after)
         ]
     ) == expected
+
+
+# ----------------------------------------------------------------------
+# Index nested-loop probe blocks
+# ----------------------------------------------------------------------
+
+
+def _trees(database):
+    tree = database.store("t").indexes["t_ab"][1]
+    if isinstance(tree, BPlusTree):
+        return [tree]
+    return [tree.partition(part) for part in range(tree.partition_count)]
+
+
+def reference_probe_block(database, keys):
+    """The index nested-loop join's probes as made before block probes:
+    per key, each tree's ``scan_range(low=key, high=key)`` walk (one
+    per partition, in partition order), then one ``HeapFile.fetch`` per
+    RID; a ``None`` key is skipped. ``(owners, rows)`` as
+    ``probe_block`` returns them."""
+    heap = database.store("t").heap
+    owners, rows = [], []
+    for position, key in enumerate(keys):
+        if key is None:
+            continue
+        rids = [
+            rid
+            for tree in _trees(database)
+            for _key, rid in tree.scan_range(low=key, high=key)
+        ]
+        owners += [position] * len(rids)
+        rows += [heap.fetch(rid) for rid in rids]
+    return owners, rows
+
+
+probe_value = st.none() | st.integers(-1, 13)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pairs=pairs_strategy,
+    extra=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=20),
+    directions=tree_arguments["directions"],
+    fanout=st.integers(4, 8),
+    values=st.lists(
+        st.tuples(probe_value, st.none() | st.integers(-1, 4)), max_size=40
+    ),
+    width=st.sampled_from([1, 2]),
+    ordered=st.booleans(),
+    batch=st.sampled_from(["one", "two", "leaf", "large"]),
+    partitioned=st.booleans(),
+    capacity=st.sampled_from([2, 1024]),
+)
+def test_probe_blocks_charge_what_probe_and_fetch_charge(
+    pairs, extra, directions, fanout, values, width, ordered, batch,
+    partitioned, capacity,
+):
+    database, pool = build_table(
+        pairs, extra, directions, fanout, partitioned, capacity
+    )
+    columns = [list(column) for column in zip(*values)][:width] or [[]] * width
+    keys = encode_probe_keys(columns, directions[:width])
+    if ordered:
+        # The sort-ahead outer of the ordered nested-loop join: NULL
+        # keys gather at the end, where NULLs sort.
+        keys = sorted(filter(None, keys)) + [None] * keys.count(None)
+    batch_size = {
+        "one": 1, "two": 2, "leaf": max(2, (fanout * 3) // 4), "large": 1024
+    }[batch]
+    pool.clear()
+    expected = pool.traced(lambda: reference_probe_block(database, keys))
+    expected_stats = pool.stats.snapshot()
+
+    def blocks():
+        # One cursor across the blocks, one run charged per block: the
+        # operator's ``_blocks`` loop.
+        tree = database.store("t").indexes["t_ab"][1]
+        cursor = tree.probe_cursor()
+        owners, rows = [], []
+        for start in range(0, len(keys), batch_size):
+            run = []
+            block_owners, block_rows = cursor.probe_block(
+                keys[start : start + batch_size], database.store("t").heap, run
+            )
+            pool.access_run(run)
+            owners += [start + owner for owner in block_owners]
+            rows += block_rows
+        return owners, rows
+
+    pool.clear()
+    assert pool.traced(blocks) == expected
+    assert pool.stats == expected_stats
 
 
 # ----------------------------------------------------------------------

@@ -12,12 +12,17 @@ from dataclasses import replace
 import pytest
 
 from repro.core.context import OrderContext
-from repro.core.fd import key_fd
+from repro.core.fd import fd, key_fd
 from repro.expr import col
 from repro.optimizer import Optimizer
 from repro.tpcd import QUERY_3
 from repro.verify.gen import QueryGenerator, generate_schema
-from repro.verify.oracle import audit_optimistic_context, build_audit_database
+from repro.verify.oracle import (
+    audit_node,
+    audit_optimistic_context,
+    build_audit_database,
+    walk,
+)
 
 from tests.optimizer.perf_statements import seed1_statements
 
@@ -55,21 +60,33 @@ def test_paper_query3_holds(tpcd_db):
     assert audit_optimistic_context(tpcd_db, top_block(tpcd_db, QUERY_3)) == []
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="an outer-join ON equality yields its FD even when the ON clause "
-    "also filters the preserved side",
+OUTER_JOIN_WITH_PRESERVED_CONJUNCT = (
+    "select d.grp, f.v from d left join f on d.grp = f.k and d.name = 'n1'"
 )
+
+
 def test_an_outer_join_on_fd_with_a_preserved_side_conjunct_holds():
     """``{d.grp} -> {f.k}`` from ``ON d.grp = f.k AND d.name = 'n1'`` is
     false: two d rows with one grp, one named n1 and one not, get f.k
-    and NULL (ROADMAP item K)."""
+    and NULL. The ON clause's preserved-side columns all head the FD."""
     database = build_audit_database()
-    planner = top_block(
-        database,
-        "select d.grp, f.v from d left join f on d.grp = f.k and d.name = 'n1'",
-    )
+    planner = top_block(database, OUTER_JOIN_WITH_PRESERVED_CONJUNCT)
     assert audit_optimistic_context(database, planner) == []
+    assert fd([col("d", "grp"), col("d", "name")], [col("f", "k")]) in (
+        planner.optimistic.fds
+    )
+
+
+def test_the_outer_join_stream_fd_holds_on_the_join_rows():
+    """The same FD as the join node's stream property
+    (``propagate_left_outer_join``), checked on the rows it produces."""
+    database = build_audit_database()
+    plan = Optimizer(database).plan_sql(OUTER_JOIN_WITH_PRESERVED_CONJUNCT)
+    (join,) = [node for node in walk(plan.root) if node.args.get("left_outer")]
+    assert fd([col("d", "grp"), col("d", "name")], [col("f", "k")]) in (
+        join.properties.fds
+    )
+    assert audit_node(database, join) == []
 
 
 def test_a_key_fd_over_the_whole_join_box_is_caught():

@@ -1,22 +1,26 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of one perf workload, with a verdict.
+"""Alternating parent/change pairs of perf workloads, with a verdict.
 
-    python3 tools/perf_pairs.py <parent-rev> --workload W [--pairs 10] [--seed S]
+    python3 tools/perf_pairs.py <parent-rev> --workload W [--workload W2 ...]
+        [--pairs 10] [--seed S]
 
-The parent's committed files are unpacked (``git archive``) into a
+The parent's committed files are unpacked (``git archive``) once into a
 temporary directory — under ``$TMPDIR`` if set — which is removed at
-exit; the change is this working tree. Each pair runs
+exit; the change is this working tree. Workloads run one after another,
+each in its own alternating loop: each pair runs
 ``perf/run.py --workload W --seed N`` once per side with a seed no other
-pair uses, and the side that goes first swaps every pair. Only the last
-line of each run, the contract's JSON object, is read.
+pair of that workload uses, and the side that goes first swaps every
+pair. Only the last line of each run, the contract's JSON object, is
+read.
 
-Per end-to-end metric it prints each side's median and quartiles, the
-pairs the change won (ties count for neither side), and the verdict of
-the choosing-metrics guide: a *gain* needs at least nine tenths of the
-pairs and medians further apart than the parent's own interquartile
-range; a *regression* is a median worse than the parent's by more than
-the bound ``BENCHMARK.json`` fixes; anything else is *within bound*, or
-*unresolved* when the parent's spread is wider than that bound.
+Per workload and end-to-end metric it prints each side's median and
+quartiles, the pairs the change won (ties count for neither side), and
+the verdict of the choosing-metrics guide: a *gain* needs at least nine
+tenths of the pairs and medians further apart than the parent's own
+interquartile range; a *regression* is a median worse than the
+parent's by more than the bound ``BENCHMARK.json`` fixes; anything else
+is *within bound*, or *unresolved* when the parent's spread is wider
+than that bound.
 """
 
 from __future__ import annotations
@@ -68,48 +72,35 @@ def judge(parent, change, higher_is_better: bool, bound: float):
     return won, "within bound"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    parser.add_argument("parent", help="git revision to compare against")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=101,
-                        help="seed of the first pair; pair k uses seed + k")
-    args = parser.parse_args(argv)
-
-    benchmark = json.loads((REPO_ROOT / "BENCHMARK.json").read_text("utf-8"))
+def run_pairs(sides: dict, workload: str, pairs: int, seed: int):
+    """``(parent runs, change runs, failed checks)`` of one workload's
+    alternating loop, printing a line per pair."""
     parent_runs, change_runs, failed = [], [], 0
-    with tempfile.TemporaryDirectory(prefix="perf-pairs-") as parent_dir:
-        archive = subprocess.run(
-            ["git", "archive", args.parent], cwd=REPO_ROOT,
-            check=True, capture_output=True,
+    for pair in range(pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        results = {
+            side: run_side(sides[side], workload, seed + pair) for side in order
+        }
+        parent_runs.append(results["parent"])
+        change_runs.append(results["change"])
+        failed += results["parent"]["failed"] + results["change"]["failed"]
+        print(
+            f"{workload} pair {pair + 1}/{pairs} seed={seed + pair} "
+            f"first={order[0]}: " + "  ".join(
+                f"{name} {results['parent']['metrics'][name]['value']:.4g}"
+                f"->{results['change']['metrics'][name]['value']:.4g}"
+                for name in results["parent"]["metrics"]
+            ),
+            flush=True,
         )
-        subprocess.run(
-            ["tar", "-x", "-C", parent_dir], input=archive.stdout, check=True
-        )
-        sides = {"parent": Path(parent_dir), "change": REPO_ROOT}
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            results = {
-                side: run_side(sides[side], args.workload, args.seed + pair)
-                for side in order
-            }
-            parent_runs.append(results["parent"])
-            change_runs.append(results["change"])
-            failed += results["parent"]["failed"] + results["change"]["failed"]
-            print(
-                f"pair {pair + 1}/{args.pairs} seed={args.seed + pair} "
-                f"first={order[0]}: " + "  ".join(
-                    f"{name} {results['parent']['metrics'][name]['value']:.4g}"
-                    f"->{results['change']['metrics'][name]['value']:.4g}"
-                    for name in results["parent"]["metrics"]
-                ),
-                flush=True,
-            )
+    return parent_runs, change_runs, failed
 
-    print(f"\n{args.workload}: {args.pairs} pairs, parent {args.parent}")
+
+def print_verdicts(
+    workload: str, parent_rev: str, benchmark: dict, parent_runs, change_runs
+) -> None:
+    """One verdict table: a row per side per end-to-end metric."""
+    print(f"\n{workload}: {len(parent_runs)} pairs, parent {parent_rev}")
     print(f"{'metric':14s} {'side':7s} {'q1':>10s} {'median':>10s} {'q3':>10s} "
           f"{'pairs won':>10s}  verdict")
     for metric in benchmark["end_to_end"]:
@@ -123,7 +114,41 @@ def main(argv=None) -> int:
             q1, median, q3 = quartiles(series)
             tail = f"{won:>7d}/{len(series)}  {verdict}" if side == "change" else ""
             print(f"{name:14s} {side:7s} {q1:10.4g} {median:10.4g} {q3:10.4g} {tail}")
-    print(f"failed checks over all runs: {failed}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("parent", help="git revision to compare against")
+    parser.add_argument("--workload", required=True, action="append",
+                        help="repeat to run several workloads in turn")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=101,
+                        help="seed of the first pair; pair k uses seed + k")
+    args = parser.parse_args(argv)
+
+    benchmark = json.loads((REPO_ROOT / "BENCHMARK.json").read_text("utf-8"))
+    results, failed = {}, 0
+    with tempfile.TemporaryDirectory(prefix="perf-pairs-") as parent_dir:
+        archive = subprocess.run(
+            ["git", "archive", args.parent], cwd=REPO_ROOT,
+            check=True, capture_output=True,
+        )
+        subprocess.run(
+            ["tar", "-x", "-C", parent_dir], input=archive.stdout, check=True
+        )
+        sides = {"parent": Path(parent_dir), "change": REPO_ROOT}
+        for workload in args.workload:
+            parent_runs, change_runs, workload_failed = run_pairs(
+                sides, workload, args.pairs, args.seed
+            )
+            results[workload] = (parent_runs, change_runs)
+            failed += workload_failed
+
+    for workload, (parent_runs, change_runs) in results.items():
+        print_verdicts(workload, args.parent, benchmark, parent_runs, change_runs)
+    print(f"\nfailed checks over all runs: {failed}")
     return 1 if failed else 0
 
 
