@@ -617,61 +617,6 @@ def ablation_hash(
 
 
 @experiment(
-    "order_deps",
-    "Ablation: order dependencies (monotonic derived columns reuse "
-    "existing orders)",
-)
-def order_deps(**_ignored) -> ExperimentReport:
-    """Q-level sort counts with ODs on vs FD-only, asserted on <= off.
-
-    Each query orders by a monotonic image of an indexed column
-    (``id + 1``, a flipped NOT NULL column, a computed group-by view
-    head); the OD machinery proves the existing order suffices, the
-    FD-only build must sort after projecting.
-    """
-    queries = (
-        ("computed alias", "select id + 1 as i2 from sku order by i2"),
-        (
-            "flip, NOT NULL",
-            "select 3000 - id as rev from sku order by rev desc",
-        ),
-        (
-            "view head",
-            "select g2, n from (select sku_id + 1 as g2, count(*) as n "
-            "from sales group by sku_id) t order by g2",
-        ),
-    )
-    on = OptimizerConfig.db2_faithful(True)
-    off = OptimizerConfig.db2_faithful(True)
-    off.use_order_dependencies = False
-    database = warehouse_database()
-    report = ExperimentReport(
-        "order_deps",
-        "sorts per query, order dependencies vs FD-only",
-        headers=("query", "sorts (ODs ON)", "sorts (ODs OFF)"),
-    )
-    for label, sql in queries:
-        result_on = run_query(database, sql, config=on)
-        result_off = run_query(database, sql, config=off)
-        if result_on.rows != result_off.rows:
-            raise AssertionError(f"result mismatch for {label!r}")
-        sorts_on = result_on.plan.sort_count()
-        sorts_off = result_off.plan.sort_count()
-        if sorts_on > sorts_off:
-            raise AssertionError(
-                f"order dependencies added a sort for {label!r}: "
-                f"{sorts_on} > {sorts_off}"
-            )
-        report.add_row(label, sorts_on, sorts_off)
-        report.data[label] = (sorts_on, sorts_off)
-    report.add_note(
-        "Every row must satisfy ON <= OFF (asserted); rows are "
-        "byte-compared between builds before counting."
-    )
-    return report
-
-
-@experiment(
     "suite",
     "Section 8: order-sensitive query suite, production vs disabled "
     "(the paper's 'internal benchmarks' analog)",

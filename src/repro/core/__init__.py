@@ -7,8 +7,6 @@ This package implements Section 4 of Simmen/Shekita/Malkemus (SIGMOD '96):
 * :mod:`repro.core.equivalence` — column equivalence classes induced by
   ``col = col`` predicates;
 * :mod:`repro.core.fd` — functional dependencies and attribute closure;
-* :mod:`repro.core.od` — order dependencies (``X |-> Y`` edges beyond
-  the paper, after Szlichta/Godfrey/Gryz);
 * :mod:`repro.core.context` — the bundle (FDs + equivalences + constants)
   that reduction consumes;
 * :mod:`repro.core.reduce` — *Reduce Order* (Figure 2);
@@ -31,7 +29,6 @@ from repro.core import instrument
 from repro.core.ordering import OrderKey, OrderSpec, SortDirection, asc, desc
 from repro.core.equivalence import EquivalenceClasses
 from repro.core.fd import FDSet, FunctionalDependency, fd
-from repro.core.od import EMPTY_ODS, ODSet, OrderDependency
 from repro.core.context import OrderContext
 from repro.core.reduce import reduce_order
 from repro.core.test import test_order
@@ -53,9 +50,6 @@ __all__ = [
     "FDSet",
     "FunctionalDependency",
     "fd",
-    "EMPTY_ODS",
-    "ODSet",
-    "OrderDependency",
     "OrderContext",
     "reduce_order",
     "test_order",

@@ -37,7 +37,6 @@ from repro.core.fd import (
 )
 from repro.core.instrument import count
 from repro.core.memo import ContextMemo, memo_for
-from repro.core.od import EMPTY_ODS, ODSet
 from repro.expr.analysis import PredicateFacts, analyze_predicates
 from repro.expr.nodes import ColumnRef, Expression
 
@@ -45,7 +44,7 @@ from repro.expr.nodes import ColumnRef, Expression
 class OrderContext:
     """Bundle of equivalence classes + FDs used by the order operations."""
 
-    __slots__ = ("equivalences", "fds", "constants", "ods", "_fingerprint",
+    __slots__ = ("equivalences", "fds", "constants", "_fingerprint",
                  "_memo", "_constant_closure")
 
     def __init__(
@@ -53,24 +52,15 @@ class OrderContext:
         equivalences: Optional[EquivalenceClasses] = None,
         fds: Optional[FDSet] = None,
         constants: Iterable[ColumnRef] = (),
-        ods: Optional[ODSet] = None,
     ):
         self.equivalences = equivalences or EquivalenceClasses()
         self.constants: Set[ColumnRef] = set(constants)
-        self.ods = ods if ods is not None else EMPTY_ODS
         # Constants become uniform empty-headed FDs (as in the paper);
         # equivalences stay in the partition and are consulted by the
         # closure directly.
         fds = fds or FDSet()
         for column in self.constants:
             fds = fds.add(constant_fd(column))
-        # Every order dependency implies the matching FD (equal sources
-        # order-bound both ways must have equal targets), so reduction
-        # and constant detection see OD facts without consulting the
-        # ODSet at all — with no ODs this loop does not run and the
-        # context is byte-identical to the FD-only build.
-        for dependency in self.ods.implied_fds():
-            fds = fds.add(dependency)
         self.fds = fds
         self._fingerprint = None
         self._memo: Optional[ContextMemo] = None
@@ -87,11 +77,10 @@ class OrderContext:
         predicates: Iterable[Expression],
         keys: Iterable[Sequence[ColumnRef]] = (),
         extra_fds: Optional[FDSet] = None,
-        ods: Optional[ODSet] = None,
     ) -> "OrderContext":
         """Build a context from applied predicates and known keys."""
         facts = analyze_predicates(predicates)
-        return cls.from_facts(facts, keys=keys, extra_fds=extra_fds, ods=ods)
+        return cls.from_facts(facts, keys=keys, extra_fds=extra_fds)
 
     @classmethod
     def from_facts(
@@ -99,7 +88,6 @@ class OrderContext:
         facts: PredicateFacts,
         keys: Iterable[Sequence[ColumnRef]] = (),
         extra_fds: Optional[FDSet] = None,
-        ods: Optional[ODSet] = None,
     ) -> "OrderContext":
         """Build a context from pre-mined predicate facts."""
         equivalences = EquivalenceClasses(facts.equalities)
@@ -110,7 +98,6 @@ class OrderContext:
             equivalences=equivalences,
             fds=fds,
             constants=facts.constant_bindings.keys(),
-            ods=ods,
         )
 
     # ------------------------------------------------------------------
@@ -138,7 +125,6 @@ class OrderContext:
                 self.fds.as_frozenset(),
                 self.equivalences.class_sets(),
                 frozenset(self.constants),
-                self.ods.as_frozenset(),
             )
             self._fingerprint = digest
         return digest
@@ -178,7 +164,6 @@ class OrderContext:
             equivalences=self.equivalences,
             fds=self.fds.add(key_fd(key_columns)),
             constants=self.constants,
-            ods=self.ods,
         )
 
     def with_fd(self, dependency: FunctionalDependency) -> "OrderContext":
@@ -187,7 +172,6 @@ class OrderContext:
             equivalences=self.equivalences,
             fds=self.fds.add(dependency),
             constants=self.constants,
-            ods=self.ods,
         )
 
     def with_equality(self, left: ColumnRef, right: ColumnRef) -> "OrderContext":
@@ -200,7 +184,6 @@ class OrderContext:
             equivalences=equivalences,
             fds=self.fds,
             constants=self.constants,
-            ods=self.ods,
         )
 
     def with_constant(self, column: ColumnRef) -> "OrderContext":
@@ -209,19 +192,6 @@ class OrderContext:
             equivalences=self.equivalences,
             fds=self.fds,
             constants=self.constants | {column},
-            ods=self.ods,
-        )
-
-    def with_ods(self, ods: ODSet) -> "OrderContext":
-        """A new context that additionally knows these order dependencies."""
-        merged = self.ods.union(ods)
-        if merged is self.ods:
-            return self
-        return OrderContext(
-            equivalences=self.equivalences,
-            fds=self.fds,
-            constants=self.constants,
-            ods=merged,
         )
 
     def merged_with(self, other: "OrderContext") -> "OrderContext":
@@ -230,7 +200,6 @@ class OrderContext:
             equivalences=self.equivalences.merged_with(other.equivalences),
             fds=self.fds.union(other.fds),
             constants=self.constants | other.constants,
-            ods=self.ods.union(other.ods),
         )
 
     def is_constant(self, column: ColumnRef) -> bool:

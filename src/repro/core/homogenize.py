@@ -49,26 +49,7 @@ def _substitute_key(
         # Deterministic pick keeps plans stable across runs.
         chosen = min(candidates, key=lambda c: (c.qualifier, c.name))
         return key.with_column(chosen)
-    ods = context.ods
-    if ods.is_empty():
-        return None
-    # Order-equivalent columns (strict monotone both ways, e.g. ``val``
-    # and ``val + 1``) may stand in with a direction flip. One-way edges
-    # (``d |-> year(d)``) must NOT substitute: sorting by the coarse
-    # side does not produce the fine side's order.
-    od_candidates = [
-        (target, flip)
-        for target in targets
-        for flip in (ods.order_equivalent_flip(key.column, target),)
-        if flip is not None
-    ]
-    if not od_candidates:
-        return None
-    chosen, flip = min(
-        od_candidates, key=lambda pair: (pair[0].qualifier, pair[0].name)
-    )
-    replacement = key.with_column(chosen)
-    return replacement.reversed() if flip else replacement
+    return None
 
 
 def homogenize_order(

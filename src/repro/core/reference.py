@@ -22,7 +22,6 @@ from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.context import OrderContext
 from repro.core.fd import ALL_COLUMNS, FDSet
-from repro.core.od import ODSet
 from repro.core.ordering import OrderKey, OrderSpec
 from repro.expr.nodes import ColumnRef
 
@@ -79,76 +78,17 @@ def reduce_order_reference(
     return OrderSpec(retained)
 
 
-def naive_od_flips(
-    ods: ODSet, source: ColumnRef, target: ColumnRef
-) -> Set[bool]:
-    """Flip values under which ``source |-> target`` follows from the
-    base OD edges — plain breadth-first search, no cached closure.
-
-    The brute-force twin of :meth:`ODSet.flips`; flips compose by XOR
-    exactly as there.
-    """
-    if source == target:
-        return {False}
-    visited: Set[Tuple[ColumnRef, bool]] = set()
-    frontier: List[Tuple[ColumnRef, bool]] = [(source, False)]
-    found: Set[bool] = set()
-    while frontier:
-        node, flip = frontier.pop()
-        for edge in ods:
-            if edge.source != node:
-                continue
-            combined = flip ^ edge.flip
-            state = (edge.target, combined)
-            if state in visited:
-                continue
-            visited.add(state)
-            frontier.append(state)
-            if edge.target == target:
-                found.add(combined)
-    return found
-
-
 def test_order_reference(
     interesting: OrderSpec,
     order_property: OrderSpec,
     context: OrderContext,
 ) -> bool:
-    """Figure 3 on the reference reduction, generalized over ODs.
-
-    The OD positional rule mirrors ``repro.core.test._od_prefix`` but
-    runs on naive BFS reachability and the naive closure; with an empty
-    OD set it is exactly the original prefix test.
-    """
+    """Figure 3 on the reference reduction."""
     reduced_interesting = reduce_order_reference(interesting, context)
     if reduced_interesting.is_empty():
         return True
     reduced_property = reduce_order_reference(order_property, context)
-    if context.ods.is_empty():
-        return reduced_interesting.is_prefix_of(reduced_property)
-    ikeys = list(reduced_interesting)
-    pkeys = list(reduced_property)
-    if len(ikeys) > len(pkeys):
-        return False
-    fds = context.materialized_fds()
-    for position, ikey in enumerate(ikeys):
-        pkey = pkeys[position]
-        if pkey == ikey:
-            continue
-        if pkey.column == ikey.column:
-            return False
-        flip_needed = ikey.direction != pkey.direction
-        if flip_needed not in naive_od_flips(
-            context.ods, pkey.column, ikey.column
-        ):
-            return False
-        if position + 1 < len(ikeys):
-            # Non-final positions need {i_k} -> {p_k}: ties on i_k must
-            # pin p_k, or the minor keys are unordered within the tie.
-            closed, everything = naive_closure((ikey.column,), fds)
-            if not everything and pkey.column not in closed:
-                return False
-    return True
+    return reduced_interesting.is_prefix_of(reduced_property)
 
 
 def cover_order_reference(
@@ -185,31 +125,10 @@ def homogenize_order_reference(
                 for member in context.equivalences.members(key.column)
                 if member in targets
             ]
-            if candidates:
-                chosen = min(candidates, key=lambda c: (c.qualifier, c.name))
-                replacement = key.with_column(chosen)
-            else:
-                # Order-equivalent targets (mutual OD edges with one
-                # consistent flip) substitute with a direction flip;
-                # one-way edges do not — same rule as the memoized
-                # ``_substitute_key``, proven here by naive BFS.
-                od_candidates = []
-                for target in targets:
-                    forward = naive_od_flips(context.ods, key.column, target)
-                    backward = naive_od_flips(context.ods, target, key.column)
-                    for flip in (False, True):
-                        if flip in forward and flip in backward:
-                            od_candidates.append((target, flip))
-                            break
-                if not od_candidates:
-                    return None
-                chosen, flip = min(
-                    od_candidates,
-                    key=lambda pair: (pair[0].qualifier, pair[0].name),
-                )
-                replacement = key.with_column(chosen)
-                if flip:
-                    replacement = replacement.reversed()
+            if not candidates:
+                return None
+            chosen = min(candidates, key=lambda c: (c.qualifier, c.name))
+            replacement = key.with_column(chosen)
         if replacement.column in seen:
             continue
         seen.add(replacement.column)

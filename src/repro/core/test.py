@@ -51,49 +51,7 @@ def _test_order_impl(
         # by anything; no need to reduce the property.
         return True
     reduced_property = reduce_order(order_property, context)
-    if context.ods.is_empty():
-        return reduced_interesting.is_prefix_of(reduced_property)
-    return _od_prefix(reduced_interesting, reduced_property, context)
-
-
-def _od_prefix(
-    interesting: OrderSpec,
-    order_property: OrderSpec,
-    context: OrderContext,
-) -> bool:
-    """Positional prefix test generalized over order dependencies.
-
-    ``interesting`` key ``i_k`` is covered by property key ``p_k`` when
-    they match exactly, or when the OD closure orders ``i_k``'s column
-    by ``p_k``'s with the right flip (ascending by ``p_k`` must move
-    ``i_k`` in its requested direction). For *non-final* positions the
-    FD ``{i_k} -> {p_k}`` must additionally hold: if distinct ``p_k``
-    values can share an ``i_k`` value, rows tied on ``i_k`` span several
-    ``p_k`` runs and nothing orders ``i_{k+1}`` within the tie —
-    ``(year(d), x)`` is NOT satisfied by ``(d, x)`` even though
-    ``(year(d))`` alone is. With no ODs in the context this degenerates
-    to exact prefix matching.
-    """
-    ikeys = list(interesting)
-    pkeys = list(order_property)
-    if len(ikeys) > len(pkeys):
-        return False
-    ods = context.ods
-    last = len(ikeys) - 1
-    for position, ikey in enumerate(ikeys):
-        pkey = pkeys[position]
-        if pkey == ikey:
-            continue
-        if pkey.column == ikey.column:
-            return False  # same column, opposite direction
-        flip_needed = ikey.direction != pkey.direction
-        if not ods.orders(pkey.column, ikey.column, flip_needed):
-            return False
-        if position < last and pkey.column not in context.closure(
-            (ikey.column,)
-        ):
-            return False
-    return True
+    return reduced_interesting.is_prefix_of(reduced_property)
 
 
 def test_order_naive(interesting: OrderSpec, order_property: OrderSpec) -> bool:

@@ -540,7 +540,7 @@ class SortOp(PhysicalOperator):
 
     The child delivers rows grouped by ``order.prefix(prefix_length)``
     — the optimizer proved it through the order algebra, possibly via
-    FDs/ODs/constants rather than a literal column match. With prefix 0
+    FDs/constants rather than a literal column match. With prefix 0
     (a full sort) the whole input is one group and no per-row prefix
     comparison happens. Each group is sorted on the remaining keys and
     streamed out, so memory is bounded by the largest group, not the

@@ -45,14 +45,12 @@ from repro.expr.vector import (
     vector_value_kernel,
 )
 from repro.expr.analysis import (
-    MonotonicDependency,
     PredicateFacts,
     analyze_predicates,
     columns_of,
     conjuncts_of,
     is_column_constant_equality,
     is_column_equality,
-    monotonic_dependency,
 )
 
 __all__ = [
@@ -91,8 +89,6 @@ __all__ = [
     "compile_vector_filter",
     "vector_projection_kernel",
     "vector_value_kernel",
-    "MonotonicDependency",
-    "monotonic_dependency",
     "PredicateFacts",
     "analyze_predicates",
     "columns_of",

@@ -19,14 +19,11 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.expr.nodes import (
-    Arithmetic,
-    ArithmeticOp,
     BooleanExpr,
     BooleanOp,
     ColumnRef,
     Comparison,
     ComparisonOp,
-    DatePart,
     Expression,
     Literal,
     Parameter,
@@ -170,87 +167,3 @@ def analyze_predicates(predicates: Iterable[Expression]) -> PredicateFacts:
                 continue
             facts.residual.append(conjunct)
     return facts
-
-
-@dataclass(frozen=True)
-class MonotonicDependency:
-    """``expression`` is a monotonic function of a single ``column``.
-
-    ``flip`` — the expression *reverses* order (e.g. ``10 - col``);
-    ``strict`` — strictly monotone, so the expression's order determines
-    the column's order too (order-equivalence); non-strict functions
-    like ``year(d)`` order only source-to-target.
-    """
-
-    column: ColumnRef
-    flip: bool
-    strict: bool
-
-
-def monotonic_dependency(
-    expression: Expression,
-) -> Optional[MonotonicDependency]:
-    """The single-column monotonic shape of ``expression``, or ``None``.
-
-    Recognized shapes (composable): a bare column; ``col + c`` /
-    ``c + col`` / ``col - c`` (strict), ``c - col`` (strict, flipped);
-    ``c * col`` / ``col * c`` and ``col / c`` for nonzero ``c`` (strict,
-    flipped when negative); ``year(d)`` (non-strict). ``c`` must be a
-    non-NULL *integer* literal — host variables have unknown sign and
-    NULL-ness, and non-integer constants could collapse distinct values
-    through rounding, breaking the strictness claim. ``c / col``,
-    ``month``/``day`` (periodic) and multi-column arithmetic yield no
-    dependency.
-    """
-    if isinstance(expression, ColumnRef):
-        return MonotonicDependency(expression, flip=False, strict=True)
-    if isinstance(expression, DatePart):
-        if expression.part != "year":
-            return None
-        inner = monotonic_dependency(expression.operand)
-        if inner is None:
-            return None
-        return MonotonicDependency(inner.column, inner.flip, strict=False)
-    if isinstance(expression, Arithmetic):
-        constant, operand, constant_left = _int_literal_side(expression)
-        if constant is None:
-            return None
-        inner = monotonic_dependency(operand)
-        if inner is None:
-            return None
-        op = expression.op
-        if op is ArithmeticOp.ADD:
-            return inner
-        if op is ArithmeticOp.SUB:
-            if constant_left:  # c - x reverses order
-                return MonotonicDependency(
-                    inner.column, not inner.flip, inner.strict
-                )
-            return inner
-        if constant == 0:
-            return None  # c * x collapses; x / 0 raises
-        if op is ArithmeticOp.DIV and constant_left:
-            return None  # c / x is not monotone across a sign change
-        if constant < 0:
-            return MonotonicDependency(
-                inner.column, not inner.flip, inner.strict
-            )
-        return inner
-    return None
-
-
-def _int_literal_side(expression: Arithmetic):
-    """``(constant, other operand, constant_is_left)`` when exactly one
-    side is a non-NULL integer literal; ``(None, None, False)`` else."""
-    left, right = expression.left, expression.right
-    if isinstance(left, Literal) and _is_int(left.value):
-        if isinstance(right, Literal):
-            return None, None, False
-        return left.value, right, True
-    if isinstance(right, Literal) and _is_int(right.value):
-        return right.value, left, False
-    return None, None, False
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)

@@ -219,12 +219,7 @@ class Arithmetic(Expression):
 
 @dataclass(frozen=True)
 class DatePart(Expression):
-    """``year(d)`` / ``month(d)`` / ``day(d)`` extraction from a date.
-
-    ``year`` is monotonic (non-strictly) in its operand, which is what
-    makes it an order-dependency source; ``month`` and ``day`` are
-    periodic and contribute only the functional dependency.
-    """
+    """``year(d)`` / ``month(d)`` / ``day(d)`` extraction from a date."""
 
     part: str  # "year" | "month" | "day"
     operand: Expression

@@ -23,12 +23,6 @@ class OptimizerConfig:
     enable_sort_ahead: bool = True
     enable_cover: bool = True
     enable_general_orders: bool = True
-    # Order dependencies (beyond the paper; Szlichta et al.): harvest
-    # X |-> Y facts from monotonic derived expressions and consult them
-    # in the order algebra. Gated here so ``disabled()`` stays the
-    # honest 1996 baseline — the core algebra itself is config-free and
-    # simply sees an empty ODSet when harvesting is off.
-    use_order_dependencies: bool = True
     # Prefix-aware partial sort (beyond the paper): when the delivered
     # order already satisfies a proper prefix of a sort target, enforce
     # the rest with a segmented per-group sort instead of a full

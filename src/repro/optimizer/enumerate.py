@@ -415,10 +415,10 @@ def _order_blind_key(plan: PlanNode) -> tuple:
     """What a join's properties, cost and context read of an inner
     input, bar its order (and its predicate set, which no context
     sees): inner plans equal on this form one class."""
-    columns, _, keys, fds, equivalences, constants, _, rows, ods = (
+    columns, _, keys, fds, equivalences, constants, _, rows = (
         plan.properties.content_key()
     )
-    return columns, keys, fds, equivalences, constants, rows, ods
+    return columns, keys, fds, equivalences, constants, rows
 
 
 def _join_methods(

@@ -9,11 +9,11 @@ needed at all; Reduce Order supplies the minimal sort columns.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from typing import List, Optional, Sequence
 
+from repro.core.fd import FDSet
 from repro.core.general import GeneralOrderSpec
-from repro.core.homogenize import homogenize_order
-from repro.core.od import EMPTY_ODS, ODSet
 from repro.core.ordering import OrderSpec
 from repro.expr.nodes import ColumnRef
 from repro.expr.schema import RowSchema
@@ -25,8 +25,8 @@ from repro.optimizer.helpers import (
 )
 from repro.optimizer.plan import OpKind, PlanNode
 from repro.optimizer.planner import PlannerContext
-from repro.properties.odharvest import harvest_expression_ods
 from repro.properties.propagate import (
+    computed_column_fds,
     propagate_distinct,
     propagate_filter,
     propagate_group_by,
@@ -63,9 +63,7 @@ def finalize_plans(
                 continue
             # ORDER BY names computed outputs the pre-projection stream
             # cannot provide (``val + 1 AS v ... ORDER BY v``): project
-            # first, sort the projected stream. With ODs on, the sort
-            # usually disappears above instead — an order-equivalent
-            # source column satisfies or substitutes for the target.
+            # first, sort the projected stream.
             projected = _final_projection(planner, variant)
             ensured = _ensure_order_by(planner, projected)
             if ensured is not None:
@@ -427,30 +425,13 @@ def _ensure_order_by(
     if order_by.is_empty():
         return plan
     context = plan.properties.context()
-    if not planner.block_ods.is_empty():
-        # Block ODs relate current columns to computed outputs that only
-        # exist after the final projection (``val + 1 AS v``); folding
-        # them in lets the order test accept a ``val``-sorted stream for
-        # ``ORDER BY v`` — the projection preserves row order.
-        context = context.with_ods(planner.block_ods)
     if order_satisfies(planner.config, order_by, plan.order, context):
         return plan
     target = sort_columns_for(planner.config, order_by, context)
     if target.is_empty():
         return plan
     if not target.subset_columns(plan.properties.schema.columns):
-        if planner.block_ods.is_empty():
-            return None
-        # ORDER BY names a computed output: re-express the sort on the
-        # pre-projection schema through order-equivalent ODs.
-        remapped = homogenize_order(
-            target, plan.properties.schema.columns, context
-        )
-        if remapped is None:
-            return None
-        if remapped.is_empty():
-            return plan
-        target = remapped
+        return None
     return make_sort(planner, plan, target, "order by")
 
 
@@ -488,27 +469,27 @@ def _final_projection(
     if simple:
         properties = propagate_project(plan.properties, unique_outputs)
     else:
-        # Computed outputs: keys/FDs/equivalences are conservatively
-        # dropped, but monotonic items carry order facts across. The
-        # harvested item ODs (``val |-> v``) both re-express the input
-        # order on the outputs and, projected onto the output schema,
-        # relate outputs to each other (``val + 1`` and ``val + 2``).
-        if planner.config.effective("use_order_dependencies"):
-            item_ods = harvest_expression_ods(
-                zip(unique_expressions, unique_outputs),
-                nullable=planner.column_nullable,
-            )
-        else:
-            item_ods = EMPTY_ODS
-        combined = plan.properties.ods.union(item_ods)
+        # Computed outputs: keys, equivalences and the input's FDs are
+        # conservatively dropped. The order survives up to the first
+        # projected-away column, and each computed item keeps the FD
+        # from its inputs when they are outputs too (``s.amt`` and
+        # ``s.amt + 5``).
         output_set = frozenset(unique_outputs)
         properties = StreamProperties(
             schema=schema,
-            order=_surviving_order(
-                plan.properties.order, output_set, combined
+            order=OrderSpec(
+                takewhile(
+                    lambda key: key.column in output_set, plan.properties.order
+                )
+            ),
+            fds=FDSet(
+                dependency
+                for dependency in computed_column_fds(
+                    zip(unique_expressions, unique_outputs)
+                )
+                if dependency.head <= output_set
             ),
             cardinality=plan.properties.cardinality,
-            ods=combined.projected(output_set),
         )
     cost = plan.cost + planner.cost_model.project_rows(
         plan.properties.cardinality
@@ -524,54 +505,3 @@ def _final_projection(
         },
     )
 
-
-def _surviving_order(
-    order: OrderSpec, columns, ods: ODSet = EMPTY_ODS
-) -> OrderSpec:
-    from repro.core.ordering import OrderKey
-
-    keys: List[OrderKey] = []
-    seen = set()
-    for key in order:
-        if key.column in columns:
-            keys.append(key)
-            seen.add(key.column)
-            continue
-        # A projected-away sort column may live on through an
-        # order-equivalent output (``val + 1 AS v``). A duplicate
-        # target is skippable because order equivalence makes it
-        # constant within ties of the earlier key.
-        candidates = [
-            (target, flip)
-            for target in columns
-            for flip in (ods.order_equivalent_flip(key.column, target),)
-            if flip is not None
-        ]
-        if candidates:
-            chosen, flip = min(
-                candidates,
-                key=lambda pair: (pair[0].qualifier, pair[0].name),
-            )
-            if chosen in seen:
-                continue
-            replacement = key.with_column(chosen)
-            keys.append(replacement.reversed() if flip else replacement)
-            seen.add(chosen)
-            continue
-        # A one-way edge (``d |-> year(d)``) may stand in only as the
-        # *last* claimed key: ties of the coarse target span several
-        # source values, so nothing after it stays ordered.
-        one_way = [
-            (target, flip)
-            for target in columns
-            if target not in seen
-            for flip in sorted(ods.flips(key.column, target))
-        ]
-        if one_way:
-            chosen, flip = min(
-                one_way, key=lambda pair: (pair[0].qualifier, pair[0].name)
-            )
-            replacement = key.with_column(chosen)
-            keys.append(replacement.reversed() if flip else replacement)
-        break
-    return OrderSpec(keys)

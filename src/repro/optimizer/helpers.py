@@ -50,7 +50,7 @@ def satisfied_prefix_length(
 
     Capped at ``len(target) - 1`` so a nonzero result always leaves a
     suffix to enforce — callers that see the whole target satisfied
-    should not be sorting at all. FDs/ODs/constants in ``context`` can
+    should not be sorting at all. FDs/constants in ``context`` can
     lengthen the usable prefix beyond a literal column match.
     """
     for length in range(len(target) - 1, 0, -1):

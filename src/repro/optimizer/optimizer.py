@@ -179,23 +179,14 @@ class Optimizer:
 
     def _wanted_view_orders(self, alias: str, view_block, outer_block):
         """Orders the enclosing block would like this view to provide,
-        translated onto the view's own output expressions.
-
-        A computed item like ``val + 1 AS v`` blocks the plain-column
-        translation, but when order dependencies are on the view *can*
-        deliver the order anyway — its own OD harvest relates ``v`` to
-        ``val`` — so the wanted key is expressed on the view's output
-        column and the inner planner's homogenization does the rest.
-        Non-strict items (``year(d) AS y``) must end the wanted spec:
-        ties of the coarse output span several source values, so no
-        later key can be promised within them.
+        translated onto the view's own output expressions. A computed
+        item like ``val + 1 AS v`` ends the wanted spec: only plain
+        columns translate.
         """
         from repro.core.ordering import OrderKey
-        from repro.expr.analysis import monotonic_dependency
 
         if outer_block is None:
             return []
-        use_ods = self.config.effective("use_order_dependencies")
         expression_by_name = {}
         for item in view_block.select_items:
             expression_by_name.setdefault(item.name, item.expression)
@@ -209,21 +200,9 @@ class Optimizer:
                 if key.column.qualifier != alias:
                     break
                 target = expression_by_name.get(key.column.name)
-                if target is None:
+                if not isinstance(target, ColumnRef):
                     break
-                if isinstance(target, ColumnRef):
-                    keys.append(OrderKey(target, key.direction))
-                    continue
-                if not use_ods:
-                    break
-                dependency = monotonic_dependency(target)
-                if dependency is None:
-                    break
-                keys.append(
-                    OrderKey(ColumnRef("", key.column.name), key.direction)
-                )
-                if not dependency.strict:
-                    break
+                keys.append(OrderKey(target, key.direction))
             if keys:
                 candidate = OrderSpec(keys)
                 if candidate not in wanted:

@@ -9,7 +9,6 @@ from repro.catalog import Index, TableSchema
 from repro.core.context import OrderContext
 from repro.core.homogenize import homogenize_order
 from repro.core.instrument import count
-from repro.core.od import EMPTY_ODS, ODSet
 from repro.core.ordering import OrderSpec
 from repro.cost.estimate import SelectivityEstimator, StatsView
 from repro.cost.model import CostModel
@@ -30,9 +29,9 @@ from repro.expr.nodes import (
 )
 from repro.optimizer.config import OptimizerConfig, PlannerStats
 from repro.optimizer.plan import OpKind, PlanNode
-from repro.properties.odharvest import harvest_expression_ods
 from repro.properties.propagate import (
     base_table_properties,
+    computed_column_fds,
     propagate_filter,
     propagate_sort,
 )
@@ -65,9 +64,6 @@ class PlannerContext:
     # The optimistic context: all predicates assumed applied, all base
     # keys known (Section 5.1's order-scan assumption).
     optimistic: OrderContext = field(default_factory=OrderContext)
-    # ODs harvested from monotonic computed select items (e.g.
-    # ``val + 1 AS v``); empty when ``use_order_dependencies`` is off.
-    block_ods: ODSet = EMPTY_ODS
     stats: PlannerStats = field(default_factory=PlannerStats)
     # alias -> pre-planned access path for derived tables (set by the
     # Optimizer facade before enumeration).
@@ -137,7 +133,6 @@ class PlannerContext:
             derived_plans=dict(derived_plans or {}),
         )
         context._split_predicates()
-        context._harvest_block_ods()
         context._build_optimistic_context()
         return context
 
@@ -159,45 +154,6 @@ class PlannerContext:
             else:
                 self.join_predicates.append((conjunct, frozenset(aliases)))
 
-    def column_nullable(self, column: ColumnRef) -> bool:
-        """Conservatively: can this column carry NULLs at this block?
-
-        Anything not traceable to a declared NOT NULL base-table column
-        — derived-table outputs, unknown qualifiers, columns of a
-        null-supplying (outer-joined) alias — counts as nullable. The
-        OD harvest uses this to refuse direction-flipping edges whose
-        NULL rows would land at the wrong end of the flipped order.
-        """
-        alias = column.qualifier
-        if alias not in self.block.tables or self.block.is_derived(alias):
-            return True
-        if alias in self.block.null_supplying_aliases():
-            return True
-        table = self.table_for(alias)
-        if not table.has_column(column.name):
-            return True
-        return table.column(column.name).nullable
-
-    def _harvest_block_ods(self) -> None:
-        """ODs from the block's computed select items (gated).
-
-        ``val + 1 AS v`` order-equates ``r.val`` and the output column
-        ``("", "v")``; ``year(d) AS y`` adds the one-way ``d |-> y``.
-        These feed the optimistic context (so the order scan can push a
-        sort on ``val`` down for ``ORDER BY v``) and the final
-        ORDER-BY/projection steps in finalize.
-        """
-        if not self.config.effective("use_order_dependencies"):
-            self.block_ods = EMPTY_ODS
-            return
-        self.block_ods = harvest_expression_ods(
-            (
-                (item.expression, item.output)
-                for item in self.block.select_items
-            ),
-            nullable=self.column_nullable,
-        )
-
     def alias_columns(self, alias: str) -> Tuple[ColumnRef, ...]:
         """The columns one quantifier contributes to the join box."""
         if self.block.is_derived(alias):
@@ -217,7 +173,9 @@ class PlannerContext:
         FD (§4.1) — never an equivalence class. Its determinant is every
         preserved-side column the ON clause reads, not just the equated
         one: under ``ON d.grp = f.k AND d.name = 'n1'`` two rows with one
-        ``grp`` can differ in whether they matched.
+        ``grp`` can differ in whether they matched. A computed select
+        item ``c = f(x1 .. xk)`` adds ``{x1 .. xk} -> {c}``, so an
+        ORDER BY key on ``c`` after its inputs reduces away.
         """
         from repro.core.fd import FDSet, fd
         from repro.expr.analysis import analyze_predicates as analyze
@@ -246,9 +204,13 @@ class PlannerContext:
                     extra = extra.add(fd(preserved, [right]))
                 elif left.qualifier == alias and right.qualifier != alias:
                     extra = extra.add(fd(preserved, [left]))
-        self.optimistic = OrderContext.from_facts(
-            facts, extra_fds=extra, ods=self.block_ods
+        extra = extra.union(
+            computed_column_fds(
+                (item.expression, item.output)
+                for item in self.block.select_items
+            )
         )
+        self.optimistic = OrderContext.from_facts(facts, extra_fds=extra)
 
     # ------------------------------------------------------------------
     # Cardinalities

@@ -9,7 +9,7 @@ here.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog import TableSchema
 from repro.core.equivalence import EquivalenceClasses
@@ -17,7 +17,7 @@ from repro.core.fd import FDSet, fd
 from repro.core.instrument import count
 from repro.core.ordering import OrderKey, OrderSpec
 from repro.expr.analysis import analyze_predicates, columns_of
-from repro.expr.nodes import ColumnRef, Expression
+from repro.expr.nodes import Aggregate, ColumnRef, Expression
 from repro.expr.schema import RowSchema
 from repro.properties.stream import KeyProperty, StreamProperties
 
@@ -108,7 +108,31 @@ def propagate_project(
             for predicate in properties.predicates
             if columns_of(predicate) <= column_set
         ),
-        ods=properties.ods.restrict(column_set),
+    )
+
+
+def computed_column_fds(
+    items: Iterable[Tuple[Expression, ColumnRef]]
+) -> FDSet:
+    """``{x1 .. xk} -> {c}`` for every computed output ``c = f(x1 .. xk)``.
+
+    Expressions are deterministic, so equal inputs (NULLs included) give
+    equal outputs: the FD needs no NULL or monotonicity reasoning, and
+    Reduce Order drops ``r.val + 3`` after ``r.val``. A bare column adds
+    nothing, and neither does an item holding an aggregate, whose value
+    depends on its group rather than on the row's columns.
+    """
+    fds = FDSet()
+    for expression, output in items:
+        if isinstance(expression, ColumnRef) or _has_aggregate(expression):
+            continue
+        fds = fds.add(fd(columns_of(expression), (output,)))
+    return fds
+
+
+def _has_aggregate(expression: Expression) -> bool:
+    return isinstance(expression, Aggregate) or any(
+        _has_aggregate(child) for child in expression.children()
     )
 
 
@@ -252,7 +276,6 @@ def _propagate_join_impl(
             outer.predicates | inner.predicates | frozenset(facts.conjuncts)
         ),
         cardinality=max(0.0, cardinality),
-        ods=outer.ods.union(inner.ods),
     )
     return replace(
         joined, key_property=joined.key_property.simplified(joined.context())
@@ -314,7 +337,6 @@ def rename_properties(
         ),
         predicates=frozenset(),
         cardinality=properties.cardinality,
-        ods=properties.ods.translate(mapping),
     )
 
 
@@ -387,9 +409,6 @@ def propagate_left_outer_join(
         constants=frozenset(preserved.constants),
         predicates=preserved.predicates,
         cardinality=max(preserved.cardinality, cardinality),
-        # NULL padding breaks null-side order facts; only the preserved
-        # side's ODs survive.
-        ods=preserved.ods,
     )
     return replace(
         joined, key_property=joined.key_property.simplified(joined.context())
@@ -462,7 +481,6 @@ def propagate_group_by(
             if columns_of(predicate) <= output_columns
         ),
         cardinality=max(0.0, cardinality),
-        ods=properties.ods.restrict(output_columns),
     )
     return replace(
         grouped, key_property=grouped.key_property.simplified(grouped.context())

@@ -21,7 +21,6 @@ from repro.core.context import OrderContext
 from repro.core.equivalence import EquivalenceClasses
 from repro.core.fd import FDSet, key_fd
 from repro.core.instrument import count
-from repro.core.od import EMPTY_ODS, ODSet
 from repro.core.ordering import OrderSpec
 from repro.expr.nodes import ColumnRef, Expression
 from repro.expr.schema import RowSchema
@@ -137,8 +136,6 @@ class StreamProperties:
         constants: columns bound to constants by applied predicates.
         predicates: applied predicate conjuncts (the predicate property).
         cardinality: estimated number of records.
-        ods: order dependencies among the stream's columns (empty
-            unless ``use_order_dependencies`` harvesting is on).
     """
 
     schema: RowSchema
@@ -149,7 +146,6 @@ class StreamProperties:
     constants: ColumnSet = frozenset()
     predicates: FrozenSet[Expression] = frozenset()
     cardinality: float = 0.0
-    ods: ODSet = EMPTY_ODS
 
     def __post_init__(self):
         if self.equivalences is None:
@@ -181,7 +177,6 @@ class StreamProperties:
             equivalences=self.equivalences,
             fds=fds,
             constants=self.constants,
-            ods=self.ods,
         )
         object.__setattr__(self, "_cached_context", context)
         return context
@@ -205,7 +200,6 @@ class StreamProperties:
                 self.constants,
                 self.predicates,
                 self.cardinality,
-                self.ods.as_frozenset(),
             )
             object.__setattr__(self, "_content_key", cached)
         return cached

@@ -174,7 +174,7 @@ def generate_schema(seed: int, config: GenConfig = GenConfig()) -> SchemaSpec:
             Column("grp", INTEGER),
             Column("val", INTEGER),
             # NOT NULL date: fuzzed date-part extraction (year(r.d))
-            # exercises non-strict order dependencies.
+            # gives computed items a non-arithmetic expression.
             Column("d", DATE, nullable=False),
         ],
         rows=[
@@ -550,15 +550,13 @@ class QueryGenerator:
         chosen = rng.sample(columns, rng.randint(1, len(columns)))
         order_candidates = list(chosen)
         if rng.random() < 0.35:
-            # Monotonic derived select item, orderable via its alias —
-            # exercises order-dependency harvesting and the
-            # post-projection sort fallback when ODs are off.
+            # Computed select item, orderable via its alias: exercises
+            # the computed-column FD ({r.val} -> {vplus}) and the
+            # post-projection sort fallback.
             fact = self.schema.fact.name
             derived = [
                 (f"{fact}.val + 3 as vplus", "vplus"),
                 (f"2 * {fact}.val as vdub", "vdub"),
-                # id is NOT NULL, so the direction-flipping edge is
-                # harvestable despite the NULL-ordering gate.
                 (f"30 - {fact}.id as idrev", "idrev"),
                 (f"year({fact}.d) as dy", "dy"),
                 (f"month({fact}.d) as dm", "dm"),
@@ -602,9 +600,9 @@ class QueryGenerator:
                 f"from {child} group by rid)",
                 f"(select distinct tag, rid from {child})",
                 f"(select grp, max(val) as hi from {fact} group by grp)",
-                # Computed monotonic view columns: the first merges into
-                # the parent block, the second stays derived and lets
-                # the outer ORDER BY push through the view head.
+                # Computed view columns: the first merges into the
+                # parent block, the second stays derived behind its
+                # GROUP BY.
                 f"(select rid, amt + 1 as a1 from {child})",
                 f"(select val + 1 as g2, count(*) as n2 "
                 f"from {fact} group by val)",

@@ -28,8 +28,9 @@ the same convention as the reference and the executor.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api import execute, run_query
 from repro.core.ordering import SortDirection
@@ -52,49 +53,39 @@ from repro.verify.reference import join_box_rows, reference_query
 # Config matrices
 # ----------------------------------------------------------------------
 
-_MATRIX_FEATURES = ("red", "cov", "sa", "hash", "od", "ps")
+_MATRIX_AXES = (
+    ("red", ("enable_reduction",)),
+    ("cov", ("enable_cover",)),
+    ("sa", ("enable_sort_ahead",)),
+    ("hash", ("enable_hash_join", "enable_hash_group_by")),
+    ("ps", ("enable_partial_sort",)),
+)
 
 
 def full_matrix(include_disabled: bool = True) -> Dict[str, OptimizerConfig]:
     """Every combination of reduction/cover/sort-ahead/hash-operators/
-    order-dependencies/partial-sort (64 configs), plus the paper's
-    master-switch-off baseline. ``enable_partitioning`` is not an axis:
+    partial-sort (32 configs), plus the paper's master-switch-off
+    baseline. A config is named by its axes' flags, upper-cased when
+    off (``redcovsaHASHps``). ``enable_partitioning`` is not an axis:
     it only adds access paths over partitioned tables, which no fuzzed
     plan chooses; :func:`tier1_matrix` keeps the one leg that would
     notice if that changed."""
     configs: Dict[str, OptimizerConfig] = {}
-    for bits in range(64):
-        red, cov, sa, hash_ops, od, ps = (
-            bool(bits & 32),
-            bool(bits & 16),
-            bool(bits & 8),
-            bool(bits & 4),
-            bool(bits & 2),
-            bool(bits & 1),
-        )
-        name = "".join(
-            flag if on else flag.upper()
-            for flag, on in zip(
-                _MATRIX_FEATURES, (red, cov, sa, hash_ops, od, ps)
-            )
-        )
-        configs[name] = OptimizerConfig(
-            enable_reduction=red,
-            enable_cover=cov,
-            enable_sort_ahead=sa,
-            enable_hash_join=hash_ops,
-            enable_hash_group_by=hash_ops,
-            use_order_dependencies=od,
-            enable_partial_sort=ps,
-        )
+    for switches in itertools.product((False, True), repeat=len(_MATRIX_AXES)):
+        name = ""
+        fields = {}
+        for (flag, names), on in zip(_MATRIX_AXES, switches):
+            name += flag if on else flag.upper()
+            fields.update(dict.fromkeys(names, on))
+        configs[name] = OptimizerConfig(**fields)
     if include_disabled:
         configs["disabled"] = OptimizerConfig.disabled()
     return configs
 
 
 def tier1_matrix() -> Dict[str, OptimizerConfig]:
-    """The historical fuzz configs plus the OD-off, partial-sort-off,
-    and partitioning-off builds — the cheap tier-1 subset."""
+    """The historical fuzz configs plus the partial-sort-off and
+    partitioning-off builds — the cheap tier-1 subset."""
     return {
         "full": OptimizerConfig(),
         "disabled": OptimizerConfig.disabled(),
@@ -102,7 +93,6 @@ def tier1_matrix() -> Dict[str, OptimizerConfig]:
             enable_hash_join=False, enable_hash_group_by=False
         ),
         "no-sortahead": OptimizerConfig(enable_sort_ahead=False),
-        "no-od": OptimizerConfig(use_order_dependencies=False),
         "no-partial-sort": OptimizerConfig(enable_partial_sort=False),
         "no-partitioning": OptimizerConfig(enable_partitioning=False),
     }
@@ -394,32 +384,6 @@ def audit_node(database: Database, node: PlanNode) -> List[str]:
                 f"constant {column} not constant at {node.describe()}"
             )
 
-    for dependency in properties.ods:
-        # OD axiom on real rows: grouped by source value, the target is
-        # single-valued (the implied FD), and walking groups in source
-        # order the target markers never decrease (never increase for a
-        # flipped edge — checked through the descending sort key).
-        if dependency.source not in schema or dependency.target not in schema:
-            continue
-        source_position = schema.position(dependency.source)
-        target_position = schema.position(dependency.target)
-        groups: Dict[Any, set] = {}
-        for row in rows:
-            groups.setdefault(
-                sort_key(row[source_position]), set()
-            ).add(sort_key(row[target_position], dependency.flip))
-        sequence = sorted(groups.items())
-        violated = any(len(markers) > 1 for _key, markers in sequence)
-        if not violated:
-            flattened = [
-                next(iter(markers)) for _key, markers in sequence
-            ]
-            violated = flattened != sorted(flattened)
-        if violated:
-            violations.append(
-                f"OD {dependency} violated at {node.describe()}"
-            )
-
     if not properties.order.is_empty():
         plan_keys = [
             (
@@ -457,9 +421,9 @@ def audit_optimistic_context(
     every predicate applied. Each FD (an ``ALL_COLUMNS`` tail means
     every column), constant and equivalence class must hold on the rows
     of the block's FROM + WHERE as the reference evaluator produces
-    them. Columns the join box lacks (select outputs, named by
-    harvested ODs) are skipped; :func:`audit_node` checks the ODs plan
-    nodes claim. Returns violation descriptions.
+    them. Columns the join box lacks (computed select outputs, the
+    tails of their FDs) are skipped; :func:`audit_node` checks the FDs
+    the final projection claims. Returns violation descriptions.
     """
     schema, rows = join_box_rows(database, planner.block)
     context = planner.optimistic
@@ -498,8 +462,8 @@ AUDIT_QUERIES = (
     "select d.k, f.v from d left join f on d.k = f.k order by d.k",
     "select k, grp from d order by k desc",
     "select d.grp, count(*) as n from d group by d.grp order by n desc, d.grp",
-    # Order-dependency coverage: the claimed ODs (k |-> k2, grp |-> g2)
-    # and the orders they license get checked on real rows.
+    # Computed items: the claimed FDs ({k} -> {k2}, {grp} -> {g2}) and
+    # the orders they license get checked on real rows.
     "select k, k + 1 as k2 from d order by k2",
     "select grp, 2 * grp as g2, name from d order by grp desc, g2 desc",
 )

@@ -28,6 +28,7 @@ from repro.core import (
     reduce_order,
 )
 from repro.core import test_order as check_order
+from repro.core.test import test_order_naive as check_order_naive
 from repro.core.context import OrderContext
 from repro.core.fd import fd
 from repro.core.ordering import OrderKey, OrderSpec, SortDirection
@@ -102,6 +103,32 @@ def test_memoized_ops_match_reference(seed):
     ctx = random_context(rng)
     for _ in range(6):
         assert_agreement(rng, ctx)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_an_order_satisfies_each_of_its_own_prefixes(seed):
+    """The one fact join pruning's unbuilt drop rests on: whatever the
+    context — FDs, equivalences, constants, DESC keys, the one-record
+    condition — ``P`` satisfies ``P.prefix(k)`` for every ``k``,
+    because Reduce Order rewrites a key using only the keys before it
+    (so the reduced prefix is a prefix of the reduced ``P``). The naive
+    test of the disabled build agrees by definition."""
+    clear_memos()
+    rng = random.Random(seed)
+    ctx = random_context(rng)
+    for context in (ctx, ctx.with_key([])):
+        for _ in range(6):
+            spec = random_spec(rng)
+            for length in range(len(spec) + 1):
+                prefix = spec.prefix(length)
+                assert check_order(prefix, spec, context)
+                assert check_order_reference(prefix, spec, context)
+                assert check_order_naive(prefix, spec)
+                assert reduce_order(prefix, context).is_prefix_of(
+                    reduce_order(spec, context)
+                )
+                with memoization_disabled():
+                    assert check_order(prefix, spec, context)
 
 
 def test_shared_fingerprint_context_cannot_poison_results():

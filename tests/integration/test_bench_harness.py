@@ -15,7 +15,7 @@ class TestRegistry:
         assert ids == {
             "table1", "fig1", "fig6", "fig7", "fig8", "complexity",
             "ablation_reduce", "ablation_cover", "ablation_sortahead",
-            "ablation_hash", "ablation_prefetch", "order_deps", "suite",
+            "ablation_hash", "ablation_prefetch", "suite",
         }
 
     def test_unknown_experiment(self):

@@ -4,11 +4,11 @@ The generator, reference oracle, and config-matrix diffing all live in
 the library now (``repro.verify.gen`` / ``repro.verify.oracle``); this
 module just drives them inside the tier-1 budget:
 
-* the tier-1 pass runs 40 seeds x 3 queries under the seven tier-1
-  configs (the seed test's historical four plus ``no-od``,
-  ``no-partial-sort``, and ``no-partitioning``);
+* the tier-1 pass runs 40 seeds x 3 queries under the six tier-1
+  configs (the seed test's historical four plus ``no-partial-sort``
+  and ``no-partitioning``);
 * the ``slow``-marked deep pass runs 500 queries under the *full*
-  65-config feature-toggle matrix with plan-property auditing — opt in
+  33-config feature-toggle matrix with plan-property auditing — opt in
   with ``pytest -m slow`` (or run ``python -m repro.verify fuzz``).
 """
 
@@ -47,7 +47,7 @@ def test_fuzzed_query_matches_reference(harness, configs, seed):
 
 @pytest.mark.slow
 def test_deep_fuzz_full_matrix_with_audit():
-    """500 queries, all 65 configs, auditing the full-featured plan.
+    """500 queries, all 33 configs, auditing the full-featured plan.
 
     On failure the minimal shrunk repro is part of the message — paste
     it into a regression test rather than chasing the seed.

@@ -106,11 +106,6 @@ class TestAblationExperiments:
         for label, *_ in report.rows:
             assert execute(tpcd_database(0.002), report.data[label]).rows
 
-    def test_order_deps_never_add_a_sort(self):
-        report = run_experiment("order_deps")
-        assert len(report.rows) == 3
-        assert all(on <= off for _label, on, off in report.rows)
-
 
 class TestSuiteExperiment:
     def test_six_queries_and_a_geomean(self):

@@ -29,7 +29,7 @@ from repro.verify.gen import GenConfig, QueryGenerator, generate_schema
 # (``val + 3 AS vplus``, ``year(d) AS dy``, ...) orderable by alias,
 # monotone-wrapped join keys (``r.id + 1 = s.rid + 1``), and derived
 # views with computed monotonic columns — so fuzzing exercises
-# order-dependency harvesting, not just plain column orders.
+# computed columns, not just plain column orders.
 SEED7_CORPUS_SHA256 = (
     "5bf07270033423a36cbb16b100b77a243253cb83fedfe2b6069a51f15e32b7b8"
 )

@@ -100,7 +100,6 @@ def test_a_key_fd_over_the_whole_join_box_is_caught():
         honest.equivalences,
         honest.fds.add(key_fd([col("d", "k")])),
         honest.constants,
-        honest.ods,
     )
     violations = audit_optimistic_context(
         database, replace(planner, optimistic=lying)

@@ -34,20 +34,19 @@ def tiny_db():
 
 def test_full_matrix_covers_all_toggle_combinations():
     configs = full_matrix()
-    assert len(configs) == 65  # 2^6 feature combos + master-off baseline
+    assert len(configs) == 33  # 2^5 feature combos + master-off baseline
     combos = {
         (
             c.enable_reduction,
             c.enable_cover,
             c.enable_sort_ahead,
             c.enable_hash_join,
-            c.use_order_dependencies,
             c.enable_partial_sort,
         )
         for name, c in configs.items()
         if name != "disabled"
     }
-    assert len(combos) == 64
+    assert len(combos) == 32
     assert not configs["disabled"].order_optimization
     for config in configs.values():
         assert config.enable_hash_join == config.enable_hash_group_by
@@ -59,7 +58,6 @@ def test_tier1_matrix_matches_historical_configs():
         "disabled",
         "no-hash",
         "no-sortahead",
-        "no-od",
         "no-partial-sort",
         "no-partitioning",
     }
@@ -115,34 +113,37 @@ def test_audit_battery_green():
     assert run_audit_battery() == []
 
 
-def test_audit_catches_lying_order_dependency():
-    """Negative control: a node *claiming* a false OD must be flagged.
-
-    ``x |-> y`` is false in tiny_db (y is not monotone in x), so an
-    audit that stays green on this claim would verify nothing.
+def test_audit_catches_a_lying_fd_on_a_computed_projection():
+    """Negative control: the final projection claims ``{a, b} -> {s}``
+    for ``a + b as s``; a harvest that dropped ``b`` from the head would
+    claim ``{a} -> {s}``, which the rows refute (a = 1 gives s = 2 and
+    s = 3). An audit that stays green on that claim verifies nothing.
     """
     from dataclasses import replace
 
     from repro.api import plan_query
-    from repro.core.od import ODSet, OrderDependency
+    from repro.core.fd import FDSet, fd
     from repro.expr import col
     from repro.verify.oracle import audit_node
 
-    db = tiny_db()
-    plan = plan_query(db, "select x, y from t order by x")
-    root = plan.root
-    lying = ODSet([OrderDependency(col("t", "x"), col("t", "y"), False)])
-    poisoned = replace(
-        root, properties=replace(root.properties, ods=lying)
+    db = Database()
+    db.create_table(
+        TableSchema("u", [Column("a", INTEGER), Column("b", INTEGER)]),
+        rows=[(1, 1), (1, 2), (2, 2)],
     )
-    violations = audit_node(db, poisoned)
-    assert any("OD" in violation for violation in violations), violations
-    # The honest node stays clean.
+    root = plan_query(db, "select a, b, a + b as s from u").root
+    a, b, s = col("u", "a"), col("u", "b"), col("", "s")
+    assert fd([a, b], [s]) in root.properties.fds
     assert audit_node(db, root) == []
+    lying = replace(
+        root, properties=replace(root.properties, fds=FDSet([fd([a], [s])]))
+    )
+    violations = audit_node(db, lying)
+    assert violations == [f"FD {fd([a], [s])} violated at {root.describe()}"]
 
 
 def test_small_fuzz_run_green():
     report = run_fuzz(seed=99, n=10, configs=tier1_matrix())
     assert report.ok, report.summary()
     assert report.queries == 10
-    assert report.executions == 70  # 10 queries x 7 tier-1 configs
+    assert report.executions == 60  # 10 queries x 6 tier-1 configs

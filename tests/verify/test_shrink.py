@@ -11,9 +11,10 @@ data needs — and demands that:
 2. the delta-debugging shrinker reduces the failure to a minimal repro
    of at most 3 clauses whose emitted pytest case is valid Python.
 
-The poison is confined to a patched ``memo_for``: it hands out fresh
-lying tables without touching the real registry, and the registry is
-cleared afterwards regardless.
+A Test Order memo that answers "satisfied" to everything must be caught
+and shrunk the same way. The poison is confined to a patched
+``memo_for``: it hands out fresh lying tables without touching the real
+registry, and the registry is cleared afterwards regardless.
 """
 
 import pytest
@@ -110,6 +111,48 @@ def test_emitted_case_passes_once_bug_is_fixed(poisoned_memo, monkeypatch):
     monkeypatch.setattr(context_module, "memo_for", memo_module.memo_for)
     clear_memos()
     namespace["emitted_repro"]()
+
+
+class _LyingTest(dict):
+    """A Test Order memo claiming every property satisfies every
+    interesting order: sorts elided that the data needs."""
+
+    def get(self, key, default=None):
+        return True
+
+
+def test_lying_test_order_cache_is_caught_and_shrunk(monkeypatch):
+    def lying_memo_for(fingerprint):
+        memo = memo_module.ContextMemo()
+        memo.test = _LyingTest()
+        return memo
+
+    monkeypatch.setattr(context_module, "memo_for", lying_memo_for)
+    try:
+        schema = generate_schema(7)
+        db = schema.build()
+        generator = QueryGenerator(schema, 7)
+        configs = full_matrix()
+        failing = None
+        for _ in range(40):
+            spec = generator.generate()
+            if spec.raw is None and check_query(db, spec.sql(), configs):
+                failing = spec
+                break
+        assert failing is not None, (
+            "lying Test Order cache produced no oracle mismatch in 40 "
+            "queries — the differential oracle is not sensitive to a "
+            "false satisfaction verdict"
+        )
+        result = shrink(schema, failing, configs)
+        assert result.mismatches, "shrinker lost the failure"
+        assert result.spec.clause_count() <= 3, (
+            f"repro not minimal: {result.spec.clause_count()} clauses "
+            f"({result.sql})"
+        )
+        compile(result.pytest_case("test_emitted_repro"), "<emitted>", "exec")
+    finally:
+        clear_memos()
 
 
 def test_shrink_rejects_non_failing_input():
