@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
-from repro.storage.buffer import IoStats
+from repro.storage.buffer import SORT_MEMORY_ROWS, IoStats
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,8 @@ class CostModel:
     CPU_COMPARE_MS = 0.0008
     CPU_HASH_MS = 0.0015
 
-    def __init__(self, sort_memory_rows: int = 100_000, buffer_pages: int = 2048):
+    def __init__(self, sort_memory_rows: int = SORT_MEMORY_ROWS):
         self.sort_memory_rows = sort_memory_rows
-        self.buffer_pages = buffer_pages
 
     # ------------------------------------------------------------------
     # Access paths
@@ -93,21 +93,6 @@ class CostModel:
             else:
                 io += matched_rows * self.RANDOM_PAGE_MS
         return Cost(io, matched_rows * self.CPU_ROW_MS)
-
-    def index_probe(
-        self,
-        matches_per_probe: float,
-        tree_height: int,
-        clustered_probes: bool,
-        fetch_rows: bool = True,
-    ) -> Cost:
-        """One exact-match probe (unordered, classic estimate)."""
-        io = self.RANDOM_PAGE_MS  # descent, upper levels cached
-        if not clustered_probes:
-            io += (tree_height - 1) * 0.1 * self.RANDOM_PAGE_MS
-        if fetch_rows:
-            io += matches_per_probe * self.RANDOM_PAGE_MS
-        return Cost(io, matches_per_probe * self.CPU_ROW_MS)
 
     def index_nlj(
         self,
@@ -158,57 +143,42 @@ class CostModel:
     # Sorting
     # ------------------------------------------------------------------
 
-    def sort(self, rows: float, sort_columns: int, row_pages: float) -> Cost:
-        """External merge sort: CPU comparisons + spill I/O when large.
-
-        Fewer sort columns means cheaper comparisons — the payoff of the
-        paper's minimal-sort-column reduction.
-        """
-        rows = max(1.0, rows)
-        compare = (
-            rows
-            * math.log2(rows + 1.0)
-            * self.CPU_COMPARE_MS
-            * max(1, sort_columns)
-        )
-        io = 0.0
-        if rows > self.sort_memory_rows:
-            passes = max(
-                1,
-                math.ceil(
-                    math.log(rows / self.sort_memory_rows, 8) + 1e-9
-                ),
-            )
-            io = 2.0 * passes * max(1.0, row_pages) * self.SEQ_PAGE_MS
-        return Cost(io, compare + rows * self.CPU_ROW_MS)
-
-    def partial_sort(
+    def sort(
         self,
         rows: float,
-        groups: float,
         sort_columns: int,
         row_pages: float,
+        groups: Optional[float] = None,
+        limit: Optional[int] = None,
     ) -> Cost:
-        """Segmented sort of prefix-groups: ``n * log(n/k)`` comparisons.
+        """The one sort formula: a segmented sort, as ``SortOp`` runs it.
 
-        The input arrives sorted on a prefix of the target, so each of
-        the ``groups`` runs of equal prefix values is sorted
-        independently on the remaining ``sort_columns`` suffix keys.
-        Boundary detection costs one prefix comparison per row. Spill
-        only happens when a *single group* overflows sort memory.
+        The input arrives in ``groups`` runs of equal prefix values
+        (``None``: no sorted prefix, so one run and no boundary checks),
+        and each run is sorted on the remaining ``sort_columns`` keys:
+        ``n * log(n / groups)`` comparisons, plus one boundary compare
+        per row under a prefix. Fewer sort columns means cheaper
+        comparisons — the payoff of the paper's minimal-sort-column
+        reduction.
+
+        Under a ``limit`` (FETCH FIRST n) groups stream out in order, so
+        only ``ceil(limit / group_rows)`` groups are consumed; each keeps
+        a bounded buffer of ``min(group_rows, limit)`` rows, which caps
+        the comparison depth, pays a quarter of the per-row move and
+        never spills. Without one, a group larger than sort memory
+        spills.
         """
         rows = max(1.0, rows)
-        groups = max(1.0, min(groups, rows))
-        group_rows = rows / groups
-        compare = (
-            rows
-            * math.log2(group_rows + 1.0)
-            * self.CPU_COMPARE_MS
-            * max(1, sort_columns)
-        )
-        compare += rows * self.CPU_COMPARE_MS  # group-boundary detection
+        group_rows = rows
+        if groups is not None:
+            group_rows = rows / max(1.0, min(groups, rows))
+        consumed, depth, move = rows, group_rows, 1.0
         io = 0.0
-        if group_rows > self.sort_memory_rows:
+        if limit is not None:
+            needed_groups = math.ceil(max(1, limit) / group_rows)
+            consumed = min(rows, needed_groups * group_rows)
+            depth, move = min(group_rows, limit), 0.25
+        elif group_rows > self.sort_memory_rows:
             passes = max(
                 1,
                 math.ceil(
@@ -216,46 +186,15 @@ class CostModel:
                 ),
             )
             io = 2.0 * passes * max(1.0, row_pages) * self.SEQ_PAGE_MS
-        return Cost(io, compare + rows * self.CPU_ROW_MS)
-
-    def partial_sort_limited(
-        self,
-        rows: float,
-        groups: float,
-        sort_columns: int,
-        count: int,
-    ) -> Cost:
-        """Partial sort under a LIMIT: early exit after enough groups.
-
-        Only ``ceil(count / group_rows)`` groups need to be consumed
-        before the limit is met, and within a group a bounded heap caps
-        the comparison depth at ``log(min(group_rows, count))``.
-        """
-        rows = max(1.0, rows)
-        groups = max(1.0, min(groups, rows))
-        group_rows = rows / groups
-        needed_groups = math.ceil(max(1, count) / group_rows)
-        effective_rows = min(rows, needed_groups * group_rows)
         compare = (
-            effective_rows
-            * math.log2(min(group_rows, count) + 1.0)
+            consumed
+            * math.log2(depth + 1.0)
             * self.CPU_COMPARE_MS
             * max(1, sort_columns)
         )
-        compare += effective_rows * self.CPU_COMPARE_MS
-        return Cost(0.0, compare + effective_rows * self.CPU_ROW_MS * 0.25)
-
-    def top_n_sort(self, rows: float, sort_columns: int, count: int) -> Cost:
-        """Bounded top-n sort: every input row is inspected, but the
-        comparison depth is log(k) and nothing spills."""
-        rows = max(1.0, rows)
-        compare = (
-            rows
-            * math.log2(count + 1.0)
-            * self.CPU_COMPARE_MS
-            * max(1, sort_columns)
-        )
-        return Cost(0.0, compare + rows * self.CPU_ROW_MS * 0.25)
+        if groups is not None:
+            compare += consumed * self.CPU_COMPARE_MS
+        return Cost(io, compare + consumed * self.CPU_ROW_MS * move)
 
     # ------------------------------------------------------------------
     # Joins (costs beyond producing the inputs)

@@ -134,7 +134,7 @@ def _build_node(
             children[0],
             args["order"],
             args.get("prefix", 0),
-            limit=args.get("limit", args.get("count")),
+            limit=args.get("limit"),
         )
     if kind is OpKind.NLJ:
         return NestedLoopJoinOp(

@@ -9,6 +9,7 @@ from typing import Callable, Dict, Optional
 
 from repro.errors import ExecutionError, QueryCancelled, QueryTimeout
 from repro.storage import Database
+from repro.storage.buffer import SORT_MEMORY_ROWS
 
 # Executor engines. ``vector`` (the default) is the block engine:
 # operators exchange :class:`repro.expr.vector.VectorBatch` blocks
@@ -215,7 +216,7 @@ class ExecutionContext:
     """
 
     database: Database
-    sort_memory_rows: int = 100_000
+    sort_memory_rows: int = SORT_MEMORY_ROWS
     spill_pages: int = 0
     rows_sorted: int = 0
     rows_partial_sorted: int = 0

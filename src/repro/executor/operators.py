@@ -587,7 +587,15 @@ class SortOp(PhysicalOperator):
         return (self.child,)
 
     def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
-        return rebatched(self._sorted_groups(context), context.batch_size)
+        groups = self._sorted_groups(context)
+        size = context.batch_size
+        if self.limit is None:
+            return rebatched(groups, size)
+        # A limit above stops pulling once it has its rows, so each
+        # closed group goes out at once rather than waiting to fill a
+        # block: the input is read no further than the groups the limit
+        # needs, which is what ``CostModel.sort`` charges.
+        return (block for rows in groups for block in rebatched((rows,), size))
 
     def _sorted_groups(
         self, context: ExecutionContext

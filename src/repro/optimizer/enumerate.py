@@ -696,43 +696,28 @@ def make_sort(
     prefix of the target turns the enforcement into a segmented partial
     sort: only the suffix keys are sorted, one prefix-group at a time.
     """
-    properties = propagate_sort(plan.properties, order)
     rows = plan.properties.cardinality
+    prefix_length = 0
     if planner.config.effective("enable_partial_sort"):
         prefix_length = satisfied_prefix_length(
             planner.config, order, plan.order, plan.properties.context()
         )
-        if prefix_length:
-            groups = _distinct_prefix_groups(
-                planner, order.prefix(prefix_length), rows
-            )
-            cost = plan.cost + planner.cost_model.partial_sort(
-                rows,
-                groups,
-                len(order) - prefix_length,
-                planner.pages_for(rows),
-            )
-            return PlanNode(
-                OpKind.PARTIAL_SORT,
-                (plan,),
-                properties,
-                cost,
-                {
-                    "order": order,
-                    "prefix": prefix_length,
-                    "groups": groups,
-                    "reason": reason,
-                },
-            )
+    args = {"order": order, "reason": reason}
+    groups = None
+    if prefix_length:
+        groups = _distinct_prefix_groups(
+            planner, order.prefix(prefix_length), rows
+        )
+        args.update(prefix=prefix_length, groups=groups)
     cost = plan.cost + planner.cost_model.sort(
-        rows, len(order), planner.pages_for(rows)
+        rows, len(order) - prefix_length, planner.pages_for(rows), groups
     )
     return PlanNode(
-        OpKind.SORT,
+        OpKind.PARTIAL_SORT if prefix_length else OpKind.SORT,
         (plan,),
-        properties,
+        propagate_sort(plan.properties, order),
         cost,
-        {"order": order, "reason": reason},
+        args,
     )
 
 

@@ -122,47 +122,28 @@ def _apply_fetch_first(planner: PlannerContext, plan: PlanNode) -> PlanNode:
 def _rewrite_topmost_sort_to_topn(
     planner: PlannerContext, plan: PlanNode, count: int
 ) -> PlanNode:
-    """Replace the topmost ORDER BY sort (possibly under projections or
-    filters that preserve row identity) with a top-n sort."""
-    if plan.kind is OpKind.SORT and plan.args.get("reason") == "order by":
-        child = plan.children[0]
-        rows = child.properties.cardinality
-        order = plan.args["order"]
-        cost = child.cost + planner.cost_model.top_n_sort(
-            rows, len(order), count
-        )
-        return PlanNode(
-            OpKind.TOPN,
-            (child,),
-            plan.properties,
-            cost,
-            {"order": order, "count": count},
-        )
+    """Bound the topmost ORDER BY sort, looking through projections,
+    by ``count``: a full sort becomes a top-n sort, and a partial sort
+    stays one that stops after enough groups and bounds each group's
+    buffer (cheaper than a top-n sort, which would re-sort the prefix
+    the input already delivers)."""
     if (
-        plan.kind is OpKind.PARTIAL_SORT
+        plan.kind in (OpKind.SORT, OpKind.PARTIAL_SORT)
         and plan.args.get("reason") == "order by"
         and plan.args.get("limit") is None
     ):
-        # Groups stream out in target order, so the partial sort can
-        # stop after enough groups and bound each group's heap: cheaper
-        # than converting to a full top-n sort (which would re-sort the
-        # prefix the input already delivers).
         child = plan.children[0]
         rows = child.properties.cardinality
-        order = plan.args["order"]
-        cost = child.cost + planner.cost_model.partial_sort_limited(
+        args = dict(plan.args, limit=count)
+        cost = child.cost + planner.cost_model.sort(
             rows,
-            plan.args["groups"],
-            len(order) - plan.args["prefix"],
-            count,
+            len(args["order"]) - args.get("prefix", 0),
+            planner.pages_for(rows),
+            groups=args.get("groups"),
+            limit=count,
         )
-        return PlanNode(
-            OpKind.PARTIAL_SORT,
-            (child,),
-            plan.properties,
-            cost,
-            dict(plan.args, limit=count),
-        )
+        kind = OpKind.TOPN if plan.kind is OpKind.SORT else plan.kind
+        return PlanNode(kind, (child,), plan.properties, cost, args)
     if plan.kind is OpKind.PROJECT:
         rewritten = _rewrite_topmost_sort_to_topn(
             planner, plan.children[0], count

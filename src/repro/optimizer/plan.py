@@ -131,7 +131,7 @@ class PlanNode:
         if self.kind is OpKind.LIMIT:
             return f"{kind} {self.args['count']}"
         if self.kind is OpKind.TOPN:
-            return f"top-{self.args['count']} sort {self.args['order']}"
+            return f"top-{self.args['limit']} sort {self.args['order']}"
         if self.kind in (OpKind.GROUP_SORTED, OpKind.GROUP_HASH):
             inner = ", ".join(str(c) for c in self.args["group_columns"])
             return f"{kind} [{inner}]"

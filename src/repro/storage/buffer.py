@@ -16,6 +16,11 @@ from typing import Dict, Hashable, Iterable, Tuple
 
 PageId = Tuple[Hashable, int]  # (file identifier, page number)
 
+# Rows a sort (or hash table) holds in memory before it spills: the
+# default of both the cost model and the executor, so estimate and
+# execution spill at the same size.
+SORT_MEMORY_ROWS = 100_000
+
 
 @dataclass
 class IoStats:

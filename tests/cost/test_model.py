@@ -1,6 +1,15 @@
 """Cost model: the asymmetries order optimization exploits."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.cost import Cost, CostModel
+
+ROWS = st.floats(min_value=0.0, max_value=1e7)
+GROUPS = st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e7))
+COLUMNS = st.integers(min_value=0, max_value=6)
+PAGES = st.floats(min_value=0.0, max_value=1e5)
+LIMITS = st.integers(min_value=1, max_value=10**7)
 
 
 class TestCost:
@@ -58,6 +67,64 @@ class TestSortCosts:
         assert (
             self.model.sort(1000, 1, 10).total_ms
             < self.model.sort(10_000, 1, 100).total_ms
+        )
+
+    def test_prefix_groups_cheaper_than_one_run(self):
+        full = self.model.sort(10_000, 2, 100)
+        partial = self.model.sort(10_000, 1, 100, groups=100)
+        assert partial.total_ms < full.total_ms
+        # Only a group larger than sort memory spills.
+        assert self.model.sort(100_000, 1, 1000, groups=1000).io_ms == 0.0
+        assert self.model.sort(100_000, 1, 1000, groups=10).io_ms > 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(ROWS, COLUMNS, PAGES, GROUPS, LIMITS)
+    def test_a_limit_never_raises_the_cost_and_never_spills(
+        self, rows, columns, pages, groups, limit
+    ):
+        limited = self.model.sort(rows, columns, pages, groups, limit)
+        unlimited = self.model.sort(rows, columns, pages, groups)
+        assert limited.io_ms == 0.0
+        assert limited.total_ms <= unlimited.total_ms
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        COLUMNS,
+        PAGES,
+        st.integers(min_value=0, max_value=10**7),
+    )
+    def test_a_limit_past_the_input_costs_what_the_input_size_costs(
+        self, rows, columns, pages, extra
+    ):
+        # A bounded buffer never holds more than the input's rows, so
+        # the comparison depth stops growing at ``rows``.
+        assert self.model.sort(
+            rows, columns, pages, limit=rows + extra
+        ) == self.model.sort(rows, columns, pages, limit=rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ROWS, COLUMNS, PAGES, st.one_of(st.none(), LIMITS))
+    def test_one_group_adds_only_the_boundary_compares(
+        self, rows, columns, pages, limit
+    ):
+        plain = self.model.sort(rows, columns, pages, limit=limit)
+        one_group = self.model.sort(rows, columns, pages, 1, limit)
+        assert one_group.io_ms == plain.io_ms
+        assert one_group.cpu_ms == pytest.approx(
+            plain.cpu_ms + max(1.0, rows) * CostModel.CPU_COMPARE_MS,
+            rel=1e-12,
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(ROWS, ROWS, COLUMNS, PAGES, GROUPS)
+    def test_monotone_in_rows_with_and_without_groups(
+        self, rows, more, columns, pages, groups
+    ):
+        smaller, larger = sorted((rows, more))
+        assert (
+            self.model.sort(smaller, columns, pages, groups).total_ms
+            <= self.model.sort(larger, columns, pages, groups).total_ms
         )
 
 

@@ -1,6 +1,7 @@
 """Leaf/unary physical operators."""
 
 import datetime
+import math
 import random
 from decimal import Decimal
 
@@ -710,6 +711,37 @@ class TestPartialSort:
         assert context.spill_pages == 0
         assert context.metrics[op].spill_pages == 0
         assert context.metrics[op].groups == 10
+
+
+class TestLimitedPartialSortEarlyExit:
+    """``CostModel.sort`` prices a partial sort under a limit as reading
+    only the ``ceil(k / r)`` groups of ``r`` rows the limit needs. Under
+    ``LimitOp(k)`` the sort stops pulling there, give or take one input
+    block: it must see the next group's first row to close a group."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=1, max_value=5),
+        st.sampled_from(ALL_MODES),
+    )
+    def test_reads_only_the_groups_the_limit_needs(
+        self, groups, group_rows, k, batch_size, mode
+    ):
+        rows = [
+            (i, i // group_rows, (i * 7) % 3)
+            for i in range(groups * group_rows)
+        ]
+        starts = range(0, len(rows), batch_size)
+        child = _Blocks(USCHEMA, [rows[s : s + batch_size] for s in starts])
+        context = ExecutionContext(None, mode=mode, batch_size=batch_size)
+        out = LimitOp(SortOp(child, UORDER, 1, limit=k), k).execute(context)
+        emitted = context.metrics[child].rows
+        assert emitted <= math.ceil(k / group_rows) * group_rows + batch_size
+        full = _sorted_reference(rows, [(1, False), (2, False)], 0, None)
+        assert out == full[:k]
 
 
 def _sorted_reference(rows, order_plan, prefix_length, limit):
