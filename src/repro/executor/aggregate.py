@@ -48,7 +48,7 @@ from repro.executor.operators import (
 from repro.expr.evaluate import evaluate
 from repro.expr.nodes import Aggregate, AggregateKind, ColumnRef
 from repro.expr.schema import RowSchema
-from repro.expr.vector import RowBlock, VectorBatch, vector_value_kernel
+from repro.expr.vector import RowBlock, VectorBatch, vector_projection_kernel
 from repro.sqltypes import NULL, SqlNull, is_null, sort_key
 
 # Runs of one of these exact types take plain ``min`` / ``max``: their
@@ -261,24 +261,25 @@ class _GroupByBase(PhysicalOperator):
         Aggregate arguments come straight off the block's columns — a
         join feeding a group-by never builds its wide concatenated
         tuples at all (COUNT(*) has a ``None`` value list; the
-        accumulator loop substitutes the sentinel).
+        accumulator loop substitutes the sentinel). They are one
+        projection kernel, so a block whose arguments raise fails with
+        the interpreted engine's error.
         """
-        child_schema = self.child.schema
-        kernels = [
-            None
-            if aggregate.argument is None
-            else vector_value_kernel(aggregate.argument, child_schema)
-            for _name, aggregate in self.aggregates
-        ]
+        project = vector_projection_kernel(
+            [
+                aggregate.argument
+                for _name, aggregate in self.aggregates
+                if aggregate.argument is not None
+            ],
+            self.child.schema,
+        )
         for block in self.child.blocks(context):
-            sel = block.live()
-            if type(sel) is range:
-                sel = list(sel)
-            if not sel:
+            if not block.count:
                 continue
+            columns = iter(project(block).columns)
             yield block, [
-                None if kernel is None else kernel(block, sel)
-                for kernel in kernels
+                None if aggregate.argument is None else next(columns)
+                for _name, aggregate in self.aggregates
             ]
 
 

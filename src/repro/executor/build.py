@@ -3,7 +3,7 @@
 Host variables (``:name`` parameters) stay as ``Parameter`` nodes in
 the operator tree: planning treated them as opaque constants (§4.1),
 and execution resolves them through the thread-local binding scope
-(:mod:`repro.expr.bindings`) — per evaluation in the row closures, once
+(:mod:`repro.expr.bindings`) — per evaluation in the interpreter, once
 per block in the block kernels. Keeping the nodes in
 place means the compiled kernels — memoized per (expression, schema) —
 are reused verbatim across executions with different bindings, which is

@@ -14,8 +14,9 @@ from repro.storage.buffer import SORT_MEMORY_ROWS
 # Executor engines. ``vector`` (the default) is the block engine:
 # operators exchange :class:`repro.expr.vector.VectorBatch` blocks
 # (per-column lists + selection vectors), evaluate expressions through
-# the kernels of :mod:`repro.expr.vector` / :mod:`repro.expr.compile`,
-# and materialize row tuples late, at pipeline breakers.
+# the block kernels of :mod:`repro.expr.vector` (a block whose kernels
+# raise is re-run through the interpreter, so errors match too), and
+# materialize row tuples late, at pipeline breakers.
 # ``interpreted`` routes every expression through the tree-walking
 # interpreter (:mod:`repro.expr.evaluate`), one row at a time, and is
 # kept as the semantic reference — both engines must produce

@@ -17,11 +17,12 @@ keys are built column-wise in both engines: hash keys are ``group_key``
 markers (equal exactly when the values' ``sort_key``s are, so a float
 meets the equal Decimal), probe keys the ``encode_index_key`` tuples
 that ``storage.database.encode_probe_keys`` builds from each column's
-type census; NULL never matches. Merge-join keys come from a compiled
-kernel in ``vector`` mode and a per-row closure in ``interpreted``
-mode; residual predicates follow the context's engine the same way.
-``exec.index_probe.probes`` counts the keys the index nested-loop join
-probes.
+type census, merge keys the ``sort_keys`` tuples of the sorts; NULL
+never matches. The row bodies filter each outer row's candidate pairs
+with one residual helper, a block filter in ``vector`` mode and the
+interpreter in ``interpreted`` mode; left-outer padding is decided per
+outer row. ``exec.index_probe.probes`` counts the keys the index
+nested-loop join probes.
 
 The index nested-loop block body makes one storage call per outer
 block: the cursor's ``probe_block`` probes every key and fetches the
@@ -46,13 +47,18 @@ from repro.executor.operators import (
     Row,
     count_interpreted,
     row_blocks,
+    sort_keys,
 )
-from repro.expr.compile import compile_predicate, join_key_kernel
 from repro.expr.evaluate import evaluate_predicate
 from repro.expr.nodes import ColumnRef, Expression
 from repro.expr.schema import RowSchema
-from repro.expr.vector import JoinBlock, VectorBatch, compile_vector_filter
-from repro.sqltypes import group_key_column, is_null, sort_key
+from repro.expr.vector import (
+    JoinBlock,
+    RowBlock,
+    VectorBatch,
+    compile_vector_filter,
+)
+from repro.sqltypes import SqlNull, group_key_column, is_null
 from repro.storage.buffer import PageId
 from repro.storage.database import encode_probe_keys
 
@@ -63,16 +69,24 @@ def residual_matcher(
     residual: Optional[Expression],
     schema: RowSchema,
     context: ExecutionContext,
-) -> Optional[Callable[[Row], bool]]:
-    """Engine-switched residual predicate over joined rows (or None)."""
+) -> Callable[[List[Row]], List[Row]]:
+    """Engine-switched residual over one outer row's candidate joined
+    rows: ``matcher(candidates) -> matches``."""
     if residual is None:
-        return None
+        return lambda rows: rows
     if context.vectorized:
-        return compile_predicate(residual, schema)
+        vector_filter = compile_vector_filter(residual, schema)
 
-    def interpreted(row: Row) -> bool:
-        count_interpreted()
-        return evaluate_predicate(residual, schema, row)
+        def vector(rows: List[Row]) -> List[Row]:
+            return [rows[i] for i in vector_filter(RowBlock(rows))]
+
+        return vector
+
+    def interpreted(rows: List[Row]) -> List[Row]:
+        count_interpreted(len(rows))
+        return [
+            row for row in rows if evaluate_predicate(residual, schema, row)
+        ]
 
     return interpreted
 
@@ -136,26 +150,17 @@ def _hash_keys(columns: Sequence[Sequence[Any]]) -> Sequence[Any]:
     return keys
 
 
-def _ordered_keys(
-    context: ExecutionContext, positions: Sequence[int]
-) -> Callable[[Batch], KeyList]:
-    """Sort-key tuples per batch, None where a key column is NULL."""
-    if context.vectorized:
-        return join_key_kernel(positions)
-    positions = tuple(positions)
-
-    def per_row(batch: Batch) -> KeyList:
-        keys: KeyList = []
-        for row in batch:
-            values = [row[position] for position in positions]
-            keys.append(
-                None
-                if any(is_null(value) for value in values)
-                else tuple(sort_key(value) for value in values)
-            )
-        return keys
-
-    return per_row
+def _merge_keys(batch: Batch, plan: Sequence[Tuple[int, bool]]) -> KeyList:
+    """Merge-join keys of a row batch: the sorts' ``sort_keys`` tuples,
+    None where any key column is NULL (found by type census)."""
+    keys, gathered = sort_keys(RowBlock(batch), plan)
+    for column in gathered:
+        kinds = set(map(type, column))
+        if type(None) in kinds or SqlNull in kinds:
+            for index, value in enumerate(column):
+                if is_null(value):
+                    keys[index] = None
+    return keys
 
 
 class _BinaryJoin(PhysicalOperator):
@@ -208,13 +213,9 @@ class NestedLoopJoinOp(_BinaryJoin):
                 # batches, so this loop checkpoints per outer row.
                 if token is not None:
                     token.check()
-                matched = False
-                for inner_row in inner_rows:
-                    joined = outer_row + inner_row
-                    if matcher is None or matcher(joined):
-                        matched = True
-                        yield joined
-                if left_outer and not matched:
+                matches = matcher([outer_row + inner for inner in inner_rows])
+                yield from matches
+                if left_outer and not matches:
                     yield outer_row + padding
 
     def label(self) -> str:
@@ -334,14 +335,13 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
         for batch in self.outer.batches(context):
             keys = _probe_keys(_key_columns(batch, positions), directions)
             for outer_row, key in zip(batch, keys):
-                matched = False
-                if key is not None:
-                    for rid in probe(key):
-                        joined = outer_row + fetch(rid)
-                        if matcher is None or matcher(joined):
-                            matched = True
-                            yield joined
-                if left_outer and not matched:
+                matches = (
+                    []
+                    if key is None
+                    else matcher([outer_row + fetch(r) for r in probe(key)])
+                )
+                yield from matches
+                if left_outer and not matches:
                     yield outer_row + padding
 
     def label(self) -> str:
@@ -357,13 +357,14 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
 
 def _keyed_rows(
     operator: PhysicalOperator,
-    keys_of: Callable[[Batch], KeyList],
+    keys: Sequence[ColumnRef],
     context: ExecutionContext,
 ) -> Iterator[Tuple[Optional[Tuple[Any, ...]], Row]]:
-    """Flatten an operator's batches into (key, row) pairs, computing
-    keys one batch at a time."""
+    """Flatten an operator's batches into (merge key, row) pairs,
+    computing keys one batch at a time."""
+    plan = [(operator.schema.position(column), False) for column in keys]
     for batch in operator.batches(context):
-        yield from zip(keys_of(batch), batch)
+        yield from zip(_merge_keys(batch, plan), batch)
 
 
 class MergeJoinOp(_BinaryJoin):
@@ -392,19 +393,9 @@ class MergeJoinOp(_BinaryJoin):
         return row_blocks(self._joined(context), context.batch_size)
 
     def _joined(self, context: ExecutionContext) -> Iterator[Row]:
-        outer_positions = [
-            self.outer.schema.position(column) for column in self.outer_keys
-        ]
-        inner_positions = [
-            self.inner.schema.position(column) for column in self.inner_keys
-        ]
         matcher = residual_matcher(self.residual, self.schema, context)
-        outer_iter = _keyed_rows(
-            self.outer, _ordered_keys(context, outer_positions), context
-        )
-        inner_iter = _keyed_rows(
-            self.inner, _ordered_keys(context, inner_positions), context
-        )
+        outer_iter = _keyed_rows(self.outer, self.outer_keys, context)
+        inner_iter = _keyed_rows(self.inner, self.inner_keys, context)
         outer_entry = next(outer_iter, None)
         inner_entry = next(inner_iter, None)
         group_key: Optional[Tuple[Any, ...]] = None
@@ -414,31 +405,22 @@ class MergeJoinOp(_BinaryJoin):
             if key is None:
                 outer_entry = next(outer_iter, None)
                 continue
-            if group_key is not None and key == group_key:
-                for buffered in group_rows:
-                    joined = outer_row + buffered
-                    if matcher is None or matcher(joined):
-                        yield joined
-                outer_entry = next(outer_iter, None)
-                continue
-            # Advance the inner side to this key.
-            while inner_entry is not None:
-                ikey = inner_entry[0]
-                if ikey is None or ikey < key:
-                    inner_entry = next(inner_iter, None)
-                    continue
-                break
-            group_key, group_rows = key, []
-            while inner_entry is not None:
-                if inner_entry[0] == key:
-                    group_rows.append(inner_entry[1])
-                    inner_entry = next(inner_iter, None)
-                    continue
-                break
-            for buffered in group_rows:
-                joined = outer_row + buffered
-                if matcher is None or matcher(joined):
-                    yield joined
+            if group_key is None or key != group_key:
+                # Advance the inner side to this key.
+                while inner_entry is not None:
+                    ikey = inner_entry[0]
+                    if ikey is None or ikey < key:
+                        inner_entry = next(inner_iter, None)
+                        continue
+                    break
+                group_key, group_rows = key, []
+                while inner_entry is not None:
+                    if inner_entry[0] == key:
+                        group_rows.append(inner_entry[1])
+                        inner_entry = next(inner_iter, None)
+                        continue
+                    break
+            yield from matcher([outer_row + inner for inner in group_rows])
             outer_entry = next(outer_iter, None)
 
     def label(self) -> str:
@@ -566,14 +548,13 @@ class HashJoinOp(_BinaryJoin):
             metrics.rows_in += len(batch)
             keys = _hash_keys(_key_columns(batch, outer_positions))
             for values, outer_row in zip(keys, batch):
-                matched = False
-                if values is not None:
-                    for inner_row in get(values, empty):
-                        joined = outer_row + inner_row
-                        if matcher is None or matcher(joined):
-                            matched = True
-                            yield joined
-                if left_outer and not matched:
+                matches = (
+                    []
+                    if values is None
+                    else matcher([outer_row + r for r in get(values, empty)])
+                )
+                yield from matches
+                if left_outer and not matches:
                     yield outer_row + padding
 
     def label(self) -> str:

@@ -14,11 +14,11 @@ materialize for free.
 
 Expression work is engine-switched inside ``_blocks``: in ``vector``
 mode predicates, projections, join probes and aggregate arguments run
-column-at-a-time over the blocks (kernels from :mod:`repro.expr.vector`
-and :mod:`repro.expr.compile`); in ``interpreted`` mode every record
-goes through the tree-walking interpreter (:mod:`repro.expr.evaluate`),
-which is kept as the semantic reference. Both engines must produce
-identical rows in identical order.
+column-at-a-time over the blocks (kernels from :mod:`repro.expr.vector`);
+in ``interpreted`` mode every record goes through the tree-walking
+interpreter (:mod:`repro.expr.evaluate`), which is kept as the semantic
+reference. Both engines must produce identical rows in identical order,
+and raise identical errors.
 """
 
 from __future__ import annotations

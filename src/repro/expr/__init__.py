@@ -29,11 +29,7 @@ from repro.expr.nodes import (
 from repro.expr.schema import RowSchema
 from repro.expr.bindings import active_value, current_bindings, parameter_scope
 from repro.expr.evaluate import evaluate, evaluate_predicate
-from repro.expr.compile import (
-    compile_expression,
-    compile_predicate,
-    predicate_kernel,
-)
+from repro.expr.compile import predicate_kernel
 from repro.expr.vector import (
     ColumnBlock,
     JoinBlock,
@@ -78,8 +74,6 @@ __all__ = [
     "parameter_scope",
     "evaluate",
     "evaluate_predicate",
-    "compile_expression",
-    "compile_predicate",
     "predicate_kernel",
     "VectorBatch",
     "RowBlock",

@@ -2,10 +2,10 @@
 
 A cached plan keeps its :class:`~repro.expr.nodes.Parameter` nodes —
 rewriting them to literals per execution would change the expression
-identity and defeat the per-(expression, schema) compile memo in
+identity and defeat the per-(expression, schema) kernel memos of
 :mod:`repro.expr.compile`. Instead, executions install a binding scope
 on the current thread and every engine looks parameter values up here:
-the interpreter and the row closures per evaluation, the block kernels
+the interpreter per evaluation, the block kernels
 (:mod:`repro.expr.vector`) once per block. Within one execution a host
 variable is a constant, exactly as §4.1 has the planner treat it:
 :func:`require_bound` is the bind-time check ``api.execute`` runs before

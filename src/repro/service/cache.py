@@ -31,13 +31,13 @@ would plan it N times.
 
 A cached entry stores the finalized physical plan and a warm operator
 tree. The warm tree is built once at insert, which drives every one of
-the plan's expressions through :func:`repro.expr.compile` — the cache
-therefore pins strong references to the compiled kernels, and later
-executions (which rebuild a fresh operator tree per run for thread
-safety) hit the compile memo instead of recompiling. Re-binding costs
-nothing: parameters resolve through the thread-local scope at
-evaluation time, so the kernels are byte-for-byte the same closures for
-every binding.
+the plan's expressions through the kernel memos of
+:mod:`repro.expr.compile` — the cache therefore pins strong references
+to the compiled block kernels, and later executions (which rebuild a
+fresh operator tree per run for thread safety) hit the memo instead of
+recompiling. Re-binding costs nothing: parameters resolve through the
+thread-local scope at evaluation time, so the kernels are byte-for-byte
+the same objects for every binding.
 """
 
 from __future__ import annotations

@@ -20,7 +20,17 @@ from repro.executor import (
     SortOp,
     TableScanOp,
 )
-from repro.expr import Comparison, ComparisonOp, RowSchema, col, lit
+from repro.expr import (
+    Arithmetic,
+    ArithmeticOp,
+    BooleanExpr,
+    BooleanOp,
+    Comparison,
+    ComparisonOp,
+    RowSchema,
+    col,
+    lit,
+)
 from repro.optimizer.plan import OpKind
 from repro.sqltypes import DOUBLE, INTEGER, decimal_type
 from repro.verify.oracle import tier1_matrix
@@ -342,3 +352,139 @@ def test_double_decimal_equi_join_matches_reference(
     expected = reference_query(double_decimal_db, sql)
     assert expected == [(1, 1), (2, 2), (3, 3), (4, 4)]
     assert result.rows == expected
+
+
+@pytest.fixture(scope="module")
+def residual_db():
+    """``r`` and ``s`` with NULLs and zeros in ``b``: residuals over
+    ``b`` are unknown on some pairs and divide by zero on others."""
+    database = Database()
+    database.create_table(
+        TableSchema("r", [Column("a", INTEGER), Column("b", INTEGER)]),
+        rows=[(1, 0), (1, 2), (2, None), (3, 4), (None, 1), (2, 5), (4, 1)],
+    )
+    database.create_table(
+        TableSchema("s", [Column("a", INTEGER), Column("b", INTEGER)]),
+        rows=[(1, 3), (2, None), (2, 1), (3, 0), (None, 2), (1, 0)],
+    )
+    database.create_index(Index.on("s_a", "s", ["a"]))
+    return database
+
+
+def _divide(numerator, column):
+    return Arithmetic(ArithmeticOp.DIV, lit(numerator), column)
+
+
+# ``10 / s.b + 10 / r.b > 1`` raises on pairs with r.b = 0 and on pairs
+# with s.b = 0. The first outer row (1, 0) meets s (1, 3) first, so the
+# interpreter raises on r.b; a column pass over its candidates would
+# meet s (1, 0)'s s.b first.
+RAISING = Comparison(
+    ComparisonOp.GT,
+    Arithmetic(ArithmeticOp.ADD, _divide(10, SB), _divide(10, RB)),
+    lit(1),
+)
+UNKNOWN_ON_NULL = Comparison(ComparisonOp.LT, RB, SB)
+
+JOIN_SHAPES = {
+    "naive_nlj": lambda residual: NestedLoopJoinOp(
+        scan_r(),
+        scan_s(),
+        BooleanExpr(BooleanOp.AND, (JOIN_PRED, residual)),
+    ),
+    "merge": lambda residual: MergeJoinOp(
+        SortOp(scan_r(), OrderSpec.of(RA)),
+        SortOp(scan_s(), OrderSpec.of(SA)),
+        [RA],
+        [SA],
+        residual,
+    ),
+    "left_outer_index_nlj": lambda residual: NestedLoopIndexJoinOp(
+        outer=scan_r(),
+        table_name="s",
+        index_name="s_a",
+        alias="s",
+        inner_schema=S_SCHEMA,
+        probe_columns=[RA],
+        residual=residual,
+        left_outer=True,
+    ),
+    "left_outer_hash": lambda residual: HashJoinOp(
+        scan_r(), scan_s(), [RA], [SA], residual, left_outer=True
+    ),
+}
+
+
+def _join_outcome(op, database, mode):
+    try:
+        return op.execute(ExecutionContext(database, mode=mode))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestResidualsInBothEngines:
+    """Each join shape filters its candidate pairs through the one
+    residual helper: rows and errors agree across engines."""
+
+    @pytest.mark.parametrize("shape", sorted(JOIN_SHAPES))
+    def test_raising_residual(self, residual_db, shape):
+        outcomes = {
+            mode: _join_outcome(JOIN_SHAPES[shape](RAISING), residual_db, mode)
+            for mode in (MODE_INTERPRETED, MODE_VECTOR)
+        }
+        assert outcomes[MODE_INTERPRETED] == (
+            "ExpressionError: division by zero in (10 / r.b)"
+        )
+        assert outcomes[MODE_VECTOR] == outcomes[MODE_INTERPRETED]
+
+    @pytest.mark.parametrize("shape", sorted(JOIN_SHAPES))
+    def test_residual_unknown_on_null(self, residual_db, shape):
+        rows = {
+            mode: _join_outcome(
+                JOIN_SHAPES[shape](UNKNOWN_ON_NULL), residual_db, mode
+            )
+            for mode in (MODE_INTERPRETED, MODE_VECTOR)
+        }
+        assert rows[MODE_VECTOR] == rows[MODE_INTERPRETED]
+        matched = [row for row in rows[MODE_VECTOR] if row[2] is not None]
+        # Pairs whose b is NULL on either side are unknown: never kept.
+        assert matched and all(row[1] < row[3] for row in matched)
+        if shape.startswith("left_outer"):
+            padded = {row[:2] for row in rows[MODE_VECTOR] if row[2] is None}
+            assert (2, None) in padded and (None, 1) in padded
+
+
+@pytest.fixture(scope="module")
+def integer_decimal_db():
+    """An INTEGER key against a DECIMAL one, NULLs on both sides."""
+    database = Database()
+    database.create_table(
+        TableSchema("r", [Column("a", INTEGER), Column("b", INTEGER)]),
+        rows=[(2, 1), (None, 2), (1, 3), (3, 4), (2, 5), (None, 6)],
+    )
+    database.create_table(
+        TableSchema("s", [Column("a", decimal_type(4, 1)), Column("b", INTEGER)]),
+        rows=[
+            (Decimal("2.0"), 10),
+            (None, 20),
+            (Decimal("1.5"), 30),
+            (Decimal("1.0"), 40),
+            (Decimal("2"), 50),
+        ],
+    )
+    return database
+
+
+@pytest.mark.parametrize("mode", [MODE_INTERPRETED, MODE_VECTOR])
+def test_merge_join_integer_decimal_keys_with_nulls(integer_decimal_db, mode):
+    op = MergeJoinOp(
+        SortOp(scan_r(), OrderSpec.of(RA)),
+        SortOp(scan_s(), OrderSpec.of(SA)),
+        [RA],
+        [SA],
+    )
+    rows = op.execute(ExecutionContext(integer_decimal_db, mode=mode))
+    # NULL keys never match; 2 meets both 2.0 and 2, 1 meets 1.0.
+    assert sorted((row[1], row[3]) for row in rows) == [
+        (1, 10), (1, 50), (3, 40), (5, 10), (5, 50)
+    ]

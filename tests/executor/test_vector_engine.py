@@ -127,6 +127,53 @@ class TestNullHeavyPredicates:
             )
 
 
+@pytest.fixture(scope="module")
+def zero_divisor_db() -> Database:
+    """Row 1 divides by zero in ``b``, row 2 in ``a``."""
+    db = Database()
+    db.create_table(
+        TableSchema(
+            "t",
+            [
+                Column("k", INTEGER, nullable=False),
+                Column("a", INTEGER),
+                Column("b", INTEGER),
+            ],
+            primary_key=("k",),
+        ),
+        rows=[(1, 5, 0), (2, 0, 5), (3, 1, 1)],
+    )
+    return db
+
+
+class TestErrorIdentity:
+    """Engines raise the same error, not just return the same rows: a
+    column pass meets row 2's ``10 / a`` before row 1's ``10 / b``, and
+    the block is re-run row-major to raise the interpreter's error."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "select 10 / a, 10 / b from t order by k",
+            "select sum(10 / a), sum(10 / b) from t",
+            "select k, case when a > 100 then 1 / b else 10 / a end + 10 / b"
+            " from t",
+        ],
+        ids=["projection", "group_by_arguments", "nested_value"],
+    )
+    def test_engines_raise_the_same_error(self, zero_divisor_db, sql):
+        plan = plan_query(zero_divisor_db, sql, config=OptimizerConfig())
+        outcomes = {}
+        for mode in ALL_MODES:
+            with pytest.raises(Exception) as raised:
+                run_mode(zero_divisor_db, plan, mode)
+            outcomes[mode] = f"{type(raised.value).__name__}: {raised.value}"
+        assert outcomes[MODE_INTERPRETED] == (
+            "ExpressionError: division by zero in (10 / t.b)"
+        )
+        assert outcomes[MODE_VECTOR] == outcomes[MODE_INTERPRETED]
+
+
 class TestParameterBindings:
     def test_parameterized_plan_engines_agree(self, nullable_db):
         sql = "SELECT k FROM t WHERE a > :lo AND b < :hi ORDER BY k"

@@ -215,9 +215,10 @@ class TestParameterTerms:
         assert second.seen < first.seen  # accepted rows bypass the rest
         assert vector_stats().get("vector.fallback_terms", 0) == 0
 
-    def test_row_closure_entry_points_are_counted(self):
-        # x + y > :v can raise twice over: two such siblings run as one
-        # row closure, and each block it filters counts once.
+    def test_interpreter_rerun_blocks_are_counted(self):
+        # x + y > :v can raise twice over: the two siblings stay block
+        # terms in source order, and only a block whose column pass
+        # raises is handed to the interpreter, counted once per block.
         total = Arithmetic(ArithmeticOp.ADD, X, Y)
         expression = BooleanExpr(
             BooleanOp.AND,
@@ -227,11 +228,20 @@ class TestParameterTerms:
             ),
         )
         kernel = VectorFilter(expression, SCHEMA)
-        assert kernel.term_order() == [expression]
+        assert kernel.term_order() == list(expression.operands)
         reset_vector_stats()
         with parameter_scope({"lo": 2, "hi": 9}):
-            kernel(RowBlock(list(ROWS)))
-            kernel(RowBlock(list(ROWS)))
+            selection = kernel(RowBlock(list(ROWS)))
+            assert selection == [
+                i for i, (x, y) in enumerate(ROWS)
+                if x is not None and y is not None and 2 < x + y < 9
+            ]
+            assert vector_stats().get("vector.fallback_terms", 0) == 0
+            raising = list(ROWS) + [(1, "one")]
+            for _ in range(2):
+                with pytest.raises(ExpressionError) as raised:
+                    kernel(RowBlock(raising))
+                assert str(raised.value) == "cannot compute 1 + 'one'"
         assert vector_stats()["vector.fallback_terms"] == 2
 
     def test_concurrent_bindings_share_one_kernel(self):
