@@ -13,11 +13,11 @@ Candidates are priced before they are built. A join method's cost is
 arithmetic over its inputs' costs and cardinalities and its order is
 its outer input's order, so each method returns a :class:`Candidate`
 carrying only those two; :func:`_prune` drops a candidate whose order
-is a literal prefix of a cheaper survivor's without ever running
-``propagate_join`` or making a ``PlanNode`` for it, and builds the rest
-to ask Test Order under their own context. An inner's order is paid
-for only where a merge join can use it: nested-loop and hash join price
-one inner plan per order-blind class (:func:`_join_methods`).
+is a literal prefix of a cheaper survivor's (a set lookup) without ever
+running ``propagate_join`` or making a ``PlanNode`` for it, and builds
+the rest to ask Test Order under their own context. An inner's order is
+paid for only where a merge join can use it, so join methods walk
+order-blind classes of inner plans, not the plans (:func:`_join_methods`).
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from repro.properties.propagate import (
 from repro.properties.stream import StreamProperties
 
 AliasSet = FrozenSet[str]
+EquiPair = Tuple[ColumnRef, ColumnRef, Expression]
 
 # Cap on plans kept per DP subset after dominance pruning.
 _MAX_PLANS_PER_SUBSET = 12
@@ -69,19 +70,21 @@ def _and_all(conjuncts: Sequence[Expression]) -> Optional[Expression]:
 
 class Candidate:
     """One alternative for a DP subset: its cost and order now, its
-    ``PlanNode`` (and the property propagation behind it) on first use."""
+    ``PlanNode`` (and the property propagation behind it) on first use,
+    as ``build(*args)``."""
 
-    __slots__ = ("cost", "order", "_build", "_node")
+    __slots__ = ("cost", "order", "_build", "_args", "_node")
 
-    def __init__(self, cost, order, build=None, node=None):
+    def __init__(self, cost, order, build=None, args=(), node=None):
         self.cost: Cost = cost
         self.order: OrderSpec = order
-        self._build: Optional[Callable[[], PlanNode]] = build
+        self._build: Optional[Callable[..., PlanNode]] = build
+        self._args: tuple = args
         self._node: Optional[PlanNode] = node
 
     def node(self) -> PlanNode:
         if self._node is None:
-            self._node = self._build()
+            self._node = self._build(*self._args)
         return self._node
 
 
@@ -110,7 +113,7 @@ def _once_per_plan(function):
     return memoized
 
 
-def _join_candidate(
+def _build_join(
     kind: OpKind,
     children: Tuple[PlanNode, ...],
     inner: StreamProperties,
@@ -118,24 +121,20 @@ def _join_candidate(
     output_rows: float,
     cost: Cost,
     args: dict,
-) -> Candidate:
-    """A join of ``children[0]`` (whose order every method here keeps)
-    with a stream of ``inner`` properties; ``args["left_outer"]``
-    selects the outer-join propagation rule."""
-    outer = children[0]
-
-    def build() -> PlanNode:
-        if args.get("left_outer"):
-            properties = propagate_left_outer_join(
-                outer.properties, inner, predicates, output_rows
-            )
-        else:
-            properties = propagate_join(
-                outer.properties, inner, predicates, output_rows, True
-            )
-        return PlanNode(kind, children, properties, cost, args)
-
-    return Candidate(cost, outer.order, build)
+) -> PlanNode:
+    """The node of a join candidate: ``children[0]`` (whose order every
+    method here keeps) joined with a stream of ``inner`` properties;
+    ``args["left_outer"]`` selects the outer-join propagation rule."""
+    outer = children[0].properties
+    if args.get("left_outer"):
+        properties = propagate_left_outer_join(
+            outer, inner, predicates, output_rows
+        )
+    else:
+        properties = propagate_join(
+            outer, inner, predicates, output_rows, True
+        )
+    return PlanNode(kind, children, properties, cost, args)
 
 
 def enumerate_joins(planner: PlannerContext) -> List[PlanNode]:
@@ -161,25 +160,27 @@ def enumerate_joins(planner: PlannerContext) -> List[PlanNode]:
             subset = frozenset(subset_tuple)
             planner.stats.subsets_expanded += 1
             candidates: List[Candidate] = []
+            splittable = None  # has the subset a connected decomposition?
             for inner_alias in subset:
                 outer_set = subset - {inner_alias}
                 outer_plans = best.get(outer_set, ())
                 if not outer_plans:
                     continue
-                if not _connected(planner, outer_set, inner_alias) and any(
-                    _connected(planner, subset - {alias}, alias)
-                    for alias in subset
-                ):
-                    # Avoid Cartesian products unless the subset has no
-                    # connected decomposition at all.
-                    continue
+                if not _connected(planner, outer_set, inner_alias):
+                    if splittable is None:
+                        splittable = any(
+                            _connected(planner, subset - {alias}, alias)
+                            for alias in subset
+                        )
+                    if splittable:
+                        # Avoid Cartesian products unless the subset has
+                        # no connected decomposition at all.
+                        continue
+                inner_plans = best[frozenset((inner_alias,))]
                 candidates.extend(
                     _join_methods(
-                        planner,
-                        outer_set,
-                        outer_plans,
-                        inner_alias,
-                        best[frozenset((inner_alias,))],
+                        planner, outer_set, outer_plans, inner_alias,
+                        inner_plans,
                     )
                 )
             if not candidates:
@@ -262,6 +263,7 @@ def _left_outer_join_methods(
     pairs = _dedupe_pairs(_equi_pairs(cross, outer_columns, inner_columns))
     covered = {p for _o, _i, p in pairs}
     residual = [conjunct for conjunct in cross if conjunct not in covered]
+    inner = ([inner_scan], pairs, residual, cross)
     probes = _index_probe_joins(
         planner,
         inner_alias,
@@ -272,6 +274,7 @@ def _left_outer_join_methods(
     )
 
     results: List[Candidate] = []
+    prices: Dict[tuple, list] = {}
     for outer_plan in outer_plans:
         outer_rows = outer_plan.properties.cardinality
         output_rows = max(
@@ -279,8 +282,8 @@ def _left_outer_join_methods(
         )
         results.extend(
             _order_blind_joins(
-                planner, outer_plan, inner_scan, inner_rows, output_rows,
-                cross, cross, pairs, residual, left_outer=True,
+                planner, outer_plan, inner, inner_rows, output_rows, cross,
+                prices, left_outer=True,
             )
         )
         results.extend(probes(outer_plan, output_rows))
@@ -291,58 +294,59 @@ def _left_outer_join_methods(
 def _order_blind_joins(
     planner: PlannerContext,
     outer_plan: PlanNode,
-    inner_plan: PlanNode,
+    inner: tuple,
     inner_rows: float,
     output_rows: float,
     predicates: Sequence[Expression],
-    hash_predicates: Sequence[Expression],
-    pairs: Sequence[Tuple[ColumnRef, ColumnRef, Expression]],
-    residual: Sequence[Expression],
+    prices: Dict[tuple, list],
     left_outer: bool = False,
 ) -> List[Candidate]:
-    """Nested-loop join and, given equi-pairs, hash join: the methods
-    whose output keeps the outer's order whatever the inner's is."""
-    flags = {"left_outer": True} if left_outer else {}
-    cost_model = planner.cost_model
+    """Nested-loop join and, given equi-pairs, hash join with the first
+    plan of the class ``inner``: the methods whose output keeps the
+    outer's order whatever the inner's is. Their costs and arguments
+    depend on ``outer_plan`` only through its row count; ``prices``, a
+    dict local to one join edge's call, holds them for the others."""
+    plans, pairs, residual, hash_predicates = inner
+    inner_plan = plans[0]
     outer_rows = outer_plan.properties.cardinality
+    key = (id(plans), outer_rows, output_rows)
+    priced = prices.get(key)
+    if priced is None:
+        flags = {"left_outer": True} if left_outer else {}
+        cost_model = planner.cost_model
+        # --- naive nested loops (always legal; also covers Cartesian):
+        # the inner is materialized once, each outer row pays CPU over it
+        method = cost_model.nested_loop_join(
+            outer_rows, cost_model.filter_rows(inner_rows), output_rows
+        )
+        priced = [
+            (OpKind.NLJ, predicates, method,
+             {"predicate": _and_all(predicates), **flags}),
+        ]
+        if pairs and planner.config.enable_hash_join:
+            # --- hash join: the probe side streams in its own order ---
+            method = cost_model.hash_join(
+                inner_rows, outer_rows, output_rows,
+                planner.pages_for(inner_rows),
+            )
+            args = {
+                "outer_keys": [o for o, _i, _p in pairs],
+                "inner_keys": [i for _o, i, _p in pairs],
+                "residual": _and_all(residual),
+                **flags,
+            }
+            priced.append((OpKind.HASH_JOIN, hash_predicates, method, args))
+        prices[key] = priced
     children = (outer_plan, inner_plan)
     inputs_cost = outer_plan.cost + inner_plan.cost
-    # --- naive nested loops (always legal; also covers Cartesian): the
-    # inner is materialized once, each outer row pays CPU over it
-    method = cost_model.nested_loop_join(
-        outer_rows, cost_model.filter_rows(inner_rows), output_rows
-    )
-    results = [
-        _join_candidate(
-            OpKind.NLJ,
-            children,
-            inner_plan.properties,
-            predicates,
-            output_rows,
-            inputs_cost + method,
-            {"predicate": _and_all(predicates), **flags},
-        )
-    ]
-    if pairs and planner.config.enable_hash_join:
-        # --- hash join: the probe side streams in its own order ---
-        method = cost_model.hash_join(
-            inner_rows, outer_rows, output_rows, planner.pages_for(inner_rows)
-        )
-        args = {
-            "outer_keys": [o for o, _i, _p in pairs],
-            "inner_keys": [i for _o, i, _p in pairs],
-            "residual": _and_all(residual),
-            **flags,
-        }
+    results = []
+    for kind, described, method, args in priced:
+        cost = inputs_cost + method
         results.append(
-            _join_candidate(
-                OpKind.HASH_JOIN,
-                children,
-                inner_plan.properties,
-                hash_predicates,
-                output_rows,
-                inputs_cost + method,
-                args,
+            Candidate(
+                cost, outer_plan.order, _build_join,
+                (kind, children, inner_plan.properties, described,
+                 output_rows, cost, args),
             )
         )
     return results
@@ -375,7 +379,7 @@ def _equi_pairs(
     predicates: Sequence[Expression],
     outer_columns: FrozenSet[ColumnRef],
     inner_columns: FrozenSet[ColumnRef],
-) -> List[Tuple[ColumnRef, ColumnRef, Expression]]:
+) -> List[EquiPair]:
     """(outer column, inner column, predicate) for each equi-conjunct."""
     pairs = []
     for predicate in predicates:
@@ -390,9 +394,7 @@ def _equi_pairs(
     return pairs
 
 
-def _dedupe_pairs(
-    pairs: List[Tuple[ColumnRef, ColumnRef, Expression]],
-) -> List[Tuple[ColumnRef, ColumnRef, Expression]]:
+def _dedupe_pairs(pairs: List[EquiPair]) -> List[EquiPair]:
     """One equi-pair per distinct outer and inner column.
 
     Two predicates equating different outer columns to the same inner
@@ -435,47 +437,34 @@ def _join_methods(
     class's equi-pairs, the index probes — is worked out once here.
     Nested-loop and hash join keep the outer's order, so an inner's
     order is wasted on them: they price only the first (cheapest) plan
-    of each class of ``inner_plans`` (:func:`_order_blind_key`). A merge
-    join takes the member cheapest once sorted for it, the first on
-    ties. Every pairing left out has the order and context of a kept
-    one at no lower cost, so ``_prune`` would drop it; the
-    price-every-inner oracle in ``test_prune_differential.py`` checks it.
+    of each class of ``inner_plans`` (:func:`_order_blind_key`), once
+    per outer row count. Merge join walks the classes: per outer plan
+    and class, each key sequence takes the member cheapest once sorted
+    for it, the first on ties. Every pairing left out has the order and
+    context of a kept one at no lower cost, so ``_prune`` would drop it
+    (the oracles in ``test_prune_differential.py`` check it). The list
+    is in inner-plan order, order-blind joins first at each plan, so
+    cost ties break as in a loop over every (outer, inner) pair.
     """
     predicates = _applicable_join_predicates(planner, outer_set, inner_alias)
     output_rows = planner.subset_cardinality(outer_set | {inner_alias})
     # Every plan over one alias set has the same columns.
     outer_columns = frozenset(outer_plans[0].properties.schema.columns)
-    classes: Dict[tuple, List[PlanNode]] = {}
+    members: Dict[tuple, List[PlanNode]] = {}
     for inner_plan in inner_plans:
-        classes.setdefault(_order_blind_key(inner_plan), []).append(inner_plan)
-    class_of = {}
-    for plans in classes.values():
+        members.setdefault(_order_blind_key(inner_plan), []).append(inner_plan)
+    classes = []
+    for plans in members.values():
         inner_columns = frozenset(plans[0].properties.schema.columns)
         pairs = _dedupe_pairs(
             _equi_pairs(predicates, outer_columns, inner_columns)
         )
         covered = {p for _o, _i, p in pairs}
         residual = [p for p in predicates if p not in covered]
-        for inner_plan in plans:
-            class_of[id(inner_plan)] = (plans, pairs, residual)
-    cheapest_sorted: Dict[tuple, Tuple[Optional[PlanNode], ...]] = {}
-
-    def merge_input(plans, inner_plan, required):
-        """``inner_plan`` sorted on ``required`` if it is the member of
-        its class cheapest so sorted (the first on ties), else None."""
-        key = (id(plans), required)
-        if key not in cheapest_sorted:
-            sorted_plans = [
-                (_ensure_order(planner, plan, required, "merge-join"), plan)
-                for plan in plans
-            ]
-            cheapest_sorted[key] = min(
-                (entry for entry in sorted_plans if entry[0] is not None),
-                key=lambda entry: entry[0].cost.total_ms,
-                default=(None, None),
-            )
-        sorted_plan, plan = cheapest_sorted[key]
-        return sorted_plan if plan is inner_plan else None
+        classes.append(
+            (plans, pairs, residual, [p for _o, _i, p in pairs] + residual)
+        )
+    position = {id(plan): index for index, plan in enumerate(inner_plans)}
 
     probe_pairs = []
     if planner.config.enable_index_nlj and not planner.is_derived(inner_alias):
@@ -494,29 +483,24 @@ def _join_methods(
     )
 
     results: List[Candidate] = []
+    prices: Dict[tuple, list] = {}
+    cheapest_sorted: Dict[tuple, tuple] = {}
     for outer_plan in outer_plans:
-        for inner_plan in inner_plans:
-            plans, pairs, residual = class_of[id(inner_plan)]
-            if inner_plan is plans[0]:
-                results.extend(
-                    _order_blind_joins(
-                        planner, outer_plan, inner_plan,
-                        inner_plan.properties.cardinality, output_rows,
-                        predicates, [p for _o, _i, p in pairs] + residual,
-                        pairs, residual,
-                    )
+        by_position: Dict[int, List[Candidate]] = {}
+        for inner in classes:
+            first = inner[0][0]  # the class's cheapest plan
+            by_position.setdefault(position[id(first)], []).extend(
+                _order_blind_joins(
+                    planner, outer_plan, inner, first.properties.cardinality,
+                    output_rows, predicates, prices,
                 )
-            if pairs:
-                results.extend(
-                    _merge_joins(
-                        planner,
-                        outer_plan,
-                        partial(merge_input, plans, inner_plan),
-                        pairs,
-                        residual,
-                        output_rows,
-                    )
-                )
+            )
+            for member, merges in _merge_joins(
+                planner, outer_plan, inner, output_rows, cheapest_sorted
+            ):
+                by_position.setdefault(position[id(member)], []).extend(merges)
+        for index in sorted(by_position):
+            results.extend(by_position[index])
         results.extend(probes(outer_plan, output_rows))
     planner.stats.plans_generated += len(results)
     return results
@@ -525,14 +509,16 @@ def _join_methods(
 def _merge_joins(
     planner: PlannerContext,
     outer_plan: PlanNode,
-    sorted_inner_for: Callable[[OrderSpec], Optional[PlanNode]],
-    pairs: Sequence[Tuple[ColumnRef, ColumnRef, Expression]],
-    residual: Sequence[Expression],
+    inner: tuple,
     output_rows: float,
-) -> List[Candidate]:
-    """Merge join, inserting sorts on either side when needed;
-    ``sorted_inner_for(order)`` is the inner input sorted on ``order``,
-    or None when this inner does not take part in that merge join.
+    cheapest_sorted: Dict[tuple, tuple],
+) -> List[Tuple[PlanNode, List[Candidate]]]:
+    """Merge joins of ``outer_plan`` with the class ``inner``, inserting
+    sorts on either side when needed: ``(member, candidates)`` per key
+    sequence, ``member`` being the plan of the class cheapest once
+    sorted on the sequence's inner keys, the first on ties.
+    ``cheapest_sorted`` holds that choice per (class, order) for the
+    rest of one ``_join_methods`` call.
 
     §5.2: when an interesting order is pushed to the outer of a merge
     join, "a cover with the merge-join order is also required" — so when
@@ -540,23 +526,38 @@ def _merge_joins(
     of the join order and each pending interesting order: the same sort
     then feeds both the merge join and the downstream consumer.
     """
+    plans, pairs, residual, predicates = inner
+    if not pairs:
+        return []
     config = planner.config
-    predicates = [predicate for _o, _i, predicate in pairs] + list(residual)
-
     # Equi-pairs are an unordered set; any key sequence yields a valid
     # merge join. Shared sort segments: also try the sequence that leads
     # with the outer's delivered order, so the outer's enforcement sort
     # degrades to a partial sort reusing the earlier sort's prefix.
-    sequences = [list(pairs)]
+    sequences = [pairs]
     if config.effective("enable_partial_sort"):
         aligned = _segment_aligned_pairs(outer_plan, pairs)
         if aligned is not None:
             sequences.append(aligned)
 
-    results: List[Candidate] = []
+    results = []
     for sequence in sequences:
         inner_keys = [i for _o, i, _p in sequence]
-        sorted_inner = sorted_inner_for(OrderSpec.of(*inner_keys))
+        inner_required = OrderSpec.of(*inner_keys)
+        key = (id(plans), inner_required)
+        chosen = cheapest_sorted.get(key)
+        if chosen is None:
+            sorted_plans = [
+                (_ensure_order(planner, plan, inner_required, "merge-join"),
+                 plan)
+                for plan in plans
+            ]
+            chosen = cheapest_sorted[key] = min(
+                (entry for entry in sorted_plans if entry[0] is not None),
+                key=lambda entry: entry[0].cost.total_ms,
+                default=(None, None),
+            )
+        sorted_inner, member = chosen
         if sorted_inner is None:
             continue
         outer_keys = [o for o, _i, _p in sequence]
@@ -572,7 +573,12 @@ def _merge_joins(
             outer_variants.extend(
                 _covered_merge_sorts(planner, outer_plan, outer_required)
             )
-
+        args = {
+            "outer_keys": outer_keys,
+            "inner_keys": inner_keys,
+            "residual": _and_all(residual),
+        }
+        merges = []
         for sorted_outer in outer_variants:
             cost = (
                 sorted_outer.cost
@@ -583,53 +589,39 @@ def _merge_joins(
                     output_rows,
                 )
             )
-            results.append(
-                _join_candidate(
-                    OpKind.MERGE_JOIN,
-                    (sorted_outer, sorted_inner),
-                    sorted_inner.properties,
-                    predicates,
-                    output_rows,
-                    cost,
-                    {
-                        "outer_keys": outer_keys,
-                        "inner_keys": inner_keys,
-                        "residual": _and_all(list(residual)),
-                    },
+            merges.append(
+                Candidate(
+                    cost, sorted_outer.order, _build_join,
+                    (OpKind.MERGE_JOIN, (sorted_outer, sorted_inner),
+                     sorted_inner.properties, predicates, output_rows, cost,
+                     args),
                 )
             )
+        results.append((member, merges))
     return results
 
 
 def _segment_aligned_pairs(
     outer_plan: PlanNode,
-    pairs: Sequence[Tuple[ColumnRef, ColumnRef, Expression]],
-) -> Optional[List[Tuple[ColumnRef, ColumnRef, Expression]]]:
+    pairs: Sequence[EquiPair],
+) -> Optional[List[EquiPair]]:
     """Reorder equi-pairs so the outer's delivered order leads.
 
     Walks the outer's order property, pulling forward each pair whose
     outer column matches the next delivered key; remaining pairs keep
-    their original relative order. Returns None when the walk changes
-    nothing (first delivered key matches no pair, or the order is
-    already aligned).
+    their original relative order. ``pairs`` are deduplicated, one per
+    outer column. Returns None when the walk changes nothing (first
+    delivered key matches no pair, or the order is already aligned).
     """
-    by_outer = {}
-    for pair in pairs:
-        by_outer.setdefault(pair[0], pair)
-    leading: List[Tuple[ColumnRef, ColumnRef, Expression]] = []
-    used = set()
+    by_outer = {pair[0]: pair for pair in pairs}
+    leading: List[EquiPair] = []
     for key in outer_plan.order:
         pair = by_outer.get(key.column)
-        if pair is None or id(pair) in used:
+        if pair is None:
             break
         leading.append(pair)
-        used.add(id(pair))
-    if not leading:
-        return None
-    aligned = leading + [pair for pair in pairs if id(pair) not in used]
-    if aligned == list(pairs):
-        return None
-    return aligned
+    aligned = leading + [pair for pair in pairs if pair not in leading]
+    return None if aligned == list(pairs) else aligned
 
 
 def _covered_merge_sorts(
@@ -746,7 +738,7 @@ def _distinct_prefix_groups(
 def _index_probe_joins(
     planner: PlannerContext,
     inner_alias: str,
-    pairs: Sequence[Tuple[ColumnRef, ColumnRef, Expression]],
+    pairs: Sequence[EquiPair],
     predicates: Sequence[Expression],
     inner_filters: Sequence[Expression],
     left_outer: bool = False,
@@ -770,9 +762,7 @@ def _index_probe_joins(
         probe_pairs = []
         for key_column in index.key:
             target = ColumnRef(inner_alias, key_column.name)
-            match = next(
-                (pair for pair in pairs if pair[1] == target), None
-            )
+            match = next((pair for pair in pairs if pair[1] == target), None)
             if match is None:
                 break
             probe_pairs.append(match)
@@ -784,7 +774,14 @@ def _index_probe_joins(
             inner_filters
         )
         selectivity = planner.estimator.selectivity(probe_pairs[0][2])
-        matches = max(0.1, table.stats.row_count * selectivity)
+        method = partial(
+            planner.cost_model.index_nlj,
+            matches_per_probe=max(0.1, table.stats.row_count * selectivity),
+            table_pages=table.stats.pages,
+            table_rows=table.stats.row_count,
+            tree_height=store.indexes[index.name][1].height,
+            clustered=index.clustered,
+        )
         args = {
             "table": table.name,
             "index": index.name,
@@ -800,14 +797,16 @@ def _index_probe_joins(
             described = predicates
         else:
             described = [p for _o, _i, p in probe_pairs] + residual
-        probe_order = OrderSpec.of(*probe_outer)
-        height = store.indexes[index.name][1].height
-        probes.append((probe_order, matches, height, index, args, described))
+        probes.append((OrderSpec.of(*probe_outer), method, args, described))
     inner_properties = base_table_properties(inner_alias, table)
+    # (probe, outer rows, ordered, output rows) -> (method cost, args):
+    # all a probe's price takes from an outer plan but the plan's cost.
+    priced: Dict[tuple, tuple] = {}
 
     def price(outer_plan: PlanNode, output_rows: float) -> List[Candidate]:
         results: List[Candidate] = []
-        for probe_order, matches, height, index, args, described in probes:
+        outer_rows = outer_plan.properties.cardinality
+        for probe_order, method, args, described in probes:
             # Detecting that the probe stream arrives in index order IS
             # order optimization (Section 8.1: the disabled optimizer
             # "was unable to determine that the same sort could be used
@@ -820,25 +819,22 @@ def _index_probe_joins(
                 outer_plan.order,
                 outer_plan.properties.context(),
             )
-            cost = outer_plan.cost + planner.cost_model.index_nlj(
-                outer_rows=outer_plan.properties.cardinality,
-                matches_per_probe=matches,
-                table_pages=table.stats.pages,
-                table_rows=table.stats.row_count,
-                tree_height=height,
-                ordered=ordered,
-                clustered=index.clustered,
-                output_rows=output_rows,
-            )
-            results.append(
-                _join_candidate(
-                    OpKind.NLJ_INDEX,
-                    (outer_plan,),
-                    inner_properties,
-                    described,
-                    output_rows,
-                    cost,
+            key = (method, outer_rows, ordered, output_rows)
+            if key not in priced:
+                priced[key] = (
+                    method(
+                        outer_rows=outer_rows,
+                        ordered=ordered,
+                        output_rows=output_rows,
+                    ),
                     dict(args, ordered=ordered),
+                )
+            cost = outer_plan.cost + priced[key][0]
+            results.append(
+                Candidate(
+                    cost, outer_plan.order, _build_join,
+                    (OpKind.NLJ_INDEX, (outer_plan,), inner_properties,
+                     described, output_rows, cost, priced[key][1]),
                 )
             )
         return results
@@ -857,9 +853,7 @@ def _sort_ahead_variants(
     always keeps, so building it here costs nothing extra).
     """
     config = planner.config
-    if not config.effective("enable_sort_ahead"):
-        return []
-    if not candidates:
+    if not candidates or not config.effective("enable_sort_ahead"):
         return []
     cheapest = min(candidates, key=lambda c: c.cost.total_ms).node()
     variants: List[PlanNode] = []
@@ -890,14 +884,15 @@ def _prune(
     A candidate whose order is a literal prefix of a survivor's is
     dominated in every context — Reduce Order rewrites a key using only
     the keys before it, so the reduced prefix stays a prefix — and is
-    dropped unbuilt. Only the others are built and asked Test Order
-    under their own properties.
+    dropped unbuilt, found in a set of the survivors' key prefixes. Only
+    the others are built and asked Test Order under their own properties.
     """
     config = planner.config
     survivors: List[PlanNode] = []
+    prefixes = set()
     for candidate in sorted(candidates, key=lambda c: c.cost.total_ms):
         order = candidate.order
-        dominated = any(order.is_prefix_of(kept.order) for kept in survivors)
+        dominated = order.keys in prefixes
         if not dominated:
             plan = candidate.node()
             context = plan.properties.context()
@@ -911,5 +906,7 @@ def _prune(
         survivors.append(plan)
         if len(survivors) >= _MAX_PLANS_PER_SUBSET:
             break
+        keys = plan.order.keys
+        prefixes.update(keys[:length] for length in range(len(keys) + 1))
     planner.stats.plans_built += sum(c._node is not None for c in candidates)
     return survivors

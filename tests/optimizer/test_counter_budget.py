@@ -20,6 +20,7 @@ import pytest
 
 from repro.core import clear_memos, instrument
 from repro.optimizer import Optimizer, OptimizerConfig
+from repro.optimizer import enumerate as enumerate_module
 from repro.properties.propagate import clear_propagation_memo
 from repro.tpcd import QUERY_3
 
@@ -48,6 +49,12 @@ CHAIN5_BUDGETS = {"propagate.join_calls": 760, "context.builds": 1240}
 # for the same survivors re-measures these on purpose.
 PLANS_GENERATED = {"chain5": 1313, "star": 430}
 PLANS_BUILT = {"chain5": 477, "star": 180}
+# Merge-join key sequences priced per statement: one per (outer plan,
+# inner class, key sequence), each asking ``_ensure_order(...,
+# "merge-join")`` of its outer plan once. A loop over every (outer plan,
+# inner plan) pair walks 1 120 (chain5) and 349 (star) sequences for
+# the same 322 and 103 outer sorts.
+MERGE_SEQUENCES = {"chain5": 322, "star": 103}
 
 
 def _planned(database, sql, config):
@@ -93,6 +100,50 @@ def test_adhoc_joins_price_and_build_exactly_the_pinned_counts(tpcd_db, cls):
     if cls == "chain5":
         over = _over(counters, CHAIN5_BUDGETS)
         assert not over, f"counter budgets exceeded (actual, budget): {over}"
+
+
+def _merge_work(database, sql, monkeypatch):
+    """(key sequences merge join walked, merge-join ``_ensure_order``
+    calls on an outer plan) over one cold planning run."""
+    ensure_order = enumerate_module._ensure_order
+    aligned_pairs = enumerate_module._segment_aligned_pairs
+    join_methods = enumerate_module._join_methods
+    work = {"sequences": 0, "outer_sorts": 0}
+    outer_ids = set()
+
+    def counting_join_methods(planner, outer_set, outer_plans, *rest):
+        outer_ids.clear()
+        outer_ids.update(map(id, outer_plans))
+        return join_methods(planner, outer_set, outer_plans, *rest)
+
+    def counting_aligned_pairs(outer_plan, pairs):
+        aligned = aligned_pairs(outer_plan, pairs)
+        work["sequences"] += 1 if aligned is None else 2
+        return aligned
+
+    def counting_ensure_order(planner, plan, order, reason):
+        if reason == "merge-join" and id(plan) in outer_ids:
+            work["outer_sorts"] += 1
+        return ensure_order(planner, plan, order, reason)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumerate_module, "_join_methods", counting_join_methods)
+        patch.setattr(
+            enumerate_module, "_segment_aligned_pairs", counting_aligned_pairs
+        )
+        patch.setattr(enumerate_module, "_ensure_order", counting_ensure_order)
+        _planned(database, sql, OptimizerConfig())
+    return work
+
+
+@pytest.mark.parametrize("cls", sorted(MERGE_SEQUENCES))
+def test_merge_joins_are_priced_once_per_outer_plan_class_and_sequence(
+    tpcd_db, cls, monkeypatch
+):
+    sql = seed1_statements(tpcd_db, "adhoc_plan")[cls]
+    work = _merge_work(tpcd_db, sql, monkeypatch)
+    assert work["sequences"] == MERGE_SEQUENCES[cls]
+    assert work["outer_sorts"] == work["sequences"]
 
 
 def test_q3_planning_actually_exercises_the_algebra(q3_counters):

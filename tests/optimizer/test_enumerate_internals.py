@@ -8,6 +8,7 @@ from repro.core.general import GeneralOrderSpec
 from repro.core.ordering import desc
 from repro.cost.model import Cost, CostModel
 from repro.expr import Comparison, ComparisonOp, RowSchema, col, lit
+from repro.expr.nodes import BooleanExpr, BooleanOp
 from repro.optimizer.enumerate import (
     Candidate,
     _built,
@@ -280,6 +281,52 @@ class TestInnerClasses:
         priced = _priced_inners(self._methods(planner, [cheap, dear]))
         assert sum(plan is cheap for plan in priced) == 3
         assert sum(plan is dear for plan in priced) == 3
+
+
+class TestPricesAreScopedToOneCall:
+    def test_equal_row_counts_with_other_predicates_price_afresh(self):
+        # b joins a on a.x = b.x and c on c.y = b.y. Both outers have 10
+        # rows and both joins 10, so only the predicates tell the two
+        # calls apart: a price cached beyond one call would hand the
+        # second the first one's predicate and keys.
+        database = Database()
+        for name in ("a", "b", "c"):
+            database.create_table(
+                TableSchema(
+                    name,
+                    [Column("x", INTEGER, nullable=False), Column("y", INTEGER)],
+                    primary_key=("x",),
+                ),
+                rows=[(i, i) for i in range(10)],
+            )
+        CY = col("c", "y")
+        block = QueryBlock(
+            tables={"a": "a", "b": "b", "c": "c"},
+            predicate=BooleanExpr(BooleanOp.AND, (EQ(AX, BX), EQ(CY, BY))),
+            select_items=[SelectItem(AX, "x")],
+        )
+        planner = PlannerContext.build(database, OptimizerConfig(), block)
+        inner_plans = access_paths(planner, "b")
+        for outer_alias, predicate, outer_key, inner_key in (
+            ("a", EQ(AX, BX), AX, BX),
+            ("c", EQ(CY, BY), CY, BY),
+        ):
+            outer = access_paths(planner, outer_alias)[0]
+            assert outer.properties.cardinality == 10.0
+            joined = frozenset([outer_alias, "b"])
+            assert planner.subset_cardinality(joined) == 10.0
+            nodes = [
+                candidate.node()
+                for candidate in _join_methods(
+                    planner, frozenset([outer_alias]), [outer], "b",
+                    inner_plans,
+                )
+            ]
+            kinds = {node.kind: node for node in nodes}
+            assert kinds[OpKind.NLJ].args["predicate"] == predicate
+            hash_join = kinds[OpKind.HASH_JOIN].args
+            assert hash_join["outer_keys"] == [outer_key]
+            assert hash_join["inner_keys"] == [inner_key]
 
 
 class TestCartesianFallback:

@@ -15,14 +15,38 @@ inner plan per order-blind class, and merge join with the class member
 cheapest once sorted. Its oracle prices every inner plan under every
 method (each plan its own class); over the same statements and configs
 every DP subset must keep survivors with the same explain text and cost.
+
+``_join_methods`` also walks inner classes rather than inner plans and
+shares prices across the outer plans of one call. Its candidate-list
+oracle, ``per_inner_plan_join_methods``, is the loop over every (outer
+plan, inner plan) pair with nothing shared between outer plans; every
+call must return the same candidates in the same positions, so cost
+ties break the same way.
 """
 
 import pytest
 
 from repro.api import plan_query
+from repro.core.ordering import OrderSpec
+from repro.expr.nodes import ColumnRef
 from repro.optimizer import OptimizerConfig
 from repro.optimizer import enumerate as enumerate_module
+from repro.optimizer.enumerate import (
+    Candidate,
+    _and_all,
+    _applicable_join_predicates,
+    _build_join,
+    _covered_merge_sorts,
+    _dedupe_pairs,
+    _ensure_order,
+    _equi_pairs,
+    _index_probe_joins,
+    _order_blind_joins,
+    _order_blind_key,
+    _segment_aligned_pairs,
+)
 from repro.optimizer.helpers import order_satisfies
+from repro.optimizer.plan import OpKind
 from repro.verify.gen import QueryGenerator, generate_schema
 from repro.verify.oracle import tier1_matrix
 
@@ -169,3 +193,192 @@ def test_inner_classes_match_the_oracle_on_chain5_and_star(tpcd_db, monkeypatch)
     assert_inner_classes_match_the_oracle(
         tpcd_db, [texts["chain5"], texts["star"]], OptimizerConfig(), monkeypatch
     )
+
+
+def per_inner_plan_merge_joins(
+    planner, outer_plan, inner_plan, inner, output_rows
+):
+    """Merge joins of one (outer plan, inner plan) pair: for each key
+    sequence, none unless ``inner_plan`` is the member of its class
+    cheapest once sorted for it, the first on ties."""
+    plans, pairs, residual, predicates = inner
+    sequences = [pairs]
+    if planner.config.effective("enable_partial_sort"):
+        aligned = _segment_aligned_pairs(outer_plan, pairs)
+        if aligned is not None:
+            sequences.append(aligned)
+    results = []
+    for sequence in sequences:
+        inner_keys = [i for _o, i, _p in sequence]
+        required = OrderSpec.of(*inner_keys)
+        sorted_plans = [
+            (_ensure_order(planner, plan, required, "merge-join"), plan)
+            for plan in plans
+        ]
+        sorted_inner, member = min(
+            (entry for entry in sorted_plans if entry[0] is not None),
+            key=lambda entry: entry[0].cost.total_ms,
+            default=(None, None),
+        )
+        if member is not inner_plan:
+            continue
+        outer_keys = [o for o, _i, _p in sequence]
+        outer_required = OrderSpec.of(*outer_keys)
+        primary = _ensure_order(
+            planner, outer_plan, outer_required, "merge-join"
+        )
+        if primary is None:
+            continue
+        variants = [primary]
+        if planner.config.effective("enable_cover") and (
+            primary is not outer_plan
+        ):
+            variants.extend(
+                _covered_merge_sorts(planner, outer_plan, outer_required)
+            )
+        for sorted_outer in variants:
+            cost = (
+                sorted_outer.cost
+                + sorted_inner.cost
+                + planner.cost_model.merge_join(
+                    sorted_outer.properties.cardinality,
+                    sorted_inner.properties.cardinality,
+                    output_rows,
+                )
+            )
+            args = {
+                "outer_keys": outer_keys,
+                "inner_keys": inner_keys,
+                "residual": _and_all(residual),
+            }
+            results.append(
+                Candidate(
+                    cost, sorted_outer.order, _build_join,
+                    (OpKind.MERGE_JOIN, (sorted_outer, sorted_inner),
+                     sorted_inner.properties, predicates, output_rows, cost,
+                     args),
+                )
+            )
+    return results
+
+
+def per_inner_plan_join_methods(
+    planner, outer_set, outer_plans, inner_alias, inner_plans
+):
+    """``_join_methods``' candidate list from a loop over every (outer
+    plan, inner plan) pair, pricing each pair afresh: order-blind joins
+    with the first plan of each class, then that pair's merge joins; the
+    index probes after each outer plan's pairs."""
+    predicates = _applicable_join_predicates(planner, outer_set, inner_alias)
+    output_rows = planner.subset_cardinality(outer_set | {inner_alias})
+    outer_columns = frozenset(outer_plans[0].properties.schema.columns)
+    members = {}
+    for plan in inner_plans:
+        members.setdefault(_order_blind_key(plan), []).append(plan)
+    class_of = {}
+    for plans in members.values():
+        pairs = _dedupe_pairs(
+            _equi_pairs(
+                predicates,
+                outer_columns,
+                frozenset(plans[0].properties.schema.columns),
+            )
+        )
+        covered = {p for _o, _i, p in pairs}
+        residual = [p for p in predicates if p not in covered]
+        for plan in plans:
+            class_of[id(plan)] = (
+                plans, pairs, residual, [p for _o, _i, p in pairs] + residual
+            )
+    probe_pairs = []
+    if planner.config.enable_index_nlj and not planner.is_derived(inner_alias):
+        base = frozenset(
+            ColumnRef(inner_alias, column.name)
+            for column in planner.table_for(inner_alias).columns
+        )
+        probe_pairs = _equi_pairs(predicates, outer_columns, base)
+
+    results = []
+    for outer_plan in outer_plans:
+        for inner_plan in inner_plans:
+            inner = class_of[id(inner_plan)]
+            plans, pairs, _residual, _described = inner
+            if inner_plan is plans[0]:
+                results.extend(
+                    _order_blind_joins(
+                        planner, outer_plan, inner,
+                        inner_plan.properties.cardinality, output_rows,
+                        predicates, {},
+                    )
+                )
+            if pairs:
+                results.extend(
+                    per_inner_plan_merge_joins(
+                        planner, outer_plan, inner_plan, inner, output_rows
+                    )
+                )
+        probes = _index_probe_joins(
+            planner, inner_alias, probe_pairs, predicates,
+            planner.local_predicates.get(inner_alias, []),
+        )
+        results.extend(probes(outer_plan, output_rows))
+    return results
+
+
+def candidates_match(got, want):
+    """Position by position: kind, exact cost, order, built explain."""
+    assert len(got) == len(want)
+    for position, (candidate, expected) in enumerate(zip(got, want)):
+        node, expected_node = candidate.node(), expected.node()
+        where = f"candidate {position}"
+        assert node.kind is expected_node.kind, where
+        assert candidate.cost.total_ms == expected.cost.total_ms, where
+        assert candidate.order == expected.order, where
+        assert node.explain(show_order=True, show_cost=True) == (
+            expected_node.explain(show_order=True, show_cost=True)
+        ), where
+
+
+def assert_candidate_lists_match_the_oracle(
+    database, statements, config, monkeypatch
+):
+    join_methods = enumerate_module._join_methods
+    seen = {"calls": 0, "merge_joins": 0}
+
+    def checked_join_methods(planner, *arguments):
+        got = join_methods(planner, *arguments)
+        candidates_match(got, per_inner_plan_join_methods(planner, *arguments))
+        seen["calls"] += 1
+        seen["merge_joins"] += sum(
+            c.node().kind is OpKind.MERGE_JOIN for c in got
+        )
+        return got
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumerate_module, "_join_methods", checked_join_methods)
+        for sql in statements:
+            plan_query(database, sql, config=config)
+    return seen
+
+
+@pytest.mark.parametrize("config_name", sorted(tier1_matrix()))
+def test_candidate_lists_match_the_per_inner_plan_oracle(
+    corpus, config_name, monkeypatch
+):
+    database, statements = corpus
+    seen = assert_candidate_lists_match_the_oracle(
+        database, statements, tier1_matrix()[config_name], monkeypatch
+    )
+    assert seen["calls"] >= QUERIES
+
+
+def test_candidate_lists_match_the_oracle_on_chain5_and_star(
+    tpcd_db, monkeypatch
+):
+    texts = seed1_statements(tpcd_db, "adhoc_plan")
+    seen = assert_candidate_lists_match_the_oracle(
+        tpcd_db, [texts["chain5"], texts["star"]], OptimizerConfig(),
+        monkeypatch,
+    )
+    # Not vacuous: merge joins were among the candidates compared.
+    assert seen["merge_joins"] > 0

@@ -2,9 +2,12 @@
 guide's): a gain needs at least nine pairs in ten and a median gap wider
 than the parent's interquartile range; a regression is a median worse
 by more than the bound; a parent spread wider than the bound leaves the
-result unresolved."""
+result unresolved. A per-layer metric has no bound: it is a gain or not
+settled."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -72,3 +75,46 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved():
         0,
         "unresolved",
     )
+
+
+def test_a_metric_without_a_bound_is_a_gain_or_not_settled():
+    faster = [value - 5 for value in PARENT]
+    assert judge(PARENT, faster, False) == (10, "gain")
+    # Inside the IQR, or far worse: neither is settled without a bound.
+    assert judge(PARENT, [v - 1 for v in PARENT], False) == (10, "not settled")
+    assert judge(PARENT, [v * 2 for v in PARENT], False) == (0, "not settled")
+
+
+def test_a_traced_side_runs_with_trace_on(monkeypatch, tmp_path):
+    commands = []
+
+    def fake_run(command, **kwargs):
+        commands.append(command)
+        line = json.dumps({"failed": 0, "metrics": {}})
+        return subprocess.CompletedProcess(command, 0, f"table\n{line}\n", "")
+
+    monkeypatch.setattr(perf_pairs.subprocess, "run", fake_run)
+    perf_pairs.run_side(tmp_path, "adhoc_plan", 7, trace=True)
+    perf_pairs.run_side(tmp_path, "adhoc_plan", 7)
+    assert commands[0][-2:] == ["--trace", "1"]
+    assert commands[1][-2:] == ["--trace", "0"]
+
+
+def _runs(values, name="optimizer.enumerate_ms"):
+    return [{"metrics": {name: {"value": value}}} for value in values]
+
+
+def test_per_layer_tables_judge_by_direction_and_skip_absent_metrics(capsys):
+    metrics = [
+        {"name": "optimizer.enumerate_ms", "unit": "ms", "better": "lower"},
+        {"name": "service.plan_for_miss_ms", "unit": "ms", "better": "lower"},
+    ]
+    perf_pairs.print_verdicts(
+        "adhoc_plan", "HEAD", metrics,
+        _runs(PARENT), _runs([value - 5 for value in PARENT]),
+    )
+    rows = capsys.readouterr().out.splitlines()
+    change = [row for row in rows if " change " in row]
+    assert len(change) == 1
+    assert change[0].startswith("optimizer.enumerate_ms")
+    assert change[0].endswith("10/10  gain")
