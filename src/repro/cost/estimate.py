@@ -269,31 +269,6 @@ class SelectivityEstimator:
         return stats.selectivity_range(value, None, row_count)
 
 
-def term_selectivity_hints(
-    predicate: Expression, estimator: SelectivityEstimator
-) -> Dict[Expression, float]:
-    """Per-subtree selectivity estimates for a filter predicate.
-
-    Covers the predicate itself plus every AND/OR operand and NOT
-    operand, recursively — exactly the terms the vector engine's
-    cost-ordered evaluation (:mod:`repro.expr.vector`) can reorder.
-    The estimates only seed the ordering; observed per-batch
-    selectivities take over once enough rows have flowed.
-    """
-    hints: Dict[Expression, float] = {}
-
-    def record(expression: Expression) -> None:
-        hints[expression] = estimator.selectivity(expression)
-        if isinstance(expression, BooleanExpr):
-            for operand in expression.operands:
-                record(operand)
-        elif isinstance(expression, Not):
-            record(expression.operand)
-
-    record(predicate)
-    return hints
-
-
 def join_selectivity(
     left: Optional[ColumnStats], right: Optional[ColumnStats]
 ) -> float:

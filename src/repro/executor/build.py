@@ -14,11 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.cost.estimate import (
-    SelectivityEstimator,
-    StatsView,
-    term_selectivity_hints,
-)
+from repro.cost.estimate import SelectivityEstimator, StatsView
 from repro.errors import ExecutionError
 from repro.executor.aggregate import (
     HashDistinctOp,
@@ -76,9 +72,9 @@ def build_operator(
 ) -> PhysicalOperator:
     """Recursively build the physical operator for one plan node.
 
-    ``estimator`` (optional) supplies catalog-stats selectivities that
-    seed the vector engine's cost-ordered predicate evaluation; without
-    it filters run unhinted (adaptive feedback still applies).
+    ``estimator`` (optional) supplies the catalog-stats selectivities a
+    filter's block kernel orders its terms by when it is compiled;
+    without it every term ranks at the default selectivity, 0.5.
     ``node_map`` (optional) records ``id(plan_node) -> operator`` for
     every node built, letting the workload loop join plan estimates
     against executed metrics.
@@ -117,12 +113,11 @@ def _build_node(
             partition=args.get("partition"),
         )
     if kind is OpKind.FILTER:
-        hints = (
-            term_selectivity_hints(args["predicate"], estimator)
-            if estimator is not None
-            else None
+        return FilterOp(
+            children[0],
+            args["predicate"],
+            estimator.selectivity if estimator is not None else None,
         )
-        return FilterOp(children[0], args["predicate"], selectivity_hints=hints)
     if kind is OpKind.PROJECT:
         return ProjectOp(
             children[0], args["expressions"], node.properties.schema

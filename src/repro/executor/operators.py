@@ -40,6 +40,7 @@ from repro.expr.nodes import ColumnRef, Expression, Parameter
 from repro.expr.schema import RowSchema
 from repro.expr.vector import (
     RowBlock,
+    Selectivity,
     VectorBatch,
     compile_vector_filter,
     vector_projection_kernel,
@@ -356,21 +357,22 @@ class IndexScanOp(PhysicalOperator):
 class FilterOp(PhysicalOperator):
     """Applies a predicate to its input.
 
-    ``selectivity_hints`` (optional) maps predicate subtrees to
-    estimated selectivities from the catalog stats; the vector engine
-    seeds its term ordering with them and refines per batch.
+    ``selectivity`` (optional) estimates a predicate subtree's
+    selectivity from the catalog stats. The block engine calls it only
+    when it compiles the predicate's kernel (a kernel-memo hit never
+    does), to fix the order its AND / OR terms run in.
     """
 
     def __init__(
         self,
         child: PhysicalOperator,
         predicate: Expression,
-        selectivity_hints: Optional[dict] = None,
+        selectivity: Optional[Selectivity] = None,
     ):
         super().__init__(child.schema)
         self.child = child
         self.predicate = predicate
-        self.selectivity_hints = selectivity_hints
+        self.selectivity = selectivity
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
@@ -391,7 +393,7 @@ class FilterOp(PhysicalOperator):
                     yield RowBlock(kept)
             return
         vector_filter = compile_vector_filter(
-            self.predicate, self.schema, self.selectivity_hints
+            self.predicate, self.schema, self.selectivity
         )
         for block in self.child.blocks(context):
             metrics.rows_in += block.count

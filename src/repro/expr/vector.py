@@ -49,15 +49,18 @@ counts those re-runs).
 On top of that representation sits cost-ordered evaluation: AND terms
 run cheapest-and-most-selective first against the shrinking selection,
 OR terms run cheapest-and-least-selective first with accepted rows
-bypassing later disjuncts. Initial selectivities come from catalog
-stats (hints supplied by the executor's plan builder); per-batch
-observed selectivities adapt the order as data flows. Reordering is
-*gated on raise-safety*: any term that can raise (arithmetic, CASE,
-fold-deferred constants) pins the whole conjunction or disjunction to
-source order and the strict evaluation path, so no raising term runs on
-a row the interpreter would have short-circuited. Reordering never
-changes the result set — the True set of a conjunction/disjunction is
-an intersection/union, which is commutative.
+bypassing later disjuncts. The order is fixed once, when the kernel is
+built, from catalog-stats selectivities (the ``selectivity`` callable
+the executor's filter passes; 0.5 where it has none) — so it follows
+the statistics current at the first compile of ``(expression,
+schema)``, and running a block never changes a kernel's state.
+Reordering is *gated on raise-safety*: any term that can raise
+(arithmetic, CASE, fold-deferred constants) pins the whole conjunction
+or disjunction to source order and the strict evaluation path, so no
+raising term runs on a row the interpreter would have short-circuited.
+Reordering affects work, never rows — the True set of a
+conjunction/disjunction is an intersection/union, which is
+commutative.
 
 A host variable is a per-execution constant: ``api.execute`` checks
 every name bound before the first row, so a parameter lookup cannot
@@ -81,7 +84,6 @@ from typing import (
     Callable,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -114,6 +116,8 @@ from repro.sqltypes.values import NULL, SqlNull
 
 Row = Tuple[Any, ...]
 Selection = List[int]
+# A predicate subtree's estimated strict-True rate, None when unknown.
+Selectivity = Callable[[Expression], Optional[float]]
 
 # Vector-path observability: the ``vector.*`` keys of the expr layer's
 # one counter dict (``compile.stats()`` reports both families), under
@@ -422,21 +426,14 @@ def _node_count(expression: Expression) -> int:
     return 1 + sum(_node_count(child) for child in expression.children())
 
 
-# Observed selectivity kicks in once a term has seen this many rows;
-# below the threshold the catalog hint (or the 0.5 default) holds.
-_ADAPT_MIN_ROWS = 64
-
-
 def _and_rank(term: "_Term") -> float:
     # Cheapest work per unit of rows *removed*: cost / (1 - selectivity).
-    passing = term.observed()
-    return term.cost / max(1e-6, 1.0 - min(passing, 0.999))
+    return term.cost / max(1e-6, 1.0 - min(term.hint, 0.999))
 
 
 def _or_rank(term: "_Term") -> float:
     # Cheapest work per unit of rows *accepted*: cost / selectivity.
-    passing = term.observed()
-    return term.cost / max(1e-6, min(max(passing, 0.001), 1.0))
+    return term.cost / max(1e-6, min(max(term.hint, 0.001), 1.0))
 
 
 # ----------------------------------------------------------------------
@@ -450,35 +447,21 @@ class _Term:
     ``true_of`` with a faster loop); a composite implements the three
     filter views, and its ``values`` derive from ``or_filter``."""
 
-    __slots__ = ("expression", "cost", "hint", "seen", "passed", "pure_bool", "no_raise")
+    __slots__ = ("expression", "cost", "hint", "pure_bool", "no_raise")
 
     def __init__(
         self,
         expression: Expression,
         cost: float,
-        hint: Optional[float],
+        hint: float,
         pure_bool: bool,
         no_raise: bool,
     ):
         self.expression = expression
         self.cost = cost
         self.hint = hint
-        self.seen = 0
-        self.passed = 0
         self.pure_bool = pure_bool
         self.no_raise = no_raise
-
-    def observed(self) -> float:
-        """Current selectivity estimate (strict-True rate)."""
-        if self.seen >= _ADAPT_MIN_ROWS:
-            return self.passed / self.seen
-        if self.hint is not None:
-            return self.hint
-        return 0.5
-
-    def _record(self, rows_in: int, rows_true: int) -> None:
-        self.seen += rows_in
-        self.passed += rows_true
 
     def values(self, batch: VectorBatch, sel: Selection) -> List[Any]:
         accepted, unknowns = self.or_filter(batch, sel)
@@ -489,9 +472,7 @@ class _Term:
 
     def true_of(self, batch: VectorBatch, sel: Selection) -> Selection:
         values = self.values(batch, sel)
-        out = [i for i, value in zip(sel, values) if value is True]
-        self._record(len(sel), len(out))
-        return out
+        return [i for i, value in zip(sel, values) if value is True]
 
     def and_filter(
         self, batch: VectorBatch, sel: Selection
@@ -506,7 +487,6 @@ class _Term:
             keep(i)
             if value is None:
                 flag(i)
-        self._record(len(sel), len(survivors) - len(unknowns))
         return survivors, unknowns
 
     def or_filter(
@@ -521,7 +501,6 @@ class _Term:
                 keep(i)
             elif value is None:
                 flag(i)
-        self._record(len(sel), len(accepted))
         return accepted, unknowns
 
 
@@ -715,9 +694,7 @@ class _CompareConstLeaf(_Term):
         )
 
     def true_of(self, batch, sel):
-        out = self._true_against(batch, sel, self.constant, self.kind)
-        self._record(len(sel), len(out))
-        return out
+        return self._true_against(batch, sel, self.constant, self.kind)
 
     def _value(self) -> Any:
         return self.constant
@@ -749,18 +726,15 @@ class _CompareParamLeaf(_CompareConstLeaf):
         value = active_value(self.name)
         kind = type(value)
         if kind in _DIRECT_COMPARE:
-            out = self._true_against(batch, sel, value, kind)
-        elif value is None or value is NULL:
-            out = []
-        else:
-            check = self._check
-            out = [
-                i
-                for i, v in zip(sel, batch.gather(self.position, sel))
-                if (cmp := _compare(v, value)) is not None and check(cmp)
-            ]
-        self._record(len(sel), len(out))
-        return out
+            return self._true_against(batch, sel, value, kind)
+        if value is None or value is NULL:
+            return []
+        check = self._check
+        return [
+            i
+            for i, v in zip(sel, batch.gather(self.position, sel))
+            if (cmp := _compare(v, value)) is not None and check(cmp)
+        ]
 
 
 class _IsNullLeaf(_Term):
@@ -776,15 +750,12 @@ class _IsNullLeaf(_Term):
     def true_of(self, batch, sel):
         column = batch.column(self.position)
         if self.negated:
-            out = [
+            return [
                 i
                 for i in sel
                 if (v := column[i]) is not None and v is not NULL
             ]
-        else:
-            out = [i for i in sel if (v := column[i]) is None or v is NULL]
-        self._record(len(sel), len(out))
-        return out
+        return [i for i in sel if (v := column[i]) is None or v is NULL]
 
     def values(self, batch, sel):
         return _is_null_values(batch.gather(self.position, sel), self.negated)
@@ -830,16 +801,13 @@ class _InListLeaf(_Term):
         values = self.constants
         kind = self.kind
         if kind is not None:
-            out = [
+            return [
                 i
                 for i in sel
                 if (type(v := column[i]) is kind and v in values)
                 or (type(v) is not kind and _slow_membership(v, values))
             ]
-        else:
-            out = [i for i in sel if _slow_membership(column[i], values)]
-        self._record(len(sel), len(out))
-        return out
+        return [i for i in sel if _slow_membership(column[i], values)]
 
     def values(self, batch, sel):
         values = self.constants
@@ -879,38 +847,31 @@ class _NotTerm(_Term):
         # NOT is True exactly where the inner term is False.
         survivors, _unknowns = self.inner.and_filter(batch, sel)
         alive = set(survivors)
-        out = [i for i in sel if i not in alive]
-        self._record(len(sel), len(out))
-        return out
+        return [i for i in sel if i not in alive]
 
     def and_filter(self, batch, sel):
         # NOT is False exactly where the inner term is True.
         accepted, unknowns = self.inner.or_filter(batch, sel)
         dropped = set(accepted)
-        survivors = [i for i in sel if i not in dropped]
-        self._record(len(sel), len(survivors) - len(unknowns))
-        return survivors, unknowns
+        return [i for i in sel if i not in dropped], unknowns
 
     def or_filter(self, batch, sel):
         survivors, unknowns = self.inner.and_filter(batch, sel)
         alive = set(survivors)
-        accepted = [i for i in sel if i not in alive]
-        self._record(len(sel), len(accepted))
-        return accepted, unknowns
+        return [i for i in sel if i not in alive], unknowns
 
 
-class _AndTerm(_Term):
-    """Conjunction with cost-ordered short-circuiting.
+class _Composite(_Term):
+    """AND / OR over child terms, run in ``terms`` order.
 
-    The fast path (every child raise-free *and* strictly boolean)
-    narrows the selection through each child's True set — the True set
-    of an AND is the intersection of its children's, so order does not
-    change the result, only the work. Mixed/raising children take the
-    strict path: candidates survive while not-False, unknown flags ride
-    along, and source order is preserved whenever any child can raise.
+    The order is decided once, here: raise-free children are ranked by
+    the subclass's ``_rank`` (cost over rows removed or accepted, from
+    their selectivity hints); if any child can raise, the children keep
+    source order. Evaluating a block never changes a term.
     """
 
-    __slots__ = ("terms", "fast", "reorder_ok")
+    __slots__ = ("terms",)
+    _rank: Callable[[_Term], float]
 
     def __init__(self, expression, terms: List[_Term], hint):
         no_raise = all(term.no_raise for term in terms)
@@ -921,36 +882,44 @@ class _AndTerm(_Term):
             True,
             no_raise,
         )
-        self.terms = terms
-        self.reorder_ok = no_raise and len(terms) > 1
-        self.fast = no_raise and all(term.pure_bool for term in terms)
+        self.terms = sorted(terms, key=self._rank) if no_raise else terms
 
-    def ordered(self) -> List[_Term]:
-        if not self.reorder_ok:
-            return self.terms
-        return sorted(self.terms, key=_and_rank)
+
+class _AndTerm(_Composite):
+    """Conjunction with cost-ordered short-circuiting.
+
+    The fast path (every child raise-free *and* strictly boolean)
+    narrows the selection through each child's True set — the True set
+    of an AND is the intersection of its children's, so order does not
+    change the result, only the work. Mixed/raising children take the
+    strict path: candidates survive while not-False, unknown flags ride
+    along, and source order is preserved whenever any child can raise.
+    """
+
+    __slots__ = ("fast",)
+    _rank = staticmethod(_and_rank)
+
+    def __init__(self, expression, terms: List[_Term], hint):
+        super().__init__(expression, terms, hint)
+        self.fast = self.no_raise and all(term.pure_bool for term in terms)
 
     def true_of(self, batch, sel):
-        rows_in = len(sel)
         if self.fast:
-            current = sel
-            for term in self.ordered():
-                if not current:
+            for term in self.terms:
+                if not sel:
                     break
-                current = term.true_of(batch, current)
-            self._record(rows_in, len(current))
-            return current
-        survivors, unknowns = self._strict(batch, sel)
+                sel = term.true_of(batch, sel)
+            return sel
+        survivors, unknowns = self.and_filter(batch, sel)
         if unknowns:
             flagged = set(unknowns)
             survivors = [i for i in survivors if i not in flagged]
-        self._record(rows_in, len(survivors))
         return survivors
 
-    def _strict(self, batch, sel):
+    def and_filter(self, batch, sel):
         candidates = sel
         flagged: set = set()
-        for term in self.ordered():
+        for term in self.terms:
             if not candidates:
                 break
             candidates, unknowns = term.and_filter(batch, candidates)
@@ -962,23 +931,17 @@ class _AndTerm(_Term):
             unknowns = []
         return candidates, unknowns
 
-    def and_filter(self, batch, sel):
-        survivors, unknowns = self._strict(batch, sel)
-        self._record(len(sel), len(survivors) - len(unknowns))
-        return survivors, unknowns
-
     def or_filter(self, batch, sel):
-        survivors, unknowns = self._strict(batch, sel)
+        survivors, unknowns = self.and_filter(batch, sel)
         if unknowns:
             flagged = set(unknowns)
             accepted = [i for i in survivors if i not in flagged]
         else:
             accepted = survivors
-        self._record(len(sel), len(accepted))
         return accepted, unknowns
 
 
-class _OrTerm(_Term):
+class _OrTerm(_Composite):
     """Disjunction with accepted-row bypass.
 
     Each disjunct only sees rows no earlier disjunct accepted — exactly
@@ -987,30 +950,14 @@ class _OrTerm(_Term):
     like the conjunction.
     """
 
-    __slots__ = ("terms", "reorder_ok")
-
-    def __init__(self, expression, terms: List[_Term], hint):
-        no_raise = all(term.no_raise for term in terms)
-        super().__init__(
-            expression,
-            sum(term.cost for term in terms) + 0.1,
-            hint,
-            True,
-            no_raise,
-        )
-        self.terms = terms
-        self.reorder_ok = no_raise and len(terms) > 1
-
-    def ordered(self) -> List[_Term]:
-        if not self.reorder_ok:
-            return self.terms
-        return sorted(self.terms, key=_or_rank)
+    __slots__ = ()
+    _rank = staticmethod(_or_rank)
 
     def _scan(self, batch, sel, track_unknowns):
         candidates = sel
         parts: List[Selection] = []
         flagged: Optional[set] = set() if track_unknowns else None
-        for term in self.ordered():
+        for term in self.terms:
             if not candidates:
                 break
             if track_unknowns:
@@ -1033,13 +980,11 @@ class _OrTerm(_Term):
 
     def true_of(self, batch, sel):
         accepted, _rest, _flagged = self._scan(batch, sel, False)
-        self._record(len(sel), len(accepted))
         return accepted
 
     def or_filter(self, batch, sel):
         accepted, rest, flagged = self._scan(batch, sel, True)
         unknowns = [i for i in rest if i in flagged] if flagged else []
-        self._record(len(sel), len(accepted))
         return accepted, unknowns
 
     def and_filter(self, batch, sel):
@@ -1051,7 +996,6 @@ class _OrTerm(_Term):
         else:
             unknowns = []
             survivors = accepted
-        self._record(len(sel), len(survivors) - len(unknowns))
         return survivors, unknowns
 
 
@@ -1081,13 +1025,14 @@ def _fold_direct_constant(expression: Expression) -> Optional[Any]:
 def _build_term(
     expression: Expression,
     schema: RowSchema,
-    hints: Optional[Mapping[Expression, float]],
+    selectivity: Optional[Selectivity],
 ) -> _Term:
-    hint = hints.get(expression) if hints else None
+    estimate = selectivity(expression) if selectivity is not None else None
+    hint = 0.5 if estimate is None else estimate
 
     if isinstance(expression, BooleanExpr):
         terms = [
-            _build_term(operand, schema, hints)
+            _build_term(operand, schema, selectivity)
             for operand in expression.operands
         ]
         if expression.op is BooleanOp.AND:
@@ -1097,7 +1042,7 @@ def _build_term(
     if isinstance(expression, Not) and isinstance(
         expression.operand, _PREDICATE_SHAPED
     ):
-        inner = _build_term(expression.operand, schema, hints)
+        inner = _build_term(expression.operand, schema, selectivity)
         return _NotTerm(expression, inner, hint)
 
     if _is_constant(expression):
@@ -1182,11 +1127,11 @@ class VectorFilter:
         self,
         expression: Expression,
         schema: RowSchema,
-        hints: Optional[Mapping[Expression, float]] = None,
+        selectivity: Optional[Selectivity] = None,
     ):
         self.expression = expression
         self.schema = schema
-        self.root = _build_term(expression, schema, hints)
+        self.root = _build_term(expression, schema, selectivity)
 
     def __call__(self, batch: VectorBatch) -> Selection:
         sel = batch.live()
@@ -1201,14 +1146,6 @@ class VectorFilter:
             rows = _reference_rows((self.expression,), self.schema, batch, sel)
             return [i for i, (value,) in zip(sel, rows) if value is True]
 
-    def term_order(self) -> List[Expression]:
-        """Current evaluation order of the root's direct terms
-        (observability for the reordering tests/benchmarks)."""
-        root = self.root
-        if isinstance(root, (_AndTerm, _OrTerm)):
-            return [term.expression for term in root.ordered()]
-        return [root.expression]
-
 
 _FILTER_MEMO = KernelMemo()
 
@@ -1216,18 +1153,21 @@ _FILTER_MEMO = KernelMemo()
 def compile_vector_filter(
     expression: Expression,
     schema: RowSchema,
-    hints: Optional[Mapping[Expression, float]] = None,
+    selectivity: Optional[Selectivity] = None,
 ) -> VectorFilter:
-    """Memoized per (expression, schema); the adaptive term statistics
-    live on the shared kernel, so repeated executions keep learning.
-    Hints only seed the first compilation."""
+    """Memoized per (expression, schema). ``selectivity`` (a catalog
+    estimate per predicate subtree, ``None`` when unknown) is consulted
+    only when the kernel is built, so the term order follows the
+    statistics current at the first compile of ``(expression, schema)``
+    and stays fixed for every later execution, whatever its bindings.
+    The order affects work, never rows."""
     _count("vector.filter_calls")
     key = (expression, schema)
     cached = _FILTER_MEMO.get(key)
     if cached is not None:
         _count("vector.filter_memo_hits")
         return cached
-    kernel = VectorFilter(expression, schema, hints)
+    kernel = VectorFilter(expression, schema, selectivity)
     _FILTER_MEMO.put(key, kernel)
     return kernel
 

@@ -29,14 +29,13 @@ built entry (counted in ``single_flight_waits`` and reported as hits —
 they did not plan). Without this, N workers racing one cold statement
 would plan it N times.
 
-A cached entry stores the finalized physical plan and a warm operator
-tree. The warm tree is built once at insert, which drives every one of
-the plan's expressions through the kernel memos of
-:mod:`repro.expr.compile` — the cache therefore pins strong references
-to the compiled block kernels, and later executions (which rebuild a
-fresh operator tree per run for thread safety) hit the memo instead of
-recompiling. Re-binding costs nothing: parameters resolve through the
-thread-local scope at evaluation time, so the kernels are byte-for-byte
+A cached entry stores the finalized physical plan only. Each execution
+builds a fresh operator tree (operators carry per-run state), and the
+operators compile their block kernels on their first block through the
+kernel memos of :mod:`repro.expr.compile`, so from the second execution
+on every kernel is a memo hit (the memos are LRUs; the cache holds no
+reference into them). Re-binding costs nothing: parameters resolve
+through the thread-local scope at evaluation time, so the kernels are
 the same objects for every binding.
 """
 
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.instrument import count
@@ -69,10 +68,6 @@ class CachedPlan:
     catalog_version: int
     stats_version: int
     config_key: Tuple[Any, ...]
-    # Built once at insert to warm the expression-compile memo; holds
-    # strong references to the compiled kernels. Executions build fresh
-    # trees (operator instances carry per-run state), reusing the memo.
-    warm_operator: Any = field(default=None, repr=False)
     hits: int = 0
 
 
@@ -272,8 +267,6 @@ class PlanCache:
             self.misses += 1
         count("service.cache.misses")
         try:
-            from repro.executor.build import build_executor
-
             plan = Optimizer(database, config, cost_model).plan_sql(
                 parameterized.text
             )
@@ -285,7 +278,6 @@ class PlanCache:
                 catalog_version=catalog.version,
                 stats_version=catalog.stats_version,
                 config_key=config_key,
-                warm_operator=build_executor(plan, database),
             )
             self.put(key, entry)
         finally:
@@ -313,7 +305,6 @@ class PlanCache:
         come from planning the same statement class (its parameter
         markers line up with the parameterized text by construction).
         """
-        from repro.executor.build import build_executor
         from repro.service.parameterize import _type_name, parameterize
 
         config = config or OptimizerConfig()
@@ -340,7 +331,6 @@ class PlanCache:
             catalog_version=catalog.version,
             stats_version=catalog.stats_version,
             config_key=config_key,
-            warm_operator=build_executor(plan, database),
         )
         self.put(key, entry)
         return key

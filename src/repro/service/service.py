@@ -30,8 +30,8 @@ Execution notes for the concurrent path:
 
 * plans are cached, operator trees are not — a fresh tree is built per
   execution (operators carry per-run state such as probe caches), while
-  the expression kernels inside it come from the compile memo the cache
-  warmed;
+  the expression kernels inside it come from the compile memo, which
+  the statement's first execution filled;
 * parameter bindings live in a thread-local scope
   (:mod:`repro.expr.bindings`), so two workers can run the same cached
   plan with different bindings simultaneously;

@@ -25,8 +25,12 @@ from repro.expr import (
     BooleanOp,
     Comparison,
     ComparisonOp,
+    InList,
+    IsNull,
+    Not,
     RowSchema,
     col,
+    lit,
 )
 from repro.expr.bindings import active_value, parameter_scope, require_bound
 from repro.expr.nodes import Arithmetic, ArithmeticOp, Parameter
@@ -37,6 +41,7 @@ from repro.expr.vector import (
     _CompareParamLeaf,
     _OrTerm,
     clear_vector_cache,
+    compile_vector_filter,
     reset_vector_stats,
     vector_stats,
 )
@@ -44,6 +49,7 @@ from repro.service import parameterize
 from repro.sqltypes import INTEGER, varchar
 from repro.verify.gen import QueryGenerator, generate_schema
 from repro.verify.oracle import normalized
+from tests.expr.term_spy import spy_on
 
 MODES = ("vector", "interpreted")
 
@@ -183,11 +189,13 @@ class TestParameterTerms:
         wide = Comparison(ComparisonOp.GE, X, Parameter("lo"))
         picky = Comparison(ComparisonOp.EQ, Parameter("y"), Y)
         expression = BooleanExpr(BooleanOp.AND, (wide, picky))
-        kernel = VectorFilter(expression, SCHEMA, hints={wide: 0.9, picky: 0.1})
+        kernel = VectorFilter(
+            expression, SCHEMA, selectivity={wide: 0.9, picky: 0.1}.get
+        )
         root = kernel.root
-        assert isinstance(root, _AndTerm) and root.fast and root.reorder_ok
+        assert isinstance(root, _AndTerm) and root.fast and root.no_raise
         assert all(isinstance(term, _CompareParamLeaf) for term in root.terms)
-        assert kernel.term_order() == [picky, wide]
+        assert [term.expression for term in root.terms] == [picky, wide]
         reset_vector_stats()
         with parameter_scope({"lo": 1, "y": 3}):
             selection = kernel(RowBlock(list(ROWS)))
@@ -201,9 +209,15 @@ class TestParameterTerms:
         rare = Comparison(ComparisonOp.EQ, X, Parameter("x"))
         common = Comparison(ComparisonOp.LT, Y, Parameter("y"))
         expression = BooleanExpr(BooleanOp.OR, (rare, common))
-        kernel = VectorFilter(expression, SCHEMA, hints={rare: 0.1, common: 0.8})
-        assert isinstance(kernel.root, _OrTerm) and kernel.root.reorder_ok
-        assert kernel.term_order() == [common, rare]
+        kernel = VectorFilter(
+            expression, SCHEMA, selectivity={rare: 0.1, common: 0.8}.get
+        )
+        assert isinstance(kernel.root, _OrTerm) and kernel.root.no_raise
+        assert [term.expression for term in kernel.root.terms] == [
+            common,
+            rare,
+        ]
+        first, second = spy_on(kernel)
         reset_vector_stats()
         with parameter_scope({"x": 6, "y": 4}):
             selection = kernel(RowBlock(list(ROWS)))
@@ -211,8 +225,8 @@ class TestParameterTerms:
             i for i, (x, y) in enumerate(ROWS)
             if x == 6 or (y is not None and y < 4)
         ]
-        first, second = kernel.root.ordered()
-        assert second.seen < first.seen  # accepted rows bypass the rest
+        assert first.rows == len(ROWS)
+        assert second.rows < first.rows  # accepted rows bypass the rest
         assert vector_stats().get("vector.fallback_terms", 0) == 0
 
     def test_interpreter_rerun_blocks_are_counted(self):
@@ -228,7 +242,9 @@ class TestParameterTerms:
             ),
         )
         kernel = VectorFilter(expression, SCHEMA)
-        assert kernel.term_order() == list(expression.operands)
+        assert [term.expression for term in kernel.root.terms] == list(
+            expression.operands
+        )
         reset_vector_stats()
         with parameter_scope({"lo": 2, "hi": 9}):
             selection = kernel(RowBlock(list(ROWS)))
@@ -282,6 +298,82 @@ class TestParameterTerms:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not failures
+
+    def test_blocks_never_change_a_shared_kernel(self):
+        # One memoized kernel serves every execution on every thread, so
+        # running a block must not write to it: the term order and every
+        # slot of every term stay as the compile left them.
+        expression = BooleanExpr(
+            BooleanOp.AND,
+            (
+                InList(X, (lit(1), lit(2), lit(3), lit(5))),
+                BooleanExpr(
+                    BooleanOp.OR,
+                    (
+                        Comparison(ComparisonOp.EQ, Y, Parameter("y")),
+                        Not(Comparison(ComparisonOp.LT, X, Parameter("x"))),
+                        IsNull(Y, negated=False),
+                    ),
+                ),
+                Comparison(ComparisonOp.GE, Y, Parameter("lo")),
+            ),
+        )
+        kernel = compile_vector_filter(expression, SCHEMA)
+        assert compile_vector_filter(expression, SCHEMA) is kernel
+        before = _term_state(kernel.root)
+        rows = [(i % 7, i % 5) for i in range(400)] + [(None, 1), (2, None)]
+        blocks = [rows[start:start + 48] for start in range(0, len(rows), 16)]
+        bindings = ({"y": 3, "x": 4, "lo": 1}, {"y": 0, "x": 2, "lo": 0})
+        serial = []
+        for binding in bindings:
+            with parameter_scope(binding):
+                serial.append([kernel(RowBlock(block)) for block in blocks])
+        assert serial[0] != serial[1]
+        failures = []
+
+        def worker(binding, expected):
+            with parameter_scope(binding):
+                for _ in range(20):
+                    got = [kernel(RowBlock(block)) for block in blocks]
+                    if got != expected:
+                        failures.append(binding)
+                        return
+
+        # Four threads on the two bindings: more workers than cores.
+        threads = [
+            threading.Thread(target=worker, args=pair)
+            for pair in zip(bindings * 2, serial * 2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert _term_state(kernel.root) == before
+
+
+def _term_state(root):
+    """Every ``__slots__`` value of every term under ``root``, with each
+    composite's ``terms`` copied, so a later comparison sees any write."""
+    state, pending = [], [root]
+    while pending:
+        term = pending.pop()
+        for cls in type(term).__mro__:
+            for name in getattr(cls, "__slots__", ()):
+                value = getattr(term, name)
+                if name == "terms":
+                    pending.extend(value)
+                    value = list(value)
+                elif name == "inner":
+                    pending.append(value)
+                state.append((id(term), name, value))
+    return state
 
 
 class TestNullAndErrors:

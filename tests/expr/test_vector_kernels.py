@@ -3,9 +3,10 @@
 :mod:`repro.expr.vector` promises byte-identical semantics with the row
 engines while reordering work. These tests pin the pieces that make
 that promise hold: every leaf's True set matches the interpreter's,
-cost ordering follows the selectivity hints, reordering is *disabled*
-the moment a term can raise, OR's accepted-row bypass actually skips
-rows, gather() is selection-exact on every batch shape, and the
+cost ordering follows the selectivity estimates and is fixed when the
+kernel is built, reordering is *disabled* the moment a term can raise,
+OR's accepted-row bypass actually skips rows (counted by a spy on each
+child), gather() is selection-exact on every batch shape, and the
 accumulator's run folding is value-for-value identical to per-row adds.
 """
 
@@ -49,6 +50,7 @@ from repro.expr.vector import (
     vector_value_kernel,
 )
 from repro.sqltypes.values import NULL
+from tests.expr.term_spy import spy_on
 
 X, Y = col("t", "x"), col("t", "y")
 SCHEMA = RowSchema([X, Y])
@@ -67,9 +69,9 @@ ROWS = [
 
 @pytest.fixture(autouse=True)
 def _fresh_kernels():
-    # Kernels are memoized per (expression, schema) and carry adaptive
-    # statistics; tests that assert ordering or counters need a clean
-    # slate.
+    # Kernels are memoized per (expression, schema), and a memo hit
+    # keeps the term order of the first compile: tests that assert
+    # ordering or counters need a clean slate.
     clear_vector_cache()
     yield
     clear_vector_cache()
@@ -148,26 +150,45 @@ class TestLeafTruthTables:
         )
 
 
+def run_order(kernel):
+    return [term.expression for term in kernel.root.terms]
+
+
 class TestCostOrdering:
     def test_and_orders_most_selective_first(self):
         cheap = Comparison(ComparisonOp.GT, X, lit(3))
         picky = Comparison(ComparisonOp.LT, Y, lit(4))
         expression = BooleanExpr(BooleanOp.AND, (cheap, picky))
         kernel = VectorFilter(
-            expression, SCHEMA, hints={cheap: 0.9, picky: 0.1}
+            expression, SCHEMA, selectivity={cheap: 0.9, picky: 0.1}.get
         )
-        assert kernel.term_order() == [picky, cheap]
+        assert run_order(kernel) == [picky, cheap]
         flipped = VectorFilter(
-            expression, SCHEMA, hints={cheap: 0.1, picky: 0.9}
+            expression, SCHEMA, selectivity={cheap: 0.1, picky: 0.9}.get
         )
-        assert flipped.term_order() == [cheap, picky]
+        assert run_order(flipped) == [cheap, picky]
 
     def test_or_orders_most_accepting_first(self):
         a = Comparison(ComparisonOp.GT, X, lit(3))
         b = Comparison(ComparisonOp.LT, Y, lit(4))
         expression = BooleanExpr(BooleanOp.OR, (a, b))
-        kernel = VectorFilter(expression, SCHEMA, hints={a: 0.1, b: 0.9})
-        assert kernel.term_order() == [b, a]
+        kernel = VectorFilter(
+            expression, SCHEMA, selectivity={a: 0.1, b: 0.9}.get
+        )
+        assert run_order(kernel) == [b, a]
+
+    def test_unhinted_terms_rank_by_cost_alone(self):
+        # No estimate is selectivity 0.5: equal-cost terms keep source
+        # order, and a cheaper term moves ahead of a dearer one.
+        a = Comparison(ComparisonOp.GT, X, lit(3))
+        b = Comparison(ComparisonOp.LT, Y, lit(4))
+        listed = InList(X, (lit(1), lit(3), lit(7)))
+        assert run_order(
+            VectorFilter(BooleanExpr(BooleanOp.AND, (a, b)), SCHEMA)
+        ) == [a, b]
+        assert run_order(
+            VectorFilter(BooleanExpr(BooleanOp.AND, (listed, a)), SCHEMA)
+        ) == [a, listed]
 
     def test_ordering_never_changes_result(self):
         a = Comparison(ComparisonOp.GT, X, lit(2))
@@ -175,10 +196,14 @@ class TestCostOrdering:
         for op in (BooleanOp.AND, BooleanOp.OR):
             expression = BooleanExpr(op, (a, b))
             expected = reference_selection(expression, ROWS)
+            orders = set()
             for hints in ({a: 0.05, b: 0.95}, {a: 0.95, b: 0.05}):
-                clear_vector_cache()
-                kernel = VectorFilter(expression, SCHEMA, hints=hints)
+                kernel = VectorFilter(
+                    expression, SCHEMA, selectivity=hints.get
+                )
+                orders.add(tuple(run_order(kernel)))
                 assert kernel(RowBlock(list(ROWS))) == expected
+            assert len(orders) == 2
 
     def test_raising_term_pins_source_order(self):
         # x + y > 3 can raise (arithmetic), so the conjunction must not
@@ -191,10 +216,10 @@ class TestCostOrdering:
         safe = Comparison(ComparisonOp.LT, Y, lit(4))
         expression = BooleanExpr(BooleanOp.AND, (raising, safe))
         kernel = VectorFilter(
-            expression, SCHEMA, hints={raising: 0.9, safe: 0.1}
+            expression, SCHEMA, selectivity={raising: 0.9, safe: 0.1}.get
         )
-        assert not kernel.root.reorder_ok
-        assert kernel.term_order() == [raising, safe]
+        assert not kernel.root.no_raise and not kernel.root.fast
+        assert run_order(kernel) == [raising, safe]
         assert_matches_interpreter(expression)
 
     def test_two_raising_siblings_keep_source_order(self):
@@ -209,7 +234,7 @@ class TestCostOrdering:
         )
         expression = BooleanExpr(BooleanOp.AND, (left, right))
         kernel = VectorFilter(expression, SCHEMA)
-        assert kernel.term_order() == [left, right]
+        assert run_order(kernel) == [left, right]
         assert_matches_interpreter(expression)
         # Row 0 passes the left term and raises in the right one; row 1
         # raises in the left one. Column-at-a-time meets row 1's error
@@ -225,26 +250,80 @@ class TestCostOrdering:
         a = Comparison(ComparisonOp.GE, X, lit(0))  # accepts non-NULL x
         b = Comparison(ComparisonOp.LT, Y, lit(4))
         expression = BooleanExpr(BooleanOp.OR, (a, b))
-        kernel = VectorFilter(expression, SCHEMA, hints={a: 0.9, b: 0.1})
-        assert kernel.term_order() == [a, b]
-        kernel(RowBlock(list(ROWS)))
-        first, second = kernel.root.ordered()
-        assert first.seen == len(ROWS)
-        accepted = len(reference_selection(Comparison(ComparisonOp.GE, X, lit(0)), ROWS))
-        assert second.seen == len(ROWS) - accepted
-        assert second.seen < first.seen
+        kernel = VectorFilter(
+            expression, SCHEMA, selectivity={a: 0.9, b: 0.1}.get
+        )
+        assert run_order(kernel) == [a, b]
+        first, second = spy_on(kernel)
+        assert kernel(RowBlock(list(ROWS))) == reference_selection(
+            expression, ROWS
+        )
+        accepted = len(reference_selection(a, ROWS))
+        assert first.rows == len(ROWS)
+        assert second.rows == len(ROWS) - accepted < first.rows
 
-    def test_adaptive_stats_accumulate_across_batches(self):
+    def test_memo_kernel_keeps_its_order(self):
         a = Comparison(ComparisonOp.GT, X, lit(3))
         b = Comparison(ComparisonOp.LT, Y, lit(4))
         expression = BooleanExpr(BooleanOp.AND, (a, b))
-        kernel = compile_vector_filter(expression, SCHEMA)
+        kernel = compile_vector_filter(
+            expression, SCHEMA, {a: 0.9, b: 0.1}.get
+        )
         assert compile_vector_filter(expression, SCHEMA) is kernel  # memo
+        order = list(kernel.root.terms)
         for _ in range(20):
             kernel(RowBlock(list(ROWS)))
-        first = kernel.root.ordered()[0]
-        assert first.seen >= 64  # past _ADAPT_MIN_ROWS: observed rules
-        assert 0.0 <= first.observed() <= 1.0
+        assert kernel.root.terms == order
+        assert run_order(kernel) == [b, a]
+
+
+# The two shapes where term order decides the work (Kim/Ileri/Madden on
+# disjunction order): the deciding term is written last, so source order
+# makes every other term scan rows it would not have to see.
+SHAPE_ROWS = [(i % 100, i % 7) for i in range(2000)]
+WIDE_X = Comparison(ComparisonOp.GE, X, lit(5))  # 95% true
+WIDE_Y = Comparison(ComparisonOp.LT, Y, lit(6))  # 6 in 7 true
+RARE_X = Comparison(ComparisonOp.EQ, X, lit(42))  # 1% true
+RARE_Y = Comparison(ComparisonOp.EQ, Y, lit(9))  # never true
+SHAPE_HINTS = {WIDE_X: 0.95, WIDE_Y: 0.86, RARE_X: 0.01, RARE_Y: 0.01}
+
+
+def _rows_per_term(expression, selectivity):
+    """{term expression: rows it was handed} over one block, with the
+    kernel's selection checked against the interpreter's."""
+    kernel = VectorFilter(expression, SCHEMA, selectivity=selectivity)
+    order = run_order(kernel)
+    spies = spy_on(kernel)
+    assert kernel(RowBlock(list(SHAPE_ROWS))) == reference_selection(
+        expression, SHAPE_ROWS
+    )
+    return order, {
+        expression: spy.rows for expression, spy in zip(order, spies)
+    }
+
+
+class TestIsolationShapes:
+    def test_selective_conjunct_written_last_runs_first(self):
+        expression = BooleanExpr(BooleanOp.AND, (WIDE_X, WIDE_Y, RARE_X))
+        source_order, source = _rows_per_term(expression, None)
+        hinted_order, hinted = _rows_per_term(expression, SHAPE_HINTS.get)
+        assert source_order == [WIDE_X, WIDE_Y, RARE_X]
+        assert hinted_order[0] == RARE_X
+        assert hinted[RARE_X] == len(SHAPE_ROWS)
+        for later in (WIDE_X, WIDE_Y):
+            assert hinted[later] < source[later]
+        assert sum(hinted.values()) < sum(source.values())
+
+    def test_accepting_disjunct_written_last_runs_first(self):
+        expression = BooleanExpr(BooleanOp.OR, (RARE_X, RARE_Y, WIDE_X))
+        source_order, source = _rows_per_term(expression, None)
+        hinted_order, hinted = _rows_per_term(expression, SHAPE_HINTS.get)
+        assert source_order == [RARE_X, RARE_Y, WIDE_X]
+        assert hinted_order[0] == WIDE_X
+        assert hinted[WIDE_X] == len(SHAPE_ROWS)
+        for later in (RARE_X, RARE_Y):
+            assert hinted[later] < source[later]
+        assert sum(hinted.values()) < sum(source.values())
 
 
 class TestGather:
