@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from repro.core.ordering import OrderSpec
 from repro.cost.model import CostModel
@@ -14,7 +14,7 @@ from repro.optimizer.finalize import finalize_plans
 from repro.optimizer.order_scan import run_order_scan
 from repro.optimizer.plan import Plan, PlanNode
 from repro.optimizer.planner import PlannerContext
-from repro.parser import parse_query
+from repro.parser import Token, parse_query
 from repro.qgm import normalize, rewrite
 from repro.qgm.block import QueryBlock
 from repro.qgm.boxes import Box, BoxQuantifier, SelectBox, SelectItem, UnionBox
@@ -49,8 +49,8 @@ class Optimizer:
         # planned before it).
         self.last_planner: Optional[PlannerContext] = None
 
-    def plan_sql(self, sql: str) -> Plan:
-        """Parse, rewrite, and plan a SQL query."""
+    def plan_sql(self, sql: Union[str, List[Token]]) -> Plan:
+        """Parse, rewrite, and plan a SQL query (its text or tokens)."""
         box = parse_query(sql, self.database.catalog)
         return self.plan_box(box)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import datetime
 import decimal
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.catalog import Catalog
 from repro.core.ordering import OrderKey, OrderSpec, SortDirection
@@ -46,9 +46,14 @@ _UNRESOLVED = "\0unresolved"
 _AGG_KINDS = {kind.value.lower(): kind for kind in AggregateKind}
 
 
-def parse_query(sql: str, catalog: Catalog) -> Box:
-    """Parse ``sql`` against ``catalog`` and return the QGM root box."""
-    parser = _Parser(tokenize(sql), catalog)
+def parse_query(
+    sql_or_tokens: Union[str, List[Token]], catalog: Catalog
+) -> Box:
+    """Parse SQL text, or its token list (``tokenize``'s or
+    ``parameterize``'s), against ``catalog``: the QGM root box."""
+    if isinstance(sql_or_tokens, str):
+        sql_or_tokens = tokenize(sql_or_tokens)
+    parser = _Parser(sql_or_tokens, catalog)
     box = parser.parse_statement()
     parser.expect_eof()
     return box

@@ -70,8 +70,44 @@ class CachedPlan:
     config_key: Tuple[Any, ...]
     hits: int = 0
 
+    @property
+    def key(self) -> "CacheKey":
+        return (
+            self.fingerprint,
+            self.type_signature,
+            self.catalog_identity,
+            self.catalog_version,
+            self.stats_version,
+            self.config_key,
+        )
+
 
 CacheKey = Tuple[str, Tuple[str, ...], int, int, int, Tuple[Any, ...]]
+
+
+def _parameterized_entry(database, sql, parameters, config):
+    """``(parameterize(sql), entry)`` for ``plan_for`` and ``pin``: the
+    entry's plan is None, its key fields are the catalog's now."""
+    # By module attribute, so a tracer that rebinds
+    # ``repro.service.parameterize.parameterize`` sees the call.
+    from repro.service.parameterize import _type_name, parameterize
+
+    parameterized = parameterize(sql)
+    signature = parameterized.type_signature + tuple(
+        f"{name}={_type_name(value)}"
+        for name, value in sorted((parameters or {}).items())
+    )
+    catalog = database.catalog
+    entry = CachedPlan(
+        plan=None,
+        fingerprint=parameterized.fingerprint,
+        type_signature=signature,
+        catalog_identity=catalog.identity,
+        catalog_version=catalog.version,
+        stats_version=catalog.stats_version,
+        config_key=config_fingerprint(config or OptimizerConfig()),
+    )
+    return parameterized, entry
 
 
 class PlanCache:
@@ -100,24 +136,6 @@ class PlanCache:
         self.evictions = 0
         self.invalidations = 0
         self.single_flight_waits = 0
-
-    @staticmethod
-    def key_for(
-        fingerprint: str,
-        type_signature: Tuple[str, ...],
-        catalog_identity: int,
-        catalog_version: int,
-        stats_version: int,
-        config_key: Tuple[Any, ...],
-    ) -> CacheKey:
-        return (
-            fingerprint,
-            type_signature,
-            catalog_identity,
-            catalog_version,
-            stats_version,
-            config_key,
-        )
 
     def get(self, key: CacheKey) -> Optional[CachedPlan]:
         with self._lock:
@@ -226,32 +244,19 @@ class PlanCache:
         entry as a hit.
         """
         from repro.optimizer import Optimizer
-        from repro.service.parameterize import _type_name, parameterize
 
-        config = config or OptimizerConfig()
-        parameterized = parameterize(sql)
+        parameterized, entry = _parameterized_entry(
+            database, sql, parameters, config
+        )
         bindings = dict(parameterized.bindings)
         if parameters:
             bindings.update(parameters)
-        signature = parameterized.type_signature + tuple(
-            f"{name}={_type_name(value)}"
-            for name, value in sorted((parameters or {}).items())
-        )
-        catalog = database.catalog
-        config_key = config_fingerprint(config)
-        key = self.key_for(
-            parameterized.fingerprint,
-            signature,
-            catalog.identity,
-            catalog.version,
-            catalog.stats_version,
-            config_key,
-        )
+        key = entry.key
         while True:
             with self._lock:
-                entry = self._hit_locked(key)
-                if entry is not None:
-                    return entry.plan, bindings, "hit"
+                cached = self._hit_locked(key)
+                if cached is not None:
+                    return cached.plan, bindings, "hit"
                 barrier = self._building.get(key)
                 if barrier is None:
                     barrier = self._building[key] = threading.Event()
@@ -267,24 +272,15 @@ class PlanCache:
             self.misses += 1
         count("service.cache.misses")
         try:
-            plan = Optimizer(database, config, cost_model).plan_sql(
-                parameterized.text
-            )
-            entry = CachedPlan(
-                plan=plan,
-                fingerprint=parameterized.fingerprint,
-                type_signature=signature,
-                catalog_identity=catalog.identity,
-                catalog_version=catalog.version,
-                stats_version=catalog.stats_version,
-                config_key=config_key,
+            entry.plan = Optimizer(database, config, cost_model).plan_sql(
+                parameterized.tokens
             )
             self.put(key, entry)
         finally:
             with self._lock:
                 self._building.pop(key, None)
             barrier.set()
-        return plan, bindings, "miss"
+        return entry.plan, bindings, "miss"
 
     def pin(
         self,
@@ -305,32 +301,7 @@ class PlanCache:
         come from planning the same statement class (its parameter
         markers line up with the parameterized text by construction).
         """
-        from repro.service.parameterize import _type_name, parameterize
-
-        config = config or OptimizerConfig()
-        parameterized = parameterize(sql)
-        signature = parameterized.type_signature + tuple(
-            f"{name}={_type_name(value)}"
-            for name, value in sorted((parameters or {}).items())
-        )
-        catalog = database.catalog
-        config_key = config_fingerprint(config)
-        key = self.key_for(
-            parameterized.fingerprint,
-            signature,
-            catalog.identity,
-            catalog.version,
-            catalog.stats_version,
-            config_key,
-        )
-        entry = CachedPlan(
-            plan=plan,
-            fingerprint=parameterized.fingerprint,
-            type_signature=signature,
-            catalog_identity=catalog.identity,
-            catalog_version=catalog.version,
-            stats_version=catalog.stats_version,
-            config_key=config_key,
-        )
-        self.put(key, entry)
-        return key
+        _, entry = _parameterized_entry(database, sql, parameters, config)
+        entry.plan = plan
+        self.put(entry.key, entry)
+        return entry.key

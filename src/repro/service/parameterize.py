@@ -1,17 +1,19 @@
 """Auto-parameterization: literals out, host variables in.
 
 Works on the token stream, not the parse tree, so the warm path of the
-plan cache never builds a QGM graph at all: tokenize, swap literal
-tokens for ``:__pN`` markers, and the re-rendered statement *is* the
+plan cache never builds a QGM graph at all: one pass swaps literal
+tokens for ``:__pN`` markers, and the result, rendered once, *is* the
 cache fingerprint. Two statements that differ only in literal spelling
 ("WHERE seg=3" vs "where  SEG = 7") normalize to the same fingerprint
-and share one plan.
+and share one plan. A cache miss parses that token list, so a statement
+is lexed once and a parse error points into the submitted text.
 
 What gets parameterized:
 
 * NUMBER and STRING literal tokens;
 * ``date('...')`` constructs, collapsed into a single date-valued
-  parameter (this is what varies across TPC-D replay workloads).
+  parameter (this is what varies across TPC-D replay workloads); a
+  string that is no date stays inline for the parser to reject.
 
 Conservative carve-outs — literals that change plan *shape* stay
 inline:
@@ -43,11 +45,13 @@ bindings.
 from __future__ import annotations
 
 import datetime
+import decimal
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
-from repro.parser.lexer import Token, TokenKind, tokenize
-
+from repro.parser.lexer import (
+    IDENT, KEYWORD, NUMBER, PARAM, PUNCT, STRING, Token, tokenize,
+)
 
 @dataclass(frozen=True)
 class ParameterizedQuery:
@@ -56,12 +60,16 @@ class ParameterizedQuery:
     ``text`` is the normalized, re-parseable SQL with ``:__pN`` markers;
     it doubles as the plan-cache fingerprint. ``bindings`` maps marker
     names to the extracted values; ``type_signature`` is the value types
-    in marker order (part of the cache key).
+    in marker order (part of the cache key). ``tokens`` (ending in EOF,
+    at the submitted text's positions) is what ``text`` renders.
     """
 
     text: str
     bindings: Dict[str, Any] = field(compare=False)
     type_signature: Tuple[str, ...] = ()
+    tokens: List[Token] = field(
+        default_factory=list, compare=False, repr=False
+    )
 
     @property
     def fingerprint(self) -> str:
@@ -75,121 +83,108 @@ def _type_name(value: Any) -> str:
 
 
 def _render(token: Token) -> str:
-    if token.kind is TokenKind.STRING:
+    if token.kind is STRING:
         escaped = token.text.replace("'", "''")
         return f"'{escaped}'"
-    if token.kind is TokenKind.PARAM:
+    if token.kind is PARAM:
         return f":{token.text}"
     return token.text
-
-
-def _number_value(text: str) -> Any:
-    if "." in text:
-        import decimal
-
-        return decimal.Decimal(text)
-    return int(text)
 
 
 def parameterize(sql: str) -> ParameterizedQuery:
     """Extract literal constants from ``sql`` into a binding vector."""
     tokens = tokenize(sql)
-    taken = {
-        token.text for token in tokens if token.kind is TokenKind.PARAM
-    }
-
-    counter = 0
-
-    def fresh_name() -> str:
-        nonlocal counter
-        while True:
-            name = f"__p{counter}"
-            counter += 1
-            if name not in taken:
-                return name
-
+    taken = {token.text for token in tokens if token.kind is PARAM}
     out: List[Token] = []
     bindings: Dict[str, Any] = {}
     types: List[str] = []
+    counter = 0
     in_list_depth = 0  # paren depth inside an IN (...) list, 0 = outside
     in_order_by = False  # numbers are output ordinals here
 
     def emit_parameter(value: Any, at: Token) -> None:
-        name = fresh_name()
+        nonlocal counter
+        name = f"__p{counter}"
+        while name in taken:
+            counter += 1
+            name = f"__p{counter}"
+        counter += 1
         bindings[name] = value
         types.append(_type_name(value))
-        out.append(Token(TokenKind.PARAM, name, at.line, at.column))
+        out.append(Token(PARAM, name, at.line, at.column))
 
     index = 0
-    while index < len(tokens):
+    last = len(tokens) - 1  # the EOF token
+    while index < last:
         token = tokens[index]
-        if token.kind is TokenKind.EOF:
-            break
+        kind = token.kind
+        index += 1
         if in_list_depth:
-            if token.kind is TokenKind.PUNCT and token.text == "(":
-                in_list_depth += 1
-            elif token.kind is TokenKind.PUNCT and token.text == ")":
-                in_list_depth -= 1
-            out.append(token)
-            index += 1
-            continue
-        if (
-            token.is_keyword("in")
-            and tokens[index + 1].kind is TokenKind.PUNCT
-            and tokens[index + 1].text == "("
-            # IN (SELECT ...) is a subquery, not a value list: no
-            # carve-out, its literals become parameters like any other.
-            and not tokens[index + 2].is_keyword("select")
-        ):
-            in_list_depth = 1
-            out.append(token)
-            out.append(tokens[index + 1])
-            index += 2
-            continue
-        if (
-            token.kind is TokenKind.IDENT
-            and token.text.lower() == "date"
-            and index + 3 < len(tokens)
-            and tokens[index + 1].kind is TokenKind.PUNCT
-            and tokens[index + 1].text == "("
-            and tokens[index + 2].kind is TokenKind.STRING
-            and tokens[index + 3].kind is TokenKind.PUNCT
-            and tokens[index + 3].text == ")"
-        ):
-            try:
-                value = datetime.date.fromisoformat(tokens[index + 2].text)
-            except ValueError:
-                value = None
-            if value is not None:
+            if kind is PUNCT:
+                if token.text == "(":
+                    in_list_depth += 1
+                elif token.text == ")":
+                    in_list_depth -= 1
+        elif kind is NUMBER:
+            # FETCH FIRST n and ORDER BY ordinals stay literal: both
+            # are plan shape, not predicate constants.
+            if not in_order_by and not (out and out[-1].is_keyword("first")):
+                text = token.text
+                value = decimal.Decimal(text) if "." in text else int(text)
                 emit_parameter(value, token)
-                index += 4
                 continue
-        if token.kind is TokenKind.KEYWORD:
-            if token.text == "order":
+        elif kind is STRING:
+            emit_parameter(token.text, token)
+            continue
+        elif kind is KEYWORD:
+            if (
+                token.text == "in"
+                and tokens[index].kind is PUNCT
+                and tokens[index].text == "("
+                # IN (SELECT ...) is a subquery, not a value list: its
+                # literals become parameters like any other.
+                and not tokens[index + 1].is_keyword("select")
+            ):
+                in_list_depth = 1
+                out.append(token)
+                token = tokens[index]
+                index += 1
+            elif token.text == "order":
                 in_order_by = True
             elif token.text in ("fetch", "union", "select"):
                 in_order_by = False
-        elif token.kind is TokenKind.PUNCT and token.text == ")":
+        elif (
+            kind is IDENT
+            and token.text.lower() == "date"
+            and tokens[index].text == "("
+            and tokens[index].kind is PUNCT
+            and tokens[index + 1].kind is STRING
+            and tokens[index + 2].text == ")"
+            and tokens[index + 2].kind is PUNCT
+        ):
+            string = tokens[index + 1]
+            try:
+                value = datetime.date.fromisoformat(string.text)
+            except ValueError:  # left for the parser to report
+                out.append(token)
+                out.append(tokens[index])
+                token = string
+                index += 2
+            else:
+                emit_parameter(value, token)
+                index += 3
+                continue
+        elif kind is PUNCT and token.text == ")":
             # Closing a derived table / parenthesized branch ends any
             # ORDER BY clause that was open inside it.
             in_order_by = False
-        if token.kind is TokenKind.NUMBER:
-            # FETCH FIRST n and ORDER BY ordinals stay literal: both
-            # are plan shape, not predicate constants.
-            if in_order_by or (out and out[-1].is_keyword("first")):
-                out.append(token)
-            else:
-                emit_parameter(_number_value(token.text), token)
-            index += 1
-            continue
-        if token.kind is TokenKind.STRING:
-            emit_parameter(token.text, token)
-            index += 1
-            continue
         out.append(token)
-        index += 1
 
-    text = " ".join(_render(token) for token in out)
+    text = " ".join([_render(token) for token in out])
+    out.append(tokens[last])
     return ParameterizedQuery(
-        text=text, bindings=bindings, type_signature=tuple(types)
+        text=text,
+        bindings=bindings,
+        type_signature=tuple(types),
+        tokens=out,
     )
