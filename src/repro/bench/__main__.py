@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from repro.bench.harness import available_experiments, run_experiment
+from repro.bench.load import load_report
 
 
 def main(argv=None) -> int:
@@ -16,7 +17,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "experiments",
         nargs="+",
-        help="experiment ids (see 'list'), or 'all'",
+        help="experiment ids (see 'list'), 'all', or 'load' (the TPC-D "
+        "build's time per stage)",
     )
     parser.add_argument(
         "--sf",
@@ -35,6 +37,10 @@ def main(argv=None) -> int:
     if arguments.experiments == ["list"]:
         for experiment_id, title in available_experiments():
             print(f"{experiment_id:20s} {title}")
+        return 0
+
+    if arguments.experiments == ["load"]:
+        print(load_report(arguments.sf).render())
         return 0
 
     wanted = arguments.experiments

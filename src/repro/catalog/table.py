@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.column import Column
 from repro.catalog.partition import PartitionSpec
 from repro.catalog.stats import TableStats
 from repro.errors import CatalogError
+
+_NONE_TYPE = type(None)
 
 
 class TableSchema:
@@ -92,21 +96,69 @@ class TableSchema:
         return sum(column.datatype.width for column in self.columns) + 4
 
     def validate_row(self, row: Sequence) -> Tuple:
-        """Type-check and coerce one row against this schema."""
-        if len(row) != len(self.columns):
-            raise CatalogError(
-                f"row arity {len(row)} != {len(self.columns)} "
+        """Type-check and coerce one row against this schema: the
+        one-row case of :meth:`validate_rows`, raising its error."""
+        valid, error = self.validate_rows([row])
+        if error is not None:
+            raise error
+        return valid[0]
+
+    def validate_rows(
+        self, rows: Sequence[Sequence]
+    ) -> Tuple[List[Tuple], Optional[Exception]]:
+        """Type-check and coerce ``rows`` a column at a time.
+
+        Returns ``(valid, error)``: ``error`` is what the first bad row
+        raises, checked as a row at a time would (its arity, then its
+        columns left to right: the value, then NULL in a NOT NULL
+        column), or ``None``; ``valid`` holds the coerced rows before it.
+
+        Each column is read once through its type census
+        (``DataType.validate_column``). When every column is canonical
+        and every row an exact tuple, ``valid`` is the caller's own row
+        objects, so loading keeps one copy of the rows; otherwise the
+        rows are rebuilt from the coerced columns.
+        """
+        width = len(self.columns)
+        checked = rows
+        error: Optional[Exception] = None
+        if set(map(len, rows)) - {width}:
+            bad = next(n for n, row in enumerate(rows) if len(row) != width)
+            checked = rows[:bad]
+            error = CatalogError(
+                f"row arity {len(rows[bad])} != {width} "
                 f"for table {self.name}"
             )
-        coerced = []
-        for column, value in zip(self.columns, row):
-            checked = column.datatype.validate(value)
-            if checked is None and not column.nullable:
-                raise CatalogError(
-                    f"NULL in NOT NULL column {self.name}.{column.name}"
-                )
-            coerced.append(checked)
-        return tuple(coerced)
+        coerced: Dict[int, Sequence] = {}
+        for position, column in enumerate(self.columns):
+            values = list(map(itemgetter(position), checked))
+            result, fault = column.datatype.validate_column(values)
+            if not column.nullable and _NONE_TYPE in set(map(type, values)):
+                null = values.index(None)
+                if fault is None or null < fault[0]:
+                    fault = (
+                        null,
+                        CatalogError(
+                            f"NULL in NOT NULL column "
+                            f"{self.name}.{column.name}"
+                        ),
+                    )
+            if fault is not None:
+                checked = checked[: fault[0]]
+                error = fault[1]
+            if result is not values:
+                coerced[position] = result
+        if coerced or set(map(type, checked)) - {tuple}:
+            # A column coerced before a later column's fault cut the
+            # rows short runs longer than ``checked``.
+            columns = [
+                coerced[position]
+                if position in coerced
+                else list(map(itemgetter(position), checked))
+                for position in range(width)
+            ]
+            return list(islice(zip(*columns), len(checked))), error
+        return list(checked), error
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TableSchema({self.name})"

@@ -94,6 +94,27 @@ class Token(NamedTuple):
     def is_keyword(self, word: str) -> bool:
         return self.kind is KEYWORD and self.text == word
 
+    @property
+    def shown(self) -> str:
+        """The text a parse error quotes for this token."""
+        return self.text
+
+
+class Marker(Token):
+    """A host-variable token standing where ``parameterize`` hoisted a
+    literal. It parses as the PARAM ``text`` names and equals that
+    plain token, but a parse error quotes the literal's own token text,
+    so the message matches parsing the submitted statement."""
+
+    def __new__(cls, name: str, literal: Token) -> "Marker":
+        marker = super().__new__(cls, PARAM, name, literal.line, literal.column)
+        marker.literal = literal.text
+        return marker
+
+    @property
+    def shown(self) -> str:
+        return self.literal
+
 
 # A word cannot start with a decimal digit, so ``1abc`` is ``1`` then
 # ``abc``. A string closes at a quote that no second quote follows, so

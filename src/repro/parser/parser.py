@@ -29,7 +29,9 @@ from repro.expr.nodes import (
     Not,
 )
 from repro.expr.transform import transform
-from repro.parser.lexer import Token, TokenKind, tokenize
+from repro.parser.lexer import (
+    EOF, IDENT, NUMBER, OPERATOR, PARAM, PUNCT, STRING, Token, tokenize,
+)
 from repro.qgm.boxes import (
     BaseTableQuantifier,
     Box,
@@ -95,7 +97,7 @@ class _Parser:
 
     def _next(self) -> Token:
         token = self._peek()
-        if token.kind is not TokenKind.EOF:
+        if token.kind is not EOF:
             self._index += 1
         return token
 
@@ -109,32 +111,32 @@ class _Parser:
         token = self._next()
         if not token.is_keyword(word):
             raise ParseError(
-                f"expected {word.upper()}, found {token.text!r}",
+                f"expected {word.upper()}, found {token.shown!r}",
                 token.line,
                 token.column,
             )
 
     def _accept_punct(self, char: str) -> bool:
         token = self._peek()
-        if token.kind is TokenKind.PUNCT and token.text == char:
+        if token.kind is PUNCT and token.text == char:
             self._next()
             return True
         return False
 
     def _expect_punct(self, char: str) -> None:
         token = self._next()
-        if token.kind is not TokenKind.PUNCT or token.text != char:
+        if token.kind is not PUNCT or token.text != char:
             raise ParseError(
-                f"expected {char!r}, found {token.text!r}",
+                f"expected {char!r}, found {token.shown!r}",
                 token.line,
                 token.column,
             )
 
     def expect_eof(self) -> None:
         token = self._peek()
-        if token.kind is not TokenKind.EOF:
+        if token.kind is not EOF:
             raise ParseError(
-                f"unexpected trailing input {token.text!r}",
+                f"unexpected trailing input {token.shown!r}",
                 token.line,
                 token.column,
             )
@@ -254,7 +256,7 @@ class _Parser:
             return None
         self._expect_keyword("first")
         token = self._next()
-        if token.kind is not TokenKind.NUMBER or "." in token.text:
+        if token.kind is not NUMBER or "." in token.text:
             raise ParseError(
                 "FETCH FIRST expects an integer row count",
                 token.line,
@@ -279,14 +281,14 @@ class _Parser:
     def _parse_select_list(self) -> List[Tuple[Optional[Expression], Optional[str]]]:
         """Items as (expression, alias); (None, None) encodes ``*``."""
         items: List[Tuple[Optional[Expression], Optional[str]]] = []
-        if self._peek().kind is TokenKind.OPERATOR and self._peek().text == "*":
+        if self._peek().kind is OPERATOR and self._peek().text == "*":
             self._next()
             items.append((None, None))
         else:
             items.append(self._parse_select_item())
         while self._accept_punct(","):
             if (
-                self._peek().kind is TokenKind.OPERATOR
+                self._peek().kind is OPERATOR
                 and self._peek().text == "*"
             ):
                 self._next()
@@ -300,14 +302,14 @@ class _Parser:
         alias = None
         if self._accept_keyword("as"):
             token = self._next()
-            if token.kind is not TokenKind.IDENT:
+            if token.kind is not IDENT:
                 raise ParseError(
-                    f"expected alias, found {token.text!r}",
+                    f"expected alias, found {token.shown!r}",
                     token.line,
                     token.column,
                 )
             alias = token.text
-        elif self._peek().kind is TokenKind.IDENT:
+        elif self._peek().kind is IDENT:
             alias = self._next().text
         return expression, alias
 
@@ -346,7 +348,7 @@ class _Parser:
             self._expect_punct(")")
             self._accept_keyword("as")
             token = self._next()
-            if token.kind is not TokenKind.IDENT:
+            if token.kind is not IDENT:
                 raise ParseError(
                     "subquery in FROM requires an alias",
                     token.line,
@@ -354,9 +356,9 @@ class _Parser:
                 )
             return _FromEntry(token.text, subquery=subquery)
         token = self._next()
-        if token.kind is not TokenKind.IDENT:
+        if token.kind is not IDENT:
             raise ParseError(
-                f"expected table name, found {token.text!r}",
+                f"expected table name, found {token.shown!r}",
                 token.line,
                 token.column,
             )
@@ -364,14 +366,14 @@ class _Parser:
         alias = table_name
         if self._accept_keyword("as"):
             alias_token = self._next()
-            if alias_token.kind is not TokenKind.IDENT:
+            if alias_token.kind is not IDENT:
                 raise ParseError(
-                    f"expected alias, found {alias_token.text!r}",
+                    f"expected alias, found {alias_token.shown!r}",
                     alias_token.line,
                     alias_token.column,
                 )
             alias = alias_token.text
-        elif self._peek().kind is TokenKind.IDENT:
+        elif self._peek().kind is IDENT:
             alias = self._next().text
         return _FromEntry(alias, table_name=table_name)
 
@@ -415,7 +417,7 @@ class _Parser:
     def _parse_comparison(self) -> Expression:
         left = self._parse_additive()
         token = self._peek()
-        if token.kind is TokenKind.OPERATOR and token.text in (
+        if token.kind is OPERATOR and token.text in (
             "=",
             "<>",
             "!=",
@@ -459,7 +461,7 @@ class _Parser:
         left = self._parse_multiplicative()
         while True:
             token = self._peek()
-            if token.kind is TokenKind.OPERATOR and token.text in ("+", "-"):
+            if token.kind is OPERATOR and token.text in ("+", "-"):
                 self._next()
                 right = self._parse_multiplicative()
                 op = (
@@ -473,7 +475,7 @@ class _Parser:
         left = self._parse_unary()
         while True:
             token = self._peek()
-            if token.kind is TokenKind.OPERATOR and token.text in ("*", "/"):
+            if token.kind is OPERATOR and token.text in ("*", "/"):
                 self._next()
                 right = self._parse_unary()
                 op = (
@@ -485,28 +487,28 @@ class _Parser:
 
     def _parse_unary(self) -> Expression:
         token = self._peek()
-        if token.kind is TokenKind.OPERATOR and token.text == "-":
+        if token.kind is OPERATOR and token.text == "-":
             self._next()
             operand = self._parse_unary()
             return Arithmetic(ArithmeticOp.SUB, Literal(0), operand)
-        if token.kind is TokenKind.OPERATOR and token.text == "+":
+        if token.kind is OPERATOR and token.text == "+":
             self._next()
             return self._parse_unary()
         return self._parse_primary()
 
     def _parse_primary(self) -> Expression:
         token = self._peek()
-        if token.kind is TokenKind.PARAM:
+        if token.kind is PARAM:
             self._next()
             from repro.expr.nodes import Parameter
 
             return Parameter(token.text)
-        if token.kind is TokenKind.NUMBER:
+        if token.kind is NUMBER:
             self._next()
             if "." in token.text:
                 return Literal(decimal.Decimal(token.text))
             return Literal(int(token.text))
-        if token.kind is TokenKind.STRING:
+        if token.kind is STRING:
             self._next()
             return Literal(token.text)
         if token.is_keyword("null"):
@@ -518,10 +520,10 @@ class _Parser:
             inner = self._parse_expression()
             self._expect_punct(")")
             return inner
-        if token.kind is TokenKind.IDENT:
+        if token.kind is IDENT:
             return self._parse_identifier_or_call()
         raise ParseError(
-            f"unexpected token {token.text!r}", token.line, token.column
+            f"unexpected token {token.shown!r}", token.line, token.column
         )
 
     def _parse_case(self) -> Expression:
@@ -544,7 +546,7 @@ class _Parser:
                 return self._parse_aggregate(_AGG_KINDS[lowered])
             if lowered == "date":
                 argument = self._next()
-                if argument.kind is not TokenKind.STRING:
+                if argument.kind is not STRING:
                     raise ParseError(
                         "date() expects a string literal",
                         argument.line,
@@ -568,7 +570,7 @@ class _Parser:
             )
         if self._accept_punct("."):
             column_token = self._next()
-            if column_token.kind is not TokenKind.IDENT:
+            if column_token.kind is not IDENT:
                 raise ParseError(
                     f"expected column after {name}.",
                     column_token.line,
@@ -582,7 +584,7 @@ class _Parser:
         token = self._peek()
         if (
             kind is AggregateKind.COUNT
-            and token.kind is TokenKind.OPERATOR
+            and token.kind is OPERATOR
             and token.text == "*"
         ):
             self._next()

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
 from repro.parser.lexer import (
-    IDENT, KEYWORD, NUMBER, PARAM, PUNCT, STRING, Token, tokenize,
+    IDENT, KEYWORD, NUMBER, PARAM, PUNCT, STRING, Marker, Token, tokenize,
 )
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def parameterize(sql: str) -> ParameterizedQuery:
         counter += 1
         bindings[name] = value
         types.append(_type_name(value))
-        out.append(Token(PARAM, name, at.line, at.column))
+        out.append(Marker(name, at))
 
     index = 0
     last = len(tokens) - 1  # the EOF token

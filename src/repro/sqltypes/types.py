@@ -11,8 +11,11 @@ import datetime
 import decimal
 import enum
 from dataclasses import dataclass
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import TypeSystemError
+
+_NONE_TYPE = type(None)
 
 
 class TypeFamily(enum.Enum):
@@ -50,6 +53,51 @@ class DataType:
     def _coerce(self, value):
         raise NotImplementedError
 
+    # The one exact Python type this type stores; a value of it that
+    # ``_canonical`` accepts validates to itself. (NoneType: none, so
+    # every non-NULL value is validated one by one.)
+    _exact = _NONE_TYPE
+
+    def _canonical(self, values: Sequence[Any]) -> bool:
+        """Whether every (non-NULL, exact-typed) value of ``values``
+        validates to itself."""
+        return True
+
+    def validate_column(
+        self, values: Sequence[Any]
+    ) -> Tuple[Sequence[Any], Optional[Tuple[int, Exception]]]:
+        """:meth:`validate` of each value in order, up to the first that
+        raises: ``(coerced, fault)``, where ``fault`` is that value's
+        position and error (``None`` when every value passes) and
+        ``coerced`` holds the values before it.
+
+        The column's type census is read first: when it holds only the
+        exact stored type (and NULLs) and the values are already
+        canonical, every value would validate to itself, so ``values``
+        itself comes back and nothing is copied. Any other column is
+        validated value by value.
+        """
+        kinds = set(map(type, values))
+        if kinds <= {self._exact, _NONE_TYPE}:
+            present = (
+                [value for value in values if value is not None]
+                if _NONE_TYPE in kinds
+                else values
+            )
+            if not present or self._canonical(present):
+                return values, None
+        coerced: List[Any] = []
+        validate = self.validate
+        for position, value in enumerate(values):
+            try:
+                coerced.append(validate(value))
+            # What validate raises for a bad value: its own error, or
+            # the arithmetic one of a conversion (decimal's
+            # InvalidOperation, a float overflow).
+            except (TypeSystemError, ArithmeticError) as error:
+                return coerced, (position, error)
+        return coerced, None
+
     def is_comparable_with(self, other: "DataType") -> bool:
         """Whether values of this type can be compared with ``other``'s."""
         return self.family is other.family
@@ -61,6 +109,8 @@ class DataType:
 @dataclass(frozen=True)
 class IntegerType(DataType):
     """32/64-bit integers (we do not distinguish; Python ints are exact)."""
+
+    _exact = int
 
     def _coerce(self, value):
         if isinstance(value, bool):
@@ -75,6 +125,8 @@ class IntegerType(DataType):
 @dataclass(frozen=True)
 class DoubleType(DataType):
     """Double-precision floating point."""
+
+    _exact = float
 
     def _coerce(self, value):
         if isinstance(value, bool):
@@ -92,6 +144,20 @@ class DecimalType(DataType):
 
     precision: int = 15
     scale: int = 2
+
+    _exact = decimal.Decimal
+
+    def _canonical(self, values: Sequence[Any]) -> bool:
+        """Already at this scale (``same_quantum`` of the quantum, which
+        no NaN or infinity is) and within the context's precision, so
+        quantizing changes nothing and cannot raise."""
+        quantum = decimal.Decimal(1).scaleb(-self.scale)
+        if not all(map(quantum.same_quantum, values)):
+            return False
+        limit = decimal.Decimal(1).scaleb(
+            decimal.getcontext().prec - self.scale
+        )
+        return -limit < min(values) and max(values) < limit
 
     def _coerce(self, value):
         if isinstance(value, bool):
@@ -115,6 +181,11 @@ class VarcharType(DataType):
 
     max_length: int = 255
 
+    _exact = str
+
+    def _canonical(self, values: Sequence[Any]) -> bool:
+        return max(map(len, values)) <= self.max_length
+
     def _coerce(self, value):
         if isinstance(value, str):
             if len(value) > self.max_length:
@@ -128,6 +199,8 @@ class VarcharType(DataType):
 @dataclass(frozen=True)
 class DateType(DataType):
     """Calendar dates."""
+
+    _exact = datetime.date
 
     def _coerce(self, value):
         if isinstance(value, datetime.datetime):
@@ -145,6 +218,8 @@ class DateType(DataType):
 @dataclass(frozen=True)
 class BooleanType(DataType):
     """SQL BOOLEAN (used only for predicate results, never stored)."""
+
+    _exact = bool
 
     def _coerce(self, value):
         if isinstance(value, bool):

@@ -13,6 +13,7 @@ prefetch-friendly I/O).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
@@ -158,7 +159,7 @@ class BPlusTree:
         Builds packed leaves bottom-up; resulting leaf numbering is
         monotone in key order so chain walks register as sequential I/O.
         """
-        ordered = sorted(entries, key=lambda entry: entry[0])
+        ordered = sorted(entries, key=itemgetter(0))
         self._next_node_id = 0
         self._entry_count = len(ordered)
         self._version += 1

@@ -8,9 +8,9 @@ load, and hand to the optimizer/executor.
 from __future__ import annotations
 
 from itertools import chain
+from operator import itemgetter
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -33,8 +33,6 @@ _DESC = SortDirection.DESC
 _NONE_TYPE = type(None)
 _NULL_TYPE = type(NULL)
 
-KeyEncoder = Callable[[Sequence[Any]], Tuple[Any, ...]]
-
 
 def encode_index_key(
     values: Sequence[Any], directions: Sequence[SortDirection]
@@ -52,24 +50,31 @@ def encode_index_key(
     )
 
 
-def encode_probe_keys(
+def encode_index_keys(
     columns: Sequence[Sequence[Any]], directions: Sequence[SortDirection]
-) -> List[Optional[Key]]:
+) -> List[Key]:
     """``encode_index_key`` of each row of ``columns`` (one value list
-    per probe column), or ``None`` for a row with a NULL in any probe
-    column — NULL never matches, so that row is never probed.
-
-    Each column is keyed through its type census
-    (``sqltypes.sort_key_column``), and NULL rows are found by census
-    too: a column holding neither ``None`` nor the NULL marker has none.
-    """
-    keys: List[Optional[Key]] = list(
+    per key column), each column keyed through its type census
+    (``sqltypes.sort_key_column``)."""
+    return list(
         zip(
             *[
                 sort_key_column(column, direction is _DESC)
                 for column, direction in zip(columns, directions)
             ]
         )
+    )
+
+
+def encode_probe_keys(
+    columns: Sequence[Sequence[Any]], directions: Sequence[SortDirection]
+) -> List[Optional[Key]]:
+    """:func:`encode_index_keys`, or ``None`` for a row with a NULL in
+    any probe column — NULL never matches, so that row is never probed.
+    NULL rows are found by census too: a column holding neither
+    ``None`` nor the NULL marker has none."""
+    keys: List[Optional[Key]] = encode_index_keys(  # type: ignore[assignment]
+        columns, directions
     )
     for column in columns:
         kinds = set(map(type, column))
@@ -80,12 +85,32 @@ def encode_probe_keys(
     return keys
 
 
+def _first_repeat(keyed: Sequence[Tuple[Any, ...]], known: set) -> int:
+    """The first row of ``keyed`` whose key tuple holds no NULL and is
+    in ``known`` or in an earlier row (one must exist)."""
+    earlier: set = set()
+    for number, values in enumerate(keyed):
+        if None in values:
+            continue
+        if values in known or values in earlier:
+            return number
+        earlier.add(values)
+    raise AssertionError("no repeated key")
+
+
 class StoredTable:
     """One table's physical presence: heap file + index trees.
 
     Declared keys (primary and unique) are *enforced* on insert and
     load: the optimizer turns keys into functional dependencies, so a
     violated key would silently license unsound sort eliminations.
+
+    ``load`` and ``insert`` are one path, a column at a time: validate
+    (``TableSchema.validate_rows``), enforce keys (one set per key),
+    append to the heap a page at a time, key every index through the
+    column encoder ``encode_probe_keys`` uses. ``insert`` is its
+    one-row case. A load or insert that fails validation or a key
+    check writes nothing.
     """
 
     def __init__(self, schema: TableSchema, buffer_pool: BufferPool):
@@ -109,7 +134,6 @@ class StoredTable:
             )
             self._partition_positions = []
         self.indexes: Dict[str, Tuple[Index, BPlusTree]] = {}
-        self._key_encoders: Dict[str, KeyEncoder] = {}
         self._buffer_pool = buffer_pool
         self._key_positions: List[Tuple[Tuple[str, ...], List[int]]] = [
             (key, [schema.position(name) for name in key])
@@ -117,80 +141,128 @@ class StoredTable:
         ]
         self._key_values: List[set] = [set() for _key in self._key_positions]
 
-    def _check_keys(self, row: Tuple[Any, ...]) -> None:
-        for (key, positions), seen in zip(
-            self._key_positions, self._key_values
-        ):
-            values = tuple(row[position] for position in positions)
-            if any(value is None for value in values):
-                continue  # SQL: NULLs never collide in unique constraints
-            if values in seen:
-                raise CatalogError(
-                    f"duplicate key {key} = {values!r} in table "
-                    f"{self.schema.name}"
-                )
-            seen.add(values)
+    def _check_keys(
+        self, rows: Sequence[Tuple[Any, ...]], known: Sequence[set]
+    ) -> List[set]:
+        """The key tuples ``rows`` add to each declared key, given the
+        tuples ``known`` already holds per key.
 
-    def _append(self, row: Tuple[Any, ...]) -> Rid:
-        """Store one validated row, routing to its partition if any.
+        Raises the duplicate a row-at-a-time check meets first: the
+        earliest row, and within it the first key, whose key tuple is
+        in ``known`` or in an earlier row. A tuple holding a NULL is
+        never a duplicate and is not added (SQL: NULLs never collide in
+        unique constraints).
+        """
+        added: List[set] = []
+        duplicate: Optional[Tuple[int, CatalogError]] = None
+        for (key, positions), seen in zip(self._key_positions, known):
+            columns = [list(map(itemgetter(p), rows)) for p in positions]
+            keyed = list(zip(*columns))
+            present = keyed
+            if any(_NONE_TYPE in set(map(type, c)) for c in columns):
+                present = [values for values in keyed if None not in values]
+            fresh = set(present)
+            if len(fresh) < len(present) or not fresh.isdisjoint(seen):
+                number = _first_repeat(keyed, seen)
+                if duplicate is None or number < duplicate[0]:
+                    duplicate = (
+                        number,
+                        CatalogError(
+                            f"duplicate key {key} = {keyed[number]!r} in "
+                            f"table {self.schema.name}"
+                        ),
+                    )
+            added.append(fresh)
+        if duplicate is not None:
+            raise duplicate[1]
+        return added
+
+    def _checked(
+        self, rows: Sequence[Sequence[Any]], known: Sequence[set]
+    ) -> Tuple[List[Tuple[Any, ...]], List[set]]:
+        """``rows`` validated and key-checked against ``known``: the
+        stored rows and the key tuples they add. Raises the error a row
+        loop meets first — a duplicate among the rows before the first
+        bad one wins over that row's own error."""
+        valid, error = self.schema.validate_rows(rows)
+        added = self._check_keys(valid, known)
+        if error is not None:
+            raise error
+        return valid, added
+
+    def _store(self, rows: Sequence[Tuple[Any, ...]]) -> List[Rid]:
+        """Append validated rows to the heap (each to its partition, if
+        any), returning their RIDs in row order.
 
         Key enforcement stays global (``_check_keys`` runs before this),
         so partitioning never weakens uniqueness.
         """
         if self.partitioning is None:
-            return self.heap.append(row)
-        partition = self.partitioning.route(
-            [row[position] for position in self._partition_positions]
+            return self.heap.extend(rows)
+        route = self.partitioning.route
+        positions = self._partition_positions
+        buckets: List[List[int]] = [
+            [] for _ in range(self.partitioning.partition_count)
+        ]
+        for number, row in enumerate(rows):
+            buckets[route([row[p] for p in positions])].append(number)
+        rids: List[Rid] = [None] * len(rows)  # type: ignore[list-item]
+        for partition, numbers in enumerate(buckets):
+            stored = self.heap.extend_to(
+                partition, [rows[number] for number in numbers]
+            )
+            for number, rid in zip(numbers, stored):
+                rids[number] = rid
+        return rids
+
+    def _index_keys(
+        self, index: Index, rows: Sequence[Tuple[Any, ...]]
+    ) -> List[Key]:
+        """``index``'s tree key for each of ``rows``."""
+        schema = self.schema
+        return encode_index_keys(
+            [
+                list(map(itemgetter(schema.position(column.name)), rows))
+                for column in index.key
+            ],
+            [column.direction for column in index.key],
         )
-        return self.heap.append_to(partition, row)
 
     def insert(self, row: Sequence[Any]) -> Rid:
-        """Validate, key-check, store, and index one row."""
-        coerced = self.schema.validate_row(row)
-        self._check_keys(coerced)
-        rid = self._append(coerced)
-        for name, (_index, tree) in self.indexes.items():
-            tree.insert(self._key_encoders[name](coerced), rid)
+        """Validate, key-check, store, and index one row: the one-row
+        case of :meth:`load`'s path."""
+        (row,), added = self._checked([row], self._key_values)
+        for seen, fresh in zip(self._key_values, added):
+            seen |= fresh
+        (rid,) = self._store([row])
+        for index, tree in self.indexes.values():
+            (key,) = self._index_keys(index, [row])
+            tree.insert(key, rid)
         return rid
 
     def load(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Bulk-load rows, rebuild indexes packed, refresh statistics."""
-        count = 0
-        validated: List[Tuple[Any, ...]] = []
-        self._key_values = [set() for _key in self._key_positions]
-        for row in rows:
-            coerced = self.schema.validate_row(row)
-            self._check_keys(coerced)
-            validated.append(coerced)
-            count += 1
+        """Replace the table's rows, rebuild indexes packed, refresh
+        statistics.
+
+        One pass per column validates and key-checks all rows before
+        anything is stored; rows already canonical exact tuples are
+        stored as the caller's own objects, not copies. Heap pages and
+        RIDs are made a page at a time.
+        """
+        rows, self._key_values = self._checked(
+            list(rows), [set() for _key in self._key_positions]
+        )
         self.heap.truncate()
-        rids = [self._append(row) for row in validated]
-        for name, (_index, tree) in self.indexes.items():
-            tree.bulk_load(
-                list(zip(map(self._key_encoders[name], validated), rids))
-            )
+        rids = self._store(rows)
+        for index, tree in self.indexes.values():
+            tree.bulk_load(list(zip(self._index_keys(index, rows), rids)))
         self.analyze()
-        return count
-
-    def _key_encoder(self, index: Index) -> KeyEncoder:
-        """``row -> encode_index_key(row's key values, directions)``,
-        with the key's positions and directions looked up once."""
-        fields = [
-            (self.schema.position(column.name), column.direction is _DESC)
-            for column in index.key
-        ]
-
-        def encode(row: Sequence[Any]) -> Tuple[Any, ...]:
-            return tuple(
-                [
-                    sort_key(row[position], descending)
-                    for position, descending in fields
-                ]
-            )
-
-        return encode
+        return len(rows)
 
     def add_index(self, index: Index, fanout: int = 64) -> BPlusTree:
+        """Build and store a packed tree for ``index`` from one
+        sequential heap pass (charged page by page), keyed a column at
+        a time as :meth:`load` keys it."""
         if index.name in self.indexes:
             raise StorageError(f"index {index.name} already stored")
         if self.partitioning is not None:
@@ -204,10 +276,9 @@ class StoredTable:
             )
         else:
             tree = BPlusTree(f"index:{index.name}", self._buffer_pool, fanout)
-        encode = self._key_encoder(index)
-        tree.bulk_load([(encode(row), rid) for rid, row in self.heap.scan()])
+        rows = list(chain.from_iterable(self.heap.scan_pages()))
+        tree.bulk_load(list(zip(self._index_keys(index, rows), self.heap.rids())))
         self.indexes[index.name] = (index, tree)
-        self._key_encoders[index.name] = encode
         return tree
 
     def analyze(self) -> TableStats:

@@ -2,22 +2,36 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator, List, Sequence, Tuple
+from functools import partial
+from itertools import repeat
+from typing import Any, Iterator, List, NamedTuple, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool, PageId
 
 
-@dataclass(frozen=True)
-class Rid:
-    """Record identifier: page number + slot within the page."""
+class Rid(NamedTuple):
+    """Record identifier: page number + slot within the page.
+
+    A plain ``(page_no, slot)`` tuple underneath, so it equals, hashes
+    and orders like one; nothing stores RIDs beside other tuples.
+    """
 
     page_no: int
     slot: int
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"rid({self.page_no},{self.slot})"
+
+
+# ``Rid`` from a ``(page_no, slot)`` pair without the Python-level
+# ``__new__`` a NamedTuple call runs per record.
+_rid_of_pair = partial(tuple.__new__, Rid)
+
+
+def _page_rids(page_no: int, start: int, stop: int) -> List[Rid]:
+    """The RIDs of slots ``start`` to ``stop - 1`` of page ``page_no``."""
+    return list(map(_rid_of_pair, zip(repeat(page_no), range(start, stop))))
 
 
 class HeapFile:
@@ -47,15 +61,37 @@ class HeapFile:
     def row_count(self) -> int:
         return sum(len(page) for page in self._pages)
 
+    def extend(self, rows: Sequence[Tuple[Any, ...]]) -> List[Rid]:
+        """Store records in order, returning their RIDs: the last page is
+        filled first, then new pages, a page-sized slice at a time. No
+        I/O is charged: loading is setup, not measured query work."""
+        pages = self._pages
+        rids: List[Rid] = []
+        start = 0
+        while start < len(rows):
+            if not pages or len(pages[-1]) >= self.rows_per_page:
+                self._page_ids.append((self.file_id, len(pages)))
+                pages.append([])
+            page_no = len(pages) - 1
+            page = pages[page_no]
+            first = len(page)
+            stop = start + self.rows_per_page - first
+            page += rows[start:stop]
+            rids += _page_rids(page_no, first, len(page))
+            start = stop
+        return rids
+
     def append(self, row: Tuple[Any, ...]) -> Rid:
-        """Store one record, returning its RID. No I/O is charged: loading
-        is setup, not measured query work."""
-        if not self._pages or len(self._pages[-1]) >= self.rows_per_page:
-            self._page_ids.append((self.file_id, len(self._pages)))
-            self._pages.append([])
-        page_no = len(self._pages) - 1
-        self._pages[page_no].append(row)
-        return Rid(page_no, len(self._pages[page_no]) - 1)
+        """Store one record (:meth:`extend` of one), returning its RID."""
+        return self.extend((row,))[0]
+
+    def rids(self) -> List[Rid]:
+        """Every record's RID in physical (:meth:`scan_pages`) order.
+        Charges nothing."""
+        rids: List[Rid] = []
+        for page_no, page in enumerate(self._pages):
+            rids += _page_rids(page_no, 0, len(page))
+        return rids
 
     def fetch(self, rid: Rid) -> Tuple[Any, ...]:
         """Random-access one record by RID (charges one page access)."""
@@ -95,8 +131,7 @@ class HeapFile:
         """Full sequential scan in physical order."""
         for page_no, page in enumerate(self._pages):
             self.buffer_pool.access(self._page_ids[page_no])
-            for slot, row in enumerate(page):
-                yield Rid(page_no, slot), row
+            yield from zip(_page_rids(page_no, 0, len(page)), page)
 
     def scan_pages(self) -> Iterator[List[Tuple[Any, ...]]]:
         """Sequential scan, one page of records at a time.

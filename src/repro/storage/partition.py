@@ -33,10 +33,11 @@ class PartitionedHeap:
     """Heap-file facade over one file per partition.
 
     Mirrors the :class:`HeapFile` surface (``fetch``/``scan``/
-    ``scan_pages``/``truncate``/counts) so :class:`StoredTable` and the
-    executor treat partitioned and plain tables alike, and adds the
-    per-partition entry points the exchange operators and pruned scans
-    use (``append_to``, ``scan_partition``, ``scan_pages_partition``).
+    ``scan_pages``/``rids``/``truncate``/counts) so :class:`StoredTable`
+    and the executor treat partitioned and plain tables alike, and adds
+    the per-partition entry points loading, the exchange operators and
+    pruned scans use (``extend_to``, ``scan_partition``,
+    ``scan_pages_partition``).
     """
 
     def __init__(
@@ -73,15 +74,25 @@ class PartitionedHeap:
     def partition_page_count(self, index: int) -> int:
         return self._parts[index].page_count
 
-    def append_to(self, partition: int, row: Tuple[Any, ...]) -> Rid:
-        """Store one record in ``partition``, returning its global RID."""
-        local = self._parts[partition].append(row)
-        if local.page_no >= _STRIDE:
+    def extend_to(
+        self, partition: int, rows: Sequence[Tuple[Any, ...]]
+    ) -> List[Rid]:
+        """Store records in ``partition``, returning their global RIDs."""
+        part = self._parts[partition]
+        local = part.extend(rows)
+        if part.page_count > _STRIDE:
             raise StorageError(
                 f"partition {partition} of {self.file_id} overflowed "
                 f"{_STRIDE} pages"
             )
-        return Rid(partition * _STRIDE + local.page_no, local.slot)
+        return _global_rids(partition, local)
+
+    def rids(self) -> List[Rid]:
+        """Every record's global RID in :meth:`scan_pages` order."""
+        rids: List[Rid] = []
+        for partition, part in enumerate(self._parts):
+            rids += _global_rids(partition, part.rids())
+        return rids
 
     def fetch(self, rid: Rid) -> Tuple[Any, ...]:
         partition, page_no = divmod(rid.page_no, _STRIDE)
@@ -130,6 +141,14 @@ class PartitionedHeap:
     def truncate(self) -> None:
         for part in self._parts:
             part.truncate()
+
+
+def _global_rids(partition: int, local: List[Rid]) -> List[Rid]:
+    """``partition``'s local RIDs in the global RID space."""
+    if not partition:
+        return local
+    base = partition * _STRIDE
+    return [Rid(base + page_no, slot) for page_no, slot in local]
 
 
 def rid_partition(rid: Rid) -> int:

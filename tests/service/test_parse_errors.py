@@ -44,6 +44,20 @@ MALFORMED = {
     "unterminated string": (
         "select o_orderkey from orders where o_comment = 'it''s"
     ),
+    # The offending token is a literal the cache hoists into a marker.
+    "number after a literal": (
+        "select o_orderkey from orders where o_orderkey = 1 2"
+    ),
+    "string after a literal": (
+        "select o_orderkey from orders where o_comment = 'a' 'b'"
+    ),
+    "date after a literal": (
+        "select o_orderkey from orders\n"
+        "where o_orderkey = 1 DATE('1995-01-01')"
+    ),
+    "literal for an alias": (
+        "select o_orderkey 7 from orders"
+    ),
 }
 
 
@@ -94,3 +108,16 @@ def test_positions_point_into_the_submitted_text(db):
     assert _error(lambda: PlanCache().plan_for(db, MALFORMED["bad date"])) == (
         "bad date literal '1995-13-01'", 2, 27
     )
+
+
+def test_an_error_at_a_hoisted_literal_quotes_the_literal(db):
+    cases = {
+        "number after a literal": ("unexpected trailing input '2'", 1, 52),
+        "string after a literal": ("unexpected trailing input 'b'", 1, 53),
+        "date after a literal": ("unexpected trailing input 'DATE'", 2, 22),
+        "literal for an alias": ("expected FROM, found '7'", 1, 19),
+    }
+    for case, expected in cases.items():
+        assert _error(lambda: PlanCache().plan_for(db, MALFORMED[case])) == (
+            expected
+        ), case

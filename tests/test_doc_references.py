@@ -51,7 +51,7 @@ def test_cited_files_exist(document):
 @pytest.mark.parametrize("document", DOCUMENTS)
 def test_cited_experiments_are_registered(document):
     known = {experiment_id for experiment_id, _ in available_experiments()}
-    known |= {"list", "all"}
+    known |= {"list", "all", "load"}
     cited = {
         experiment_id
         for command in BENCH_COMMAND.findall(_text(document))
