@@ -9,7 +9,9 @@ the process's peak RSS:
 * validate + keys — ``StoredTable._checked`` (column validation and
   key enforcement);
 * heap — ``StoredTable._store`` (page appends and RIDs);
-* index — ``StoredTable.add_index`` (heap pass, keys, packed tree);
+* index — ``StoredTable._index_keys`` and ``BPlusTree.bulk_load``
+  (tree keys from the loaded rows, packed trees; the build declares
+  each table's indexes before loading it, so ``load`` builds them);
 * analyze — ``StoredTable.analyze`` (``TableStats.collect``).
 
 Whatever falls outside the stages (catalog work, the final pool reset)
@@ -26,6 +28,7 @@ from contextlib import contextmanager
 from typing import Dict, Tuple
 
 from repro.bench.harness import ExperimentReport
+from repro.storage.btree import BPlusTree
 from repro.storage.database import StoredTable
 from repro.tpcd import TpcdGenerator, build_tpcd_database
 
@@ -45,7 +48,8 @@ STAGES: Tuple[Tuple[str, type, Tuple[str, ...]], ...] = (
     ),
     ("validate + keys", StoredTable, ("_checked",)),
     ("heap", StoredTable, ("_store",)),
-    ("index", StoredTable, ("add_index",)),
+    ("index", StoredTable, ("_index_keys",)),
+    ("index", BPlusTree, ("bulk_load",)),
     ("analyze", StoredTable, ("analyze",)),
 )
 

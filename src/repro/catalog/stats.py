@@ -15,7 +15,16 @@ import random
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.sqltypes import NULL, SqlNull, sort_key
 
@@ -49,8 +58,19 @@ class Histogram:
         if _FLOAT_IMAGED.issuperset(map(type, values)):
             numeric = list(map(float, values))
         else:
+            # Each distinct string is imaged once. Only ``str`` keys
+            # the memo: equal values of other types (``True`` and
+            # ``Decimal('1.0')``, ``-0.0`` and ``0.0``) have their own
+            # images.
+            images = {
+                text: _numeric(text)
+                for text in {value for value in values if type(value) is str}
+            }
             try:
-                numeric = list(map(_numeric, values))
+                numeric = [
+                    images[value] if type(value) is str else _numeric(value)
+                    for value in values
+                ]
             except TypeError:
                 return None
         if not numeric:
@@ -167,6 +187,28 @@ def _row_of_nth_value(column: Sequence[Any], n: int) -> int:
     raise ValueError(f"fewer than {n} non-NULL values")
 
 
+def bounded_draw(rng: random.Random) -> Callable[[int], int]:
+    """``below(n)`` over ``rng``: the value ``Random.randrange`` returns
+    for ``n`` (and the index ``Random.choice`` picks from ``n`` items),
+    drawn the same way — ``getrandbits(n.bit_length())`` until it is
+    below ``n`` — without ``randrange``'s argument checks. Every bounded
+    draw of a build (the statistics reservoirs, the TPC-D generator)
+    goes through it; ``tests/catalog/test_bounded_draw.py`` holds it to
+    ``randrange``, ``randint`` and ``choice`` on the running
+    interpreter.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        width = n.bit_length()
+        value = getrandbits(width)
+        while value >= n:
+            value = getrandbits(width)
+        return value
+
+    return below
+
+
 def _draw_column_samples(
     rows: Sequence[Sequence[Any]],
     samples: List[List[Any]],
@@ -180,7 +222,7 @@ def _draw_column_samples(
     sample fills, and within a segment each row draws once per full
     column holding a non-NULL value, in column order.
     """
-    draw = random.Random(0xC0FFEE).randrange
+    below = bounded_draw(random.Random(0xC0FFEE))
     edges = sorted({filled for filled in full_after if filled is not None})
     for index, start in enumerate(edges):
         stop = edges[index + 1] if index + 1 < len(edges) else len(rows)
@@ -194,7 +236,7 @@ def _draw_column_samples(
                 value = row[position]
                 if value is None or value is NULL:
                     continue
-                slot = draw(number)
+                slot = below(number)
                 if slot < size:
                     sample[slot] = value
 
@@ -254,10 +296,12 @@ class TableStats:
         type census, and only one column list and one distinct set are
         alive at a time. ``low`` / ``high`` are the first extremes in
         scan order under :func:`sort_key`. The reservoirs draw as a row
-        loop would: column ``c`` of row ``r`` (1-based) draws
-        ``randrange(r)`` from the shared column RNG when its value is
-        not NULL and ``c``'s sample already holds ``SAMPLE_SIZE``
-        values, row by row and, within a row, in column order.
+        loop calling ``randrange`` would, through :func:`bounded_draw`:
+        column ``c`` of row ``r`` (1-based) draws ``below(r)`` from the
+        shared column RNG when its value is not NULL and ``c``'s sample
+        already holds ``SAMPLE_SIZE`` values, row by row and, within a
+        row, in column order; each row past ``SAMPLE_SIZE`` draws
+        ``below(r)`` from the row-sample RNG.
         """
         rows = list(rows)
         size = cls.SAMPLE_SIZE
@@ -311,9 +355,9 @@ class TableStats:
         row_sample: List[Tuple[Any, ...]] = [
             tuple(row) for row in rows[:size]
         ]
-        draw = random.Random(0xBEEF).randrange
+        below = bounded_draw(random.Random(0xBEEF))
         for number, row in enumerate(islice(rows, size, None), size + 1):
-            slot = draw(number)
+            slot = below(number)
             if slot < size:
                 row_sample[slot] = tuple(row)
         stats.sample_rows = tuple(row_sample)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime
 import decimal
 import enum
+import math
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -44,11 +45,20 @@ class DataType:
     def validate(self, value):
         """Return ``value`` coerced to this type, or raise TypeSystemError.
 
-        ``None`` (SQL NULL) is always legal and returned unchanged.
+        ``None`` (SQL NULL) is always legal and returned unchanged. A
+        conversion's arithmetic error (decimal's ``InvalidOperation``,
+        a float overflow) is raised as a ``TypeSystemError`` naming
+        the value and the type, from the original.
         """
         if value is None:
             return None
-        return self._coerce(value)
+        try:
+            return self._coerce(value)
+        except ArithmeticError as error:
+            raise TypeSystemError(
+                f"cannot store {value!r} in {self.name}: "
+                f"{type(error).__name__}"
+            ) from error
 
     def _coerce(self, value):
         raise NotImplementedError
@@ -91,10 +101,7 @@ class DataType:
         for position, value in enumerate(values):
             try:
                 coerced.append(validate(value))
-            # What validate raises for a bad value: its own error, or
-            # the arithmetic one of a conversion (decimal's
-            # InvalidOperation, a float overflow).
-            except (TypeSystemError, ArithmeticError) as error:
+            except TypeSystemError as error:
                 return coerced, (position, error)
         return coerced, None
 
@@ -124,23 +131,32 @@ class IntegerType(DataType):
 
 @dataclass(frozen=True)
 class DoubleType(DataType):
-    """Double-precision floating point."""
+    """Double-precision floating point. NaN is not a value: it equals
+    nothing, not even itself, so no order or statistic can hold it."""
 
     _exact = float
+
+    def _canonical(self, values: Sequence[Any]) -> bool:
+        return not any(map(math.isnan, values))
 
     def _coerce(self, value):
         if isinstance(value, bool):
             raise TypeSystemError(f"cannot store boolean {value!r} in {self.name}")
-        if isinstance(value, (int, float)):
-            return float(value)
-        if isinstance(value, decimal.Decimal):
-            return float(value)
+        # Before ``float()``, which raises ValueError on a signalling NaN.
+        if isinstance(value, decimal.Decimal) and value.is_nan():
+            raise TypeSystemError(f"cannot store {value!r} in {self.name}")
+        if isinstance(value, (int, float, decimal.Decimal)):
+            coerced = float(value)
+            if math.isnan(coerced):
+                raise TypeSystemError(f"cannot store {value!r} in {self.name}")
+            return coerced
         raise TypeSystemError(f"cannot store {value!r} in {self.name}")
 
 
 @dataclass(frozen=True)
 class DecimalType(DataType):
-    """Fixed-point DECIMAL(precision, scale)."""
+    """Fixed-point DECIMAL(precision, scale). NaN (quiet or
+    signalling, or a float NaN) is rejected, as in DOUBLE."""
 
     precision: int = 15
     scale: int = 2
@@ -163,16 +179,15 @@ class DecimalType(DataType):
         if isinstance(value, bool):
             raise TypeSystemError(f"cannot store boolean {value!r} in {self.name}")
         if isinstance(value, (int, decimal.Decimal)):
-            quantum = decimal.Decimal(1).scaleb(-self.scale)
-            return decimal.Decimal(value).quantize(
-                quantum, rounding=decimal.ROUND_HALF_UP
-            )
-        if isinstance(value, float):
-            quantum = decimal.Decimal(1).scaleb(-self.scale)
-            return decimal.Decimal(str(value)).quantize(
-                quantum, rounding=decimal.ROUND_HALF_UP
-            )
-        raise TypeSystemError(f"cannot store {value!r} in {self.name}")
+            exact = decimal.Decimal(value)
+        elif isinstance(value, float):
+            exact = decimal.Decimal(str(value))
+        else:
+            raise TypeSystemError(f"cannot store {value!r} in {self.name}")
+        if exact.is_nan():
+            raise TypeSystemError(f"cannot store {value!r} in {self.name}")
+        quantum = decimal.Decimal(1).scaleb(-self.scale)
+        return exact.quantize(quantum, rounding=decimal.ROUND_HALF_UP)
 
 
 @dataclass(frozen=True)

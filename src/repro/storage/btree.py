@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool, PageId
@@ -153,7 +153,7 @@ class BPlusTree:
         node.children = node.children[: middle + 1]
         return separator, sibling
 
-    def bulk_load(self, entries: Sequence[Tuple[Key, Rid]]) -> None:
+    def bulk_load(self, entries: Iterable[Tuple[Key, Rid]]) -> None:
         """Replace the tree's contents from pre-sorted (or not) entries.
 
         Builds packed leaves bottom-up; resulting leaf numbering is

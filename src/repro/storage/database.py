@@ -255,7 +255,7 @@ class StoredTable:
         self.heap.truncate()
         rids = self._store(rows)
         for index, tree in self.indexes.values():
-            tree.bulk_load(list(zip(self._index_keys(index, rows), rids)))
+            tree.bulk_load(zip(self._index_keys(index, rows), rids))
         self.analyze()
         return len(rows)
 
@@ -277,7 +277,7 @@ class StoredTable:
         else:
             tree = BPlusTree(f"index:{index.name}", self._buffer_pool, fanout)
         rows = list(chain.from_iterable(self.heap.scan_pages()))
-        tree.bulk_load(list(zip(self._index_keys(index, rows), self.heap.rids())))
+        tree.bulk_load(zip(self._index_keys(index, rows), self.heap.rids()))
         self.indexes[index.name] = (index, tree)
         return tree
 

@@ -17,7 +17,7 @@ partition's file.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool, PageId
@@ -199,7 +199,7 @@ class PartitionedTree:
     def insert(self, key: Key, rid: Rid) -> None:
         self._trees[rid_partition(rid)].insert(key, rid)
 
-    def bulk_load(self, entries: Sequence[Tuple[Key, Rid]]) -> None:
+    def bulk_load(self, entries: Iterable[Tuple[Key, Rid]]) -> None:
         buckets: List[List[Tuple[Key, Rid]]] = [
             [] for _ in self._trees
         ]

@@ -4,6 +4,13 @@ Deterministic (seeded) and scaled: scale factor 1.0 corresponds to the
 official row counts (150k customers, 1.5M orders, ~6M lineitems); tests
 and benchmarks use small fractions. Value distributions follow the spec
 where the benchmark queries are sensitive to them.
+
+Every bounded draw goes through ``below`` (``catalog.stats.bounded_draw``),
+which returns what ``Random.randrange`` would: a ``randint`` over
+``[a, b]`` is ``a + below(b - a + 1)`` and a ``choice`` from ``s`` is
+``s[below(len(s))]``; ``random`` and ``uniform`` are the RNG's own. The
+rows equal those of the generator that called ``randrange`` /
+``randint`` / ``choice`` (``tests/tpcd/reference_dbgen.py``).
 """
 
 from __future__ import annotations
@@ -11,8 +18,9 @@ from __future__ import annotations
 import datetime
 import decimal
 import random
-from typing import Iterator, List, Tuple
+from typing import Callable, Iterable, Iterator, List, Tuple
 
+from repro.catalog.stats import bounded_draw
 from repro.storage import Database
 from repro.tpcd.schema import tpcd_indexes, tpcd_schema
 
@@ -32,6 +40,7 @@ SHIP_MODES = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"]
 SHIP_INSTRUCTIONS = [
     "DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN",
 ]
+RETURN_FLAGS = ["R", "A"]
 CONTAINERS = ["SM CASE", "SM BOX", "MED BAG", "MED BOX", "LG CASE", "LG BOX"]
 TYPES = [
     "STANDARD ANODIZED TIN", "SMALL PLATED COPPER", "MEDIUM BURNISHED BRASS",
@@ -63,8 +72,10 @@ class TpcdGenerator:
         self.parts = max(5, int(200_000 * scale_factor))
         self.suppliers = max(2, int(10_000 * scale_factor))
 
-    def _rng(self, table: str) -> random.Random:
-        return random.Random(f"{self.seed}:{table}")
+    def _rng(self, table: str) -> Tuple[random.Random, Callable[[int], int]]:
+        """The table's seeded RNG and its ``below``."""
+        rng = random.Random(f"{self.seed}:{table}")
+        return rng, bounded_draw(rng)
 
     # ------------------------------------------------------------------
     # Small tables
@@ -79,49 +90,49 @@ class TpcdGenerator:
             yield (key, name, region_key, f"nation {name.lower()}")
 
     def supplier_rows(self) -> Iterator[tuple]:
-        rng = self._rng("supplier")
+        rng, below = self._rng("supplier")
         for key in range(1, self.suppliers + 1):
             yield (
                 key,
                 f"Supplier#{key:09d}",
-                f"addr-{rng.randint(1, 999999)}",
-                rng.randrange(len(NATIONS)),
-                f"{rng.randint(10, 34)}-{rng.randint(100, 999)}-{rng.randint(1000, 9999)}",
+                f"addr-{1 + below(999999)}",
+                below(len(NATIONS)),
+                f"{10 + below(25)}-{100 + below(900)}-{1000 + below(9000)}",
                 _money(rng.uniform(-999.99, 9999.99)),
                 "supplier comment",
             )
 
     def customer_rows(self) -> Iterator[tuple]:
-        rng = self._rng("customer")
+        rng, below = self._rng("customer")
         for key in range(1, self.customers + 1):
             yield (
                 key,
                 f"Customer#{key:09d}",
-                f"addr-{rng.randint(1, 999999)}",
-                rng.randrange(len(NATIONS)),
-                f"{rng.randint(10, 34)}-{rng.randint(100, 999)}-{rng.randint(1000, 9999)}",
+                f"addr-{1 + below(999999)}",
+                below(len(NATIONS)),
+                f"{10 + below(25)}-{100 + below(900)}-{1000 + below(9000)}",
                 _money(rng.uniform(-999.99, 9999.99)),
-                rng.choice(SEGMENTS),
+                SEGMENTS[below(len(SEGMENTS))],
                 "customer comment",
             )
 
     def part_rows(self) -> Iterator[tuple]:
-        rng = self._rng("part")
+        _rng, below = self._rng("part")
         for key in range(1, self.parts + 1):
             yield (
                 key,
-                f"part {key} {rng.choice(TYPES).lower()}",
-                f"Manufacturer#{rng.randint(1, 5)}",
-                rng.choice(BRANDS),
-                rng.choice(TYPES),
-                rng.randint(1, 50),
-                rng.choice(CONTAINERS),
+                f"part {key} {TYPES[below(len(TYPES))].lower()}",
+                f"Manufacturer#{1 + below(5)}",
+                BRANDS[below(len(BRANDS))],
+                TYPES[below(len(TYPES))],
+                1 + below(50),
+                CONTAINERS[below(len(CONTAINERS))],
                 _money(900 + (key % 1000) * 0.1),
                 "part comment",
             )
 
     def partsupp_rows(self) -> Iterator[tuple]:
-        rng = self._rng("partsupp")
+        rng, below = self._rng("partsupp")
         suppliers_per_part = min(4, self.suppliers)
         for part_key in range(1, self.parts + 1):
             seen = set()
@@ -136,7 +147,7 @@ class TpcdGenerator:
                 yield (
                     part_key,
                     supp_key,
-                    rng.randint(1, 9999),
+                    1 + below(9999),
                     _money(rng.uniform(1.0, 1000.0)),
                     "partsupp comment",
                 )
@@ -154,10 +165,7 @@ class TpcdGenerator:
         clustered index on ``l_orderkey`` is physically clustered — the
         premise of Figure 7's ordered nested-loop join.
         """
-        rng = self._rng("orders")
-        # ``randint(a, b)`` is documented as ``randrange(a, b + 1)``: the
-        # same draws, one call less per value.
-        draw = rng.randrange
+        rng, below = self._rng("orders")
         # Every value a draw can pick, built once per call: equal
         # discounts (and taxes, and order dates) share one object.
         cents = [_money(cent / 100.0) for cent in range(11)]
@@ -170,29 +178,30 @@ class TpcdGenerator:
         orders: List[tuple] = []
         lineitems: List[tuple] = []
         for order_key in range(1, self.orders + 1):
-            cust_key = draw(1, self.customers + 1)
-            order_date = order_dates[draw(0, _DATE_SPAN - 150)]
-            line_count = draw(1, 8)
+            cust_key = 1 + below(self.customers)
+            order_date = order_dates[below(_DATE_SPAN - 150)]
+            line_count = 1 + below(7)
             total = decimal.Decimal("0.00")
             all_shipped = True
             any_shipped = False
             for line_number in range(1, line_count + 1):
-                quantity = draw(1, 51)
-                part_key = draw(1, self.parts + 1)
-                supp_key = draw(1, self.suppliers + 1)
+                quantity = 1 + below(50)
+                part_key = 1 + below(self.parts)
+                supp_key = 1 + below(self.suppliers)
                 extended = _money(quantity * (900 + (part_key % 1000) * 0.1))
-                discount = cents[draw(0, 11)]
-                tax = cents[draw(0, 9)]
-                ship_date = order_date + days[draw(1, 122)]
-                commit_date = order_date + days[draw(30, 91)]
-                receipt_date = ship_date + days[draw(1, 31)]
+                discount = cents[below(11)]
+                tax = cents[below(9)]
+                ship_date = order_date + days[1 + below(121)]
+                commit_date = order_date + days[30 + below(61)]
+                receipt_date = ship_date + days[1 + below(30)]
                 shipped = ship_date <= last_shipped
                 if shipped:
                     any_shipped = True
                 else:
                     all_shipped = False
                 return_flag = (
-                    rng.choice(["R", "A"]) if shipped and rng.random() < 0.4
+                    RETURN_FLAGS[below(2)]
+                    if shipped and rng.random() < 0.4
                     else "N"
                 )
                 line_status = "F" if shipped else "O"
@@ -211,8 +220,8 @@ class TpcdGenerator:
                         ship_date,
                         commit_date,
                         receipt_date,
-                        rng.choice(SHIP_INSTRUCTIONS),
-                        rng.choice(SHIP_MODES),
+                        SHIP_INSTRUCTIONS[below(len(SHIP_INSTRUCTIONS))],
+                        SHIP_MODES[below(len(SHIP_MODES))],
                         "lineitem comment",
                     )
                 )
@@ -225,8 +234,8 @@ class TpcdGenerator:
                     status,
                     total,
                     order_date,
-                    rng.choice(PRIORITIES),
-                    f"Clerk#{draw(1, max(1, self.orders // 1000) + 1):09d}",
+                    PRIORITIES[below(len(PRIORITIES))],
+                    f"Clerk#{1 + below(max(1, self.orders // 1000)):09d}",
                     0,
                     "order comment",
                 )
@@ -240,21 +249,33 @@ def build_tpcd_database(
     buffer_pool_pages: int = 4096,
     with_indexes: bool = True,
 ) -> Database:
-    """Create, load, and index a TPC-D database."""
+    """Create, index, and load a TPC-D database.
+
+    Each table is created empty and its indexes declared before its
+    rows are loaded, so ``StoredTable.load`` keys every tree from the
+    rows and RIDs it holds instead of each index re-reading the heap.
+    The stored trees equal those of indexes added after the load.
+    """
     generator = TpcdGenerator(scale_factor, seed)
     database = Database(buffer_pool_pages)
     schemas = tpcd_schema()
-    database.create_table(schemas["region"], generator.region_rows())
-    database.create_table(schemas["nation"], generator.nation_rows())
-    database.create_table(schemas["supplier"], generator.supplier_rows())
-    database.create_table(schemas["customer"], generator.customer_rows())
-    database.create_table(schemas["part"], generator.part_rows())
-    database.create_table(schemas["partsupp"], generator.partsupp_rows())
+    indexes = tpcd_indexes() if with_indexes else []
+
+    def create(name: str, rows: Iterable[tuple]) -> None:
+        store = database.create_table(schemas[name])
+        for index in indexes:
+            if index.table_name == name:
+                database.create_index(index)
+        store.load(rows)
+
+    create("region", generator.region_rows())
+    create("nation", generator.nation_rows())
+    create("supplier", generator.supplier_rows())
+    create("customer", generator.customer_rows())
+    create("part", generator.part_rows())
+    create("partsupp", generator.partsupp_rows())
     orders, lineitems = generator.order_and_lineitem_rows()
-    database.create_table(schemas["orders"], orders)
-    database.create_table(schemas["lineitem"], lineitems)
-    if with_indexes:
-        for index in tpcd_indexes():
-            database.create_index(index)
+    create("orders", orders)
+    create("lineitem", lineitems)
     database.reset_io(cold=True)
     return database

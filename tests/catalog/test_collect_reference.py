@@ -6,6 +6,8 @@ the optimizer reads is compared, with ``low`` / ``high`` and the sample
 values by type and ``repr`` (``1``, ``Decimal('1.0')`` and ``1.0`` are
 equal but not the same statistic), and both reservoirs slot by slot —
 the column samples through their histograms, the row sample directly.
+The reference draws through ``Random.randrange``; ``collect`` draws
+through ``catalog.stats.bounded_draw``.
 """
 
 import datetime
@@ -164,6 +166,8 @@ def generate_rows(seed, row_count, columns):
     seed=st.integers(0, 10_000),
     row_count=st.sampled_from(
         [0, 1, 7, SAMPLE_SIZE - 1, SAMPLE_SIZE, SAMPLE_SIZE + 1]
+        # Where a draw's bit length grows from 12 to 13.
+        + [4095, 4096, 4097]
         + [3 * SAMPLE_SIZE + 17]
     ),
     columns=st.lists(column_strategy, min_size=1, max_size=5),

@@ -7,6 +7,17 @@ import pytest
 from repro.tpcd import TPCD_TABLES, TpcdGenerator, build_tpcd_database
 from repro.tpcd.dbgen import END_DATE, START_DATE
 
+from tests.tpcd.reference_dbgen import ReferenceTpcdGenerator
+
+ROW_METHODS = [
+    "region_rows",
+    "nation_rows",
+    "supplier_rows",
+    "customer_rows",
+    "part_rows",
+    "partsupp_rows",
+]
+
 
 class TestGenerator:
     def test_row_counts_scale(self):
@@ -55,6 +66,28 @@ class TestGenerator:
             sums[row[0]] = sums.get(row[0], 0) + row[5]
         for row in orders:
             assert row[3] == sums[row[0]]
+
+
+@pytest.mark.parametrize("scale_factor", [0.001, 0.003])
+@pytest.mark.parametrize("seed", [19960604, 5])
+def test_rows_equal_the_randrange_generator(scale_factor, seed):
+    """Drawing through ``below`` leaves every table's rows as the
+    generator that called ``randrange`` / ``randint`` / ``choice`` made
+    them, value types and Decimal exponents included."""
+    mine = TpcdGenerator(scale_factor, seed)
+    theirs = ReferenceTpcdGenerator(scale_factor, seed)
+    tables = {
+        method: (getattr(mine, method)(), getattr(theirs, method)())
+        for method in ROW_METHODS
+    }
+    tables["orders"], tables["lineitem"] = zip(
+        mine.order_and_lineitem_rows(), theirs.order_and_lineitem_rows()
+    )
+    for table, (rows, expected) in tables.items():
+        rows, expected = list(rows), list(expected)
+        assert len(rows) == len(expected), table
+        for number, (row, want) in enumerate(zip(rows, expected)):
+            assert repr(row) == repr(want), (table, number)
 
 
 class TestBuildDatabase:

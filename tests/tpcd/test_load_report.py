@@ -23,3 +23,5 @@ def test_load_splits_one_build_and_restores_the_stage_methods(capsys):
         "total",
     ]
     assert lines[-1].startswith("note: peak RSS ")
+    # Trees are built inside the load, and the stage still sees them.
+    assert float(rows["index"].split()[1]) > 0
