@@ -1,8 +1,10 @@
 """Where a TPC-D build spends its time: ``python -m repro.bench load``.
 
 Runs ``build_tpcd_database`` once, unchanged, with a timer around the
-entry point of each load stage, and reports wall seconds per stage and
-the process's peak RSS:
+entry point of each load stage, and reports wall seconds per stage, the
+cyclic garbage collector's collections during the build and their
+seconds (a ``gc.callbacks`` timer; that time is already part of the
+stage times, not added to them), and the process's peak RSS:
 
 * generate — the ``TpcdGenerator`` row methods (their rows are drawn
   to a list inside the timer, so lazy generators count here);
@@ -21,6 +23,7 @@ the build's wall time.
 
 from __future__ import annotations
 
+import gc
 import resource
 import time
 from collections.abc import Iterator
@@ -83,10 +86,33 @@ def _timed(spent: Dict[str, float]) -> Iterator[None]:
             setattr(owner, name, method)
 
 
+@contextmanager
+def _collections(tally: Dict[str, float]) -> Iterator[None]:
+    """Count the cyclic collections run inside the block and add up
+    their seconds in ``tally``."""
+    started = 0.0
+
+    def timer(phase, _info):
+        nonlocal started
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            tally["collections"] += 1
+            tally["seconds"] += time.perf_counter() - started
+
+    tally.update(collections=0, seconds=0.0)
+    gc.callbacks.append(timer)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(timer)
+
+
 def load_report(scale_factor: float) -> ExperimentReport:
     """One timed TPC-D build at ``scale_factor``, split by stage."""
     spent: Dict[str, float] = {}
-    with _timed(spent):
+    collected: Dict[str, float] = {}
+    with _timed(spent), _collections(collected):
         start = time.perf_counter()
         build_tpcd_database(scale_factor)
         total = time.perf_counter() - start
@@ -99,6 +125,10 @@ def load_report(scale_factor: float) -> ExperimentReport:
     for stage, seconds in spent.items():
         report.add_row(stage, f"{seconds:.3f}", f"{seconds / total:.0%}")
     report.add_row("total", f"{total:.3f}", "100%")
+    report.add_note(
+        f"cyclic GC: {collected['collections']:.0f} collections, "
+        f"{collected['seconds']:.3f} s (part of the times above)"
+    )
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     report.add_note(f"peak RSS {peak:.1f} MiB (whole process)")
     return report

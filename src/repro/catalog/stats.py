@@ -213,6 +213,7 @@ def _draw_column_samples(
     rows: Sequence[Sequence[Any]],
     samples: List[List[Any]],
     full_after: Sequence[Optional[int]],
+    nullable: Sequence[bool],
     size: int,
 ) -> None:
     """Run the per-column reservoir draws in row-major order.
@@ -220,21 +221,32 @@ def _draw_column_samples(
     One RNG serves every column, so the draw order is the row loop's:
     rows are walked in segments between the points where some column's
     sample fills, and within a segment each row draws once per full
-    column holding a non-NULL value, in column order.
+    column holding a non-NULL value, in column order. Only a column
+    whose census held a NULL (``nullable``) tests its values for one; a
+    segment with no such full column runs without the test.
     """
     below = bounded_draw(random.Random(0xC0FFEE))
     edges = sorted({filled for filled in full_after if filled is not None})
     for index, start in enumerate(edges):
         stop = edges[index + 1] if index + 1 < len(edges) else len(rows)
         full = [
-            (position, samples[position])
+            (position, samples[position], nullable[position])
             for position, filled in enumerate(full_after)
             if filled is not None and filled <= start
         ]
-        for number, row in enumerate(islice(rows, start, stop), start + 1):
-            for position, sample in full:
+        numbered = enumerate(islice(rows, start, stop), start + 1)
+        if not any(nulls for _position, _sample, nulls in full):
+            plain = [(position, sample) for position, sample, _ in full]
+            for number, row in numbered:
+                for position, sample in plain:
+                    slot = below(number)
+                    if slot < size:
+                        sample[slot] = row[position]
+            continue
+        for number, row in numbered:
+            for position, sample, nulls in full:
                 value = row[position]
-                if value is None or value is NULL:
+                if nulls and (value is None or value is NULL):
                     continue
                 slot = below(number)
                 if slot < size:
@@ -315,12 +327,14 @@ class TableStats:
         # Per column, the row count after which its sample is full and
         # every further non-NULL value draws; None when it never fills.
         full_after: List[Optional[int]] = []
+        nullable: List[bool] = []
         for position, name in enumerate(column_names):
             column = list(map(itemgetter(position), rows))
             kinds = set(map(type, column))
             values = column
             filled: Optional[int] = size if row_count > size else None
-            if not kinds.isdisjoint(_NULL_TYPES):
+            nullable.append(not kinds.isdisjoint(_NULL_TYPES))
+            if nullable[-1]:
                 kinds.difference_update(_NULL_TYPES)
                 values = [
                     value
@@ -346,7 +360,7 @@ class TableStats:
             stats.columns[name] = column_stats
             samples.append(values[:size])
             full_after.append(filled)
-        _draw_column_samples(rows, samples, full_after, size)
+        _draw_column_samples(rows, samples, full_after, nullable, size)
         for name, sample in zip(column_names, samples):
             if sample:
                 stats.columns[name].histogram = Histogram.from_values(

@@ -17,7 +17,7 @@ keys are built column-wise in both engines: hash keys are ``group_key``
 markers (equal exactly when the values' ``sort_key``s are, so a float
 meets the equal Decimal), probe keys the ``encode_index_key`` tuples
 that ``storage.database.encode_probe_keys`` builds from each column's
-type census, merge keys the ``sort_keys`` tuples of the sorts; NULL
+type census, merge keys ascending ``sort_keys`` tuples; NULL
 never matches. The row bodies filter each outer row's candidate pairs
 with one residual helper, a block filter in ``vector`` mode and the
 interpreter in ``interpreted`` mode; left-outer padding is decided per
@@ -151,7 +151,7 @@ def _hash_keys(columns: Sequence[Sequence[Any]]) -> Sequence[Any]:
 
 
 def _merge_keys(batch: Batch, plan: Sequence[Tuple[int, bool]]) -> KeyList:
-    """Merge-join keys of a row batch: the sorts' ``sort_keys`` tuples,
+    """Merge-join keys of a row batch: ascending ``sort_keys`` tuples,
     None where any key column is NULL (found by type census)."""
     keys, gathered = sort_keys(RowBlock(batch), plan)
     for column in gathered:

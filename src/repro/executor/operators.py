@@ -23,9 +23,6 @@ and raise identical errors.
 
 from __future__ import annotations
 
-import bisect
-import heapq
-import itertools
 import operator as operator_module
 import time
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -45,14 +42,17 @@ from repro.expr.vector import (
     compile_vector_filter,
     vector_projection_kernel,
 )
-from repro.sqltypes import group_key_column, is_null, sort_key_column
+from repro.sqltypes import (
+    group_key_column,
+    is_null,
+    ordering_key_column,
+    sort_key_column,
+)
 from repro.storage.buffer import PageId
 from repro.storage.database import encode_index_key
 
 Row = Tuple[Any, ...]
 Batch = List[Row]
-# A decorated sort entry: (key, input sequence number, row).
-Entry = Tuple[Tuple[Any, ...], int, Row]
 
 
 def count_interpreted(rows: int = 1) -> None:
@@ -496,8 +496,8 @@ def sort_keys(
 ) -> Tuple[List[Tuple[Any, ...]], List[Sequence[Any]]]:
     """Total-order keys of ``block``'s live rows under ``plan``.
 
-    The ordered key builder of both engines (sorts and the merge
-    exchange), column-wise: each key column is gathered over the live
+    The ordered key builder of both engines for the merge exchange and
+    merge joins, column-wise: each key column is gathered over the live
     selection once and keyed by ``sort_key_column`` — exactly
     ``[sort_key(v, descending) for v in column]``, built from the
     column's type census — then the columns are zipped into one tuple
@@ -512,6 +512,44 @@ def sort_keys(
         for column, (_position, descending) in zip(gathered, plan)
     ]
     return list(zip(*keyed)), gathered
+
+
+def sort_rows(rows: List[Row], plan: Sequence[Tuple[int, bool]]) -> None:
+    """Sort ``rows`` in place, stably, on ``plan`` — exactly ``rows.sort(
+    key=<the row's sort_key(v, descending) per key>)``, at C speed.
+
+    The direction is ``list.sort``'s ``reverse``: keys of one direction
+    sort in one pass, mixed directions in one stable pass per key, least
+    significant first.
+    """
+    if len({descending for _position, descending in plan}) == 1:
+        _sort_pass(rows, plan)
+    else:
+        for key in reversed(plan):
+            _sort_pass(rows, [key])
+
+
+def _sort_pass(rows: List[Row], plan: Sequence[Tuple[int, bool]]) -> None:
+    """One stable pass by ``plan``'s keys, which share a direction.
+
+    Each key column is gathered over all of ``rows`` and keyed by
+    ``ordering_key_column``. When every column is its own key the rows
+    sort by the bare values; otherwise a permutation of positions sorts
+    by the (zipped) key columns and is applied to the rows.
+    """
+    positions = [position for position, _descending in plan]
+    getters = map(operator_module.itemgetter, positions)
+    columns = [list(map(getter, rows)) for getter in getters]
+    keyed = [ordering_key_column(column) for column in columns]
+    reverse = plan[0][1]
+    if all(map(operator_module.is_, keyed, columns)):
+        rows.sort(key=operator_module.itemgetter(*positions), reverse=reverse)
+        return
+    keys = keyed[0] if len(keyed) == 1 else list(zip(*keyed))
+    del columns, keyed
+    order = sorted(range(len(rows)), key=keys.__getitem__, reverse=reverse)
+    del keys
+    rows[:] = map(rows.__getitem__, order)
 
 
 def group_markers(
@@ -538,29 +576,33 @@ def group_markers(
 
 
 class SortOp(PhysicalOperator):
-    """Segmented external sort: full sort, partial sort and Top-N.
+    """Segmented sort: full sort, partial sort and Top-N.
 
     The child delivers rows grouped by ``order.prefix(prefix_length)``
     — the optimizer proved it through the order algebra, possibly via
     FDs/constants rather than a literal column match. With prefix 0
     (a full sort) the whole input is one group and no per-row prefix
-    comparison happens. Each group is sorted on the remaining keys and
+    comparison happens. Each group's rows are buffered and sorted once
+    on the remaining keys when it closes (:func:`sort_rows`), then
     streamed out, so memory is bounded by the largest group, not the
-    input. A group reaching ``sort_memory_rows`` is cut into sorted
-    spill runs — boundaries land exactly at the threshold whatever the
-    batch size — charged per run written and re-read, and heap-merged.
+    input. Spilling is accounting only: a full run is charged (written
+    and re-read) each time the open group gains ``sort_memory_rows``
+    rows, and a spilled group's remainder when it closes — one stable
+    sort of the group is exactly the merge of stable runs.
 
-    With ``limit`` set (a FETCH FIRST above), each group keeps only its
-    ``limit`` smallest rows in a bounded sorted buffer and never spills:
-    later rows of a group can never reach the result because whole
-    earlier groups precede them. With prefix 0 this is the Top-N sort.
+    With ``limit`` set (a FETCH FIRST above), a group's kept rows plus
+    the incoming slice of one block are sorted and truncated to
+    ``limit`` whenever they exceed it, so a group never holds more than
+    ``limit`` rows plus one block and never spills: later rows of a
+    group can never reach the result because whole earlier groups
+    precede them. With prefix 0 this is the Top-N sort.
 
-    Byte-identity invariant: keys are computed once per input row into
-    decorated ``(key, sequence, row)`` entries, so the sort is stable,
-    rows are never compared, and the output equals a full stable sort
-    of the input on ``order`` (truncated per group under a limit) — in
-    both engines. A single pull can cross many groups without yielding
-    a block, so the ``CancelToken`` is polled at every group boundary.
+    Byte-identity invariant: every sort is stable over rows in arrival
+    order and never compares rows, so the output equals a full stable
+    sort of the input on ``order`` (truncated per group under a limit)
+    in both engines. A single pull can cross many groups without
+    yielding a block, so the ``CancelToken`` is polled at every group
+    boundary.
     """
 
     def __init__(
@@ -609,104 +651,59 @@ class SortOp(PhysicalOperator):
         prefix_positions = [
             position for position, _desc in plan[: self.prefix_length]
         ]
-        suffix_plan = plan[self.prefix_length :]
-        group: List[Entry] = []
-        runs: List[List[Entry]] = []
+        suffix = plan[self.prefix_length :]
+        limit = self.limit
+        memory_rows = max(1, context.sort_memory_rows)
+        group: List[Row] = []
+        spilled = 0  # rows of the open group charged as full runs
         marker: Any = _NO_GROUP
-        sequence = 0
+        total = 0
         for batch in self.child.batches(context):
-            block = RowBlock(batch)
-            keys, _ = sort_keys(block, suffix_plan)
-            entries = zip(keys, range(sequence, sequence + len(batch)), batch)
-            sequence += len(batch)
-            starts: List[int] = []  # where a new prefix group begins
+            total += len(batch)
+            edges = [0]  # where the open group's slices of batch begin
             if prefix_positions:
-                markers, _ = group_markers(block, prefix_positions)
+                markers, _ = group_markers(RowBlock(batch), prefix_positions)
                 for index, current in enumerate(markers):
                     if current != marker:
-                        starts.append(index)
+                        edges.append(index)
                         marker = current
-            edge = 0
-            for start in starts:
-                group = self._buffer(
-                    context, metrics, group, runs,
-                    itertools.islice(entries, start - edge),
-                )
-                if group or runs:
-                    yield from self._flush(context, metrics, group, runs)
-                    group, runs = [], []
+            edges.append(len(batch))
+            for piece, (begin, end) in enumerate(zip(edges, edges[1:])):
+                if piece and group:  # a new group begins at ``begin``
+                    yield self._flush(context, metrics, group, spilled, suffix)
+                    group, spilled = [], 0
                     if token is not None:
                         token.check()
-                edge = start
-            group = self._buffer(context, metrics, group, runs, entries)
-        metrics.sorted_rows += sequence
+                group.extend(batch[begin:end])
+                if limit is not None:
+                    if len(group) > limit:
+                        sort_rows(group, suffix)
+                        del group[limit:]
+                    continue
+                while len(group) - spilled >= memory_rows:
+                    spilled += memory_rows
+                    metrics.spill_pages += context.charge_spill(memory_rows)
+        metrics.sorted_rows += total
         if self.prefix_length:
-            context.rows_partial_sorted += sequence
+            context.rows_partial_sorted += total
             instrument.count("exec.partial_sorts")
-            instrument.count("exec.rows_partial_sorted", sequence)
+            instrument.count("exec.rows_partial_sorted", total)
         else:
-            context.rows_sorted += sequence
+            context.rows_sorted += total
             instrument.count("exec.sorts")
-            instrument.count("exec.rows_sorted", sequence)
-        if group or runs:
-            yield from self._flush(context, metrics, group, runs)
+            instrument.count("exec.rows_sorted", total)
+        if group:
+            yield self._flush(context, metrics, group, spilled, suffix)
 
-    def _buffer(
-        self,
-        context: ExecutionContext,
-        metrics,
-        group: List[Entry],
-        runs: List[List[Entry]],
-        entries: Iterable[Entry],
-    ) -> List[Entry]:
-        """Add ``entries`` to the open group; returns its in-memory part.
-
-        Under a limit the group is a bounded sorted buffer (an entry
-        enters only if it beats the largest kept one). Otherwise every
-        ``sort_memory_rows`` entries leave as a sorted spill run.
-        """
-        limit = self.limit
-        if limit is not None:
-            for entry in entries:
-                if len(group) < limit:
-                    bisect.insort(group, entry)
-                elif entry < group[-1]:
-                    bisect.insort(group, entry)
-                    group.pop()
-            return group
-        group.extend(entries)
-        memory_rows = max(1, context.sort_memory_rows)
-        while len(group) >= memory_rows:
-            run, group = group[:memory_rows], group[memory_rows:]
-            run.sort()
-            runs.append(run)
-            metrics.spill_pages += context.charge_spill(memory_rows)
-        return group
-
-    def _flush(
-        self,
-        context: ExecutionContext,
-        metrics,
-        group: List[Entry],
-        runs: List[List[Entry]],
-    ) -> Iterator[List[Row]]:
-        """One group's rows in order (heap-merging its spill runs)."""
+    def _flush(self, context, metrics, group, spilled, suffix) -> List[Row]:
+        """A closed group sorted in place, charging a spilled group's
+        last run."""
         if self.prefix_length:
             metrics.groups += 1
-        group.sort()
-        if not runs:
-            yield [entry[2] for entry in group]
-            return
-        if group:
-            runs.append(group)
-            metrics.spill_pages += context.charge_spill(len(group))
-        merged = heapq.merge(*runs)
-        size = context.batch_size
-        while True:
-            rows = [entry[2] for entry in itertools.islice(merged, size)]
-            if not rows:
-                return
-            yield rows
+        if spilled and len(group) > spilled:
+            metrics.spill_pages += context.charge_spill(len(group) - spilled)
+        sort_rows(group, suffix)
+        return group
 
     def label(self) -> str:
         if self.prefix_length:

@@ -27,6 +27,7 @@ from repro.sqltypes.values import (
     group_key,
     group_key_column,
     is_null,
+    ordering_key_column,
     sort_key,
     sort_key_column,
     sql_compare,
@@ -50,6 +51,7 @@ __all__ = [
     "group_key",
     "group_key_column",
     "is_null",
+    "ordering_key_column",
     "sort_key",
     "sort_key_column",
     "sql_compare",

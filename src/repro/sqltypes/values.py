@@ -12,6 +12,9 @@ types the value itself. The column builders :func:`sort_key_column` and
 :func:`group_key_column` give the same keys a value at a time would, but
 read a column's *type census* (``set(map(type, column))``, C speed) first
 and skip the per-value call when the column holds one plain type.
+:func:`ordering_key_column` goes one step further for a sort that takes
+its direction from ``list.sort``'s ``reverse``: a column of one plain
+type without NULLs is its own key.
 """
 
 from __future__ import annotations
@@ -136,8 +139,12 @@ class _NullsHigh:
 class _Reversed:
     """Sort-key wrapper inverting the order of the wrapped key.
 
-    Used for DESC sort columns so one stable ``list.sort`` handles mixed
-    ASC/DESC specifications.
+    Keys one DESC column so that a single key tuple orders a mixed
+    ASC/DESC specification. Its users are the DESC columns of index
+    keys (``storage.database.encode_index_key`` / ``encode_index_keys``)
+    and of the merge exchange's keys (``executor.operators.sort_keys``).
+    ``SortOp`` sorts by :func:`ordering_key_column` and passes the
+    direction as ``reverse`` instead.
     """
 
     __slots__ = ("key",)
@@ -245,6 +252,23 @@ def sort_key_column(
     if descending:
         return list(map(_Reversed, keys))
     return keys
+
+
+def ordering_key_column(values: Sequence[Any]) -> Sequence[Any]:
+    """Ascending keys of ``values`` for a stable sort that takes its
+    direction from ``reverse``: sorting positions by these keys with
+    ``reverse=d`` orders them as a stable sort by ``sort_key(v, d)``.
+
+    A column whose type census is one exact int, str, Decimal or date,
+    with no NULL, is returned itself: those values order and tie
+    exactly as their sort keys do. Any other column gets
+    ``sort_key_column(values)`` (ascending). The result may alias
+    ``values``; callers must not mutate it.
+    """
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and kinds <= _CENSUS_KEYED:
+        return values
+    return sort_key_column(values)
 
 
 def group_key(value: Any) -> Any:

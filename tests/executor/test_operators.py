@@ -34,6 +34,7 @@ from repro.executor.operators import (
     LimitOp,
     MaterializeOp,
     group_markers,
+    sort_key_plan,
     sort_keys,
 )
 from repro.expr import (
@@ -48,7 +49,13 @@ from repro.expr import (
 )
 from repro.expr.nodes import ArithmeticOp
 from repro.expr.vector import ColumnBlock, RowBlock
-from repro.sqltypes import INTEGER, NULL, group_key, sort_key
+from repro.sqltypes import (
+    INTEGER,
+    NULL,
+    group_key,
+    ordering_key_column,
+    sort_key,
+)
 from repro.storage.database import encode_index_key
 
 TA, TB = col("t", "a"), col("t", "b")
@@ -294,6 +301,36 @@ class TestSort:
         assert context.spill_pages > 0
         assert context.rows_sorted == 50
 
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_desc_keys_build_no_reversed_wrapper(self, monkeypatch, mode):
+        # The direction is list.sort's reverse: no _Reversed key is
+        # built, for bare columns (a) or census-keyed ones (b: NULL,
+        # int, Decimal, float), in any sort configuration.
+        from repro.sqltypes import values
+
+        mixed = [None, 2, Decimal("1.5"), 2.0, 1]
+        rows = [(i // 4, mixed[i % 5]) for i in range(20)]  # a ascending
+        configurations = [
+            (OrderSpec((desc(TB), desc(TA))), 0, None),
+            (OrderSpec((desc(TB), asc(TA))), 0, 3),
+            (OrderSpec((asc(TA), desc(TB))), 1, None),
+            (OrderSpec((asc(TA), desc(TB))), 1, 2),
+        ]
+        expected = [
+            _sorted_reference(rows, sort_key_plan(SCHEMA, order), *rest)
+            for order, *rest in configurations
+        ]
+
+        def refuse(wrapper, key):
+            raise AssertionError("SortOp built a _Reversed key")
+
+        monkeypatch.setattr(values._Reversed, "__init__", refuse)
+        for (order, prefix, limit), reference in zip(configurations, expected):
+            child = _Blocks(SCHEMA, [rows[:7], rows[7:]])
+            op = SortOp(child, order, prefix, limit=limit)
+            context = ExecutionContext(None, mode=mode, sort_memory_rows=6)
+            assert op.execute(context) == reference
+
 
 class TestSortKeys:
     def test_sort_keys_are_per_value_sort_keys(self):
@@ -394,6 +431,19 @@ class TestKeyContracts:
             for row in rows
         ]
         assert sort_keys(RowBlock(rows), plan)[0] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 16).flatmap(_key_column), st.booleans())
+    def test_ordering_keys_sort_like_sort_key(self, column, descending):
+        # Positions sorted by the keys with reverse=descending land as
+        # a stable sort by sort_key(v, descending) puts them, ties
+        # between distinct values (1, 1.0, Decimal('1.00')) included.
+        keys = ordering_key_column(column)
+        positions = range(len(column))
+        order = sorted(positions, key=keys.__getitem__, reverse=descending)
+        assert order == sorted(
+            positions, key=lambda i: sort_key(column[i], descending)
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(_key_rows())
@@ -796,10 +846,45 @@ def nullable_db():
     return database
 
 
+@pytest.fixture(scope="module")
+def census_blocks():
+    """One prefix group (``g`` is constant) in three blocks whose key
+    column ``k`` differs in census: all int, int with a NULL, int with
+    Decimal. A float column ``f`` and a bool column ``b`` follow, and
+    ties run through every key, so stability shows through ``id``."""
+    k_blocks = [
+        [3, 1, 2, 3, 1, 2, 1],
+        [2, None, 1, 3, None, 2, 1],
+        [Decimal("2.0"), 1, Decimal("1.50"), 3, Decimal("3"), 2, 1],
+    ]
+    rows, blocks = [], []
+    for values in k_blocks:
+        start = len(rows)
+        for k in values:
+            i = len(rows)
+            rows.append((i, 7, k, [0.5, -0.0, 1.0, 0.0][i % 4], i % 3 == 0))
+        blocks.append(rows[start:])
+    return blocks
+
+
+CK, CF, CB = col("u", "k"), col("u", "f"), col("u", "b")
+CENSUS_SCHEMA = RowSchema([UID, UG, CK, CF, CB])
+
+
+def _spill_pages(group_rows, memory_rows):
+    """What one group charges (``ExecutionContext.charge_spill``, write
+    and read pass): each full run of ``memory_rows``, then the rest of
+    a group that spilled."""
+    full, rest = divmod(group_rows, memory_rows)
+    runs = [memory_rows] * full + ([rest] if full and rest else [])
+    return sum(2 * max(1, run // 64) for run in runs)
+
+
 class TestSortConfigurations:
     """Every SortOp configuration equals the reference full stable sort
     (per-group truncated under a limit): prefix {0, 1} x limit
-    {None, 3} x engine x batch size, over NULLs and a DESC key."""
+    {None, 3} x engine x batch size, over NULLs and a DESC key, and
+    over one group whose blocks differ in census."""
 
     ORDER = OrderSpec((asc(UG), desc(UX)))
     PLAN = [(1, False), (2, True)]
@@ -825,6 +910,24 @@ class TestSortConfigurations:
         )
         if limit is not None:
             assert context.spill_pages == 0
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("limit", [None, 3])
+    @pytest.mark.parametrize("prefix_length", [0, 1])
+    def test_one_group_of_several_censuses(
+        self, census_blocks, prefix_length, limit, mode
+    ):
+        order = OrderSpec((asc(UG), desc(CK), asc(CF), desc(CB)))
+        context = ExecutionContext(None, mode=mode, sort_memory_rows=5)
+        child = _Blocks(CENSUS_SCHEMA, census_blocks)
+        rows = SortOp(child, order, prefix_length, limit=limit).execute(
+            context
+        )
+        arrival = [row for block in census_blocks for row in block]
+        plan = [(1, False), (2, True), (3, False), (4, True)]
+        assert rows == _sorted_reference(arrival, plan, prefix_length, limit)
+        spilled = 0 if limit else _spill_pages(len(arrival), 5)
+        assert context.spill_pages == spilled
 
 
 class TestMaterialize:
