@@ -15,11 +15,11 @@ every join has a row-at-a-time ``_joined`` body, the ``interpreted``
 reference, whose rows are lifted into ``RowBlock``s. Hash and probe
 keys are built column-wise in both engines: hash keys are ``group_key``
 markers (equal exactly when the values' ``sort_key``s are, so a float
-meets the equal Decimal), probe keys the ``encode_index_key`` tuples
-that ``storage.database.encode_probe_keys`` builds from each column's
-type census, merge keys ascending ``sort_keys`` tuples; NULL
-never matches. The row bodies filter each outer row's candidate pairs
-with one residual helper, a block filter in ``vector`` mode and the
+meets the equal Decimal), probe keys the flat index keys (two elements
+per column) that ``storage.database.encode_probe_keys`` builds from
+each column's type census, merge keys ascending ``sort_keys`` tuples;
+NULL never matches. The row bodies filter each outer row's candidate
+pairs with one residual helper, a block filter in ``vector`` mode and the
 interpreter in ``interpreted`` mode; left-outer padding is decided per
 outer row. ``exec.index_probe.probes`` counts the keys the index
 nested-loop join probes.

@@ -140,8 +140,8 @@ class _Reversed:
     """Sort-key wrapper inverting the order of the wrapped key.
 
     Keys one DESC column so that a single key tuple orders a mixed
-    ASC/DESC specification. Its users are the DESC columns of index
-    keys (``storage.database.encode_index_key`` / ``encode_index_keys``)
+    ASC/DESC specification. Its users are the DESC columns of flat index
+    keys (``storage.database.encode_index_keys``, a ``None`` after each)
     and of the merge exchange's keys (``executor.operators.sort_keys``).
     ``SortOp`` sorts by :func:`ordering_key_column` and passes the
     direction as ``reverse`` instead.
@@ -175,6 +175,10 @@ class _Reversed:
 
 
 _NULLS_HIGH = _NullsHigh()
+
+# NULL's two elements in a flat index key (storage.database.
+# encode_index_keys): its band is above every band, as _NULLS_HIGH sorts.
+NULL_PAIR = (4, None)
 
 
 def sort_key(value: Any, descending: bool = False) -> Any:

@@ -1,8 +1,9 @@
 """A B+-tree index with linked leaves and I/O accounting.
 
-Keys are tuples of sort-key-encoded column values (so mixed directions
-and NULLs-high semantics come for free); values are heap RIDs. Duplicate
-keys are allowed — each leaf entry is an independent (key, rid) pair.
+Keys are flat tuples, two elements per column (``storage.database.
+encode_index_keys``), so mixed directions and NULLs-high semantics come
+for free and a prefix bound is a stored key's head; values are heap
+RIDs. Duplicate keys are allowed — each leaf entry is a (key, rid) pair.
 
 Every node visit is charged to the buffer pool: descents are random
 accesses, walking the leaf chain is sequential in leaf numbering (which
@@ -224,15 +225,12 @@ class BPlusTree:
                 child_index = len(separators) if rightmost else 0
             else:
                 # bisect_left sends equal keys to the left child, where
-                # the first duplicate lives.
+                # the first duplicate lives. A deeper separator never
+                # lies outside the interval above, so it just narrows it.
                 child_index = bisect_left(separators, key)
-                if child_index and (
-                    lower is None or separators[child_index - 1] > lower
-                ):
+                if child_index:
                     lower = separators[child_index - 1]
-                if child_index < len(separators) and (
-                    upper is None or separators[child_index] < upper
-                ):
+                if child_index < len(separators):
                     upper = separators[child_index]
             node = node.children[child_index]  # type: ignore[attr-defined]
             path.append(node.page_id)
@@ -401,9 +399,15 @@ class ProbeCursor:
         charges the run with ``BufferPool.access_run``.
         """
         tree = self._tree
-        version, path, leaf, lower, upper = self._descent
         owners: List[int] = []
         found: List[Any] = []
+        if tree._entry_count == 0:
+            return owners, found
+        version, path, leaf, lower, upper = self._descent
+        if version != tree._version:
+            version, leaf = tree._version, None
+        elif leaf is not None:
+            leaf_keys, leaf_values = leaf.keys, leaf.values
         append_found = found.append
         append_page = run.append
         if heap is not None:
@@ -412,38 +416,32 @@ class ProbeCursor:
             if key is None:
                 continue
             if (
-                version != tree._version
+                leaf is None
                 or (lower is not None and not lower < key)
                 or (upper is not None and not key <= upper)
             ):
-                if tree._entry_count == 0:
-                    continue
-                version = tree._version
                 path, leaf, lower, upper = tree._find_leaf(key)
+                leaf_keys, leaf_values = leaf.keys, leaf.values
             run += path
-            keys_here = leaf.keys
             # Stored keys share one width; a shorter key is a prefix.
-            full_width = len(keys_here[0]) == len(key)
-            start = bisect_left(keys_here, key)
-            stop = (
-                bisect_right(keys_here, key, start)
-                if full_width
-                else _first_above(keys_here, key)
-            )
-            rids = leaf.values[start:stop]
-            step = leaf
-            while stop == len(keys_here):
+            full_width = len(leaf_keys[0]) == len(key)
+            here, values, step = leaf_keys, leaf_values, leaf
+            start = bisect_left(here, key)
+            rids: List[Rid] = []
+            while True:
+                stop = (
+                    bisect_right(here, key, start)
+                    if full_width
+                    else _first_above(here, key)
+                )
+                rids += values[start:stop]
+                if stop < len(here):
+                    break
                 step = step.next_leaf
                 if step is None:
                     break
                 append_page(step.page_id)
-                keys_here = step.keys
-                stop = (
-                    bisect_right(keys_here, key)
-                    if full_width
-                    else _first_above(keys_here, key)
-                )
-                rids += step.values[:stop]
+                here, values, start = step.keys, step.values, 0
             if not rids:
                 continue
             owners += [position] * len(rids)
@@ -451,13 +449,12 @@ class ProbeCursor:
                 found += rids
                 continue
             try:
-                for rid in rids:
-                    page_no = rid.page_no
-                    append_found(pages[page_no][rid.slot])
+                for page_no, slot in rids:
+                    append_found(pages[page_no][slot])
                     append_page(page_ids[page_no])
             except IndexError:
                 raise StorageError(
-                    f"bad {rid} in heap {heap.file_id}"
+                    f"bad {Rid(page_no, slot)} in heap {heap.file_id}"
                 ) from None
         self._descent = (version, path, leaf, lower, upper)
         return owners, found

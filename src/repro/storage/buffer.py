@@ -112,6 +112,10 @@ class BufferPool:
         """
         with self._lock:
             resident = self._resident
+            move_to_end = resident.move_to_end
+            last_missed = self._last_missed_page
+            window = self.PREFETCH_WINDOW
+            capacity = self.capacity_pages
             stats = self.stats
             hits = 0
             previous = None
@@ -125,21 +129,18 @@ class BufferPool:
                     continue
                 previous = page_id
                 if page_id in resident:
-                    resident.move_to_end(page_id)
+                    move_to_end(page_id)
                     hits += 1
                     continue
                 file_id, page_no = page_id
-                last = self._last_missed_page.get(file_id)
-                if (
-                    last is not None
-                    and 0 < page_no - last <= self.PREFETCH_WINDOW
-                ):
+                last = last_missed.get(file_id)
+                if last is not None and 0 < page_no - last <= window:
                     stats.sequential_misses += 1
                 else:
                     stats.random_misses += 1
-                self._last_missed_page[file_id] = page_no
+                last_missed[file_id] = page_no
                 resident[page_id] = None
-                if len(resident) > self.capacity_pages:
+                if len(resident) > capacity:
                     resident.popitem(last=False)
             stats.hits += hits
         return hits

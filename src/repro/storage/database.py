@@ -7,7 +7,7 @@ load, and hand to the optimizer/executor.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import (
     Any,
@@ -22,7 +22,8 @@ from typing import (
 from repro.catalog import Catalog, Index, TableSchema, TableStats
 from repro.core.ordering import SortDirection
 from repro.errors import CatalogError, StorageError
-from repro.sqltypes import NULL, sort_key, sort_key_column
+from repro.sqltypes import NULL, sort_key_column
+from repro.sqltypes.values import NULL_PAIR
 from repro.storage.btree import BPlusTree, Key
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile, Rid
@@ -31,39 +32,38 @@ from repro.storage.partition import PartitionedHeap, PartitionedTree
 PAGE_SIZE_BYTES = 4096
 _DESC = SortDirection.DESC
 _NONE_TYPE = type(None)
-_NULL_TYPE = type(NULL)
+_NULL_TYPES = frozenset({_NONE_TYPE, type(NULL)})
 
 
 def encode_index_key(
     values: Sequence[Any], directions: Sequence[SortDirection]
-) -> Tuple[Any, ...]:
-    """Encode column values as a tree key honouring per-column direction.
-
-    Descending columns are stored under reversed sort keys, so a forward
-    leaf walk always yields the index's declared order.
-    """
-    return tuple(
-        [
-            sort_key(value, direction is _DESC)
-            for value, direction in zip(values, directions)
-        ]
-    )
+) -> Key:
+    """The one-row case of :func:`encode_index_keys`."""
+    keys = encode_index_keys([[value] for value in values], directions)
+    return keys[0] if keys else ()
 
 
 def encode_index_keys(
     columns: Sequence[Sequence[Any]], directions: Sequence[SortDirection]
 ) -> List[Key]:
-    """``encode_index_key`` of each row of ``columns`` (one value list
-    per key column), each column keyed through its type census
-    (``sqltypes.sort_key_column``)."""
-    return list(
-        zip(
-            *[
-                sort_key_column(column, direction is _DESC)
-                for column, direction in zip(columns, directions)
-            ]
-        )
-    )
+    """The flat tree key of each row of ``columns`` (one value list per
+    key column, keyed through its census by ``sort_key_column``), two
+    elements per column: an ascending value's ``(band, value)``, NULL's
+    ``NULL_PAIR`` (it sorts high), or a descending value's ``_Reversed``
+    sort key and a ``None``. A key over the first k columns is the
+    stored key's first 2k elements; one column's key is its pair."""
+    pairs: List[List[Key]] = []
+    for column, direction in zip(columns, directions):
+        if direction is _DESC:
+            keys = list(zip(sort_key_column(column, True), repeat(None)))
+        else:
+            keys = sort_key_column(column)
+            if not _NULL_TYPES.isdisjoint(map(type, column)):
+                keys = [k if type(k) is tuple else NULL_PAIR for k in keys]
+        pairs.append(keys)
+    if len(pairs) == 1:
+        return pairs[0]
+    return list(zip(*chain.from_iterable(zip(*keys) for keys in pairs)))
 
 
 def encode_probe_keys(
@@ -77,8 +77,7 @@ def encode_probe_keys(
         columns, directions
     )
     for column in columns:
-        kinds = set(map(type, column))
-        if _NONE_TYPE in kinds or _NULL_TYPE in kinds:
+        if not _NULL_TYPES.isdisjoint(map(type, column)):
             for row, value in enumerate(column):
                 if value is None or value is NULL:
                     keys[row] = None

@@ -929,6 +929,40 @@ class TestSortConfigurations:
         spilled = 0 if limit else _spill_pages(len(arrival), 5)
         assert context.spill_pages == spilled
 
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("limit", [1, 3, 20, 400])
+    @pytest.mark.parametrize(
+        "order, plan",
+        [
+            (OrderSpec((desc(UX),)), [(2, True)]),
+            (OrderSpec((asc(UX),)), [(2, False)]),
+            (OrderSpec((desc(UG), desc(UX))), [(1, True), (2, True)]),
+            (OrderSpec((desc(UID),)), [(0, True)]),
+            (OrderSpec((asc(UG), asc(UID))), [(1, False), (0, False)]),
+        ],
+    )
+    def test_top_n_of_one_direction(self, nullable_db, order, plan, limit, mode):
+        """A Top-N on keys of one direction keeps ties in arrival order
+        and sorts NULLs high, over several blocks, with bare int keys
+        and census-keyed ones."""
+        context = ExecutionContext(nullable_db, mode=mode, batch_size=64)
+        rows = SortOp(grouped_scan(), order, 0, limit=limit).execute(context)
+        arrival = grouped_scan().execute(ExecutionContext(nullable_db))
+        assert rows == _sorted_reference(arrival, plan, 0, limit)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("limit", [1, 3, 8])
+    def test_limited_partial_sort_of_several_censuses(
+        self, census_blocks, limit, mode
+    ):
+        order = OrderSpec((asc(UG), desc(CK), desc(CB)))
+        context = ExecutionContext(None, mode=mode)
+        child = _Blocks(CENSUS_SCHEMA, census_blocks)
+        rows = SortOp(child, order, 1, limit=limit).execute(context)
+        arrival = [row for block in census_blocks for row in block]
+        plan = [(1, False), (2, True), (4, True)]
+        assert rows == _sorted_reference(arrival, plan, 1, limit)
+
 
 class TestMaterialize:
     def test_repeated_iteration(self, db):

@@ -23,6 +23,7 @@ from repro.catalog import Index, TableSchema
 from repro.core.ordering import SortDirection
 from repro.errors import CatalogError, StorageError
 from repro.sqltypes import sort_key
+from repro.sqltypes.values import NULL_PAIR
 from repro.storage.btree import BPlusTree
 from repro.storage.database import StoredTable
 from repro.storage.heap import Rid
@@ -109,19 +110,25 @@ class ReferenceTable(StoredTable):
 
     def _key_encoder(self, index: Index):
         """``row -> encode_index_key(row's key values, directions)``,
-        with the key's positions and directions looked up once."""
+        built from one ``sort_key`` per value, with the key's positions
+        and directions looked up once."""
         fields = [
             (self.schema.position(column.name), column.direction is _DESC)
             for column in index.key
         ]
 
         def encode(row: Sequence[Any]) -> Tuple[Any, ...]:
-            return tuple(
-                [
-                    sort_key(row[position], descending)
-                    for position, descending in fields
-                ]
-            )
+            # Flat, two elements per column: an ascending sort key is
+            # its (band, value) pair or, for NULL, NULL_PAIR; a
+            # descending one is followed by a None filler.
+            key: List[Any] = []
+            for position, descending in fields:
+                part = sort_key(row[position], descending)
+                if descending:
+                    key += (part, None)
+                else:
+                    key += part if type(part) is tuple else NULL_PAIR
+            return tuple(key)
 
         return encode
 
