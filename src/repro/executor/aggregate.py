@@ -9,7 +9,11 @@ is its own marker column. Group-by has two bodies behind one
 gathered column-wise off the child's blocks and folded a run at a time
 (``_Accumulator.add_run``, which reads each run's type census); in
 ``interpreted`` mode the row-at-a-time reference body feeds each
-aggregate through a counted interpreter thunk. An aggregate without
+accumulator through a counted interpreter thunk. SUM, AVG and COUNT
+over one argument with one DISTINCT flag share one accumulator slot: one
+left-to-right fold keeps the total and the count all three read (AVG is
+SUM over COUNT), so that argument is projected and folded once. MIN,
+MAX and COUNT(*) keep a slot each. An aggregate without
 GROUP BY columns builds no markers: every row folds into its one
 accumulator set, and it yields one row even over empty input. Output
 rows are few, so every body lifts them into ``RowBlock``s. DISTINCT is
@@ -147,12 +151,15 @@ class _Accumulator:
             ):
                 self.extreme = candidate
 
-    def result(self) -> Any:
-        if self.kind is AggregateKind.COUNT:
+    def result(self, kind: Optional[AggregateKind] = None) -> Any:
+        """The aggregate's value; ``kind`` reads a shared SUM / AVG /
+        COUNT fold as another of the three."""
+        kind = self.kind if kind is None else kind
+        if kind is AggregateKind.COUNT:
             return self.count
-        if self.kind is AggregateKind.SUM:
+        if kind is AggregateKind.SUM:
             return self.total
-        if self.kind is AggregateKind.AVG:
+        if kind is AggregateKind.AVG:
             if self.count == 0:
                 return None
             return self.total / self.count
@@ -160,13 +167,18 @@ class _Accumulator:
 
 
 _COUNT_STAR = object()
+_SHARED_FOLDS = frozenset(
+    {AggregateKind.SUM, AggregateKind.AVG, AggregateKind.COUNT}
+)
 
 
 class _GroupByBase(PhysicalOperator):
     """Shared plumbing for sort- and hash-based GROUP BY.
 
     Output schema: group columns (in declared order) followed by one
-    column per aggregate, named ``ColumnRef("", alias)``.
+    column per aggregate, named ``ColumnRef("", alias)``. Aggregates map
+    onto accumulator slots (``_slots``, each folded by one
+    ``_Accumulator``) and are read back from them (``_reads``).
     """
 
     def __init__(
@@ -185,6 +197,22 @@ class _GroupByBase(PhysicalOperator):
         self._group_positions = [
             child.schema.position(column) for column in group_columns
         ]
+        # A shared slot folds as a SUM / AVG sharer when it has one
+        # (COUNT alone does not fold the total). Arguments key by
+        # ``repr``, because ``Literal(1) == Literal(Decimal("1.0"))``.
+        self._slots: List[Aggregate] = []
+        self._reads: List[Tuple[int, AggregateKind]] = []
+        shared: Dict[Tuple[str, bool], int] = {}
+        for _name, aggregate in self.aggregates:
+            kind, slot = aggregate.kind, len(self._slots)
+            if kind in _SHARED_FOLDS and aggregate.argument is not None:
+                key = (repr(aggregate.argument), aggregate.distinct)
+                slot = shared.setdefault(key, slot)
+            if slot == len(self._slots):
+                self._slots.append(aggregate)
+            elif kind is not AggregateKind.COUNT:
+                self._slots[slot] = aggregate
+            self._reads.append((slot, kind))
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
@@ -221,15 +249,15 @@ class _GroupByBase(PhysicalOperator):
     def _new_accumulators(self) -> List[_Accumulator]:
         return [
             _Accumulator(aggregate.kind, aggregate.distinct)
-            for _name, aggregate in self.aggregates
+            for aggregate in self._slots
         ]
 
     def _argument_evaluators(self) -> List[Callable[[Row], Any]]:
-        """One value-producing callable per aggregate for the row body
+        """One value-producing callable per slot for the row body
         (COUNT(*) yields the sentinel), built once per execution."""
         child_schema = self.child.schema
         evaluators: List[Callable[[Row], Any]] = []
-        for _name, aggregate in self.aggregates:
+        for aggregate in self._slots:
             argument = aggregate.argument
             if argument is None:
                 evaluators.append(lambda row: _COUNT_STAR)
@@ -248,17 +276,18 @@ class _GroupByBase(PhysicalOperator):
         self, group_values: Tuple[Any, ...], accumulators: List[_Accumulator]
     ) -> Row:
         return group_values + tuple(
-            accumulator.result() for accumulator in accumulators
+            accumulators[slot].result(kind) for slot, kind in self._reads
         )
 
     def _vector_inputs(
         self, context: ExecutionContext
     ) -> Iterator[Tuple[VectorBatch, List[Optional[Sequence[Any]]]]]:
         """Columnar group-by input: per non-empty child block, yields
-        ``(block, argument_value_lists)``, the lists aligned with the
-        block's live selection (the order ``group_markers`` sees).
+        ``(block, argument_value_lists)``, one list per slot, aligned
+        with the block's live selection (the order ``group_markers``
+        sees).
 
-        Aggregate arguments come straight off the block's columns — a
+        Slot arguments come straight off the block's columns — a
         join feeding a group-by never builds its wide concatenated
         tuples at all (COUNT(*) has a ``None`` value list; the
         accumulator loop substitutes the sentinel). They are one
@@ -268,7 +297,7 @@ class _GroupByBase(PhysicalOperator):
         project = vector_projection_kernel(
             [
                 aggregate.argument
-                for _name, aggregate in self.aggregates
+                for aggregate in self._slots
                 if aggregate.argument is not None
             ],
             self.child.schema,
@@ -279,7 +308,7 @@ class _GroupByBase(PhysicalOperator):
             columns = iter(project(block).columns)
             yield block, [
                 None if aggregate.argument is None else next(columns)
-                for _name, aggregate in self.aggregates
+                for aggregate in self._slots
             ]
 
 
@@ -420,14 +449,19 @@ class HashGroupByOp(_GroupByBase):
                     raw = tuple(col[first] for col in raw_cols)
                     entry = (raw, self._new_accumulators())
                     groups[marker] = entry
-                whole = len(positions) == n
+                size = len(positions)
+                # One C-level gather per bucket; with one position
+                # ``itemgetter`` returns the value itself, not a tuple.
+                gather = operator.itemgetter(*positions)
                 for accumulator, values in zip(entry[1], value_lists):
                     if values is None:
-                        accumulator.add_count(len(positions))
-                    elif whole:
+                        accumulator.add_count(size)
+                    elif size == n:
                         accumulator.add_run(values)
+                    elif size == 1:
+                        accumulator.add_run((gather(values),))
                     else:
-                        accumulator.add_run([values[j] for j in positions])
+                        accumulator.add_run(gather(values))
         context.rows_hashed += count
         if len(groups) > context.sort_memory_rows:
             context.charge_spill(len(groups))

@@ -1272,6 +1272,10 @@ def _build_value_kernel(
     return per_record
 
 
+def _census(values: Sequence[Any], known: bool) -> set[type]:
+    return {type(values[0])} if known and values else set(map(type, values))
+
+
 def _arithmetic_kernel(
     expression: Arithmetic, schema: RowSchema
 ) -> ValueKernel:
@@ -1280,18 +1284,29 @@ def _arithmetic_kernel(
     apply = _ARITHMETIC_FNS[expression.op]
     op = expression.op
     Decimal = decimal.Decimal
+    # A constant or host-variable operand repeats one value: its census
+    # is that value's type, and an int one meeting an all-Decimal column
+    # is applied as the ``Decimal(c)`` that ``int op Decimal`` makes.
+    left_known, right_known = (
+        isinstance(side, Parameter) or _is_constant(side)
+        for side in (expression.left, expression.right)
+    )
 
     def arithmetic(batch: VectorBatch, sel: Selection) -> List[Any]:
         lefts = left_kernel(batch, sel)
         rights = right_kernel(batch, sel)
-        left_kinds = set(map(type, lefts))
-        right_kinds = set(map(type, rights))
+        left_kinds = _census(lefts, left_known)
+        right_kinds = _census(rights, right_known)
         if (
             left_kinds <= _PLAIN_NUMBERS
             and right_kinds <= _PLAIN_NUMBERS
             and not (Decimal in left_kinds and float in right_kinds)
             and not (float in left_kinds and Decimal in right_kinds)
         ):
+            if left_known and left_kinds == {int} and right_kinds == {Decimal}:
+                lefts = [Decimal(lefts[0])] * len(lefts)
+            elif right_known and right_kinds == {int} and left_kinds == {Decimal}:
+                rights = [Decimal(rights[0])] * len(rights)
             try:
                 return list(map(apply, lefts, rights))
             except ArithmeticError:

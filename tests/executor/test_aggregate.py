@@ -3,6 +3,7 @@
 import decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Column, Database, TableSchema
 from repro.core import OrderSpec
@@ -12,13 +13,18 @@ from repro.executor import (
     ExecutionContext,
     HashDistinctOp,
     HashGroupByOp,
+    PhysicalOperator,
     SortedDistinctOp,
     SortedGroupByOp,
     SortOp,
     TableScanOp,
 )
-from repro.expr import Aggregate, AggregateKind, RowSchema, col
+from repro.executor.aggregate import _COUNT_STAR, _Accumulator
+from repro.expr import Aggregate, AggregateKind, RowSchema, col, lit
+from repro.expr.nodes import Arithmetic, ArithmeticOp
+from repro.expr.vector import RowBlock, vector_projection_kernel
 from repro.sqltypes import INTEGER
+from repro.sqltypes.values import NULL
 
 TG, TV = col("t", "g"), col("t", "v")
 SCHEMA = RowSchema([TG, TV])
@@ -163,3 +169,192 @@ class TestDistinct:
         db.store("t").load([(None, 1), (None, 1), (None, 2)])
         rows = run(HashDistinctOp(scan()), db)
         assert len(rows) == 2
+
+
+# ----------------------------------------------------------------------
+# Shared folds: SUM, AVG and COUNT over one argument fold once
+# ----------------------------------------------------------------------
+
+G1, G2, V = col("t", "g1"), col("t", "g2"), col("t", "v")
+FOLD_SCHEMA = RowSchema([G1, G2, V])
+# Every aggregate an argument's shared fold can serve, and the ones that
+# keep their own accumulator.
+FOLD_POOL = [
+    Aggregate(kind, V, distinct)
+    for kind in (AggregateKind.SUM, AggregateKind.AVG, AggregateKind.COUNT)
+    for distinct in (False, True)
+] + [
+    Aggregate(AggregateKind.MIN, V),
+    Aggregate(AggregateKind.MAX, V),
+    Aggregate(AggregateKind.COUNT, None),
+]
+_VALUES = {
+    "int": st.integers(-(10**6), 10**6),
+    "decimal": st.sampled_from(
+        [decimal.Decimal("0.05"), decimal.Decimal("1.00"), decimal.Decimal("-2.5")]
+    ),
+    "float": st.sampled_from([0.1, 0.2, -0.0, 1e16, -1e16, 2.5]),
+    "null": st.sampled_from([None, NULL]),
+}
+# Families whose values add without raising (Decimal + float does not).
+_FAMILIES = [
+    ("int", "null"), ("decimal", "null"), ("float", "null"),
+    ("int", "decimal", "null"), ("int", "float", "null"), ("int",),
+]
+
+
+class _Blocks(PhysicalOperator):
+    """Replays fixed row blocks: the block boundaries are the test's."""
+
+    def __init__(self, blocks):
+        super().__init__(FOLD_SCHEMA)
+        self._rows = blocks
+
+    def _blocks(self, context):
+        return (RowBlock(list(rows)) for rows in self._rows if rows)
+
+
+def _reference(rows, width, aggregates):
+    """One ``_Accumulator(kind, distinct).add`` per aggregate per row,
+    groups in first-occurrence order (one group when ``width`` is 0)."""
+
+    def fresh():
+        return [_Accumulator(a.kind, a.distinct) for _name, a in aggregates]
+
+    groups = {} if width else {(): fresh()}
+    for row in rows:
+        accumulators = groups.get(row[:width])
+        if accumulators is None:
+            accumulators = groups[row[:width]] = fresh()
+        for accumulator, (_name, aggregate) in zip(accumulators, aggregates):
+            accumulator.add(
+                _COUNT_STAR if aggregate.argument is None else row[2]
+            )
+    return [
+        key + tuple(accumulator.result() for accumulator in accumulators)
+        for key, accumulators in groups.items()
+    ]
+
+
+def _grouped_order(rows, width):
+    """``rows`` with equal group columns adjacent (NULLs last)."""
+    return sorted(
+        rows, key=lambda row: [(value is None, value or 0) for value in row[:width]]
+    )
+
+
+def _split(rows, sizes):
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(rows[start : start + size])
+        start += size
+    return blocks + [rows[start:]]
+
+
+def check_shared_folds(rows, sizes, width, aggregates):
+    named = [(f"a{i}", aggregate) for i, aggregate in enumerate(aggregates)]
+    columns = [G1, G2][:width]
+    for operator_class in (HashGroupByOp, SortedGroupByOp):
+        ordered = rows if operator_class is HashGroupByOp else _grouped_order(
+            rows, width
+        )
+        expected = repr(_reference(ordered, width, named))
+        for mode in (MODE_INTERPRETED, MODE_VECTOR):
+            op = operator_class(_Blocks(_split(ordered, sizes)), columns, named)
+            got = op.execute(ExecutionContext(None, mode=mode))
+            assert repr(got) == expected, (operator_class.__name__, mode)
+
+
+@st.composite
+def _fold_inputs(draw):
+    """Rows of one value family, with few groups (each block's buckets
+    fold whole) or mostly singleton groups (the per-row path)."""
+    width = draw(st.integers(0, 2))
+    singletons = draw(st.booleans())
+    family = draw(st.sampled_from(_FAMILIES))
+    value = st.one_of([_VALUES[name] for name in family])
+    n = draw(st.integers(0, 40))
+    rows = [
+        (
+            i if singletons else draw(st.sampled_from([0, 1, None])),
+            draw(st.sampled_from([0, 1])),
+            draw(value),
+        )
+        for i in range(n)
+    ]
+    sizes = draw(st.lists(st.integers(1, 16), max_size=3))
+    aggregates = draw(st.lists(st.sampled_from(FOLD_POOL), min_size=1, max_size=7))
+    return rows, sizes, width, aggregates
+
+
+class TestSharedFolds:
+    """SUM, AVG and COUNT over one argument share an accumulator slot;
+    every operator, engine and path returns, by ``repr``, what one
+    accumulator per aggregate returns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_fold_inputs())
+    def test_equals_one_accumulator_per_aggregate(self, drawn):
+        check_shared_folds(*drawn)
+
+    @pytest.mark.parametrize("width", [0, 1, 2])
+    def test_bucket_path_with_a_one_row_bucket(self, width):
+        # Buckets {0: 5 rows, 1: 1 row} in one 6-row block fold whole.
+        values = [1, decimal.Decimal("0.5"), None, 2, NULL, 1]
+        rows = [(0, 0, value) for value in values[:5]] + [(1, 1, values[5])]
+        check_shared_folds(rows, [6], width, FOLD_POOL)
+
+    def test_singleton_path(self):
+        rows = [(i, 0, decimal.Decimal(i) / 4) for i in range(8)] + [(0, 0, None)]
+        check_shared_folds(rows, [9], 1, FOLD_POOL)
+
+    def test_slots(self):
+        op = HashGroupByOp(
+            _Blocks([]), [G1], [(f"a{i}", a) for i, a in enumerate(FOLD_POOL)]
+        )
+        # SUM / AVG / COUNT share one slot per DISTINCT flag.
+        assert [slot for slot, _kind in op._reads] == [0, 1, 0, 1, 0, 1, 2, 3, 4]
+        assert {a.kind for a in op._slots[:2]} == {AggregateKind.AVG}
+
+    def test_a_literal_argument_shares_only_with_its_own_type(self):
+        one, one_point_zero = (
+            Aggregate(AggregateKind.SUM, Arithmetic(ArithmeticOp.ADD, V, lit(value)))
+            for value in (1, decimal.Decimal("1.0"))
+        )
+        op = HashGroupByOp(_Blocks([]), [G1], [("a", one), ("b", one_point_zero)])
+        assert len(op._slots) == 2
+
+
+class TestQ1FoldsFiveSlots:
+    """scan_agg's TPC-D Q1 text: seven aggregates over three arguments
+    and COUNT(*) build five accumulators per group and project four
+    argument columns (one accumulator per aggregate built seven and
+    projected six)."""
+
+    @pytest.mark.parametrize("mode", [MODE_INTERPRETED, MODE_VECTOR])
+    def test_q1_accumulators_and_projected_columns(
+        self, tpcd_db, monkeypatch, mode
+    ):
+        from repro import run_query
+        from repro.executor import aggregate as aggregate_module
+        from tests.optimizer.perf_statements import seed1_statements
+
+        built, projected = [], []
+        init = _Accumulator.__init__
+
+        def counting_init(self, kind, distinct):
+            built.append(kind)
+            init(self, kind, distinct)
+
+        def spy_projection(expressions, schema):
+            projected.append(len(expressions))
+            return vector_projection_kernel(expressions, schema)
+
+        monkeypatch.setattr(_Accumulator, "__init__", counting_init)
+        monkeypatch.setattr(
+            aggregate_module, "vector_projection_kernel", spy_projection
+        )
+        q1 = seed1_statements(tpcd_db, "scan_agg")["q1"]
+        rows = run_query(tpcd_db, q1, mode=mode).rows
+        assert rows and len(built) == 5 * len(rows)
+        assert projected == ([4] if mode == MODE_VECTOR else [])

@@ -36,7 +36,8 @@ from repro.expr import (
     evaluate,
     lit,
 )
-from repro.expr.nodes import AggregateKind, Arithmetic, ArithmeticOp
+from repro.expr.bindings import parameter_scope
+from repro.expr.nodes import AggregateKind, Arithmetic, ArithmeticOp, Parameter
 from repro.expr.vector import (
     ColumnBlock,
     JoinBlock,
@@ -684,3 +685,69 @@ def _assert_kernels_match(run_kernels, run_interpreter):
     else:
         assert reruns == 0
     assert got == expected
+
+
+_CONSTANTS = [3, Decimal("0.05"), 0, 2.5, True, None]
+# Column censuses the kernel may meet beside a constant operand.
+_CENSUSES = {
+    "decimal": [Decimal("0.05"), Decimal("1.10"), Decimal("1E+3"), Decimal("0")],
+    "int": [0, 1, -3, 10**20],
+    "int+decimal": [1, Decimal("0.05"), 0, Decimal("-2.50")],
+    "null": [Decimal("0.05"), None, NULL, Decimal("2")],
+    "float": [Decimal("0.05"), 0.25, -0.0, 1],
+    "bool": [True, 1, Decimal("0.5"), False],
+    "empty": [],
+}
+_P = Parameter("c")
+
+
+class TestConstantOperandArithmetic:
+    """``c op column`` and ``column op c``, with ``c`` a literal or a
+    host variable, equal the interpreter per row by ``repr`` (``1 -
+    Decimal('0.05')`` keeps its exponent); a zero divisor raises the
+    interpreter's error, and only a block that raises is re-run."""
+
+    @pytest.mark.parametrize("census", sorted(_CENSUSES))
+    @pytest.mark.parametrize("constant", _CONSTANTS, ids=repr)
+    def test_equals_interpreter(self, constant, census):
+        rows = [(value, None) for value in _CENSUSES[census]]
+        sel = list(range(len(rows)))
+        for op in ArithmeticOp:
+            for operand in (lit(constant), _P):
+                for expression in (
+                    Arithmetic(op, operand, X),
+                    Arithmetic(op, X, operand),
+                ):
+                    clear_vector_cache()
+                    with parameter_scope({"c": constant}):
+                        kernel = vector_value_kernel(expression, SCHEMA)
+                        reset_vector_stats()
+                        got = _outcome(lambda: kernel(RowBlock(rows), sel))
+                        reruns = vector_stats().get("vector.fallback_terms", 0)
+                        expected = _outcome(
+                            lambda: [
+                                evaluate(expression, SCHEMA, row) for row in rows
+                            ]
+                        )
+                    assert got == expected, expression
+                    assert reruns == ("Error" in expected), expression
+
+    def test_int_constant_meets_a_decimal_column_as_a_decimal(self):
+        rows = [(Decimal("0.05"), None), (Decimal("0.10"), None)]
+        kernel = vector_value_kernel(
+            Arithmetic(ArithmeticOp.SUB, lit(1), X), SCHEMA
+        )
+        assert repr(kernel(RowBlock(rows), [0, 1])) == (
+            "[Decimal('0.95'), Decimal('0.90')]"
+        )
+
+    def test_zero_divisor_raises_the_interpreters_error(self):
+        rows = [(Decimal("1.5"), None), (Decimal("0"), None)]
+        expression = Arithmetic(ArithmeticOp.DIV, X, lit(0))
+        op = ProjectOp(
+            _OneBlock(SCHEMA, rows), [expression], RowSchema([col("", "q")])
+        )
+        for mode in ("interpreted", "vector"):
+            with pytest.raises(ExpressionError) as raised:
+                op.execute(ExecutionContext(None, mode=mode))
+            assert str(raised.value) == "division by zero in (t.x / 0)"

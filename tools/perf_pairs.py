@@ -26,12 +26,22 @@ With ``--trace`` every run is traced (``perf/run.py ... --trace 1``) and
 the table judges the ``per_layer`` metrics ``BENCHMARK.json`` names
 instead, each in the direction its ``better`` gives. They have no
 bound, so a per-layer verdict is *gain* or *not settled*.
+
+With ``--record`` each workload's table is also appended, as one
+entry, to ``BENCH_<workload>.json`` at the repository root: a JSON
+list that only ever grows, so the files are the benchmark's trajectory.
+An entry holds the change (``git describe --always --dirty`` of this
+tree), the parent's commit, the Python version, the CPU count, the
+seeds, whether the runs were traced, the failed checks, and per metric
+each side's quartiles, the pairs won and the verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -111,28 +121,58 @@ def run_pairs(
     return parent_runs, change_runs, failed
 
 
-def print_verdicts(
-    workload: str, parent_rev: str, metrics: list, parent_runs, change_runs
-) -> None:
-    """One verdict table: a row per side per metric of ``metrics`` (a
-    ``BENCHMARK.json`` list) that the runs report."""
-    metrics = [m for m in metrics if m["name"] in parent_runs[0]["metrics"]]
-    width = max([len("metric")] + [len(m["name"]) for m in metrics])
-    print(f"\n{workload}: {len(parent_runs)} pairs, parent {parent_rev}")
-    print(f"{'metric':{width}s} {'side':7s} {'q1':>10s} {'median':>10s} "
-          f"{'q3':>10s} {'pairs won':>10s}  verdict")
+def verdicts(metrics: list, parent_runs, change_runs) -> dict:
+    """``{name: row}`` for each metric of ``metrics`` (a
+    ``BENCHMARK.json`` list) that the runs report: each side's
+    quartiles, the pairs the change won and the verdict."""
+    rows = {}
     for metric in metrics:
         name = metric["name"]
+        if name not in parent_runs[0]["metrics"]:
+            continue
         parent = [run["metrics"][name]["value"] for run in parent_runs]
         change = [run["metrics"][name]["value"] for run in change_runs]
         won, verdict = judge(
             parent, change, metric["better"] == "higher", metric.get("bound")
         )
-        for side, series in (("parent", parent), ("change", change)):
-            q1, median, q3 = quartiles(series)
-            tail = f"{won:>7d}/{len(series)}  {verdict}" if side == "change" else ""
-            print(f"{name:{width}s} {side:7s} {q1:10.4g} {median:10.4g} "
-                  f"{q3:10.4g} {tail}")
+        rows[name] = {
+            side: dict(zip(("q1", "median", "q3"), quartiles(series)))
+            for side, series in (("parent", parent), ("change", change))
+        }
+        rows[name].update(won=won, pairs=len(parent), verdict=verdict)
+    return rows
+
+
+def print_verdicts(
+    workload: str, parent_rev: str, metrics: list, parent_runs, change_runs
+) -> None:
+    """One verdict table: a row per side per metric of :func:`verdicts`."""
+    rows = verdicts(metrics, parent_runs, change_runs)
+    width = max([len("metric")] + [len(name) for name in rows])
+    print(f"\n{workload}: {len(parent_runs)} pairs, parent {parent_rev}")
+    print(f"{'metric':{width}s} {'side':7s} {'q1':>10s} {'median':>10s} "
+          f"{'q3':>10s} {'pairs won':>10s}  verdict")
+    for name, row in rows.items():
+        for side in ("parent", "change"):
+            q = row[side]
+            tail = (f"{row['won']:>7d}/{row['pairs']}  {row['verdict']}"
+                    if side == "change" else "")
+            print(f"{name:{width}s} {side:7s} {q['q1']:10.4g} "
+                  f"{q['median']:10.4g} {q['q3']:10.4g} {tail}")
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=REPO_ROOT, check=True, capture_output=True,
+        text=True,
+    ).stdout.strip()
+
+
+def record(path: Path, entry: dict) -> None:
+    """Append ``entry`` to the JSON list at ``path`` (created if absent)."""
+    entries = json.loads(path.read_text("utf-8")) if path.exists() else []
+    entries.append(entry)
+    path.write_text(json.dumps(entries, indent=1) + "\n", "utf-8")
 
 
 def main(argv=None) -> int:
@@ -147,6 +187,8 @@ def main(argv=None) -> int:
                         help="seed of the first pair; pair k uses seed + k")
     parser.add_argument("--trace", action="store_true",
                         help="trace every run and judge the per-layer metrics")
+    parser.add_argument("--record", action="store_true",
+                        help="append each table to BENCH_<workload>.json")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((REPO_ROOT / "BENCHMARK.json").read_text("utf-8"))
@@ -170,6 +212,18 @@ def main(argv=None) -> int:
     metrics = benchmark["per_layer" if args.trace else "end_to_end"]
     for workload, (parent_runs, change_runs) in results.items():
         print_verdicts(workload, args.parent, metrics, parent_runs, change_runs)
+        if args.record:
+            record(REPO_ROOT / f"BENCH_{workload}.json", {
+                "commit": _git("describe", "--always", "--dirty"),
+                "parent": _git("rev-parse", args.parent),
+                "python": platform.python_version(),
+                "cpus": os.cpu_count(),
+                "seeds": list(range(args.seed, args.seed + args.pairs)),
+                "traced": args.trace,
+                "failed": sum(run["failed"]
+                              for run in parent_runs + change_runs),
+                "metrics": verdicts(metrics, parent_runs, change_runs),
+            })
     print(f"\nfailed checks over all runs: {failed}")
     return 1 if failed else 0
 
