@@ -35,12 +35,11 @@ from repro.core.test import test_order
 from repro.core.cover import cover_order
 from repro.core.homogenize import homogenize_order, homogenize_prefix
 from repro.core.general import GeneralOrderSpec, OrderSegment
-from repro.core.memo import clear_memos, memoization_disabled
+from repro.core.memo import clear_memos
 
 __all__ = [
     "instrument",
     "clear_memos",
-    "memoization_disabled",
     "OrderKey",
     "OrderSpec",
     "SortDirection",

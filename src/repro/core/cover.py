@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core import memo as memo_module
 from repro.core.context import OrderContext
 from repro.core.instrument import count
 from repro.core.ordering import OrderSpec
@@ -31,8 +30,6 @@ def cover_order(
 ) -> Optional[OrderSpec]:
     """The cover of ``first`` and ``second``, or ``None`` if impossible."""
     count("cover.calls")
-    if not memo_module.ENABLED:
-        return _cover_order_impl(first, second, context)
     memo = context.memo().cover
     key = (first, second)
     cached = memo.get(key, _MISS)

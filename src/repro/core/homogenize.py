@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Set
 
-from repro.core import memo as memo_module
 from repro.core.context import OrderContext
 from repro.core.instrument import count
 from repro.core.memo import intern_spec
@@ -69,8 +68,6 @@ def homogenize_order(
         if isinstance(target_columns, frozenset)
         else frozenset(target_columns)
     )
-    if not memo_module.ENABLED:
-        return _homogenize_order_impl(specification, targets, context)
     memo = context.memo().homogenize
     key = (specification, targets)
     cached = memo.get(key, _MISS)
@@ -122,8 +119,6 @@ def homogenize_prefix(
         if isinstance(target_columns, frozenset)
         else frozenset(target_columns)
     )
-    if not memo_module.ENABLED:
-        return _homogenize_prefix_impl(specification, targets, context)
     memo = context.memo().prefix
     key = (specification, targets)
     cached = memo.get(key)

@@ -24,9 +24,8 @@ The registry is bounded (cleared wholesale at a cap) so a long-running
 process serving many distinct queries cannot leak; within one planning
 run the cap is never approached.
 
-``ENABLED`` is the kill switch used by benchmarks to measure the
-un-memoized cost and by tests to pin memoized results against the naive
-reference implementations (:mod:`repro.core.reference`). The
+Tests pin memoized results against the naive reference
+implementations (:mod:`repro.core.reference`). The
 ``OptimizerConfig.disabled()`` baseline never reaches this module at
 all: its naive order tests (``test_order_naive`` and friends) bypass
 the algebra front doors entirely.
@@ -34,14 +33,9 @@ the algebra front doors entirely.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Dict
 
 from repro.core.instrument import count
-
-# Flipped by ``memoization_disabled()`` only; reads are plain module
-# attribute lookups on the hot path.
-ENABLED = True
 
 # fingerprint -> ContextMemo. Bounded: cleared wholesale at the cap.
 _REGISTRY: Dict[object, "ContextMemo"] = {}
@@ -100,18 +94,3 @@ def clear_memos() -> None:
     _REGISTRY.clear()
     _INTERNED.clear()
 
-
-@contextmanager
-def memoization_disabled() -> Iterator[None]:
-    """Run the algebra with every memo bypassed (still the fast closure).
-
-    Used by the metamorphic tests to compare memoized answers with
-    recomputed ones; not used by any planning path.
-    """
-    global ENABLED
-    previous = ENABLED
-    ENABLED = False
-    try:
-        yield
-    finally:
-        ENABLED = previous

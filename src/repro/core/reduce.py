@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core import memo as memo_module
 from repro.core.context import OrderContext
 from repro.core.instrument import count
 from repro.core.memo import intern_spec
@@ -47,8 +46,6 @@ def reduce_order(specification: OrderSpec, context: OrderContext) -> OrderSpec:
     ``tests/core/test_reduce_properties.py``.
     """
     count("reduce.calls")
-    if not memo_module.ENABLED:
-        return _reduce_order_impl(specification, context)
     memo = context.memo().reduce
     cached = memo.get(specification)
     if cached is not None:

@@ -12,7 +12,6 @@ the property at all.
 
 from __future__ import annotations
 
-from repro.core import memo as memo_module
 from repro.core.context import OrderContext
 from repro.core.instrument import count
 from repro.core.ordering import OrderSpec
@@ -26,8 +25,6 @@ def test_order(
 ) -> bool:
     """Whether ``order_property`` satisfies ``interesting`` under ``context``."""
     count("test.calls")
-    if not memo_module.ENABLED:
-        return _test_order_impl(interesting, order_property, context)
     memo = context.memo().test
     key = (interesting, order_property)
     cached = memo.get(key)

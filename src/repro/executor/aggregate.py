@@ -50,7 +50,7 @@ from repro.executor.operators import (
     row_blocks,
 )
 from repro.expr.evaluate import evaluate
-from repro.expr.nodes import Aggregate, AggregateKind, ColumnRef
+from repro.expr.nodes import Aggregate, AggregateKind, ColumnRef, Expression
 from repro.expr.schema import RowSchema
 from repro.expr.vector import RowBlock, VectorBatch, vector_projection_kernel
 from repro.sqltypes import NULL, SqlNull, is_null, sort_key
@@ -198,15 +198,14 @@ class _GroupByBase(PhysicalOperator):
             child.schema.position(column) for column in group_columns
         ]
         # A shared slot folds as a SUM / AVG sharer when it has one
-        # (COUNT alone does not fold the total). Arguments key by
-        # ``repr``, because ``Literal(1) == Literal(Decimal("1.0"))``.
+        # (COUNT alone does not fold the total).
         self._slots: List[Aggregate] = []
         self._reads: List[Tuple[int, AggregateKind]] = []
-        shared: Dict[Tuple[str, bool], int] = {}
+        shared: Dict[Tuple[Expression, bool], int] = {}
         for _name, aggregate in self.aggregates:
             kind, slot = aggregate.kind, len(self._slots)
             if kind in _SHARED_FOLDS and aggregate.argument is not None:
-                key = (repr(aggregate.argument), aggregate.distinct)
+                key = (aggregate.argument, aggregate.distinct)
                 slot = shared.setdefault(key, slot)
             if slot == len(self._slots):
                 self._slots.append(aggregate)
@@ -384,7 +383,6 @@ class HashGroupByOp(_GroupByBase):
         positions = tuple(self._group_positions)
         groups: Dict[Any, Tuple[Tuple[Any, ...], List[_Accumulator]]] = {}
         get = groups.get
-        count = 0
         token = context.cancel_token
         for batch in self.child.batches(context):
             # Pipeline breaker: the whole input accumulates before the
@@ -392,7 +390,6 @@ class HashGroupByOp(_GroupByBase):
             if token is not None:
                 token.check()
             markers, _ = group_markers(RowBlock(batch), positions)
-            count += len(batch)
             for marker, row in zip(markers, batch):
                 entry = get(marker)
                 if entry is None:
@@ -401,7 +398,6 @@ class HashGroupByOp(_GroupByBase):
                     groups[marker] = entry
                 for accumulator, evaluator in zip(entry[1], evaluators):
                     accumulator.add(evaluator(row))
-        context.rows_hashed += count
         if len(groups) > context.sort_memory_rows:
             context.charge_spill(len(groups))
         for raw, accumulators in groups.values():
@@ -415,11 +411,9 @@ class HashGroupByOp(_GroupByBase):
         # instead of per-aggregate accumulator dispatch).
         groups: Dict[Any, Tuple[Tuple[Any, ...], List[_Accumulator]]] = {}
         get = groups.get
-        count = 0
         for block, value_lists in self._vector_inputs(context):
             markers, raw_cols = group_markers(block, self._group_positions)
             n = len(markers)
-            count += n
             buckets: Dict[Any, List[int]] = {}
             bucket_get = buckets.get
             for j, marker in enumerate(markers):
@@ -462,7 +456,6 @@ class HashGroupByOp(_GroupByBase):
                         accumulator.add_run((gather(values),))
                     else:
                         accumulator.add_run(gather(values))
-        context.rows_hashed += count
         if len(groups) > context.sort_memory_rows:
             context.charge_spill(len(groups))
         for raw, accumulators in groups.values():
@@ -524,7 +517,6 @@ class HashDistinctOp(PhysicalOperator):
                 kept.append(row)
             if kept:
                 yield RowBlock(kept)
-        context.rows_hashed += len(seen)
 
     def label(self) -> str:
         return "distinct (hash)"

@@ -201,8 +201,9 @@ class ExecutionContext:
         database: storage handle (buffer pool, heaps, index trees).
         sort_memory_rows: in-memory sort threshold; larger inputs charge
             simulated spill I/O.
-        spill_pages: simulated pages written+read by spilling operators.
-        rows_sorted / rows_hashed: work counters for introspection.
+        spill_pages: simulated pages written+read by spilling operators
+            (per-operator work, such as rows sorted, is in ``metrics``
+            and the ``exec.*`` instrument counters).
         batch_size: rows per block in the ``blocks()`` protocol.
             Defaults per mode: DEFAULT_BATCH_SIZE when vector, 1
             (row-at-a-time) when interpreted; pass an explicit value to
@@ -219,9 +220,6 @@ class ExecutionContext:
     database: Database
     sort_memory_rows: int = SORT_MEMORY_ROWS
     spill_pages: int = 0
-    rows_sorted: int = 0
-    rows_partial_sorted: int = 0
-    rows_hashed: int = 0
     batch_size: int = BATCH_SIZE_AUTO
     mode: str = field(default_factory=default_exec_mode)
     cancel_token: Optional[CancelToken] = None

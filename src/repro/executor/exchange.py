@@ -28,15 +28,10 @@ from typing import Iterator, Sequence, Tuple
 from repro.core.ordering import OrderSpec
 from repro.errors import ExecutionError
 from repro.executor.context import ExecutionContext
-from repro.executor.operators import (
-    PhysicalOperator,
-    rebatched,
-    row_blocks,
-    sort_key_plan,
-    sort_keys,
-)
+from repro.executor.operators import PhysicalOperator, rebatched, row_blocks
 from repro.expr.schema import RowSchema
-from repro.expr.vector import RowBlock, VectorBatch
+from repro.expr.vector import VectorBatch
+from repro.storage.database import encode_index_keys
 
 
 class PartitionScanOp(PhysicalOperator):
@@ -106,24 +101,23 @@ class MergeExchangeOp(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return self._children
 
-    @staticmethod
     def _entries(
-        child: PhysicalOperator,
-        partition: int,
-        plan,
-        context: ExecutionContext,
+        self, child: PhysicalOperator, partition: int, context: ExecutionContext
     ) -> Iterator[Tuple]:
+        """The child's rows decorated with their flat keys under the
+        order (``encode_index_keys``, directions included)."""
+        positions = [self.schema.position(key.column) for key in self.order]
+        directions = [key.direction for key in self.order]
         sequence = 0
         for batch in child.batches(context):
-            keys, _ = sort_keys(RowBlock(batch), plan)
-            for key, row in zip(keys, batch):
+            columns = [[row[p] for row in batch] for p in positions]
+            for key, row in zip(encode_index_keys(columns, directions), batch):
                 yield (key, partition, sequence, row)
                 sequence += 1
 
     def _blocks(self, context: ExecutionContext) -> Iterator[VectorBatch]:
-        plan = sort_key_plan(self.schema, self.order)
         streams = [
-            self._entries(child, partition, plan, context)
+            self._entries(child, partition, context)
             for partition, child in enumerate(self._children)
         ]
         merged = heapq.merge(*streams)

@@ -17,7 +17,7 @@ keys are built column-wise in both engines: hash keys are ``group_key``
 markers (equal exactly when the values' ``sort_key``s are, so a float
 meets the equal Decimal), probe keys the flat index keys (two elements
 per column) that ``storage.database.encode_probe_keys`` builds from
-each column's type census, merge keys ascending ``sort_keys`` tuples;
+each column's type census, merge keys the same flat keys, ascending;
 NULL never matches. The row bodies filter each outer row's candidate
 pairs with one residual helper, a block filter in ``vector`` mode and the
 interpreter in ``interpreted`` mode; left-outer padding is decided per
@@ -39,6 +39,7 @@ from bisect import bisect_right
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.instrument import count
+from repro.core.ordering import SortDirection
 from repro.errors import ExecutionError
 from repro.executor.context import ExecutionContext
 from repro.executor.operators import (
@@ -47,7 +48,6 @@ from repro.executor.operators import (
     Row,
     count_interpreted,
     row_blocks,
-    sort_keys,
 )
 from repro.expr.evaluate import evaluate_predicate
 from repro.expr.nodes import ColumnRef, Expression
@@ -58,11 +58,9 @@ from repro.expr.vector import (
     VectorBatch,
     compile_vector_filter,
 )
-from repro.sqltypes import SqlNull, group_key_column, is_null
+from repro.sqltypes import group_key_column
 from repro.storage.buffer import PageId
 from repro.storage.database import encode_probe_keys
-
-KeyList = List[Optional[Tuple[Any, ...]]]
 
 
 def residual_matcher(
@@ -146,19 +144,6 @@ def _hash_keys(columns: Sequence[Sequence[Any]]) -> Sequence[Any]:
         if type(None) in set(map(type, column)):
             for index, value in enumerate(column):
                 if value is None:
-                    keys[index] = None
-    return keys
-
-
-def _merge_keys(batch: Batch, plan: Sequence[Tuple[int, bool]]) -> KeyList:
-    """Merge-join keys of a row batch: ascending ``sort_keys`` tuples,
-    None where any key column is NULL (found by type census)."""
-    keys, gathered = sort_keys(RowBlock(batch), plan)
-    for column in gathered:
-        kinds = set(map(type, column))
-        if type(None) in kinds or SqlNull in kinds:
-            for index, value in enumerate(column):
-                if is_null(value):
                     keys[index] = None
     return keys
 
@@ -361,18 +346,22 @@ def _keyed_rows(
     context: ExecutionContext,
 ) -> Iterator[Tuple[Optional[Tuple[Any, ...]], Row]]:
     """Flatten an operator's batches into (merge key, row) pairs,
-    computing keys one batch at a time."""
-    plan = [(operator.schema.position(column), False) for column in keys]
+    computing keys one batch at a time: ascending flat keys, None where
+    any key column is NULL. Merge keys are not index probes, so the
+    probe counter does not count them."""
+    positions = [operator.schema.position(column) for column in keys]
+    directions = [SortDirection.ASC] * len(positions)
     for batch in operator.batches(context):
-        yield from zip(_merge_keys(batch, plan), batch)
+        columns = _key_columns(batch, positions)
+        yield from zip(encode_probe_keys(columns, directions), batch)
 
 
 class MergeJoinOp(_BinaryJoin):
     """Sort-merge equi-join; inputs must arrive ordered on the join keys.
 
     Handles duplicate keys on both sides by buffering the inner group.
-    Sort keys are computed once per row per side (batch kernels), never
-    re-derived during group comparisons.
+    Flat keys are computed once per row per side, a batch at a time,
+    never re-derived during group comparisons.
     """
 
     def __init__(
@@ -479,7 +468,6 @@ class HashJoinOp(_BinaryJoin):
                     continue
                 setdefault(values, []).append(inner_row)
                 build_count += 1
-        context.rows_hashed += build_count
         if build_count > context.sort_memory_rows:
             context.charge_spill(build_count)
         return table

@@ -42,12 +42,7 @@ from repro.expr.vector import (
     compile_vector_filter,
     vector_projection_kernel,
 )
-from repro.sqltypes import (
-    group_key_column,
-    is_null,
-    ordering_key_column,
-    sort_key_column,
-)
+from repro.sqltypes import group_key_column, is_null, ordering_key_column
 from repro.storage.buffer import PageId
 from repro.storage.database import encode_index_key
 
@@ -491,29 +486,6 @@ def sort_key_plan(
     ]
 
 
-def sort_keys(
-    block: VectorBatch, plan: Sequence[Tuple[int, bool]]
-) -> Tuple[List[Tuple[Any, ...]], List[Sequence[Any]]]:
-    """Total-order keys of ``block``'s live rows under ``plan``.
-
-    The ordered key builder of both engines for the merge exchange and
-    merge joins, column-wise: each key column is gathered over the live
-    selection once and keyed by ``sort_key_column`` — exactly
-    ``[sort_key(v, descending) for v in column]``, built from the
-    column's type census — then the columns are zipped into one tuple
-    per row. Returns ``(keys, gathered)`` like :func:`group_markers`.
-    """
-    live = block.live()
-    gathered = [block.gather(position, live) for position, _desc in plan]
-    if not gathered:
-        return [()] * len(live), gathered
-    keyed = [
-        sort_key_column(column, descending)
-        for column, (_position, descending) in zip(gathered, plan)
-    ]
-    return list(zip(*keyed)), gathered
-
-
 def sort_rows(rows: List[Row], plan: Sequence[Tuple[int, bool]]) -> None:
     """Sort ``rows`` in place, stably, on ``plan`` — exactly ``rows.sort(
     key=<the row's sort_key(v, descending) per key>)``, at C speed.
@@ -685,11 +657,9 @@ class SortOp(PhysicalOperator):
                     metrics.spill_pages += context.charge_spill(memory_rows)
         metrics.sorted_rows += total
         if self.prefix_length:
-            context.rows_partial_sorted += total
             instrument.count("exec.partial_sorts")
             instrument.count("exec.rows_partial_sorted", total)
         else:
-            context.rows_sorted += total
             instrument.count("exec.sorts")
             instrument.count("exec.rows_sorted", total)
         if group:

@@ -43,9 +43,23 @@ class ColumnRef(Expression):
 
 @dataclass(frozen=True)
 class Literal(Expression):
-    """A constant. ``value is None`` encodes SQL NULL."""
+    """A constant. ``value is None`` encodes SQL NULL.
+
+    Equality includes the value's type and ``repr``: ``1``, ``1.0``,
+    ``Decimal('1.0')``, ``Decimal('1.00')`` and ``True`` are equal
+    Python values but constants of different result types or scales,
+    so expressions (and the kernels and aggregate slots keyed by them)
+    that differ only there stay distinct. The hash stays the
+    dataclass's, over the value alone.
+    """
 
     value: Any
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.value, other.value
+        return (type(a), a, repr(a)) == (type(b), b, repr(b))
 
     def __str__(self) -> str:
         if self.value is None:

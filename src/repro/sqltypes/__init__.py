@@ -30,6 +30,7 @@ from repro.sqltypes.values import (
     ordering_key_column,
     sort_key,
     sort_key_column,
+    sort_key_elements,
     sql_compare,
     sql_equal,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "ordering_key_column",
     "sort_key",
     "sort_key_column",
+    "sort_key_elements",
     "sql_compare",
     "sql_equal",
 ]

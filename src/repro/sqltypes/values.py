@@ -5,13 +5,16 @@ involving NULL yield ``None`` (unknown) under three-valued logic, while
 *sorting* needs a total order, so :func:`sort_key` places NULLs after all
 non-NULL values in ascending order (DB2 sorts NULLs high).
 
-:func:`sort_key` is the one definition of order. Grouping needs only
+:func:`sort_key` is the one definition of order: a value's key is a
+``(band, value)`` pair, NULL's the ``NULL_PAIR`` above every band, so
+every comparison of keys is a C tuple compare. Grouping needs only
 equality, so :func:`group_key` maps each value to a marker that equals
 another exactly when their sort keys are equal — for the common exact
-types the value itself. The column builders :func:`sort_key_column` and
-:func:`group_key_column` give the same keys a value at a time would, but
-read a column's *type census* (``set(map(type, column))``, C speed) first
-and skip the per-value call when the column holds one plain type.
+types the value itself. The column builders :func:`sort_key_elements`,
+:func:`sort_key_column` and :func:`group_key_column` give the same keys
+a value at a time would, but read a column's *type census*
+(``set(map(type, column))``, C speed) first and skip the per-value call
+when the column holds one plain type.
 :func:`ordering_key_column` goes one step further for a sort that takes
 its direction from ``list.sort``'s ``reverse``: a column of one plain
 type without NULLs is its own key.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import datetime
 import decimal
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import TypeSystemError
 
@@ -109,42 +112,15 @@ def sql_equal(left: Any, right: Any) -> Optional[bool]:
     return cmp == 0
 
 
-class _NullsHigh:
-    """Sort-key wrapper that compares greater than every non-NULL value."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: Any) -> bool:
-        return False
-
-    def __le__(self, other: Any) -> bool:
-        return isinstance(other, _NullsHigh)
-
-    def __gt__(self, other: Any) -> bool:
-        return not isinstance(other, _NullsHigh)
-
-    def __ge__(self, other: Any) -> bool:
-        return True
-
-    def __eq__(self, other: Any) -> bool:
-        return isinstance(other, _NullsHigh)
-
-    def __hash__(self) -> int:
-        return hash("_NullsHigh")
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<nulls-high>"
-
-
 class _Reversed:
     """Sort-key wrapper inverting the order of the wrapped key.
 
     Keys one DESC column so that a single key tuple orders a mixed
-    ASC/DESC specification. Its users are the DESC columns of flat index
-    keys (``storage.database.encode_index_keys``, a ``None`` after each)
-    and of the merge exchange's keys (``executor.operators.sort_keys``).
-    ``SortOp`` sorts by :func:`ordering_key_column` and passes the
-    direction as ``reverse`` instead.
+    ASC/DESC specification. Its users are the DESC columns of the flat
+    keys of ``storage.database.encode_index_keys`` (a ``None`` after
+    each): index trees and probes, and the merge exchange. ``SortOp``
+    sorts by :func:`ordering_key_column` and passes the direction as
+    ``reverse`` instead.
     """
 
     __slots__ = ("key",)
@@ -174,11 +150,10 @@ class _Reversed:
         return f"desc({self.key!r})"
 
 
-_NULLS_HIGH = _NullsHigh()
-
-# NULL's two elements in a flat index key (storage.database.
-# encode_index_keys): its band is above every band, as _NULLS_HIGH sorts.
-NULL_PAIR = (4, None)
+# NULL's sort key: its band is above every value's band, so NULLs sort
+# high, and two NULL keys tie.
+_NULL_BAND = 4
+NULL_PAIR = (_NULL_BAND, None)
 
 
 def sort_key(value: Any, descending: bool = False) -> Any:
@@ -196,7 +171,7 @@ def sort_key(value: Any, descending: bool = False) -> Any:
         # value on the sort path.
         key: Any = (0, value)
     elif is_null(value):
-        key = _NULLS_HIGH
+        key = NULL_PAIR
     elif isinstance(value, decimal.Decimal):
         key = (0, value)
     elif isinstance(value, bool):
@@ -218,41 +193,70 @@ def sort_key(value: Any, descending: bool = False) -> Any:
 
 _NONE_TYPE = type(None)
 
-# Exact types whose sort key is ``(band, value)`` or, for date, the
-# ordinal: a column of one of them (NULLs allowed) is keyed by one
-# comprehension. They and ``None`` are also their own group markers.
-_BANDS = {int: 0, decimal.Decimal: 0, str: 1}
-_CENSUS_KEYED = frozenset(_BANDS) | {datetime.date}
+# Exact types whose sort key is ``(band, value)`` or, for date, ``(3,
+# ordinal)``: a column of one of them (NULLs allowed) is split into its
+# key elements without a per-value call. They and ``None`` are also
+# their own group markers.
+_BANDS = {int: 0, decimal.Decimal: 0, str: 1, datetime.date: 3}
+_CENSUS_KEYED = frozenset(_BANDS)
 _MARKER_TYPES = _CENSUS_KEYED | {_NONE_TYPE}
+
+
+def _split_sort_keys(
+    values: Sequence[Any],
+) -> Optional[Tuple[Sequence[Any], Sequence[Any]]]:
+    """:func:`sort_key_elements` for a column whose type census is one
+    exact int / Decimal / str / date type, optionally with ``None``
+    (whose ``NULL_PAIR`` holds ``None`` as its value), split without a
+    per-value call; ``None`` for any other mix."""
+    kinds = set(map(type, values))
+    nulls = _NONE_TYPE in kinds
+    kinds.discard(_NONE_TYPE)
+    if len(kinds) > 1 or not kinds <= _CENSUS_KEYED:
+        return None
+    if not kinds:
+        return [_NULL_BAND] * len(values), values
+    kind = kinds.pop()
+    band = _BANDS[kind]
+    if kind is datetime.date:
+        values = (
+            [None if v is None else v.toordinal() for v in values]
+            if nulls
+            else [v.toordinal() for v in values]
+        )
+    if nulls:
+        null_band = _NULL_BAND
+        return [null_band if v is None else band for v in values], values
+    return [band] * len(values), values
+
+
+def sort_key_elements(
+    values: Sequence[Any],
+) -> Tuple[Sequence[Any], Sequence[Any]]:
+    """The band column and the value column of ``values``' ascending
+    sort keys: ``sort_key(values[i]) == (bands[i], elements[i])``.
+
+    Built from the column's type census (see :func:`_split_sort_keys`);
+    any other mix goes through :func:`sort_key` value by value. The
+    value column may alias ``values``; callers must not mutate it.
+    """
+    elements = _split_sort_keys(values)
+    if elements is None:
+        keys = list(map(sort_key, values))
+        return [key[0] for key in keys], [key[1] for key in keys]
+    return elements
 
 
 def sort_key_column(
     values: Sequence[Any], descending: bool = False
 ) -> List[Any]:
-    """``[sort_key(v, descending) for v in values]``, built from the
-    column's type census: one exact int / Decimal / str / date type,
-    optionally with ``None``, is keyed without a per-value call; any
-    other mix goes through :func:`sort_key` value by value."""
-    kinds = set(map(type, values))
-    nulls = _NONE_TYPE in kinds
-    kinds.discard(_NONE_TYPE)
-    if len(kinds) > 1 or not kinds <= _CENSUS_KEYED:
+    """``[sort_key(v, descending) for v in values]``: the zipped
+    columns of :func:`_split_sort_keys`, or the per-value keys when the
+    column's census is mixed."""
+    elements = _split_sort_keys(values)
+    if elements is None:
         return [sort_key(value, descending) for value in values]
-    if not kinds:
-        keys = [_NULLS_HIGH] * len(values)
-    elif datetime.date in kinds:
-        keys = (
-            [_NULLS_HIGH if v is None else (3, v.toordinal()) for v in values]
-            if nulls
-            else [(3, v.toordinal()) for v in values]
-        )
-    else:
-        band = _BANDS[kinds.pop()]
-        keys = (
-            [_NULLS_HIGH if v is None else (band, v) for v in values]
-            if nulls
-            else [(band, v) for v in values]
-        )
+    keys = list(zip(*elements))
     if descending:
         return list(map(_Reversed, keys))
     return keys

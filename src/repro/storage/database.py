@@ -22,8 +22,7 @@ from typing import (
 from repro.catalog import Catalog, Index, TableSchema, TableStats
 from repro.core.ordering import SortDirection
 from repro.errors import CatalogError, StorageError
-from repro.sqltypes import NULL, sort_key_column
-from repro.sqltypes.values import NULL_PAIR
+from repro.sqltypes import NULL, sort_key_column, sort_key_elements
 from repro.storage.btree import BPlusTree, Key
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile, Rid
@@ -46,24 +45,24 @@ def encode_index_key(
 def encode_index_keys(
     columns: Sequence[Sequence[Any]], directions: Sequence[SortDirection]
 ) -> List[Key]:
-    """The flat tree key of each row of ``columns`` (one value list per
-    key column, keyed through its census by ``sort_key_column``), two
-    elements per column: an ascending value's ``(band, value)``, NULL's
-    ``NULL_PAIR`` (it sorts high), or a descending value's ``_Reversed``
-    sort key and a ``None``. A key over the first k columns is the
-    stored key's first 2k elements; one column's key is its pair."""
-    pairs: List[List[Key]] = []
+    """The flat key of each row of ``columns`` (one value list per key
+    column): the engine's one multi-column ordered key, used by index
+    trees and probes, merge joins and the merge exchange.
+
+    Each key column gives two element columns, built through its census
+    and zipped once: an ascending column its ``sort_key`` bands and
+    values (NULL's are ``NULL_PAIR``'s, so it sorts high), a descending
+    one its ``_Reversed`` sort keys and a ``None`` filler. Flat keys
+    order and tie exactly as the nested per-column ``sort_key`` tuples.
+    A key over the first k columns is the stored key's first 2k
+    elements; one column's key is its sort-key pair."""
+    elements: List[Iterable[Any]] = []
     for column, direction in zip(columns, directions):
         if direction is _DESC:
-            keys = list(zip(sort_key_column(column, True), repeat(None)))
+            elements += (sort_key_column(column, True), repeat(None))
         else:
-            keys = sort_key_column(column)
-            if not _NULL_TYPES.isdisjoint(map(type, column)):
-                keys = [k if type(k) is tuple else NULL_PAIR for k in keys]
-        pairs.append(keys)
-    if len(pairs) == 1:
-        return pairs[0]
-    return list(zip(*chain.from_iterable(zip(*keys) for keys in pairs)))
+            elements += sort_key_elements(column)
+    return list(zip(*elements))
 
 
 def encode_probe_keys(

@@ -12,8 +12,7 @@ compare on:
 
 * fresh memo tables (every call a miss),
 * warmed memo tables (every call a hit — the cached value must equal
-  the recomputed one),
-* the memoization kill switch (the indexed-but-unmemoized path).
+  the recomputed one).
 """
 
 import random
@@ -24,7 +23,6 @@ from repro.core import (
     clear_memos,
     cover_order,
     homogenize_order,
-    memoization_disabled,
     reduce_order,
 )
 from repro.core import test_order as check_order
@@ -88,13 +86,6 @@ def assert_agreement(rng, ctx):
         assert cover_order(spec, other, ctx) == expected_cover
         assert homogenize_order(spec, targets, ctx) == expected_homogenize
 
-    # The kill switch must not change answers either.
-    with memoization_disabled():
-        assert reduce_order(spec, ctx) == expected_reduce
-        assert check_order(spec, other, ctx) == expected_test
-        assert cover_order(spec, other, ctx) == expected_cover
-        assert homogenize_order(spec, targets, ctx) == expected_homogenize
-
 
 @pytest.mark.parametrize("seed", range(40))
 def test_memoized_ops_match_reference(seed):
@@ -127,8 +118,6 @@ def test_an_order_satisfies_each_of_its_own_prefixes(seed):
                 assert reduce_order(prefix, context).is_prefix_of(
                     reduce_order(spec, context)
                 )
-                with memoization_disabled():
-                    assert check_order(prefix, spec, context)
 
 
 def test_shared_fingerprint_context_cannot_poison_results():

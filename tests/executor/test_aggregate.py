@@ -324,6 +324,26 @@ class TestSharedFolds:
         op = HashGroupByOp(_Blocks([]), [G1], [("a", one), ("b", one_point_zero)])
         assert len(op._slots) == 2
 
+    def test_a_literal_argument_shares_only_with_its_own_scale(self):
+        one_point_zero, one_point_zero_zero = (
+            Arithmetic(ArithmeticOp.MUL, V, lit(decimal.Decimal(text)))
+            for text in ("1.0", "1.00")
+        )
+        aggregates = [
+            ("a", Aggregate(AggregateKind.SUM, one_point_zero)),
+            ("b", Aggregate(AggregateKind.SUM, one_point_zero_zero)),
+            ("c", Aggregate(AggregateKind.AVG, one_point_zero_zero)),
+        ]
+        op = HashGroupByOp(_Blocks([]), [G1], aggregates)
+        assert [slot for slot, _kind in op._reads] == [0, 1, 1]
+        rows = [(0, 0, 1), (0, 0, 3)]
+        for mode in (MODE_INTERPRETED, MODE_VECTOR):
+            op = HashGroupByOp(_Blocks([rows]), [G1], aggregates)
+            got = op.execute(ExecutionContext(None, mode=mode))
+            assert repr(got) == (
+                "[(0, Decimal('4.0'), Decimal('4.00'), Decimal('2.00'))]"
+            ), mode
+
 
 class TestQ1FoldsFiveSlots:
     """scan_agg's TPC-D Q1 text: seven aggregates over three arguments

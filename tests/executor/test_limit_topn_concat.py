@@ -113,6 +113,7 @@ class TestExternalSort:
 
     def test_run_accounting(self, db):
         context = ExecutionContext(db, sort_memory_rows=100)
-        list(SortOp(scan(db), OrderSpec.of(TB)).rows(context))
+        op = SortOp(scan(db), OrderSpec.of(TB))
+        list(op.rows(context))
         assert context.spill_pages > 0
-        assert context.rows_sorted == 500
+        assert context.metrics[op].sorted_rows == 500

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Column, Database, Index, TableSchema
 from repro.catalog import hash_spec
 from repro.core import OrderSpec
-from repro.core.ordering import SortDirection, asc, desc
+from repro.core.ordering import OrderKey, SortDirection, asc, desc
 from repro.errors import ExecutionError, QueryCancelled, TypeSystemError
 from repro.executor import (
     MODE_INTERPRETED,
@@ -30,12 +30,12 @@ from repro.executor import (
 )
 from repro.executor.context import CancelToken
 from repro.executor.exchange import MergeExchangeOp
+from repro.executor.joins import MergeJoinOp
 from repro.executor.operators import (
     LimitOp,
     MaterializeOp,
     group_markers,
     sort_key_plan,
-    sort_keys,
 )
 from repro.expr import (
     Aggregate,
@@ -48,13 +48,16 @@ from repro.expr import (
     lit,
 )
 from repro.expr.nodes import ArithmeticOp
-from repro.expr.vector import ColumnBlock, RowBlock
+from repro.expr.vector import RowBlock
 from repro.sqltypes import (
     INTEGER,
     NULL,
     group_key,
+    is_null,
     ordering_key_column,
     sort_key,
+    sort_key_column,
+    sort_key_elements,
 )
 from repro.storage.database import encode_index_key
 
@@ -297,9 +300,10 @@ class TestSort:
     def test_spill_accounting(self, db):
         scan = TableScanOp("t", "t", SCHEMA)
         context = ExecutionContext(db, sort_memory_rows=10)
-        list(SortOp(scan, OrderSpec.of(TB)).rows(context))
+        op = SortOp(scan, OrderSpec.of(TB))
+        list(op.rows(context))
         assert context.spill_pages > 0
-        assert context.rows_sorted == 50
+        assert context.metrics[op].sorted_rows == 50
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_desc_keys_build_no_reversed_wrapper(self, monkeypatch, mode):
@@ -330,25 +334,6 @@ class TestSort:
             op = SortOp(child, order, prefix, limit=limit)
             context = ExecutionContext(None, mode=mode, sort_memory_rows=6)
             assert op.execute(context) == reference
-
-
-class TestSortKeys:
-    def test_sort_keys_are_per_value_sort_keys(self):
-        from repro.sqltypes import sort_key as key_of
-
-        rows = [(3, None), (1, 5), (None, 2), (2, 2)]
-        plan = [(0, False), (1, True)]
-        expected = [
-            (key_of(row[0], False), key_of(row[1], True)) for row in rows
-        ]
-        keys, gathered = sort_keys(RowBlock(rows), plan)
-        assert keys == expected
-        assert gathered == [[3, 1, None, 2], [None, 5, 2, 2]]
-        # Only the live selection is keyed, in selection order.
-        selected = ColumnBlock([list(c) for c in zip(*rows)], 4, [1, 3])
-        assert sort_keys(selected, plan)[0] == [expected[1], expected[3]]
-        # No key columns: one empty marker per live row.
-        assert sort_keys(selected, [])[0] == [(), ()]
 
 
 class _Day(datetime.date):
@@ -416,21 +401,134 @@ def _sort_key_markers(rows, positions):
     return [tuple(sort_key(row[p]) for p in positions) for row in rows]
 
 
+def _nested_keys(rows, plan):
+    """Each row's nested per-value sort-key tuple under ``plan``."""
+    return [tuple(sort_key(row[p], d) for p, d in plan) for row in rows]
+
+
+def _tagged(rows):
+    """``rows`` with each row's position appended, so equal key rows
+    stay distinguishable in the output."""
+    return [row + (tag,) for tag, row in enumerate(rows)]
+
+
+def _stable_sorted(rows, plan):
+    keys = _nested_keys(rows, plan)
+    return [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
+
+
+def _blocks_of(schema, rows, size):
+    blocks = [rows[i : i + size] for i in range(0, len(rows), size)]
+    return _Blocks(schema, blocks)
+
+
+def _key_schema(alias, width):
+    return RowSchema(
+        [col(alias, f"k{i}") for i in range(width)] + [col(alias, "tag")]
+    )
+
+
+@st.composite
+def _merge_sides(draw):
+    """Two row lists of one key width, each sorted ascending by its
+    nested sort keys (what a merge join's inputs deliver)."""
+    width = draw(st.integers(1, 3))
+    sides = []
+    for _side in range(2):
+        size = draw(st.integers(0, 10))
+        columns = [draw(_key_column(size)) for _ in range(width)]
+        rows = _tagged(list(zip(*columns)))
+        sides.append(_stable_sorted(rows, [(p, False) for p in range(width)]))
+    return sides[0], sides[1], width
+
+
+@st.composite
+def _exchange_streams(draw):
+    """2-3 partition streams, each stable-sorted by a mixed-direction
+    order over 1-3 key columns, and that order's directions."""
+    width = draw(st.integers(1, 3))
+    descending = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    plan = list(zip(range(width), descending))
+    streams = []
+    for partition in range(draw(st.integers(2, 3))):
+        size = draw(st.integers(0, 8))
+        columns = [draw(_key_column(size)) for _ in range(width)]
+        rows = [row + ((partition, i),) for i, row in enumerate(zip(*columns))]
+        streams.append(_stable_sorted(rows, plan))
+    return streams, plan
+
+
 class TestKeyContracts:
-    """``sort_keys`` is per-value ``sort_key`` exactly, and
-    ``group_markers`` has exactly the classes of ``sort_key`` markers,
+    """The column key builders are per-value ``sort_key`` exactly; merge
+    joins and the merge exchange, which compare flat index keys, order
+    and match rows as nested per-value ``sort_key`` tuples do; and
+    ``group_markers`` has exactly the classes of ``sort_key`` markers —
     whatever mix of types a column holds."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_key_rows(), st.lists(st.booleans(), min_size=3, max_size=3))
-    def test_sort_keys_equal_per_value_sort_key(self, drawn, directions):
-        rows, width = drawn
-        plan = list(zip(range(width), directions))
-        expected = [
-            tuple(sort_key(row[p], descending) for p, descending in plan)
-            for row in rows
+    @given(st.integers(0, 16).flatmap(_key_column), st.booleans())
+    def test_sort_key_columns_equal_per_value_sort_key(
+        self, column, descending
+    ):
+        assert sort_key_column(column, descending) == [
+            sort_key(value, descending) for value in column
         ]
-        assert sort_keys(RowBlock(rows), plan)[0] == expected
+        bands, values = sort_key_elements(column)
+        assert list(zip(bands, values)) == list(map(sort_key, column))
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @settings(max_examples=100, deadline=None)
+    @given(_merge_sides(), st.integers(1, 4))
+    def test_merge_join_is_a_nested_loop_over_sort_keys(
+        self, mode, sides, block
+    ):
+        outer_rows, inner_rows, width = sides
+        outer_schema = _key_schema("o", width)
+        inner_schema = _key_schema("i", width)
+        op = MergeJoinOp(
+            _blocks_of(outer_schema, outer_rows, block),
+            _blocks_of(inner_schema, inner_rows, block),
+            outer_schema.columns[:width],
+            inner_schema.columns[:width],
+        )
+        plan = [(p, False) for p in range(width)]
+        outer_keys = _nested_keys(outer_rows, plan)
+        inner_keys = _nested_keys(inner_rows, plan)
+        expected = [
+            outer + inner
+            for outer, outer_key in zip(outer_rows, outer_keys)
+            if not any(map(is_null, outer[:width]))
+            for inner, inner_key in zip(inner_rows, inner_keys)
+            if inner_key == outer_key
+        ]
+        context = ExecutionContext(None, mode=mode, batch_size=block)
+        assert op.execute(context) == expected
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @settings(max_examples=100, deadline=None)
+    @given(_exchange_streams(), st.integers(1, 4))
+    def test_merge_exchange_is_a_stable_sort_by_sort_keys(
+        self, mode, drawn, block
+    ):
+        streams, plan = drawn
+        width = len(plan)
+        schema = _key_schema("t", width)
+        order = OrderSpec(
+            OrderKey(
+                schema.columns[p],
+                SortDirection.DESC if descending else SortDirection.ASC,
+            )
+            for p, descending in plan
+        )
+        op = MergeExchangeOp(
+            [_blocks_of(schema, rows, block) for rows in streams],
+            schema,
+            order,
+        )
+        rows = [row for stream in streams for row in stream]
+        expected = _stable_sorted(rows, plan)
+        context = ExecutionContext(None, mode=mode, batch_size=block)
+        assert op.execute(context) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 16).flatmap(_key_column), st.booleans())
@@ -567,7 +665,8 @@ class TestSortMergeBoundaries:
             db, mode, memory_rows=30, batch_size=20
         )
         assert rows == self.expected(db)
-        assert context.rows_sorted == 50
+        sorted_rows = [m.sorted_rows for m in context.metrics.values()]
+        assert sorted(sorted_rows) == [0, 50]  # the scan and the sort
 
     def test_byte_identical_across_engines(self, db):
         outputs = {
@@ -654,14 +753,14 @@ class TestPartialSort:
 
         sorts_before = COUNTERS.get("exec.partial_sorts", 0)
         rows_before = COUNTERS.get("exec.rows_partial_sorted", 0)
+        full_before = COUNTERS.get("exec.rows_sorted", 0)
         context = ExecutionContext(grouped_db)
         op = SortOp(grouped_scan(), UORDER, 1)
         op.execute(context)
         metrics = context.metrics[op]
         assert metrics.groups == 10
         assert metrics.sorted_rows == 50
-        assert context.rows_partial_sorted == 50
-        assert context.rows_sorted == 0
+        assert COUNTERS.get("exec.rows_sorted", 0) == full_before
         assert COUNTERS["exec.partial_sorts"] == sorts_before + 1
         assert COUNTERS["exec.rows_partial_sorted"] == rows_before + 50
         assert "groups=10" in metrics.render()

@@ -14,6 +14,7 @@ import decimal
 
 import pytest
 
+from repro import Column, Database, TableSchema, run_query
 from repro.errors import ExpressionError
 from repro.expr import (
     BooleanExpr,
@@ -38,6 +39,7 @@ from repro.expr.vector import (
     clear_vector_cache,
     vector_value_kernel,
 )
+from repro.sqltypes import INTEGER
 
 X, Y = col("t", "x"), col("t", "y")
 SCHEMA = RowSchema([X, Y])
@@ -290,3 +292,53 @@ class TestKernelMemoBound:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert size == cap
+
+
+class TestLiteralTypes:
+    """``1``, ``1.0``, ``Decimal('1')`` and ``True`` are equal Python
+    values but different constants: kernels memoized by expression must
+    not hand one literal's kernel to another. Rows compare equal under
+    ``==`` either way, so the check is on their ``repr``."""
+
+    STATEMENTS = [
+        "select a + 1 as x, a + 1.0 as y from t",
+        "select a * 2 as x from t where a = 1",
+        "select a * 2.0 as x from t where a = 1.0",
+        "select a + 1.0 as x, a + 1.00 as y from t",
+        "select sum(a * 1.0) as x, sum(a * 1.00) as y, avg(a * 1.00) as z"
+        " from t",
+    ]
+
+    def test_literal_equality_includes_the_type(self):
+        for other in (1.0, decimal.Decimal("1"), True):
+            assert lit(1) != lit(other)
+            assert hash(lit(1)) == hash(lit(other))
+        assert lit(1) == lit(1)
+        one_point_zero = lit(decimal.Decimal("1.0"))
+        assert one_point_zero != lit(decimal.Decimal("1.00"))
+        assert hash(one_point_zero) == hash(lit(decimal.Decimal("1.00")))
+        assert one_point_zero == lit(decimal.Decimal("1.0"))
+        assert Arithmetic(ArithmeticOp.ADD, X, lit(1)) != Arithmetic(
+            ArithmeticOp.ADD, X, lit(1.0)
+        )
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_result_reprs_agree_across_engines_and_orders(self, reverse):
+        db = Database()
+        db.create_table(TableSchema("t", [Column("a", INTEGER)]), rows=[(1,)])
+        statements = self.STATEMENTS[::-1] if reverse else self.STATEMENTS
+        results = {}
+        for mode in ("vector", "interpreted"):
+            clear_vector_cache()
+            results[mode] = {
+                sql: repr(run_query(db, sql, mode=mode).rows)
+                for sql in statements
+            }
+        assert results["vector"] == results["interpreted"]
+        assert results["vector"][self.STATEMENTS[0]] == (
+            "[(2, Decimal('2.0'))]"
+        )
+        assert results["vector"][self.STATEMENTS[2]] == "[(Decimal('2.0'),)]"
+        assert results["vector"][self.STATEMENTS[3]] == (
+            "[(Decimal('2.0'), Decimal('2.00'))]"
+        )

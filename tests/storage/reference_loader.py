@@ -23,7 +23,6 @@ from repro.catalog import Index, TableSchema
 from repro.core.ordering import SortDirection
 from repro.errors import CatalogError, StorageError
 from repro.sqltypes import sort_key
-from repro.sqltypes.values import NULL_PAIR
 from repro.storage.btree import BPlusTree
 from repro.storage.database import StoredTable
 from repro.storage.heap import Rid
@@ -119,15 +118,15 @@ class ReferenceTable(StoredTable):
 
         def encode(row: Sequence[Any]) -> Tuple[Any, ...]:
             # Flat, two elements per column: an ascending sort key is
-            # its (band, value) pair or, for NULL, NULL_PAIR; a
-            # descending one is followed by a None filler.
+            # its (band, value) pair; a descending one is followed by a
+            # None filler.
             key: List[Any] = []
             for position, descending in fields:
                 part = sort_key(row[position], descending)
                 if descending:
                     key += (part, None)
                 else:
-                    key += part if type(part) is tuple else NULL_PAIR
+                    key += part
             return tuple(key)
 
         return encode

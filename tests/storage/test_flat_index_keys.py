@@ -1,11 +1,13 @@
 """Flat index keys and the unguarded descent bounds.
 
 ``encode_index_keys`` gives every key column exactly two tuple elements
-(an ascending value's ``(band, value)`` sort key, NULL's ``NULL_PAIR``,
-or a descending ``_Reversed`` sort key and a filler). The flat keys must
-order and tie exactly as the nested per-column ``sort_key`` tuples they
-replaced, be ``2 * columns`` long, and have the key over the first *k*
-columns as their first *2k* elements, so prefix bounds slice.
+(an ascending value's ``(band, value)`` sort key, NULL's being
+``NULL_PAIR``, or a descending ``_Reversed`` sort key and a filler). It
+is the engine's one ordered multi-column key (index trees and probes,
+merge joins, the merge exchange), so the flat keys must order and tie
+exactly as the nested per-column ``sort_key`` tuples, be ``2 * columns``
+long, and have the key over the first *k* columns as their first *2k*
+elements, so prefix bounds slice.
 
 ``BPlusTree._find_leaf`` narrows its separator interval without guard
 compares; it is held to the guarded loop it replaced, kept below as
@@ -95,6 +97,17 @@ def test_a_prefix_key_is_the_stored_keys_head(case):
         assert prefix == [key[: 2 * width] for key in stored]
     for values, key in zip(zip(*columns), stored):
         assert encode_index_key(values, directions) == key
+
+
+def test_index_keys_are_per_value_sort_keys():
+    rows = [(3, None), (1, 5), (None, 2), (2, 2)]
+    columns = [list(column) for column in zip(*rows)]
+    expected = [(*sort_key(a), sort_key(b, True), None) for a, b in rows]
+    assert encode_index_keys(columns, [ASC, DESC]) == expected
+    assert sort_key(None) == sort_key(NULL) == (4, None)
+    # No key columns: the empty key.
+    assert encode_index_keys([], []) == []
+    assert encode_index_key([], []) == ()
 
 
 def test_one_column_keys_are_the_sort_key_pairs():

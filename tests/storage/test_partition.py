@@ -1,5 +1,8 @@
 """Partitioned storage: routing, global RIDs, page accounting, keys."""
 
+import datetime
+from decimal import Decimal
+
 import pytest
 
 from repro.catalog import Column, Index, TableSchema, hash_spec, range_spec
@@ -36,6 +39,24 @@ class TestRouting:
         for part in range(4):
             for _, row in heap.scan_partition(part):
                 assert _stable_hash((row[0],)) % 4 == part
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ((0,), 1347122401),
+            ((7,), 3449572440),
+            (("abc",), 4066775237),
+            ((Decimal("1.50"),), 4252932959),
+            ((1.5,), 738879870),
+            ((datetime.date(1995, 3, 1),), 890107068),
+            ((True,), 1218954066),
+            ((42, "x", Decimal("2")), 2684414311),
+        ],
+    )
+    def test_stable_hash_is_pinned_for_non_null_keys(self, values, expected):
+        # Stored rows route by these values; a change to a non-NULL
+        # value's sort key would move rows between partitions.
+        assert _stable_hash(values) == expected
 
     def test_range_routing_boundaries_are_exclusive_upper_edges(self):
         spec = range_spec(["k"], [10, 20])
