@@ -7,8 +7,10 @@ the grouping columns' ``group_key`` values — equal exactly when their
 is its own marker column. Group-by has two bodies behind one
 ``_blocks``: in ``vector`` mode markers and aggregate arguments are
 gathered column-wise off the child's blocks and folded a run at a time
-(``_Accumulator.add_run``, which reads each run's type census); in
-``interpreted`` mode the row-at-a-time reference body feeds each
+(``_Accumulator.add_run``, which reads each run's type census; the
+sorted group-by folds a block's closed runs as columns instead, unless
+a DISTINCT slot, a NULL in the block or a MIN / MAX over a mixed census
+needs the accumulators); in ``interpreted`` mode the row-at-a-time reference body feeds each
 accumulator through a counted interpreter thunk. SUM, AVG and COUNT
 over one argument with one DISTINCT flag share one accumulator slot: one
 left-to-right fold keeps the total and the count all three read (AVG is
@@ -48,6 +50,7 @@ from repro.executor.operators import (
     count_interpreted,
     group_markers,
     row_blocks,
+    run_starts,
 )
 from repro.expr.evaluate import evaluate
 from repro.expr.nodes import Aggregate, AggregateKind, ColumnRef, Expression
@@ -170,6 +173,36 @@ _COUNT_STAR = object()
 _SHARED_FOLDS = frozenset(
     {AggregateKind.SUM, AggregateKind.AVG, AggregateKind.COUNT}
 )
+# How ``_closed_rows`` folds a closed run: ``add_run``'s left fold and
+# its one-type ``min`` / ``max``.
+_RUN_FOLDS = {
+    AggregateKind.SUM: functools.partial(functools.reduce, operator.add),
+    AggregateKind.AVG: functools.partial(functools.reduce, operator.add),
+    AggregateKind.MIN: min,
+    AggregateKind.MAX: max,
+}
+
+
+def _fold_run(accumulators, value_lists, start: int, end: int) -> None:
+    """Fold rows ``[start, end)`` of a block's slot values (``None``:
+    COUNT(*)) into one accumulator per slot."""
+    for accumulator, values in zip(accumulators, value_lists):
+        if values is None:
+            accumulator.add_count(end - start)
+        else:
+            accumulator.add_run(values[start:end])
+
+
+def _column_wise(aggregate: Aggregate, values: Optional[Sequence[Any]]) -> bool:
+    """Whether a slot's closed runs in a block fold as columns, by one
+    type census of the block's values."""
+    if values is None:
+        return True
+    kinds = set(map(type, values))
+    if aggregate.distinct or not kinds.isdisjoint(_NULL_TYPES):
+        return False
+    plain = len(kinds) == 1 and kinds <= _PLAIN_EXTREMES
+    return plain or aggregate.kind not in (AggregateKind.MIN, AggregateKind.MAX)
 
 
 class _GroupByBase(PhysicalOperator):
@@ -232,11 +265,7 @@ class _GroupByBase(PhysicalOperator):
         accumulators = self._new_accumulators()
         if context.vectorized:
             for block, value_lists in self._vector_inputs(context):
-                for accumulator, values in zip(accumulators, value_lists):
-                    if values is None:
-                        accumulator.add_count(block.count)
-                    else:
-                        accumulator.add_run(values)
+                _fold_run(accumulators, value_lists, 0, block.count)
         else:
             evaluators = self._argument_evaluators()
             for batch in self.child.batches(context):
@@ -339,36 +368,62 @@ class SortedGroupByOp(_GroupByBase):
             yield self._output_row(current_raw, accumulators)
 
     def _grouped_vector(self, context: ExecutionContext) -> Iterator[Row]:
-        # Group changes are found by scanning the marker list for run
-        # boundaries, then each aggregate folds the whole run at once —
-        # the columnar win for sorted aggregation is run-at-a-time
-        # accumulation, not per-row accumulator dispatch.
+        # The run continuing the carried group and the run open at a
+        # block's end fold into accumulators; the closed runs between
+        # fold as columns (``_closed_rows`` names the fallbacks).
         current_group: Any = _NO_GROUP
         current_raw: Tuple[Any, ...] = ()
         accumulators: List[_Accumulator] = []
         for block, value_lists in self._vector_inputs(context):
             markers, raw_cols = group_markers(block, self._group_positions)
-            n = len(markers)
-            start = 0
-            while start < n:
-                marker = markers[start]
-                end = start + 1
-                while end < n and markers[end] == marker:
-                    end += 1
-                if current_group is _NO_GROUP or marker != current_group:
-                    if current_group is not _NO_GROUP:
-                        yield self._output_row(current_raw, accumulators)
-                    current_group = marker
-                    current_raw = tuple(col[start] for col in raw_cols)
-                    accumulators = self._new_accumulators()
-                for accumulator, values in zip(accumulators, value_lists):
-                    if values is None:
-                        accumulator.add_count(end - start)
-                    else:
-                        accumulator.add_run(values[start:end])
-                start = end
+            edges = [0, *run_starts(markers), len(markers)]
+            if current_group is not _NO_GROUP:
+                if markers[0] == current_group:
+                    _fold_run(accumulators, value_lists, 0, edges[1])
+                    if len(edges) == 2:
+                        continue
+                    del edges[0]
+                yield self._output_row(current_raw, accumulators)
+            yield from self._closed_rows(
+                value_lists, raw_cols, edges[:-2], edges[1:-1]
+            )
+            last = edges[-2]
+            current_group = markers[last]
+            current_raw = tuple(col[last] for col in raw_cols)
+            accumulators = self._new_accumulators()
+            _fold_run(accumulators, value_lists, last, edges[-1])
         if current_group is not _NO_GROUP:
             yield self._output_row(current_raw, accumulators)
+
+    def _closed_rows(self, value_lists, raw_cols, starts, ends) -> Iterator[Row]:
+        """Output rows of the closed runs ``[starts[i], ends[i])``: each
+        slot folds them all as columns (COUNT from the run lengths, the
+        rest by ``_RUN_FOLDS``) unless one is not ``_column_wise`` (a
+        DISTINCT slot, a NULL in the block or a MIN / MAX over a mixed
+        census); then each run folds into its own accumulators."""
+        columns = [list(map(col.__getitem__, starts)) for col in raw_cols]
+        if not all(map(_column_wise, self._slots, value_lists)):
+            runs = [self._new_accumulators() for _start in starts]
+            for run, start, end in zip(runs, starts, ends):
+                _fold_run(run, value_lists, start, end)
+            return map(self._output_row, zip(*columns), runs)
+        counts = list(map(operator.sub, ends, starts))
+        folds: List[Optional[List[Any]]] = []
+        for aggregate, values in zip(self._slots, value_lists):
+            fold = _RUN_FOLDS.get(aggregate.kind)
+            if values is None or fold is None:  # COUNT never adds values
+                folds.append(None)
+                continue
+            slices = map(values.__getitem__, map(slice, starts, ends))
+            folds.append(list(map(fold, slices)))
+        for slot, kind in self._reads:
+            if kind is AggregateKind.COUNT:
+                columns.append(counts)
+            elif kind is AggregateKind.AVG:
+                columns.append(list(map(operator.truediv, folds[slot], counts)))
+            else:
+                columns.append(folds[slot])
+        return zip(*columns)
 
     def label(self) -> str:
         inner = ", ".join(str(column) for column in self.group_columns)
@@ -481,13 +536,12 @@ class SortedDistinctOp(PhysicalOperator):
         previous: Any = _NO_GROUP
         for batch in self.child.batches(context):
             markers, _ = group_markers(RowBlock(batch), every_column)
-            kept: Batch = []
-            for marker, row in zip(markers, batch):
-                if previous is _NO_GROUP or marker != previous:
-                    previous = marker
-                    kept.append(row)
-            if kept:
-                yield RowBlock(kept)
+            starts = run_starts(markers)
+            if previous is _NO_GROUP or markers[0] != previous:
+                starts.insert(0, 0)
+            previous = markers[-1]
+            if starts:
+                yield RowBlock(list(map(batch.__getitem__, starts)))
 
     def label(self) -> str:
         return "distinct (sorted)"

@@ -23,6 +23,7 @@ and raise identical errors.
 
 from __future__ import annotations
 
+import itertools
 import operator as operator_module
 import time
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -547,6 +548,14 @@ def group_markers(
     return list(zip(*map(group_key_column, gathered))), gathered
 
 
+def run_starts(markers: Sequence[Any]) -> List[int]:
+    """Positions ``i > 0`` where ``markers[i] != markers[i - 1]``: where
+    every run of equal markers but the first begins, found in C."""
+    after = itertools.islice(markers, 1, None)
+    changed = map(operator_module.ne, after, markers)
+    return list(itertools.compress(range(1, len(markers)), changed))
+
+
 class SortOp(PhysicalOperator):
     """Segmented sort: full sort, partial sort and Top-N.
 
@@ -560,7 +569,9 @@ class SortOp(PhysicalOperator):
     input. Spilling is accounting only: a full run is charged (written
     and re-read) each time the open group gains ``sort_memory_rows``
     rows, and a spilled group's remainder when it closes — one stable
-    sort of the group is exactly the merge of stable runs.
+    sort of the group is exactly the merge of stable runs. In ``vector``
+    mode without a limit, a block's closed groups sort together
+    (:func:`_sorted_block`) when none would spill.
 
     With ``limit`` set (a FETCH FIRST above), a group's kept rows plus
     the incoming slice of one block are sorted and truncated to
@@ -574,7 +585,7 @@ class SortOp(PhysicalOperator):
     sort of the input on ``order`` (truncated per group under a limit)
     in both engines. A single pull can cross many groups without
     yielding a block, so the ``CancelToken`` is polled at every group
-    boundary.
+    boundary, and once per group of a block sorted together.
     """
 
     def __init__(
@@ -626,6 +637,7 @@ class SortOp(PhysicalOperator):
         suffix = plan[self.prefix_length :]
         limit = self.limit
         memory_rows = max(1, context.sort_memory_rows)
+        blockwise = limit is None and context.vectorized
         group: List[Row] = []
         spilled = 0  # rows of the open group charged as full runs
         marker: Any = _NO_GROUP
@@ -635,17 +647,30 @@ class SortOp(PhysicalOperator):
             edges = [0]  # where the open group's slices of batch begin
             if prefix_positions:
                 markers, _ = group_markers(RowBlock(batch), prefix_positions)
-                for index, current in enumerate(markers):
-                    if current != marker:
-                        edges.append(index)
-                        marker = current
+                if markers[0] != marker:
+                    edges.append(0)
+                edges += run_starts(markers)
+                marker = markers[-1]
             edges.append(len(batch))
-            for piece, (begin, end) in enumerate(zip(edges, edges[1:])):
-                if piece and group:  # a new group begins at ``begin``
+            closed = edges[1:-1]  # bounds of the groups wholly inside
+            sizes = list(map(operator_module.sub, closed[1:], closed))
+            pieces: List[Any] = list(zip(edges, edges[1:]))
+            if sizes and blockwise and max(sizes) < memory_rows:
+                pieces[1:-1] = [None]  # they sort together, never spilling
+            for piece, span in enumerate(pieces):
+                if piece and group:  # a new group begins at ``span``
                     yield self._flush(context, metrics, group, spilled, suffix)
                     group, spilled = [], 0
                     if token is not None:
                         token.check()
+                if span is None:
+                    metrics.groups += len(sizes)
+                    rows = batch[closed[0] : closed[-1]]
+                    yield _sorted_block(rows, sizes, suffix)
+                    for _size in sizes if token is not None else ():
+                        token.check()
+                    continue
+                begin, end = span
                 group.extend(batch[begin:end])
                 if limit is not None:
                     if len(group) > limit:
@@ -682,6 +707,21 @@ class SortOp(PhysicalOperator):
         if self.limit is not None:
             return f"top-{self.limit} sort {self.order}"
         return f"sort {self.order}"
+
+
+def _sorted_block(rows: List[Row], sizes: List[int], plan) -> List[Row]:
+    """``rows``, groups of ``sizes`` rows one after another, each group
+    sorted stably on ``plan`` by one permutation of them all: a stable
+    pass per key, least significant first, by (group ordinal, key),
+    the ordinal negated under ``reverse`` so the groups keep order."""
+    order = list(range(len(rows)))
+    for position, descending in reversed(plan):
+        column = list(map(operator_module.itemgetter(position), rows))
+        ordinals = range(0, -len(sizes), -1) if descending else range(len(sizes))
+        groups = itertools.chain.from_iterable(map(itertools.repeat, ordinals, sizes))
+        keys = list(zip(groups, ordering_key_column(column)))
+        order.sort(key=keys.__getitem__, reverse=descending)
+    return list(map(rows.__getitem__, order))
 
 
 # Sentinel marking "no group open yet" wherever markers are compared

@@ -1,5 +1,6 @@
 """Aggregation and DISTINCT operators."""
 
+import datetime
 import decimal
 
 import pytest
@@ -23,7 +24,7 @@ from repro.executor.aggregate import _COUNT_STAR, _Accumulator
 from repro.expr import Aggregate, AggregateKind, RowSchema, col, lit
 from repro.expr.nodes import Arithmetic, ArithmeticOp
 from repro.expr.vector import RowBlock, vector_projection_kernel
-from repro.sqltypes import INTEGER
+from repro.sqltypes import INTEGER, group_key
 from repro.sqltypes.values import NULL
 
 TG, TV = col("t", "g"), col("t", "v")
@@ -160,6 +161,25 @@ class TestDistinct:
         rows = run(op, db)
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("batch_size", [1, 3, 1024])
+    def test_sorted_distinct_equals_the_row_loop(self, batch_size):
+        # NULL and None are one marker, as are 2 and 2.0; runs of up to
+        # five rows cross blocks of three.
+        rows = [
+            (0, None), (0, NULL), (0, None), (0, 2), (0, 2.0), (0, 2),
+            (1, 2), (1, 2), (1, 2), (1, 2), (1, 2), (NULL, 1), (None, 1),
+            (None, NULL), (None, None),
+        ]
+        kept, previous = [], None
+        for row in rows:
+            marker = tuple(map(group_key, row))
+            if not kept or marker != previous:
+                kept.append(row)
+            previous = marker
+        blocks = _split(rows, [batch_size] * (len(rows) // batch_size))
+        op = SortedDistinctOp(_Blocks(blocks, SCHEMA))
+        assert repr(op.execute(ExecutionContext(None))) == repr(kept)
+
     def test_hash_distinct(self, db):
         db.store("t").load([(1, 1), (1, 1), (2, 2)])
         rows = run(HashDistinctOp(scan()), db)
@@ -206,8 +226,8 @@ _FAMILIES = [
 class _Blocks(PhysicalOperator):
     """Replays fixed row blocks: the block boundaries are the test's."""
 
-    def __init__(self, blocks):
-        super().__init__(FOLD_SCHEMA)
+    def __init__(self, blocks, schema=FOLD_SCHEMA):
+        super().__init__(schema)
         self._rows = blocks
 
     def _blocks(self, context):
@@ -378,3 +398,77 @@ class TestQ1FoldsFiveSlots:
         rows = run_query(tpcd_db, q1, mode=mode).rows
         assert rows and len(built) == 5 * len(rows)
         assert projected == ([4] if mode == MODE_VECTOR else [])
+
+
+# ----------------------------------------------------------------------
+# Sorted GROUP BY: closed runs fold column-wise, open runs carry
+# ----------------------------------------------------------------------
+
+SG, SX, SD, SM = (col("s", name) for name in ("g", "x", "d", "m"))
+SORTED_SCHEMA = RowSchema([SG, SX, SD, SM])
+# SUM / AVG / COUNT share x; COUNT alone over the DATE column d (its
+# values never add); MIN / MAX over d (one type) and over m (one type
+# or mixed, by block); a DISTINCT slot.
+SORTED_POOL = [
+    ("sum_x", Aggregate(AggregateKind.SUM, SX)),
+    ("avg_x", Aggregate(AggregateKind.AVG, SX)),
+    ("n_x", Aggregate(AggregateKind.COUNT, SX)),
+    ("n_d", Aggregate(AggregateKind.COUNT, SD)),
+    ("n", Aggregate(AggregateKind.COUNT, None)),
+    ("lo_d", Aggregate(AggregateKind.MIN, SD)),
+    ("hi_d", Aggregate(AggregateKind.MAX, SD)),
+    ("lo_m", Aggregate(AggregateKind.MIN, SM)),
+    ("hi_m", Aggregate(AggregateKind.MAX, SM)),
+    ("sum_distinct_x", Aggregate(AggregateKind.SUM, SX, True)),
+]
+_FLOATS = st.sampled_from([0.1, 0.2, 0.3, -0.0, 1e16, -1e16, 2.5])
+_DATES = st.dates(datetime.date(1995, 1, 1), datetime.date(1995, 1, 20))
+
+
+@st.composite
+def _sorted_group_inputs(draw):
+    """Grouped rows cut into blocks of 1-8 or 1024 rows. Each block
+    draws whether its values hold NULLs and whether ``m`` mixes int and
+    float."""
+    batch_size = draw(st.integers(1, 8) | st.just(1024))
+    sizes = draw(st.lists(st.integers(1, 6), max_size=14))
+    keys = [g for g, size in enumerate(sizes) for _ in range(size)]
+    if keys and draw(st.booleans()):  # a NULL group sorts last
+        keys = [None if g == keys[-1] else g for g in keys]
+    blocks = []
+    for start in range(0, len(keys), batch_size):
+        nulls = st.sampled_from([None, NULL]) if draw(st.booleans()) else None
+        mixed = draw(st.booleans())
+        x, d = _FLOATS, _DATES
+        m = st.integers(-5, 5) | (_FLOATS if mixed else st.integers(6, 9))
+        if nulls is not None:
+            x, d, m = x | nulls, d | nulls, m | nulls
+        blocks.append(
+            [
+                (key, draw(x), draw(d), draw(m))
+                for key in keys[start : start + batch_size]
+            ]
+        )
+    aggregates = draw(st.permutations(SORTED_POOL[:-1]))
+    aggregates = aggregates[: draw(st.integers(1, len(aggregates)))]
+    if draw(st.integers(0, 3)) == 0:
+        aggregates.append(SORTED_POOL[-1])
+    return blocks, aggregates
+
+
+class TestSortedGroupByBlocks:
+    """Closed runs fold column-wise in ``vector`` mode, the runs open
+    at a block's edges through carried accumulators; rows equal, by
+    ``repr``, what the interpreted row loop returns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sorted_group_inputs())
+    def test_vector_equals_interpreted(self, drawn):
+        blocks, aggregates = drawn
+        got = {}
+        for mode in (MODE_INTERPRETED, MODE_VECTOR):
+            op = SortedGroupByOp(
+                _Blocks(blocks, SORTED_SCHEMA), [SG], aggregates
+            )
+            got[mode] = repr(op.execute(ExecutionContext(None, mode=mode)))
+        assert got[MODE_VECTOR] == got[MODE_INTERPRETED]

@@ -861,6 +861,39 @@ class TestPartialSort:
         assert context.metrics[op].spill_pages == 0
         assert context.metrics[op].groups == 10
 
+    # Group sizes over blocks of 16 rows with sort memory 4: many small
+    # groups per block, groups of 4-7 rows that straddle a block edge
+    # (and spill), a group closed inside a block that spills, and a
+    # spilling last group.
+    GROUP_SIZES = [2, 1, 3, 2, 1, 3, 6, 1, 2, 3, 1, 2, 2, 5, 1, 3, 2, 4, 8]
+
+    @pytest.mark.parametrize("batch_size", [7, 16, 1024])
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_closed_groups_sort_and_charge_as_one_group_each(
+        self, mode, batch_size
+    ):
+        arrival = []
+        for g, size in enumerate(self.GROUP_SIZES):
+            for j in range(size):
+                i = len(arrival)
+                k = None if i % 5 == 0 else (i * 7) % 3
+                arrival.append((i, g, k, [0.5, -0.0, 1.0][j % 3], i % 2 == 0))
+        starts = range(0, len(arrival), batch_size)
+        child = _Blocks(
+            CENSUS_SCHEMA, [arrival[s : s + batch_size] for s in starts]
+        )
+        order = OrderSpec((asc(UG), desc(CK), asc(CF), desc(CB)))
+        context = ExecutionContext(None, mode=mode, sort_memory_rows=4)
+        op = SortOp(child, order, 1)
+        rows = op.execute(context)
+        plan = [(1, False), (2, True), (3, False), (4, True)]
+        assert rows == _sorted_reference(arrival, plan, 1, None)
+        metrics = context.metrics[op]
+        assert metrics.groups == len(self.GROUP_SIZES)
+        assert metrics.sorted_rows == len(arrival)
+        spilled = sum(_spill_pages(size, 4) for size in self.GROUP_SIZES)
+        assert metrics.spill_pages == context.spill_pages == spilled
+
 
 class TestLimitedPartialSortEarlyExit:
     """``CostModel.sort`` prices a partial sort under a limit as reading
