@@ -80,15 +80,10 @@ class GeneralOrderSpec:
 
     @classmethod
     def from_group_by(cls, columns: Sequence[ColumnRef]) -> "GeneralOrderSpec":
-        """The general order of an order-based GROUP BY."""
+        """The general order of an order-based GROUP BY or DISTINCT."""
         if not columns:
             return cls(())
         return cls((OrderSegment.free(columns),))
-
-    @classmethod
-    def from_distinct(cls, columns: Sequence[ColumnRef]) -> "GeneralOrderSpec":
-        """The general order of an order-based DISTINCT."""
-        return cls.from_group_by(columns)
 
     @classmethod
     def from_group_by_with_distinct_agg(

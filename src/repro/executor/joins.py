@@ -30,7 +30,8 @@ matching rows, appending each key's pages (descent, leaf-chain steps,
 then the heap page of every fetched row) to the block's page run, and
 one ``BufferPool.access_run`` charges the run — in the order, and with
 the hit / miss outcome, of the row body's ``probe`` + ``fetch`` calls —
-before the ``JoinBlock`` is yielded.
+before the ``JoinBlock`` is yielded. A block whose matches outgrow
+``batch_size`` is yielded as selection slices of it (both block bodies).
 """
 
 from __future__ import annotations
@@ -127,6 +128,18 @@ def _padded(
             inner_rows += rows[start:stop]
         start = stop
     return out_index, inner_rows
+
+
+def _slices(joined: VectorBatch, size: int) -> Iterator[VectorBatch]:
+    """``joined`` cut into selection slices of at most ``size`` rows:
+    one outer block can expand past the block bound, and nothing is
+    copied to honour it."""
+    live = joined.live()
+    if len(live) <= size:
+        yield joined
+        return
+    for start in range(0, len(live), size):
+        yield joined.with_selection(list(live[start : start + size]))
 
 
 def _hash_keys(columns: Sequence[Sequence[Any]]) -> Sequence[Any]:
@@ -281,6 +294,7 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
         padding = (None,) * len(self.inner_schema)
         left_outer = self.left_outer
         outer_width = len(self.outer.schema)
+        size = context.batch_size
         metrics = context.metrics_for(self)
         for block in self.outer.blocks(context):
             metrics.rows_in += block.count
@@ -309,7 +323,7 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
                 if not selection:
                     continue
                 joined = joined.with_selection(selection)
-            yield joined
+            yield from _slices(joined, size)
 
     def _joined(self, context: ExecutionContext) -> Iterator[Row]:
         store, tree, directions, positions = self._probe_setup(context)
@@ -487,6 +501,7 @@ class HashJoinOp(_BinaryJoin):
         empty: Tuple[Row, ...] = ()
         left_outer = self.left_outer
         get = table.get
+        size = context.batch_size
         metrics = context.metrics_for(self)
         residual_filter = (
             compile_vector_filter(self.residual, self.schema)
@@ -519,7 +534,7 @@ class HashJoinOp(_BinaryJoin):
                 if not selection:
                     continue
                 joined = joined.with_selection(selection)
-            yield joined
+            yield from _slices(joined, size)
 
     def _joined(self, context: ExecutionContext) -> Iterator[Row]:
         outer_positions = [

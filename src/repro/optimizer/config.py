@@ -12,7 +12,8 @@ class OptimizerConfig:
     ``order_optimization`` is the master switch matching the paper's
     Section 8 experiment: with it off, order tests are naive column-list
     comparisons, interesting orders are neither reduced nor combined nor
-    pushed down, and GROUP BY demands exactly its written column order.
+    pushed down, and GROUP BY and DISTINCT demand exactly their written
+    column order.
 
     The finer-grained switches support the ablation benchmarks; they are
     only consulted when ``order_optimization`` is on.

@@ -10,7 +10,7 @@ needed at all; Reduce Order supplies the minimal sort columns.
 from __future__ import annotations
 
 from itertools import takewhile
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.fd import FDSet
 from repro.core.general import GeneralOrderSpec
@@ -20,6 +20,7 @@ from repro.expr.schema import RowSchema
 from repro.optimizer.enumerate import make_sort
 from repro.optimizer.helpers import (
     general_satisfies,
+    general_sort_targets,
     order_satisfies,
     sort_columns_for,
 )
@@ -167,128 +168,33 @@ def _rewrite_topmost_sort_to_topn(
 # ----------------------------------------------------------------------
 
 
-def _group_output_schema(planner: PlannerContext) -> RowSchema:
-    block = planner.block
-    outputs = list(block.group_columns) + [
-        ColumnRef("", name) for name, _aggregate in block.aggregates
-    ]
-    return RowSchema(outputs)
-
-
-def _group_output_rows(planner: PlannerContext, input_rows: float) -> float:
-    """Estimated group count: joint NDV when the grouping columns share
-    a sampled base table, else the per-column NDV product — capped."""
-    block = planner.block
-    if not block.group_columns:
-        return 1.0
-    joint = planner.stats_view.joint_ndv(list(block.group_columns))
-    if joint is not None:
-        return max(1.0, min(joint, input_rows))
-    groups = 1.0
-    for column in block.group_columns:
-        stats = planner.stats_view.column_stats(column)
-        groups *= float(stats.ndv) if stats is not None else 10.0
-    return max(1.0, min(groups, input_rows))
-
-
 def _plan_group_by(
     planner: PlannerContext, plan: PlanNode
 ) -> List[PlanNode]:
     """Sorted and hash GROUP BY variants over one join plan."""
     block = planner.block
-    config = planner.config
-    output_schema = _group_output_schema(planner)
     aggregate_columns = [
         ColumnRef("", name) for name, _aggregate in block.aggregates
     ]
-    input_rows = plan.properties.cardinality
-    output_rows = _group_output_rows(planner, input_rows)
-    context = plan.properties.context()
-    variants: List[PlanNode] = []
-
-    general = GeneralOrderSpec.from_group_by(block.group_columns)
-
-    def grouped(child: PlanNode, hash_based: bool) -> PlanNode:
-        properties = propagate_group_by(
-            child.properties,
+    output_schema = RowSchema(list(block.group_columns) + aggregate_columns)
+    return _grouping_variants(
+        planner,
+        plan,
+        block.group_columns,
+        "group by",
+        (OpKind.GROUP_SORTED, OpKind.GROUP_HASH),
+        lambda properties, rows: propagate_group_by(
+            properties,
             block.group_columns,
             output_schema,
             aggregate_columns,
-            output_rows,
-        )
-        if hash_based:
-            properties = properties.with_order(OrderSpec())
-            cost = child.cost + planner.cost_model.group_by_hash(
-                child.properties.cardinality,
-                output_rows,
-                planner.pages_for(output_rows),
-            )
-            kind = OpKind.GROUP_HASH
-        else:
-            cost = child.cost + planner.cost_model.group_by_sorted(
-                child.properties.cardinality, output_rows
-            )
-            kind = OpKind.GROUP_SORTED
-        return PlanNode(
-            kind,
-            (child,),
-            properties,
-            cost,
-            {
-                "group_columns": list(block.group_columns),
-                "aggregates": list(block.aggregates),
-            },
-        )
-
-    # --- order-based GROUP BY ---
-    if not block.group_columns:
-        # Scalar aggregation: hash operator handles it trivially.
-        variants.append(grouped(plan, hash_based=True))
-        return variants
-
-    if general_satisfies(config, general, plan.order, context):
-        variants.append(grouped(plan, hash_based=False))
-    else:
-        for target in _group_sort_targets(planner, general, context):
-            if not target.subset_columns(plan.properties.schema.columns):
-                continue
-            sorted_child = make_sort(planner, plan, target, "group by")
-            variants.append(grouped(sorted_child, hash_based=False))
-
-    # --- hash-based GROUP BY ---
-    if config.enable_hash_group_by:
-        variants.append(grouped(plan, hash_based=True))
-    return variants
-
-
-def _group_sort_targets(
-    planner: PlannerContext,
-    general: GeneralOrderSpec,
-    context,
-) -> List[OrderSpec]:
-    """Candidate sort orders establishing the GROUP BY requirement.
-
-    With order optimization on: the order aligned with the ORDER BY (one
-    sort serves both, the Cover Order payoff) and the minimal concrete
-    order. With it off: exactly the written grouping column list.
-    """
-    block = planner.block
-    config = planner.config
-    if not config.effective("enable_general_orders"):
-        return [OrderSpec.of(*block.group_columns)]
-    targets: List[OrderSpec] = []
-    if config.effective("enable_cover") and not block.order_by.is_empty():
-        aligned = general.aligned_with(block.order_by, context)
-        if aligned is not None and not aligned.is_empty():
-            targets.append(aligned)
-    minimal = general.concrete(context)
-    if not minimal.is_empty() and minimal not in targets:
-        targets.append(minimal)
-    if not targets:
-        # Everything reduced away (e.g. one-record stream): group input
-        # is trivially grouped; sort on the first column as a fallback.
-        targets.append(OrderSpec.of(*block.group_columns))
-    return targets
+            rows,
+        ),
+        {
+            "group_columns": list(block.group_columns),
+            "aggregates": list(block.aggregates),
+        },
+    )
 
 
 def _apply_having(planner: PlannerContext, plan: PlanNode) -> PlanNode:
@@ -312,13 +218,13 @@ def _apply_having(planner: PlannerContext, plan: PlanNode) -> PlanNode:
 def _distinct_output_rows(
     planner: PlannerContext, columns: List[ColumnRef], input_rows: float
 ) -> float:
-    """Estimated distinct row count over the output columns.
+    """Estimated group count of a GROUP BY or DISTINCT over ``columns``.
 
-    Mirrors GROUP BY's estimate: joint NDV when the columns share a
-    sampled base table (correlated pairs stop multiplying), else the
-    per-column NDV product — capped by the input. Computed output
-    columns carry no statistics; when *nothing* has statistics the old
-    halve-the-input heuristic is all that's defensible.
+    Joint NDV when the columns share a sampled base table (correlated
+    pairs stop multiplying), else the per-column NDV product — capped by
+    the input. Computed output columns carry no statistics; when
+    *nothing* has statistics the old halve-the-input heuristic is all
+    that's defensible.
     """
     if not columns:
         return 1.0
@@ -347,50 +253,67 @@ def _plan_distinct(
     DISTINCT runs over the final select list; we project first so
     duplicate elimination sees exactly the output columns.
     """
-    projected = _final_projection(planner, plan, mark_projected=True)
-    config = planner.config
-    columns = list(projected.properties.schema.columns)
-    output_rows = _distinct_output_rows(
-        planner, columns, projected.properties.cardinality
+    projected = _final_projection(planner, plan)
+    return _grouping_variants(
+        planner,
+        projected,
+        list(projected.properties.schema.columns),
+        "distinct",
+        (OpKind.DISTINCT_SORTED, OpKind.DISTINCT_HASH),
+        propagate_distinct,
+        {},
     )
-    context = projected.properties.context()
-    general = GeneralOrderSpec.from_distinct(columns)
-    variants: List[PlanNode] = []
 
-    def distinct_node(child: PlanNode, hash_based: bool) -> PlanNode:
-        properties = propagate_distinct(child.properties, output_rows)
+
+def _grouping_variants(
+    planner: PlannerContext,
+    plan: PlanNode,
+    columns: Sequence[ColumnRef],
+    reason: str,
+    kinds: Tuple[OpKind, OpKind],
+    propagate: Callable[[StreamProperties, float], StreamProperties],
+    args: dict,
+) -> List[PlanNode]:
+    """Sorted (``kinds[0]``) and hash (``kinds[1]``) variants of one
+    GROUP BY or DISTINCT: §7 gives both one general order, any
+    permutation of ``columns`` in any directions."""
+    config = planner.config
+    cost_model = planner.cost_model
+    output_rows = _distinct_output_rows(
+        planner, columns, plan.properties.cardinality
+    )
+
+    def node(child: PlanNode, hash_based: bool) -> PlanNode:
+        properties = propagate(child.properties, output_rows)
+        input_rows = child.properties.cardinality
         if hash_based:
             properties = properties.with_order(OrderSpec())
-            kind = OpKind.DISTINCT_HASH
-            cost = child.cost + planner.cost_model.group_by_hash(
-                child.properties.cardinality,
-                output_rows,
-                planner.pages_for(output_rows),
+            cost = cost_model.group_by_hash(
+                input_rows, output_rows, planner.pages_for(output_rows)
             )
         else:
-            kind = OpKind.DISTINCT_SORTED
-            cost = child.cost + planner.cost_model.group_by_sorted(
-                child.properties.cardinality, output_rows
-            )
-        return PlanNode(kind, (child,), properties, cost, {})
-
-    if general_satisfies(config, general, projected.order, context):
-        variants.append(distinct_node(projected, hash_based=False))
-    else:
-        if config.effective("enable_cover") and not planner.block.order_by.is_empty():
-            aligned = general.aligned_with(planner.block.order_by, context)
-        else:
-            aligned = None
-        target = aligned if aligned is not None else general.concrete(
-            context, hint=planner.block.order_by or None
+            cost = cost_model.group_by_sorted(input_rows, output_rows)
+        return PlanNode(
+            kinds[hash_based], (child,), properties, child.cost + cost, dict(args)
         )
-        if not config.effective("enable_general_orders"):
-            target = OrderSpec.of(*columns)
-        if not target.is_empty() and target.subset_columns(columns):
-            sorted_child = make_sort(planner, projected, target, "distinct")
-            variants.append(distinct_node(sorted_child, hash_based=False))
+
+    variants: List[PlanNode] = []
+    # No columns is scalar aggregation: the hash operator handles it.
+    if columns:
+        context = plan.properties.context()
+        general = GeneralOrderSpec.from_group_by(columns)
+        written = OrderSpec.of(*columns)
+        if general_satisfies(config, general, plan.order, context, written):
+            variants.append(node(plan, hash_based=False))
+        else:
+            for target in general_sort_targets(
+                config, general, context, planner.block.order_by, written
+            ):
+                if target.subset_columns(plan.properties.schema.columns):
+                    sorted_child = make_sort(planner, plan, target, reason)
+                    variants.append(node(sorted_child, hash_based=False))
     if config.enable_hash_group_by or not variants:
-        variants.append(distinct_node(projected, hash_based=True))
+        variants.append(node(plan, hash_based=True))
     return variants
 
 
@@ -416,9 +339,7 @@ def _ensure_order_by(
     return make_sort(planner, plan, target, "order by")
 
 
-def _final_projection(
-    planner: PlannerContext, plan: PlanNode, mark_projected: bool = False
-) -> PlanNode:
+def _final_projection(planner: PlannerContext, plan: PlanNode) -> PlanNode:
     """Project to the block's select list (skipped if already done)."""
     if plan.args.get("final_projection"):
         return plan

@@ -7,7 +7,7 @@ reduction, no minimal sort columns.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.core.context import OrderContext
 from repro.core.general import GeneralOrderSpec
@@ -64,37 +64,35 @@ def general_satisfies(
     general: GeneralOrderSpec,
     order_property: OrderSpec,
     context: OrderContext,
+    written: OrderSpec,
 ) -> bool:
-    """Degrees-of-freedom satisfaction (Section 7), or the rigid check."""
+    """Degrees-of-freedom satisfaction (Section 7), or the written order."""
     if config.effective("enable_general_orders"):
         return general.satisfied_by(order_property, context)
-    rigid = _rigid_spec(general)
-    return order_satisfies(config, rigid, order_property, context)
+    return order_satisfies(config, written, order_property, context)
 
 
-def general_sort_target(
+def general_sort_targets(
     config: OptimizerConfig,
     general: GeneralOrderSpec,
     context: OrderContext,
-    hint: Optional[OrderSpec] = None,
-) -> OrderSpec:
-    """The sort order to enforce for a general requirement."""
+    order_by: OrderSpec,
+    written: OrderSpec,
+) -> List[OrderSpec]:
+    """Sort orders establishing a GROUP BY or DISTINCT requirement.
+
+    With general orders on: the order aligned with the ORDER BY (one
+    sort serves both, the Cover Order payoff), then the minimal concrete
+    order. With them off, or when everything reduced away: the written
+    column list.
+    """
+    targets: List[OrderSpec] = []
     if config.effective("enable_general_orders"):
-        return general.concrete(context, hint=hint)
-    return _rigid_spec(general)
-
-
-def _rigid_spec(general: GeneralOrderSpec) -> OrderSpec:
-    """The general order collapsed to its written column sequence."""
-    from repro.core.ordering import OrderKey
-
-    keys = []
-    for segment in general.segments:
-        if segment.is_fixed:
-            keys.append(segment.fixed_key)
-        else:
-            for column in sorted(
-                segment.columns, key=lambda c: (c.qualifier, c.name)
-            ):
-                keys.append(OrderKey(column))
-    return OrderSpec(keys)
+        if config.effective("enable_cover") and not order_by.is_empty():
+            aligned = general.aligned_with(order_by, context)
+            if aligned is not None and not aligned.is_empty():
+                targets.append(aligned)
+        minimal = general.concrete(context)
+        if not minimal.is_empty() and minimal not in targets:
+            targets.append(minimal)
+    return targets or [written]

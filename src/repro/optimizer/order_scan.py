@@ -17,6 +17,7 @@ from repro.core.general import GeneralOrderSpec
 from repro.core.homogenize import homogenize_prefix
 from repro.core.ordering import OrderSpec
 from repro.core.reduce import reduce_order
+from repro.optimizer.helpers import general_sort_targets
 from repro.optimizer.planner import PlannerContext
 
 # Interesting orders a block keeps as sort-ahead candidates.
@@ -47,26 +48,22 @@ def run_order_scan(planner: PlannerContext) -> List[OrderSpec]:
         if not reduced.is_empty() and reduced not in candidates:
             candidates.append(reduced)
 
-    if block.has_group_by() and block.group_columns:
-        general = GeneralOrderSpec.from_group_by(block.group_columns)
-        if planner.config.effective("enable_cover") and not block.order_by.is_empty():
-            aligned = general.aligned_with(block.order_by, optimistic)
-            if aligned is not None:
-                push(aligned)
-        push(general.concrete(optimistic))
+    # GROUP BY and DISTINCT are one §7 requirement: a free segment over
+    # their columns (DISTINCT's base-column outputs only).
+    requirements = [block.group_columns] if block.has_group_by() else []
     if block.distinct:
-        outputs = [
-            item.output
-            for item in block.select_items
-            if item.output.qualifier  # base columns only
-        ]
-        if outputs:
-            general = GeneralOrderSpec.from_distinct(outputs)
-            if planner.config.effective("enable_cover") and not block.order_by.is_empty():
-                aligned = general.aligned_with(block.order_by, optimistic)
-                if aligned is not None:
-                    push(aligned)
-            push(general.concrete(optimistic, hint=block.order_by))
+        requirements.append(
+            [item.output for item in block.select_items if item.output.qualifier]
+        )
+    for columns in filter(None, requirements):
+        for target in general_sort_targets(
+            planner.config,
+            GeneralOrderSpec.from_group_by(columns),
+            optimistic,
+            block.order_by,
+            OrderSpec.of(*columns),
+        ):
+            push(target)
     if not block.has_group_by() and not block.order_by.is_empty():
         push(block.order_by)
 

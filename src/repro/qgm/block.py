@@ -143,13 +143,6 @@ def normalize(root: Box) -> QueryBlock:
     )
 
 
-def _all_base(box: SelectBox) -> bool:
-    return all(
-        isinstance(quantifier, BaseTableQuantifier)
-        for quantifier in box.quantifiers()
-    )
-
-
 def _base_tables(box: SelectBox) -> Tuple[Dict[str, str], Dict[str, Box]]:
     """(alias -> table name, alias -> derived box) in FROM order."""
     tables: Dict[str, str] = {}

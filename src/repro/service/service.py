@@ -54,7 +54,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional
+from typing import Any, Deque, Dict, List, NamedTuple, Optional
 
 from repro.api import QueryResult, execute
 from repro.core.instrument import count
@@ -158,6 +158,7 @@ class QueryService:
     """
 
     LATENCY_WINDOW = 4096
+    SLOW_LOG_SIZE = 64
 
     def __init__(
         self,
@@ -170,8 +171,6 @@ class QueryService:
         mode: Optional[str] = None,
         default_timeout: Optional[float] = None,
         slow_query_ms: float = 500.0,
-        slow_log_size: int = 64,
-        feedback_hook: Optional[Callable[[str, QueryResult], None]] = None,
         collect_observations: bool = False,
     ):
         if workers < 1:
@@ -187,13 +186,9 @@ class QueryService:
         self.mode = mode
         self.default_timeout = default_timeout
         self.slow_query_ms = slow_query_ms
-        # Workload feedback: with a hook (or collect_observations),
-        # every execution also joins plan estimates against actual
-        # per-operator rows; the hook receives (sql, result) after the
-        # result is recorded. Hook errors are counted, never fatal.
-        self.feedback_hook = feedback_hook
+        # Workload feedback: with collect_observations, every execution
+        # also joins plan estimates against actual per-operator rows.
         self.collect_observations = collect_observations
-        self._feedback_errors = 0
         self._regressions: List[PlanRegression] = []
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_depth)
         self._closed = False
@@ -204,7 +199,7 @@ class QueryService:
         self._timeouts = 0
         self._cancelled = 0
         self._inflight = 0
-        self._slow_log: Deque[SlowQuery] = deque(maxlen=slow_log_size)
+        self._slow_log: Deque[SlowQuery] = deque(maxlen=self.SLOW_LOG_SIZE)
         self._tokens: Dict["Future[QueryResult]", CancelToken] = {}
         self._last_versions = (
             database.catalog.version,
@@ -352,9 +347,6 @@ class QueryService:
         started = time.perf_counter()
         with self._lock:
             self._inflight += 1
-        observe = (
-            self.feedback_hook is not None or self.collect_observations
-        )
         try:
             plan, bindings, status = self._plan(sql, parameters, config)
             # Planning itself is not checkpointed; charge it against
@@ -368,7 +360,7 @@ class QueryService:
                 reset_io=False,
                 cache_status=status,
                 cancel_token=token,
-                observe=observe,
+                observe=self.collect_observations,
             )
         finally:
             with self._lock:
@@ -383,13 +375,6 @@ class QueryService:
                 self._slow_log.append(SlowQuery(sql, elapsed_ms, status))
                 count("service.slow_queries")
         count("service.queries")
-        if self.feedback_hook is not None:
-            try:
-                self.feedback_hook(sql, result)
-            except Exception:  # the loop must never kill queries
-                with self._lock:
-                    self._feedback_errors += 1
-                count("service.feedback_errors")
         return result
 
     def _worker_loop(self) -> None:
@@ -465,10 +450,6 @@ class QueryService:
         """The plan-regression log, oldest first."""
         with self._lock:
             return list(self._regressions)
-
-    def feedback_errors(self) -> int:
-        with self._lock:
-            return self._feedback_errors
 
     def stats(self) -> ServiceStats:
         with self._lock:

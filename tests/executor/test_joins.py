@@ -299,6 +299,62 @@ class TestIndexNljPageAccounting:
         assert stats.total_misses > (heap.page_count if pool_pages == 3 else 0)
 
 
+class TestJoinBlockBound:
+    """An outer block whose matches outgrow ``batch_size`` still leaves
+    the join in blocks of at most ``batch_size`` rows, with the rows and
+    the simulated I/O of the unsliced join."""
+
+    @staticmethod
+    def build():
+        database = Database(buffer_pool_pages=4)
+        database.create_table(
+            TableSchema("r", [Column("a", INTEGER), Column("b", INTEGER)]),
+            rows=[(i % 9, i) for i in range(30)] + [(None, 1)],
+        )
+        # Fan-out 3: every outer key meets three inner rows.
+        database.create_table(
+            TableSchema("s", [Column("a", INTEGER), Column("b", INTEGER)]),
+            rows=[(i % 10, i % 4) for i in range(30)],
+        )
+        database.create_index(Index.on("s_a", "s", ["a"]))
+        return database
+
+    @pytest.mark.parametrize(
+        "residual", [None, Comparison(ComparisonOp.NE, SB, lit(3))]
+    )
+    @pytest.mark.parametrize("join", ["index_nlj", "hash"])
+    @pytest.mark.parametrize("mode", [MODE_VECTOR, MODE_INTERPRETED])
+    def test_blocks_stay_within_batch_size(self, join, mode, residual):
+        database = self.build()
+
+        def outcome(batch_size):
+            if join == "hash":
+                operator = HashJoinOp(scan_r(), scan_s(), [RA], [SA], residual)
+            else:
+                operator = TestIndexNljPageAccounting.join(
+                    scan_r(), residual=residual
+                )
+            database.reset_io(cold=True)
+            context = ExecutionContext(
+                database, mode=mode, batch_size=batch_size
+            )
+            counts, rows = [], []
+            for block in operator.blocks(context):
+                counts.append(block.count)
+                rows.extend(block.materialize())
+            return counts, rows, database.buffer_pool.stats
+
+        counts, rows, stats = outcome(4)
+        assert max(counts) <= 4 and 0 not in counts
+        _whole, unsliced_rows, unsliced_stats = outcome(1024)
+        assert (rows, stats) == (unsliced_rows, unsliced_stats)
+        assert sorted(rows) == [
+            row
+            for row in expected_join(database)
+            if residual is None or row[3] != 3
+        ]
+
+
 @pytest.fixture(scope="module")
 def double_decimal_db():
     """``a.x`` DOUBLE and ``b.y`` DECIMAL(4,2) holding equal numbers:

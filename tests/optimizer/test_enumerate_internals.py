@@ -20,7 +20,7 @@ from repro.optimizer.enumerate import (
 )
 from repro.optimizer.helpers import (
     general_satisfies,
-    general_sort_target,
+    general_sort_targets,
     order_satisfies,
     sort_columns_for,
 )
@@ -379,12 +379,21 @@ class TestHelpers:
 
     def test_general_satisfies_rigid_fallback(self):
         general = GeneralOrderSpec.from_group_by([AY, AX])
+        written = OrderSpec.of(AY, AX)
         context = OrderContext.empty()
-        permuted = OrderSpec.of(AY, AX)
-        assert general_satisfies(OptimizerConfig(), general, permuted, context)
-        # Rigid mode demands the lexicographic rendering of the free
-        # segment, so the permuted property may fail.
-        rigid_target = general_sort_target(
-            OptimizerConfig.disabled(), general, context
+        disabled = OptimizerConfig.disabled()
+        assert general_satisfies(
+            OptimizerConfig(), general, OrderSpec.of(AX, AY), context, written
         )
-        assert rigid_target == OrderSpec.of(AX, AY)
+        # Rigid mode tests and sorts the written column list, not a
+        # lexicographic rendering of the free segment.
+        assert general_satisfies(disabled, general, written, context, written)
+        assert not general_satisfies(
+            disabled, general, OrderSpec.of(AX, AY), context, written
+        )
+        assert general_sort_targets(
+            disabled, general, context, OrderSpec(), written
+        ) == [written]
+        assert general_sort_targets(
+            OptimizerConfig(), general, context, OrderSpec(), written
+        ) == [OrderSpec.of(AX, AY)]

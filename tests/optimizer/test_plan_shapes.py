@@ -1,10 +1,22 @@
 """Plan-shape assertions: the behaviours the paper's sections promise."""
 
+import random
+
 import pytest
 
-from repro import Optimizer, OptimizerConfig, plan_query
+from repro import (
+    Column,
+    Database,
+    Index,
+    Optimizer,
+    OptimizerConfig,
+    TableSchema,
+    plan_query,
+)
+from repro.core import OrderSpec
 from repro.expr import col
 from repro.optimizer.plan import OpKind
+from repro.sqltypes import INTEGER
 
 
 def no_hash_config(**overrides):
@@ -180,6 +192,61 @@ class TestGeneralOrdersInPlans:
             config=config,
         )
         assert backward.sort_count() >= forward.sort_count()
+
+
+@pytest.fixture(scope="module")
+def za_db():
+    """One table stored in the order of its ``(z, a)`` index."""
+    rng = random.Random(45)
+    rows = sorted(
+        (rng.randint(0, 40), rng.randint(0, 40), i) for i in range(3000)
+    )
+    db = Database()
+    db.create_table(
+        TableSchema(
+            "t",
+            [Column("z", INTEGER), Column("a", INTEGER), Column("v", INTEGER)],
+        ),
+        rows=rows,
+    )
+    db.create_index(Index.on("t_za", "t", ["z", "a"], clustered=True))
+    return db
+
+
+class TestWrittenOrderWithoutGeneralOrders:
+    """§6's baseline: without general orders, GROUP BY and DISTINCT are
+    tested *and* sorted on their written column list, so an index that
+    delivers the written order needs no sort."""
+
+    CONFIGS = {
+        "db2_faithful_disabled": OptimizerConfig.db2_faithful(False),
+        "no_general_orders": no_hash_config(enable_general_orders=False),
+    }
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "select z, a, count(*) as n from t group by z, a",
+            "select distinct z, a from t",
+        ],
+    )
+    def test_written_index_order_needs_no_sort(self, za_db, sql, config):
+        plan = plan_query(za_db, sql, config=self.CONFIGS[config])
+        assert not plan.find_all(OpKind.SORT)
+        assert not plan.find_all(OpKind.PARTIAL_SORT)
+        assert plan.find_all(OpKind.INDEX_SCAN)
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_other_written_order_sorts_on_it(self, za_db, config):
+        plan = plan_query(
+            za_db,
+            "select a, z, count(*) as n from t group by a, z",
+            config=self.CONFIGS[config],
+        )
+        (sort,) = plan.find_all(OpKind.SORT)
+        written = OrderSpec.of(col("t", "a"), col("t", "z"))
+        assert sort.args["order"] == written
 
 
 class TestOrderedNlj:
