@@ -77,9 +77,7 @@ def main() -> None:
         "from dept d, emp e where d.id = e.dept_id "
         "group by e.level, d.name order by d.name"
     )
-    sort_based = OptimizerConfig(
-        enable_hash_join=False, enable_hash_group_by=False
-    )
+    sort_based = OptimizerConfig(enable_hash=False)
     result = run_query(db, sql, config=sort_based)
     print(result.plan.explain())
     print(f"-> {len(result.rows)} rows, top: {result.rows[0]}")
@@ -90,8 +88,7 @@ def main() -> None:
     print("   Section 8 baseline) — watch the extra sorts appear")
     print("=" * 72)
     disabled = OptimizerConfig.disabled()
-    disabled.enable_hash_join = False
-    disabled.enable_hash_group_by = False
+    disabled.enable_hash = False
     baseline = run_query(db, sql, config=disabled)
     print(baseline.plan.explain())
     print(

@@ -21,7 +21,7 @@ Segments must be satisfied in sequence: every column of segment *i*
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.context import OrderContext
 from repro.core.ordering import OrderKey, OrderSpec, SortDirection
@@ -109,12 +109,6 @@ class GeneralOrderSpec:
 
     def is_empty(self) -> bool:
         return not self.segments
-
-    def all_columns(self) -> Set[ColumnRef]:
-        found: Set[ColumnRef] = set()
-        for segment in self.segments:
-            found |= segment.columns
-        return found
 
     # ------------------------------------------------------------------
     # Satisfaction

@@ -12,7 +12,7 @@ what makes the plan cache's re-binding free.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.cost.estimate import SelectivityEstimator, StatsView
 from repro.errors import ExecutionError
@@ -22,7 +22,6 @@ from repro.executor.aggregate import (
     SortedDistinctOp,
     SortedGroupByOp,
 )
-from repro.executor.context import ExecutionContext
 from repro.executor.joins import (
     HashJoinOp,
     MergeJoinOp,
@@ -226,18 +225,3 @@ def build_executor(
         else None
     )
     return build_operator(plan.root, database, estimator, node_map=node_map)
-
-
-def execute_plan(
-    plan: Plan,
-    database: Database,
-    context: ExecutionContext = None,
-    parameters: Optional[Dict[str, object]] = None,
-) -> List[tuple]:
-    """Run a plan to completion and return its rows."""
-    from repro.expr.bindings import parameter_scope
-
-    if context is None:
-        context = ExecutionContext(database)
-    with parameter_scope(parameters):
-        return build_executor(plan, database).execute(context)

@@ -123,9 +123,6 @@ class CancelToken:
     def cancelled(self) -> bool:
         return self._cancelled
 
-    def expired(self) -> bool:
-        return self.deadline is not None and time.monotonic() >= self.deadline
-
     def remaining(self) -> Optional[float]:
         """Seconds until the deadline (None when unbounded)."""
         if self.deadline is None:

@@ -40,9 +40,9 @@ class OptimizerConfig:
     # the planner just scans them as one sequential stream.
     enable_partitioning: bool = True
 
-    enable_hash_join: bool = True
+    # Hash join, hash GROUP BY and hash DISTINCT (beyond the paper).
+    enable_hash: bool = True
     enable_index_nlj: bool = True
-    enable_hash_group_by: bool = True
 
     def effective(self, feature: str) -> bool:
         """A fine-grained switch, gated by the master switch."""
@@ -71,8 +71,7 @@ class OptimizerConfig:
         """
         return cls(
             order_optimization=order_optimization,
-            enable_hash_join=False,
-            enable_hash_group_by=False,
+            enable_hash=False,
             enable_partial_sort=False,
             enable_partitioning=False,
         )

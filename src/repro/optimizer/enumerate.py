@@ -323,7 +323,7 @@ def _order_blind_joins(
             (OpKind.NLJ, predicates, method,
              {"predicate": _and_all(predicates), **flags}),
         ]
-        if pairs and planner.config.enable_hash_join:
+        if pairs and planner.config.enable_hash:
             # --- hash join: the probe side streams in its own order ---
             method = cost_model.hash_join(
                 inner_rows, outer_rows, output_rows,

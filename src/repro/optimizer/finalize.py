@@ -312,7 +312,7 @@ def _grouping_variants(
                 if target.subset_columns(plan.properties.schema.columns):
                     sorted_child = make_sort(planner, plan, target, reason)
                     variants.append(node(sorted_child, hash_based=False))
-    if config.enable_hash_group_by or not variants:
+    if config.enable_hash or not variants:
         variants.append(node(plan, hash_based=True))
     return variants
 

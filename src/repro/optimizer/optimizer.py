@@ -28,7 +28,7 @@ class Optimizer:
 
         optimizer = Optimizer(database)
         plan = optimizer.plan_sql("select ... from ... order by ...")
-        rows = execute_plan(plan, database)
+        rows = repro.api.execute(database, plan).rows
 
     Pass ``OptimizerConfig.disabled()`` to reproduce the paper's
     order-optimization-disabled baseline.

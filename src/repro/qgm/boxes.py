@@ -30,9 +30,6 @@ class SelectItem:
             return self.expression
         return ColumnRef("", self.name)
 
-    def is_computed(self) -> bool:
-        return not isinstance(self.expression, ColumnRef)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         if isinstance(self.expression, ColumnRef) and (
             self.expression.name == self.name
@@ -229,9 +226,6 @@ class GroupByBox(Box):
             SelectItem(aggregate, name) for name, aggregate in self.aggregates
         )
         return items
-
-    def aggregate_outputs(self) -> List[ColumnRef]:
-        return [ColumnRef("", name) for name, _aggregate in self.aggregates]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(str(column) for column in self.group_columns)

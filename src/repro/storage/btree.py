@@ -1,14 +1,18 @@
-"""A B+-tree index with linked leaves and I/O accounting.
+"""A packed B+-tree index with linked leaves and I/O accounting.
 
 Keys are flat tuples, two elements per column (``storage.database.
 encode_index_keys``), so mixed directions and NULLs-high semantics come
 for free and a prefix bound is a stored key's head; values are heap
 RIDs. Duplicate keys are allowed — each leaf entry is a (key, rid) pair.
 
+Storage is load-only, so a tree is only ever built whole by
+:meth:`BPlusTree.bulk_load`, bottom-up: it has no insert and no node
+splits.
+
 Every node visit is charged to the buffer pool: descents are random
 accesses, walking the leaf chain is sequential in leaf numbering (which
-matches physical order after bulk load, so range scans model as
-prefetch-friendly I/O).
+is the leaves' key order, so range scans model as prefetch-friendly
+I/O).
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ class BPlusTree:
         self._root: _Node = self._new_leaf()
         self._height = 1
         self._entry_count = 0
-        # Bumped by every mutation; probe cursors drop their remembered
+        # Bumped by every bulk load; probe cursors drop their remembered
         # descent when it moves.
         self._version = 0
 
@@ -93,66 +97,6 @@ class BPlusTree:
     @property
     def height(self) -> int:
         return self._height
-
-    def insert(self, key: Key, rid: Rid) -> None:
-        """Insert one entry (duplicates allowed)."""
-        split = self._insert_into(self._root, key, rid)
-        if split is not None:
-            separator, new_node = split
-            new_root = self._new_internal()
-            new_root.keys = [separator]
-            new_root.children = [self._root, new_node]
-            self._root = new_root
-            self._height += 1
-        self._entry_count += 1
-        self._version += 1
-
-    def _insert_into(
-        self, node: _Node, key: Key, rid: Rid
-    ) -> Optional[Tuple[Key, _Node]]:
-        if node.is_leaf:
-            leaf = node  # type: ignore[assignment]
-            position = bisect_right(leaf.keys, key)
-            leaf.keys.insert(position, key)
-            leaf.values.insert(position, rid)
-            if len(leaf.keys) > self.fanout:
-                return self._split_leaf(leaf)
-            return None
-        internal = node  # type: ignore[assignment]
-        child_index = bisect_right(internal.keys, key)
-        split = self._insert_into(internal.children[child_index], key, rid)
-        if split is None:
-            return None
-        separator, new_child = split
-        internal.keys.insert(child_index, separator)
-        internal.children.insert(child_index + 1, new_child)
-        if len(internal.children) > self.fanout:
-            return self._split_internal(internal)
-        return None
-
-    def _split_leaf(self, leaf: _Leaf) -> Tuple[Key, _Node]:
-        middle = len(leaf.keys) // 2
-        sibling = self._new_leaf()
-        sibling.keys = leaf.keys[middle:]
-        sibling.values = leaf.values[middle:]
-        leaf.keys = leaf.keys[:middle]
-        leaf.values = leaf.values[:middle]
-        sibling.next_leaf = leaf.next_leaf
-        if sibling.next_leaf is not None:
-            sibling.next_leaf.prev_leaf = sibling
-        sibling.prev_leaf = leaf
-        leaf.next_leaf = sibling
-        return sibling.keys[0], sibling
-
-    def _split_internal(self, node: _Internal) -> Tuple[Key, _Node]:
-        middle = len(node.keys) // 2
-        separator = node.keys[middle]
-        sibling = self._new_internal()
-        sibling.keys = node.keys[middle + 1 :]
-        sibling.children = node.children[middle + 1 :]
-        node.keys = node.keys[:middle]
-        node.children = node.children[: middle + 1]
-        return separator, sibling
 
     def bulk_load(self, entries: Iterable[Tuple[Key, Rid]]) -> None:
         """Replace the tree's contents from pre-sorted (or not) entries.

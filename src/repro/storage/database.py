@@ -83,14 +83,14 @@ def encode_probe_keys(
     return keys
 
 
-def _first_repeat(keyed: Sequence[Tuple[Any, ...]], known: set) -> int:
+def _first_repeat(keyed: Sequence[Tuple[Any, ...]]) -> int:
     """The first row of ``keyed`` whose key tuple holds no NULL and is
-    in ``known`` or in an earlier row (one must exist)."""
+    in an earlier row (one must exist)."""
     earlier: set = set()
     for number, values in enumerate(keyed):
         if None in values:
             continue
-        if values in known or values in earlier:
+        if values in earlier:
             return number
         earlier.add(values)
     raise AssertionError("no repeated key")
@@ -99,15 +99,17 @@ def _first_repeat(keyed: Sequence[Tuple[Any, ...]], known: set) -> int:
 class StoredTable:
     """One table's physical presence: heap file + index trees.
 
-    Declared keys (primary and unique) are *enforced* on insert and
-    load: the optimizer turns keys into functional dependencies, so a
-    violated key would silently license unsound sort eliminations.
+    Storage is load-only: :meth:`load` replaces the table's rows and
+    nothing adds one. Declared keys (primary and unique) are *enforced*
+    on every load: the optimizer turns keys into functional
+    dependencies, so a violated key would silently license unsound sort
+    eliminations.
 
-    ``load`` and ``insert`` are one path, a column at a time: validate
-    (``TableSchema.validate_rows``), enforce keys (one set per key),
-    append to the heap a page at a time, key every index through the
-    column encoder ``encode_probe_keys`` uses. ``insert`` is its
-    one-row case. A load or insert that fails validation or a key
+    ``load`` works a column at a time: validate
+    (``TableSchema.validate_rows``), enforce keys (one set per key, kept
+    only while the rows are checked), append to the heap a page at a
+    time, key every index through the column encoder
+    ``encode_probe_keys`` uses. A load that fails validation or a key
     check writes nothing.
     """
 
@@ -137,31 +139,22 @@ class StoredTable:
             (key, [schema.position(name) for name in key])
             for key in schema.keys()
         ]
-        self._key_values: List[set] = [set() for _key in self._key_positions]
 
-    def _check_keys(
-        self, rows: Sequence[Tuple[Any, ...]], known: Sequence[set]
-    ) -> List[set]:
-        """The key tuples ``rows`` add to each declared key, given the
-        tuples ``known`` already holds per key.
-
-        Raises the duplicate a row-at-a-time check meets first: the
+    def _check_keys(self, rows: Sequence[Tuple[Any, ...]]) -> None:
+        """Raise the duplicate a row-at-a-time check meets first: the
         earliest row, and within it the first key, whose key tuple is
-        in ``known`` or in an earlier row. A tuple holding a NULL is
-        never a duplicate and is not added (SQL: NULLs never collide in
-        unique constraints).
+        in an earlier row. A tuple holding a NULL is never a duplicate
+        (SQL: NULLs never collide in unique constraints).
         """
-        added: List[set] = []
         duplicate: Optional[Tuple[int, CatalogError]] = None
-        for (key, positions), seen in zip(self._key_positions, known):
+        for key, positions in self._key_positions:
             columns = [list(map(itemgetter(p), rows)) for p in positions]
             keyed = list(zip(*columns))
             present = keyed
             if any(_NONE_TYPE in set(map(type, c)) for c in columns):
                 present = [values for values in keyed if None not in values]
-            fresh = set(present)
-            if len(fresh) < len(present) or not fresh.isdisjoint(seen):
-                number = _first_repeat(keyed, seen)
+            if len(set(present)) < len(present):
+                number = _first_repeat(keyed)
                 if duplicate is None or number < duplicate[0]:
                     duplicate = (
                         number,
@@ -170,23 +163,18 @@ class StoredTable:
                             f"table {self.schema.name}"
                         ),
                     )
-            added.append(fresh)
         if duplicate is not None:
             raise duplicate[1]
-        return added
 
-    def _checked(
-        self, rows: Sequence[Sequence[Any]], known: Sequence[set]
-    ) -> Tuple[List[Tuple[Any, ...]], List[set]]:
-        """``rows`` validated and key-checked against ``known``: the
-        stored rows and the key tuples they add. Raises the error a row
-        loop meets first — a duplicate among the rows before the first
-        bad one wins over that row's own error."""
+    def _checked(self, rows: Sequence[Sequence[Any]]) -> List[Tuple[Any, ...]]:
+        """``rows`` validated and key-checked: the rows to store. Raises
+        the error a row loop meets first — a duplicate among the rows
+        before the first bad one wins over that row's own error."""
         valid, error = self.schema.validate_rows(rows)
-        added = self._check_keys(valid, known)
+        self._check_keys(valid)
         if error is not None:
             raise error
-        return valid, added
+        return valid
 
     def _store(self, rows: Sequence[Tuple[Any, ...]]) -> List[Rid]:
         """Append validated rows to the heap (each to its partition, if
@@ -226,18 +214,6 @@ class StoredTable:
             [column.direction for column in index.key],
         )
 
-    def insert(self, row: Sequence[Any]) -> Rid:
-        """Validate, key-check, store, and index one row: the one-row
-        case of :meth:`load`'s path."""
-        (row,), added = self._checked([row], self._key_values)
-        for seen, fresh in zip(self._key_values, added):
-            seen |= fresh
-        (rid,) = self._store([row])
-        for index, tree in self.indexes.values():
-            (key,) = self._index_keys(index, [row])
-            tree.insert(key, rid)
-        return rid
-
     def load(self, rows: Iterable[Sequence[Any]]) -> int:
         """Replace the table's rows, rebuild indexes packed, refresh
         statistics.
@@ -247,9 +223,7 @@ class StoredTable:
         stored as the caller's own objects, not copies. Heap pages and
         RIDs are made a page at a time.
         """
-        rows, self._key_values = self._checked(
-            list(rows), [set() for _key in self._key_positions]
-        )
+        rows = self._checked(list(rows))
         self.heap.truncate()
         rids = self._store(rows)
         for index, tree in self.indexes.values():

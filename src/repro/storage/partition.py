@@ -196,9 +196,6 @@ class PartitionedTree:
     def partition(self, index: int) -> BPlusTree:
         return self._trees[index]
 
-    def insert(self, key: Key, rid: Rid) -> None:
-        self._trees[rid_partition(rid)].insert(key, rid)
-
     def bulk_load(self, entries: Iterable[Tuple[Key, Rid]]) -> None:
         buckets: List[List[Tuple[Key, Rid]]] = [
             [] for _ in self._trees

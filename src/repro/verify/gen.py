@@ -93,11 +93,6 @@ class TableSpec:
         """The numeric join/order column for this table's role."""
         return {"fact": "id", "child": "rid", "dim": "g"}[self.role]
 
-    @property
-    def value_column(self) -> str:
-        """The numeric aggregation column for this table's role."""
-        return {"fact": "val", "child": "amt", "dim": "w"}[self.role]
-
 
 @dataclass
 class SchemaSpec:

@@ -57,7 +57,7 @@ _MATRIX_AXES = (
     ("red", ("enable_reduction",)),
     ("cov", ("enable_cover",)),
     ("sa", ("enable_sort_ahead",)),
-    ("hash", ("enable_hash_join", "enable_hash_group_by")),
+    ("hash", ("enable_hash",)),
     ("ps", ("enable_partial_sort",)),
 )
 
@@ -89,9 +89,7 @@ def tier1_matrix() -> Dict[str, OptimizerConfig]:
     return {
         "full": OptimizerConfig(),
         "disabled": OptimizerConfig.disabled(),
-        "no-hash": OptimizerConfig(
-            enable_hash_join=False, enable_hash_group_by=False
-        ),
+        "no-hash": OptimizerConfig(enable_hash=False),
         "no-sortahead": OptimizerConfig(enable_sort_ahead=False),
         "no-partial-sort": OptimizerConfig(enable_partial_sort=False),
         "no-partitioning": OptimizerConfig(enable_partitioning=False),
@@ -517,9 +515,7 @@ def audit_matrix() -> Dict[str, OptimizerConfig]:
     """Configs the audit battery planes under (sort-heavy + hash-heavy)."""
     return {
         "full": OptimizerConfig(),
-        "no-hash": OptimizerConfig(
-            enable_hash_join=False, enable_hash_group_by=False
-        ),
+        "no-hash": OptimizerConfig(enable_hash=False),
     }
 
 

@@ -75,9 +75,6 @@ class RoundResult:
     def qerror(self) -> QErrorSummary:
         return summarize(self.observations())
 
-    def total_simulated_io_ms(self) -> float:
-        return sum(run.simulated_io_ms for run in self.runs)
-
 
 @dataclass
 class FeedbackReport:
@@ -93,10 +90,6 @@ class FeedbackReport:
     @property
     def regressions(self) -> List[GateDecision]:
         return [d for d in self.decisions if d.regressed]
-
-    @property
-    def plan_changes(self) -> List[GateDecision]:
-        return [d for d in self.decisions if d.plan_changed]
 
     def mismatches(self) -> List[str]:
         """Statements whose rows differ across rounds (must be empty)."""

@@ -89,12 +89,12 @@ class TestSampleDistinctMemo:
             "t",
             [Column("x", INTEGER, nullable=False), Column("y", INTEGER)],
         )
-        db.create_table(schema, rows=[(i % 4, i % 2) for i in range(100)])
+        rows = [(i % 4, i % 2) for i in range(100)]
+        db.create_table(schema, rows=rows)
         view = StatsView({"t": db.catalog.table("t")})
         columns = [ColumnRef("t", "x"), ColumnRef("t", "y")]
         assert view.joint_ndv(columns) == 4.0
-        for i in range(100):
-            db.store("t").insert((i % 20, i % 10))
+        db.store("t").load(rows + [(i % 20, i % 10) for i in range(100)])
         db.analyze_table("t")
         assert StatsView({"t": db.catalog.table("t")}).joint_ndv(columns) == 22.0
 

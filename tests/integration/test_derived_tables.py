@@ -53,7 +53,7 @@ CONFIGS = {
     "full": OptimizerConfig(),
     "disabled": OptimizerConfig.disabled(),
     "no-hash": OptimizerConfig(
-        enable_hash_join=False, enable_hash_group_by=False
+        enable_hash=False
     ),
 }
 
@@ -170,7 +170,7 @@ class TestSortPushIntoView:
         from repro import OptimizerConfig
 
         config = OptimizerConfig(
-            enable_hash_join=False, enable_hash_group_by=False
+            enable_hash=False
         )
         plan = plan_query(
             db,

@@ -92,7 +92,7 @@ def db():
 CONFIGS = {
     "full": OptimizerConfig(),
     "disabled": OptimizerConfig.disabled(),
-    "no-hash": OptimizerConfig(enable_hash_join=False, enable_hash_group_by=False),
+    "no-hash": OptimizerConfig(enable_hash=False),
     "no-sortahead": OptimizerConfig(enable_sort_ahead=False),
 }
 

@@ -59,7 +59,7 @@ CONFIGS = {
     "full": OptimizerConfig(),
     "disabled": OptimizerConfig.disabled(),
     "no-hash": OptimizerConfig(
-        enable_hash_join=False, enable_hash_group_by=False
+        enable_hash=False
     ),
 }
 
@@ -128,7 +128,7 @@ class TestOneDirectionalFd:
 
     def test_order_by_preserved_then_null_side_reduces(self, db):
         config = OptimizerConfig(
-            enable_hash_join=False, enable_hash_group_by=False
+            enable_hash=False
         )
         result = run_query(
             db,
@@ -157,7 +157,7 @@ class TestOneDirectionalFd:
         """Padded rows break x = y, so ORDER BY b.x must not be
         satisfied by an a.x order."""
         config = OptimizerConfig(
-            enable_hash_join=False, enable_hash_group_by=False
+            enable_hash=False
         )
         result = run_query(
             db,
@@ -188,7 +188,7 @@ class TestOuterJoinPlanning:
 
     def test_preserved_side_order_propagates(self, db):
         config = OptimizerConfig(
-            enable_hash_join=False, enable_hash_group_by=False
+            enable_hash=False
         )
         result = run_query(
             db,

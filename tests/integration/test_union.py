@@ -109,7 +109,7 @@ class TestUnionDistinct:
 
     def test_sorted_dedup_available_without_hash(self, db):
         config = OptimizerConfig(
-            enable_hash_join=False, enable_hash_group_by=False
+            enable_hash=False
         )
         result = run_query(
             db,
@@ -139,7 +139,7 @@ class TestUnionThroughFinalize:
 
     def test_dedupe_sort_covering_order_by_is_the_only_sort(self, db):
         config = OptimizerConfig(
-            enable_hash_join=False, enable_hash_group_by=False
+            enable_hash=False
         )
         sql = "select x, y from a union select x, z from b order by 2"
         result = run_query(db, sql, config=config)

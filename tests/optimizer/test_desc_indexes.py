@@ -76,7 +76,7 @@ class TestDescendingIndexes:
         result = run_query(
             db,
             "select a, b from t order by a, b desc",
-            config=OptimizerConfig(enable_hash_join=False),
+            config=OptimizerConfig(enable_hash=False),
         )
         keys = [(row[0], -(row[1] if row[1] is not None else -1)) for row in result.rows]
         assert keys == sorted(keys)

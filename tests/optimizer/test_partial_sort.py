@@ -19,8 +19,7 @@ from repro.sqltypes import INTEGER
 def merge_only_config(**overrides):
     """Merge joins only: forces order enforcement to carry the plan."""
     config = OptimizerConfig(
-        enable_hash_join=False,
-        enable_hash_group_by=False,
+        enable_hash=False,
         enable_index_nlj=False,
     )
     for key, value in overrides.items():

@@ -20,7 +20,7 @@ from repro.sqltypes import INTEGER
 
 
 def no_hash_config(**overrides):
-    config = OptimizerConfig(enable_hash_join=False, enable_hash_group_by=False)
+    config = OptimizerConfig(enable_hash=False)
     for key, value in overrides.items():
         setattr(config, key, value)
     return config
@@ -28,8 +28,7 @@ def no_hash_config(**overrides):
 
 def disabled_no_hash():
     config = OptimizerConfig.disabled()
-    config.enable_hash_join = False
-    config.enable_hash_group_by = False
+    config.enable_hash = False
     return config
 
 

@@ -1,18 +1,14 @@
 """The differential oracle for table loading.
 
-``ReferenceTable`` is a ``StoredTable`` whose ``insert``, ``load`` and
+``ReferenceTable`` is a ``StoredTable`` whose ``load`` and
 ``add_index`` are the row-at-a-time loop the column path replaced, kept
 verbatim apart from names: every row is validated by
 ``reference_validate_row`` (one ``DataType.validate`` per value), its
-keys checked and recorded by ``_check_row_keys``, appended one record at
-a time, and keyed for each index by the per-row ``sort_key`` encoder of
-``_key_encoder``. ``tests/storage/test_loader_differential.py`` holds
-``StoredTable`` to it on stored rows, key sets, index trees and errors.
-
-One behaviour differs on purpose: a load or insert that raises here may
-leave the key sets half updated (a load resets them before its loop, an
-insert records the keys it passed before the one that collides), while
-``StoredTable`` leaves the table exactly as it was.
+keys checked against the rows before it by ``_check_row_keys``, appended
+one record at a time, and keyed for each index by the per-row
+``sort_key`` encoder of ``_key_encoder``.
+``tests/storage/test_loader_differential.py`` holds ``StoredTable`` to
+it on stored rows, index trees and errors.
 """
 
 from __future__ import annotations
@@ -56,10 +52,10 @@ class ReferenceTable(StoredTable):
         super().__init__(schema, buffer_pool)
         self._key_encoders = {}
 
-    def _check_row_keys(self, row: Tuple[Any, ...]) -> None:
-        for (key, positions), seen in zip(
-            self._key_positions, self._key_values
-        ):
+    def _check_row_keys(
+        self, row: Tuple[Any, ...], key_values: List[set]
+    ) -> None:
+        for (key, positions), seen in zip(self._key_positions, key_values):
             values = tuple(row[position] for position in positions)
             if any(value is None for value in values):
                 continue  # SQL: NULLs never collide in unique constraints
@@ -79,23 +75,14 @@ class ReferenceTable(StoredTable):
         )
         return self.heap.extend_to(partition, (row,))[0]
 
-    def insert(self, row: Sequence[Any]) -> Rid:
-        """Validate, key-check, store, and index one row."""
-        coerced = reference_validate_row(self.schema, row)
-        self._check_row_keys(coerced)
-        rid = self._append(coerced)
-        for name, (_index, tree) in self.indexes.items():
-            tree.insert(self._key_encoders[name](coerced), rid)
-        return rid
-
     def load(self, rows: Iterable[Sequence[Any]]) -> int:
         """Bulk-load rows, rebuild indexes packed, refresh statistics."""
         count = 0
         validated: List[Tuple[Any, ...]] = []
-        self._key_values = [set() for _key in self._key_positions]
+        key_values: List[set] = [set() for _key in self._key_positions]
         for row in rows:
             coerced = reference_validate_row(self.schema, row)
-            self._check_row_keys(coerced)
+            self._check_row_keys(coerced, key_values)
             validated.append(coerced)
             count += 1
         self.heap.truncate()

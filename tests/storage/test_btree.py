@@ -1,4 +1,4 @@
-"""B+-tree: inserts, bulk load, range scans, duplicates, direction."""
+"""B+-tree: bulk load, probes, range scans, duplicates, direction."""
 
 import random
 
@@ -19,9 +19,11 @@ def keys_of(entries):
 
 
 class TestInsertAndScan:
+    """Entries go in by bulk load, the tree's one way to take them."""
+
     def test_single_insert(self):
         tree = make_tree()
-        tree.insert((5,), Rid(0, 0))
+        tree.bulk_load([((5,), Rid(0, 0))])
         assert tree.probe((5,)) == [Rid(0, 0)]
         assert tree.entry_count == 1
 
@@ -29,21 +31,23 @@ class TestInsertAndScan:
         tree = make_tree()
         values = list(range(200))
         random.Random(3).shuffle(values)
-        for value in values:
-            tree.insert((value,), Rid(value, 0))
+        tree.bulk_load([((value,), Rid(value, 0)) for value in values])
         scanned = keys_of(tree.scan_range())
         assert scanned == [(v,) for v in range(200)]
         assert tree.height > 1
 
     def test_duplicates_preserved(self):
         tree = make_tree()
-        for slot in range(5):
-            tree.insert((7,), Rid(0, slot))
-        assert len(tree.probe((7,))) == 5
+        # Five copies of 7 straddle a leaf edge (six entries per leaf).
+        tree.bulk_load(
+            [((3,), Rid(1, 0)), ((4,), Rid(1, 1)), ((5,), Rid(1, 2))]
+            + [((7,), Rid(0, slot)) for slot in range(5)]
+        )
+        assert tree.probe((7,)) == [Rid(0, slot) for slot in range(5)]
 
     def test_probe_missing_key(self):
         tree = make_tree()
-        tree.insert((1,), Rid(0, 0))
+        tree.bulk_load([((1,), Rid(0, 0))])
         assert tree.probe((2,)) == []
 
     def test_fanout_guard(self):
@@ -67,12 +71,12 @@ class TestBulkLoad:
         assert list(tree.scan_range()) == []
         assert tree.entry_count == 0
 
-    def test_insert_after_bulk_load(self):
+    def test_bulk_load_replaces_the_contents(self):
         tree = make_tree(fanout=8)
         tree.bulk_load([((v,), Rid(v, 0)) for v in range(0, 100, 2)])
-        tree.insert((51,), Rid(51, 0))
-        scanned = keys_of(tree.scan_range(low=(50,), high=(52,)))
-        assert scanned == [(50,), (51,), (52,)]
+        tree.bulk_load([((v,), Rid(v, 0)) for v in (51, 50, 52)])
+        assert keys_of(tree.scan_range()) == [(50,), (51,), (52,)]
+        assert (tree.entry_count, tree.height) == (3, 1)
 
 
 class TestRangeScans:
@@ -160,8 +164,9 @@ def test_range_scan_matches_sorted_filter(values, low, high):
     if low > high:
         low, high = high, low
     tree = BPlusTree("t", BufferPool(1024), fanout=8)
-    for index, value in enumerate(values):
-        tree.insert((value,), Rid(index, 0))
+    tree.bulk_load(
+        [((value,), Rid(index, 0)) for index, value in enumerate(values)]
+    )
     scanned = [key[0] for key, _rid in tree.scan_range((low,), (high,))]
     expected = sorted(v for v in values if low <= v <= high)
     assert scanned == expected

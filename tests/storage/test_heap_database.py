@@ -76,21 +76,13 @@ class TestDatabase:
         tree = db.index_tree("t_a")
         assert tree.entry_count == 100
 
-    def test_insert_maintains_indexes(self):
-        db = make_db()
-        db.create_index(Index.on("t_a", "t", ["a"], unique=True))
-        store = db.store("t")
-        store.insert((1000, "zz"))
-        from repro.storage.database import encode_index_key
-        from repro.core.ordering import SortDirection
-
-        key = encode_index_key([1000], [SortDirection.ASC])
-        assert len(db.index_tree("t_a").probe(key)) == 1
-
     def test_insert_validates(self):
+        """Rows go in by load: a NULL in a NOT NULL column fails it, and
+        the failed load leaves the table as it was."""
         db = make_db()
-        with pytest.raises(CatalogError):
-            db.store("t").insert((None, "x"))
+        with pytest.raises(CatalogError, match="NULL in NOT NULL"):
+            db.store("t").load([(1000, "zz"), (None, "x")])
+        assert db.store("t").row_count() == 100
 
     def test_unknown_store(self):
         with pytest.raises(CatalogError):
@@ -126,19 +118,6 @@ class TestKeyEnforcement:
                 ),
                 rows=[(1,), (2,), (1,)],
             )
-
-    def test_duplicate_primary_key_on_insert(self):
-        db = Database()
-        store = db.create_table(
-            TableSchema(
-                "k2",
-                [Column("a", INTEGER, nullable=False)],
-                primary_key=("a",),
-            ),
-            rows=[(1,), (2,)],
-        )
-        with pytest.raises(CatalogError):
-            store.insert((2,))
 
     def test_composite_key_enforced(self):
         db = Database()
@@ -178,5 +157,5 @@ class TestKeyEnforcement:
             ),
             rows=[(1,), (2,)],
         )
-        store.load([(1,), (2,)])  # same keys fine after truncate
-        assert store.row_count() == 2
+        store.load([(1,), (2,), (3,)])  # the previous load's keys repeat
+        assert store.row_count() == 3

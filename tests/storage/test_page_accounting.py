@@ -57,20 +57,19 @@ class RecordingPool(BufferPool):
         return result, list(self.trace)
 
 
-def build_tree(pairs, directions, fanout, bulk):
+def tree_entries(pairs, directions):
+    return [
+        (encode_index_key(pair, directions), Rid(number, 0))
+        for number, pair in enumerate(pairs)
+    ]
+
+
+def build_tree(pairs, directions, fanout):
     """Two-column tree over ``pairs``; few distinct leading values, so
     duplicates of a prefix straddle leaf boundaries at these fanouts."""
     pool = RecordingPool()
     tree = BPlusTree("t", pool, fanout=fanout)
-    entries = [
-        (encode_index_key(pair, directions), Rid(number, 0))
-        for number, pair in enumerate(pairs)
-    ]
-    if bulk:
-        tree.bulk_load(entries)
-    else:
-        for key, rid in entries:
-            tree.insert(key, rid)
+    tree.bulk_load(tree_entries(pairs, directions))
     return tree, pool
 
 
@@ -89,7 +88,6 @@ tree_arguments = dict(
         st.sampled_from([ASC, DESC]), st.sampled_from([ASC, DESC])
     ),
     fanout=st.integers(4, 8),
-    bulk=st.booleans(),
 )
 
 
@@ -109,9 +107,9 @@ def encoded(bound, directions):
     **tree_arguments,
 )
 def test_probe_and_cursor_charge_what_the_range_scan_charges(
-    pairs, directions, fanout, bulk, bounds, shuffle_seed
+    pairs, directions, fanout, bounds, shuffle_seed
 ):
-    tree, pool = build_tree(pairs, directions, fanout, bulk)
+    tree, pool = build_tree(pairs, directions, fanout)
     keys = sorted(encoded(bound, directions) for bound in bounds)
     shuffled = list(keys)
     random.Random(shuffle_seed).shuffle(shuffled)
@@ -141,7 +139,7 @@ def test_ordered_probes_replay_the_descent():
     """The fast path runs: a monotone probe stream descends once per
     leaf, not once per key."""
     tree, _pool = build_tree(
-        [(value, 0) for value in range(96)], (ASC, ASC), 8, bulk=True
+        [(value, 0) for value in range(96)], (ASC, ASC), 8
     )
     descents = []
     find_leaf = tree._find_leaf
@@ -154,15 +152,15 @@ def test_ordered_probes_replay_the_descent():
     assert len(descents) <= 2 * leaves
 
 
-def test_cursor_survives_a_split_of_its_leaf():
-    tree, pool = build_tree(
-        [(5, slot) for slot in range(4)], (ASC, ASC), 4, bulk=False
-    )
+def test_cursor_survives_a_bulk_load_of_its_tree():
+    """A reload renumbers the tree's nodes: the cursor's remembered
+    descent must not be replayed."""
+    tree, pool = build_tree([(5, slot) for slot in range(2)], (ASC, ASC), 4)
     key = encode_index_key((5,), (ASC,))
     cursor = tree.probe_cursor()
-    assert len(cursor.probe_block((key,), None, [])[1]) == 4
-    for slot in range(4, 12):
-        tree.insert(encode_index_key((5, slot), (ASC, ASC)), Rid(slot, 0))
+    assert len(cursor.probe_block((key,), None, [])[1]) == 2
+    pairs = [(4, 0)] * 6 + [(5, slot) for slot in range(12)]
+    tree.bulk_load(tree_entries(pairs, (ASC, ASC)))
     assert tree.height > 1
     run = []
     _owners, rids = cursor.probe_block((key,), None, run)
@@ -262,9 +260,9 @@ range_strategy = st.tuples(
 @settings(max_examples=150, deadline=None)
 @given(ranges=st.lists(range_strategy, min_size=1, max_size=12), **tree_arguments)
 def test_range_scan_charges_what_the_entry_by_entry_walk_charged(
-    pairs, directions, fanout, bulk, ranges
+    pairs, directions, fanout, ranges
 ):
-    tree, pool = build_tree(pairs, directions, fanout, bulk)
+    tree, pool = build_tree(pairs, directions, fanout)
     for low, high, low_inclusive, high_inclusive, descending in ranges:
         arguments = (
             encoded(low, directions),
@@ -279,12 +277,12 @@ def test_range_scan_charges_what_the_entry_by_entry_walk_charged(
 
 
 # sha256 over the (rids, page ids) of every scan of the seeded corpus
-# below, recorded by running this function against the implementation
-# this PR replaced (commit 89d4052). Node numbering comes from insert /
-# bulk_load, which did not change, so the digest moves only if a scan
-# returns different rids or touches different pages.
+# below, recorded by running this function against the entry-by-entry
+# scan that bisect positions replaced (commit 89d4052). Node numbering
+# comes from bulk_load, which did not change, so the digest moves only
+# if a scan returns different rids or touches different pages.
 RECORDED_SCAN_TRACES = (
-    "2e5771024c1754ee8aaf612f2895ec03e06d95df6ed300f727d5947e9bd4d642"
+    "9c529f08fc53479cd984d96264a5f1f92cdabd08c23ff1c03739e2873d351620"
 )
 
 
@@ -305,9 +303,7 @@ def scan_trace_digest():
             for _ in range(rng.choice([0, 1, 7, 40, 90]))
         ]
         directions = (rng.choice([ASC, DESC]), rng.choice([ASC, DESC]))
-        tree, pool = build_tree(
-            pairs, directions, rng.randint(4, 8), bulk=number % 2 == 0
-        )
+        tree, pool = build_tree(pairs, directions, rng.randint(4, 8))
         for _ in range(25):
             low, high = encoded(bound(), directions), encoded(bound(), directions)
             flags = [rng.random() < 0.5 for _ in range(3)]
@@ -330,10 +326,9 @@ def test_range_scan_traces_match_the_recording():
 T_SCHEMA = RowSchema([col("t", "a"), col("t", "b"), col("t", "pad")])
 
 
-def build_table(pairs, extra, directions, fanout, partitioned, capacity):
+def build_table(pairs, directions, fanout, partitioned, capacity):
     """Table ``t(a, b, pad)`` loaded from ``pairs``, index ``t_ab`` on
-    ``(a, b)`` built at ``fanout``, then ``extra`` rows inserted through
-    the tree so packed leaves split. ``pad``'s declared width keeps a
+    ``(a, b)`` built at ``fanout``. ``pad``'s declared width keeps a
     heap page to a handful of rows, so leaf and heap pages interleave."""
     database = Database()
     pool = database.buffer_pool = RecordingPool(capacity)
@@ -355,10 +350,7 @@ def build_table(pairs, extra, directions, fanout, partitioned, capacity):
         [IndexColumn("a", directions[0]), IndexColumn("b", directions[1])],
     )
     database.catalog.create_index(index)
-    store = database.store("t")
-    store.add_index(index, fanout=fanout)
-    for a, b in extra:
-        store.insert((a, b, ""))
+    database.store("t").add_index(index, fanout=fanout)
     return database, pool
 
 
@@ -393,7 +385,6 @@ def reference_index_scan(
 @settings(max_examples=150, deadline=None)
 @given(
     pairs=pairs_strategy,
-    extra=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=20),
     directions=tree_arguments["directions"],
     fanout=st.integers(4, 8),
     scan=range_strategy,
@@ -403,11 +394,10 @@ def reference_index_scan(
     capacity=st.sampled_from([2, 1024]),
 )
 def test_index_scan_blocks_charge_what_the_row_at_a_time_scan_charged(
-    pairs, extra, directions, fanout, scan, batch, stop_after, partition,
-    capacity,
+    pairs, directions, fanout, scan, batch, stop_after, partition, capacity
 ):
     database, pool = build_table(
-        pairs, extra, directions, fanout, partition is not None, capacity
+        pairs, directions, fanout, partition is not None, capacity
     )
     # "leaf": a packed leaf's entry count, so blocks end on leaf edges.
     batch_size = {
@@ -453,7 +443,7 @@ def test_index_scan_stops_on_and_between_leaf_edges(scan, stop_after, batch_size
     edges, where the next leaf must not be charged until asked for, and
     5-row blocks end mid-leaf."""
     pairs = [(value % 13, value % 4) for value in range(60)]
-    database, pool = build_table(pairs, [], (ASC, DESC), 4, False, 1024)
+    database, pool = build_table(pairs, (ASC, DESC), 4, False, 1024)
     pool.clear()
     expected = pool.traced(
         lambda: list(
@@ -514,7 +504,6 @@ probe_value = st.none() | st.integers(-1, 13)
 @settings(max_examples=150, deadline=None)
 @given(
     pairs=pairs_strategy,
-    extra=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=20),
     directions=tree_arguments["directions"],
     fanout=st.integers(4, 8),
     values=st.lists(
@@ -527,11 +516,11 @@ probe_value = st.none() | st.integers(-1, 13)
     capacity=st.sampled_from([2, 1024]),
 )
 def test_probe_blocks_charge_what_probe_and_fetch_charge(
-    pairs, extra, directions, fanout, values, width, ordered, batch,
-    partitioned, capacity,
+    pairs, directions, fanout, values, width, ordered, batch, partitioned,
+    capacity,
 ):
     database, pool = build_table(
-        pairs, extra, directions, fanout, partitioned, capacity
+        pairs, directions, fanout, partitioned, capacity
     )
     columns = [list(column) for column in zip(*values)][:width] or [[]] * width
     keys = encode_probe_keys(columns, directions[:width])
@@ -577,10 +566,8 @@ def test_probe_blocks_charge_what_probe_and_fetch_charge(
     "partitioned", [False, True], ids=["plain", "partitioned"]
 )
 def test_analyze_charges_what_a_heap_scan_charges(partitioned, capacity):
-    pairs = [(value % 13, value % 4) for value in range(60)]
-    database, pool = build_table(
-        pairs, [(1, 2), (3, 1)], (ASC, ASC), 4, partitioned, capacity
-    )
+    pairs = [(value % 13, value % 4) for value in range(62)]
+    database, pool = build_table(pairs, (ASC, ASC), 4, partitioned, capacity)
     store = database.store("t")
     pool.clear()
     rows, expected = pool.traced(

@@ -1,10 +1,10 @@
 """Build pin: what ``build_tpcd_database(0.002)`` stores, to the byte.
 
 Per table, a sha256 of each stored part: the heap (page ids and every
-row's ``repr``, so exact value types and Decimal exponents count), the
-declared keys' value sets, every index tree node by node (page id,
-keys, and for leaves the RIDs), and the ``TableStats`` (per-column NDV,
-extremes, null count and histogram edges, plus the row sample). A
+row's ``repr``, so exact value types and Decimal exponents count),
+every index tree node by node (page id, keys, and for leaves the RIDs),
+and the ``TableStats`` (per-column NDV, extremes, null count and
+histogram edges, plus the row sample). A
 change to generated data, to how rows are validated and stored, to how
 indexes are keyed or packed, or to the statistics fails here, in
 tier-1, not only in ``perf/expected/``.
@@ -79,9 +79,6 @@ def build_digest(scale_factor=SCALE_FACTOR):
         store = database.store(table)
         parts = {
             "heap": _sha(_heap_lines(store.heap)),
-            "keys": _sha(
-                repr(sorted(map(repr, seen))) for seen in store._key_values
-            ),
             "stats": _sha(_stats_lines(store.schema.stats)),
         }
         for name, (_index, tree) in sorted(store.indexes.items()):

@@ -40,7 +40,7 @@ def test_full_matrix_covers_all_toggle_combinations():
             c.enable_reduction,
             c.enable_cover,
             c.enable_sort_ahead,
-            c.enable_hash_join,
+            c.enable_hash,
             c.enable_partial_sort,
         )
         for name, c in configs.items()
@@ -48,8 +48,6 @@ def test_full_matrix_covers_all_toggle_combinations():
     }
     assert len(combos) == 32
     assert not configs["disabled"].order_optimization
-    for config in configs.values():
-        assert config.enable_hash_join == config.enable_hash_group_by
 
 
 def test_tier1_matrix_matches_historical_configs():
